@@ -30,6 +30,7 @@ logical step auditable without rerunning the code.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import platform
@@ -52,8 +53,8 @@ from .bounds import (
     eta_range,
 )
 from .eigsolve import EigensolveError, quad_form_interval, solve_lowest, verify_enclosure
-from .fem import assemble, build_space
-from .geometry import perturbation_factor_bounds, triangle_from_angle
+from .fem import DiscreteOperators, assemble, build_space
+from .geometry import perturbation_factor_bounds, triangle_from_angle, triangle_from_vertex
 from .mesh import uniform_subdivide
 from .rounding import Interval, cos_interval, cot_interval, dn, sin_interval, up
 
@@ -251,22 +252,41 @@ class PointData:
     mass: tuple[float, float]
 
 
+_T_REF = triangle_from_vertex(0.0, 1.0)
+
+
+@functools.lru_cache(maxsize=4)
+def _reference_operators(n: int, family: str, bc: str) -> DiscreteOperators:
+    """Operators on the n-fold mesh of T_ref, built once per process.
+
+    Four entries hold a proof's two sweep spaces and its two corner
+    spaces.  Every caller shares the cached matrices, so they are only
+    read (:meth:`DiscreteOperators.mapped` builds new ones).  The three
+    builders are called through this module's names, so wrapping them
+    here sees every build.
+    """
+    return assemble(build_space(uniform_subdivide(_T_REF, n), family, bc))
+
+
 def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData:
     """Solve both discrete problems at one angle and certify the brackets."""
     _check_problem(problem)
     bc = _BC[problem]
     tri = triangle_from_angle(theta)
 
-    mesh_cr = uniform_subdivide(tri, cr_n)
-    ops_cr = assemble(build_space(mesh_cr, "cr", bc))
+    ops_cr = _reference_operators(cr_n, "cr", bc).mapped(tri)
     enc_cr = solve_lowest(ops_cr, 2)
     enc_cr = [verify_enclosure(ops_cr, enc_cr[0], (enc_cr[1],)), enc_cr[1]]
+    # the bracket needs only the CR mesh size; releasing the CR operators
+    # keeps them out of the memory peak of the conforming solve
+    h_cr = ops_cr.space.mesh.h
+    del ops_cr
 
-    ops_cg = assemble(build_space(uniform_subdivide(tri, cg_n), "cg", bc))
+    ops_cg = _reference_operators(cg_n, "cg", bc).mapped(tri)
     enc_cg = solve_lowest(ops_cg, 2)
     enc_cg = [verify_enclosure(ops_cg, enc_cg[0], (enc_cg[1],)), enc_cg[1]]
 
-    lam1, lam2 = bracket(enc_cr, enc_cg, mesh_cr.h)
+    lam1, lam2 = bracket(enc_cr, enc_cg, h_cr)
 
     u = enc_cg[0].vector
     xx = quad_form_interval(ops_cg.Kxx, u)

@@ -13,15 +13,36 @@ Two boundary treatments are supported:
 
 All matrices are assembled from exact closed-form integrals of the
 polynomial integrands; no quadrature error enters.
+
+Every triangle with base (0,0)-(1,0) and apex (bx, by) is the image of
+the reference triangle T_ref = conv((0,0), (1,0), (0,1)) under
+J = [[1, bx], [0, by]], and the n-fold uniform mesh of T is the image of
+the n-fold mesh of T_ref node by node.  Basis functions therefore pull
+back to basis functions with the same numbering, the constraints
+(Dirichlet dofs, edge-mean weights) do not depend on the apex, and
+for u on T with pull-back U(X, Y) on T_ref, u_x = U_X,
+u_y = (U_Y - bx U_X) / by and dx dy = by dX dY give
+
+    Kxx = by Kxx_ref
+    Kxy = Kxy_ref - bx Kxx_ref
+    Kyy = (bx^2 Kxx_ref - bx (Kxy_ref + Kxy_ref^T) + Kyy_ref) / by
+    A   = Kxx + Kyy
+    M   = by M_ref
+
+for the full operators, and for the reduced ones too, since reduction
+(a principal submatrix, or a congruence with Z) does not depend on the
+apex.  :meth:`DiscreteOperators.mapped` applies
+these identities, so one assembly per mesh size serves every angle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
+from .geometry import TriangleShape
 from .mesh import Mesh
 from .rounding import dn
 
@@ -167,6 +188,38 @@ class DiscreteOperators:
         area_low = dn(dn(0.5 * tri.by, 2) / (n * n), 2)
         return area_low / 12.0 if self.space.family == "cg" else dn(area_low / 3.0)
 
+    def mapped(self, triangle: TriangleShape) -> "DiscreteOperators":
+        """These operators, assembled on T_ref, carried to ``triangle``.
+
+        Applies the reference-map identities of the module docstring.
+        The returned space holds the mesh of ``triangle``, with node
+        coordinates computed exactly as :func:`uniform_subdivide` does.
+        """
+        mesh = self.space.mesh
+        ref = mesh.triangle
+        if (ref.bx, ref.by) != (0.0, 1.0):
+            raise ValueError(
+                f"operators must be assembled on the reference triangle, apex ({ref.bx}, {ref.by})"
+            )
+        bx, by = triangle.bx, triangle.by
+        a, b = triangle.vertices[1:]
+        i = mesh.lattice[:, 0:1]
+        j = mesh.lattice[:, 1:2]
+        nodes = (i * a + j * b) / mesh.n
+        space = replace(self.space, mesh=replace(mesh, triangle=triangle, nodes=nodes))
+
+        Kxx, Kxy = self.Kxx, self.Kxy
+        kxx = by * Kxx
+        kyy = ((bx * bx) * Kxx - bx * (Kxy + Kxy.T) + self.Kyy) / by
+        return DiscreteOperators(
+            space,
+            A=(kxx + kyy).tocsr(),
+            M=(by * self.M).tocsr(),
+            Kxx=kxx.tocsr(),
+            Kxy=(Kxy - bx * Kxx).tocsr(),
+            Kyy=kyy.tocsr(),
+        )
+
     def gram_triple(self, u: np.ndarray) -> tuple[float, float, float]:
         """(||u_x||^2, (u_x, u_y), ||u_y||^2) for reduced coefficients u."""
         return (
@@ -208,20 +261,11 @@ def assemble(space: FemSpace) -> DiscreteOperators:
     gx = grads[..., 0]
     gy = grads[..., 1]
     w = area[:, None, None]
-    loc_xx = w * np.einsum("ek,el->ekl", gx, gx)
-    loc_xy = w * np.einsum("ek,el->ekl", gx, gy)
-    loc_yy = w * np.einsum("ek,el->ekl", gy, gy)
-    loc_a = w * np.einsum("eki,eli->ekl", grads, grads)
-
     if space.family == "cg":
         conn = mesh.elements
         mass_loc = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
     else:
         conn = mesh.element_edges
-        loc_xx = 4.0 * loc_xx
-        loc_xy = 4.0 * loc_xy
-        loc_yy = 4.0 * loc_yy
-        loc_a = 4.0 * loc_a
         mass_loc = (area[:, None, None] / 3.0) * np.eye(3)
 
     rows = np.repeat(conn, 3, axis=1).ravel()
@@ -229,13 +273,19 @@ def assemble(space: FemSpace) -> DiscreteOperators:
     shape = (space.full_dim, space.full_dim)
 
     def build(loc):
-        return sp.coo_matrix((loc.ravel(), (rows, cols)), shape=shape).tocsr()
+        return space.reduce(sp.coo_matrix((loc.ravel(), (rows, cols)), shape=shape).tocsr())
+
+    # one local array at a time, so that only one is alive with its
+    # triplet expansion: this sets the memory peak of the assembly
+    def gram(spec, a, b):
+        loc = w * np.einsum(spec, a, b)
+        return build(loc if space.family == "cg" else 4.0 * loc)
 
     return DiscreteOperators(
         space,
-        A=space.reduce(build(loc_a)),
-        M=space.reduce(build(mass_loc)),
-        Kxx=space.reduce(build(loc_xx)),
-        Kxy=space.reduce(build(loc_xy)),
-        Kyy=space.reduce(build(loc_yy)),
+        A=gram("eki,eli->ekl", grads, grads),
+        M=build(mass_loc),
+        Kxx=gram("ek,el->ekl", gx, gx),
+        Kxy=gram("ek,el->ekl", gx, gy),
+        Kyy=gram("ek,el->ekl", gy, gy),
     )

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from tricert import certify
 from tricert.certify import (
     CSV_COLUMNS,
     CERT_SCHEMA,
@@ -162,6 +163,19 @@ class TestPointData:
     def test_compute_points_dedupes_and_sorts(self):
         pts = compute_points("dirichlet", [0.8, 0.5, 0.8], cg_n=12, cr_n=8)
         assert list(pts.keys()) == [0.5, 0.8]
+
+    def test_operators_assembled_once_per_mesh_size(self, monkeypatch):
+        calls = []
+        real_assemble = certify.assemble
+
+        def counting_assemble(space):
+            calls.append((space.mesh.n, space.family))
+            return real_assemble(space)
+
+        monkeypatch.setattr(certify, "assemble", counting_assemble)
+        certify._reference_operators.cache_clear()
+        compute_points("dirichlet", [0.4, 0.6, 0.8, 0.9, EQ], 12, 8, jobs=1)
+        assert sorted(calls) == [(8, "cr"), (12, "cg")]
 
     def test_parallel_matches_serial(self):
         thetas = [0.4, 0.7, 1.0, EQ]

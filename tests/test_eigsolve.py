@@ -7,6 +7,7 @@ dense/sparse agreement, and the gap refinement.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,16 @@ def test_method_validation():
         solve_lowest(ops, 5)  # only one dof available
 
 
+def test_singular_shift_invert_factor_is_diagnosed():
+    ops = operators(EQ, 39, "cg", "dirichlet")
+    assert ops.dim > 600  # the sparse backend
+    A = ops.A.tolil()
+    A[0, :] = 0.0
+    A[:, 0] = 0.0
+    with pytest.raises(EigensolveError, match="factorisation"):
+        solve_lowest(replace(ops, A=A.tocsr()), 2)
+
+
 def test_determinism():
     ops = operators(EQ, 8, "cg", "dirichlet")
     a = solve_lowest(ops, 2)
@@ -102,8 +113,13 @@ def test_determinism():
         assert np.array_equal(x.vector, y.vector)
 
 
-def test_residual_bound_dominates_true_residual():
-    ops = operators(EQ, 6, "cg", "dirichlet")
+@pytest.mark.parametrize("n", [6, 16])
+@pytest.mark.parametrize(
+    "family, bc",
+    [("cg", "dirichlet"), ("cg", "edge-mean"), ("cr", "dirichlet"), ("cr", "edge-mean")],
+)
+def test_residual_bound_dominates_true_residual(family, bc, n):
+    ops = operators(EQ, n, family, bc)
     (enc,) = solve_lowest(ops, 1)
     u, rho = enc.vector, enc.rayleigh
     r = ops.A @ u - rho * (ops.M @ u)

@@ -8,7 +8,8 @@ equilateral meshes, worked out by hand from the hat-function gradients:
   lambda_h = (32, 80, 80).
 
 Everything else is structural: operator identities, constraint
-satisfaction after prolongation, affine equivariance of the gram triple.
+satisfaction after prolongation, affine equivariance of the gram triple,
+and agreement of the reference-mapped operators with direct assembly.
 """
 
 import math
@@ -21,7 +22,12 @@ from hypothesis import strategies as st
 
 from helpers import EQ, operators
 from tricert.fem import assemble, build_space
-from tricert.geometry import map_between, map_derivative_gram, triangle_from_angle
+from tricert.geometry import (
+    map_between,
+    map_derivative_gram,
+    triangle_from_angle,
+    triangle_from_vertex,
+)
 from tricert.mesh import uniform_subdivide
 
 families = st.sampled_from(["cg", "cr"])
@@ -194,6 +200,40 @@ def test_gram_triple_affine_equivariance(theta, theta_t, family, bc):
     m_src = float(u @ (src.M @ u))
     m_dst = float(u @ (dst.M @ u))
     assert math.isclose(m_dst, phi.beta * m_src, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [triangle_from_angle(t) for t in (0.3, 0.9, EQ)] + [triangle_from_vertex(0.3, 0.8)],
+    ids=["theta=0.3", "theta=0.9", "theta=fl(pi/3)", "apex=(0.3,0.8)"],
+)
+@pytest.mark.parametrize(
+    "family, bc",
+    [("cg", "dirichlet"), ("cg", "edge-mean"), ("cr", "dirichlet"), ("cr", "edge-mean")],
+)
+def test_mapped_reference_operators_match_direct_assembly(tri, family, bc):
+    n = 9
+    direct = assemble(build_space(uniform_subdivide(tri, n), family, bc))
+    ref = assemble(build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, bc))
+    mapped = ref.mapped(tri)
+
+    for name in ("A", "M", "Kxx", "Kyy"):
+        want = getattr(direct, name).toarray()
+        got = getattr(mapped, name).toarray()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+    u = np.random.default_rng(5).standard_normal(direct.dim)
+    scale = float(np.abs(u) @ (abs(direct.Kxy) @ np.abs(u)))
+    assert abs(u @ (mapped.Kxy @ u) - u @ (direct.Kxy @ u)) <= 1e-13 * scale
+
+    assert mapped.space.mesh.triangle == tri
+    assert mapped.space.mesh.h == direct.space.mesh.h
+    assert np.array_equal(mapped.space.mesh.nodes, direct.space.mesh.nodes)
+    assert mapped.mass_min_eig_lower() == direct.mass_min_eig_lower()
+
+
+def test_mapping_needs_reference_operators():
+    with pytest.raises(ValueError, match="reference triangle"):
+        operators(EQ, 4, "cg", "dirichlet").mapped(triangle_from_angle(0.5))
 
 
 def test_dump_coordinate_format(tmp_path):

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tricert.rounding import (
@@ -126,20 +126,24 @@ angle = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
 
 
 @given(angle, angle)
+@example(2.7199505071359202, 0.6620588512772947)
 def test_cos_interval_encloses_samples(a, b):
     lo, hi = min(a, b), max(a, b)
     iv = cos_interval(Interval(lo, hi))
     for k in range(33):
-        t = lo + (hi - lo) * k / 32
+        # the rounded sample can land past hi, outside the operand interval
+        t = min(hi, lo + (hi - lo) * k / 32)
         assert math.cos(t) in iv
 
 
 @given(angle, angle)
+@example(2.7199505071359202, 0.6620588512772947)
 def test_sin_interval_encloses_samples(a, b):
     lo, hi = min(a, b), max(a, b)
     iv = sin_interval(Interval(lo, hi))
     for k in range(33):
-        t = lo + (hi - lo) * k / 32
+        # the rounded sample can land past hi, outside the operand interval
+        t = min(hi, lo + (hi - lo) * k / 32)
         assert math.sin(t) in iv
     assert iv.hi <= 1.0
 
