@@ -150,10 +150,12 @@ def test_criterion_5_simplicity_evidence(cr_run):
 
 
 def test_criterion_6_property_bullets():
-    # dense vs sparse backends agree on coarse meshes
+    # dense vs sparse backends agree on coarse meshes, and on one mesh each
+    # side of the cutoff (322 and 351 unknowns)
     for n, family, bc in (
         (5, "cg", "edge-mean"), (6, "cg", "dirichlet"),
         (5, "cr", "dirichlet"), (6, "cr", "edge-mean"),
+        (24, "cg", "edge-mean"), (28, "cg", "dirichlet"),
     ):
         ops = operators(0.9, n, family, bc)
         k = min(3, ops.A.shape[0] - 2)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import EQ, operators
 from tricert.eigsolve import (
+    DENSE_CUTOFF,
     EigenEnclosure,
     EigensolveError,
     quad_form_interval,
@@ -64,26 +65,48 @@ def test_enclosures_contain_dense_oracle(theta, n, family, bc, count):
 
 
 def test_dense_and_sparse_backends_agree():
-    # forced backends on meshes small enough to run both
-    for n in (4, 5, 6):
+    # forced backends on coarse meshes, and on one mesh each side of the
+    # cutoff where "auto" switches from one backend to the other
+    cases = [
+        (n, family, bc)
+        for n in (4, 5, 6)
         for family, bc in (
             ("cg", "dirichlet"),
             ("cr", "dirichlet"),
             ("cg", "edge-mean"),
             ("cr", "edge-mean"),
-        ):
-            ops = operators(EQ, n, family, bc)
-            k = min(3, ops.dim - 2)
-            if k < 1:
-                continue
-            d = solve_lowest(ops, k, method="dense")
-            s = solve_lowest(ops, k, method="sparse")
-            for a, b in zip(d, s):
-                rel = abs(a.rayleigh - b.rayleigh) / abs(a.rayleigh)
-                assert rel <= 1e-10
+        )
+    ]
+    below, above = (24, "cg", "edge-mean"), (28, "cg", "dirichlet")
+    assert operators(EQ, *below).dim <= DENSE_CUTOFF < operators(EQ, *above).dim
+    for n, family, bc in cases + [below, above]:
+        ops = operators(EQ, n, family, bc)
+        k = min(3, ops.dim - 2)
+        if k < 1:
+            continue
+        d = solve_lowest(ops, k, method="dense")
+        s = solve_lowest(ops, k, method="sparse")
+        for a, b in zip(d, s):
+            rel = abs(a.rayleigh - b.rayleigh) / abs(a.rayleigh)
+            assert rel <= 1e-10
 
 
-def test_method_validation():
+@pytest.mark.parametrize("bc, dim", [("dirichlet", 465), ("edge-mean", 558)])
+def test_quick_spaces_use_shift_invert(monkeypatch, bc, dim):
+    # the conforming CG 32 spaces of the quick proof lie above the measured
+    # crossover, so no dense generalized solve may run on them
+    ops = operators(0.9, 32, "cg", bc)
+    assert ops.dim == dim
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr("tricert.eigsolve.scipy.linalg.eigh", no_dense)
+    e1, e2 = solve_lowest(ops, 2)
+    assert e1.upper < e2.lower
+
+
+def test_method_validation(monkeypatch):
     ops = operators(EQ, 3, "cg", "dirichlet")
     with pytest.raises(ValueError):
         solve_lowest(ops, 1, method="magic")
@@ -91,6 +114,15 @@ def test_method_validation():
         solve_lowest(ops, 0)
     with pytest.raises(ValueError):
         solve_lowest(ops, 5)  # only one dof available
+    # shift-invert Lanczos yields at most dim - 1 modes, so "auto" sends a
+    # full-spectrum request to the dense backend even above the cutoff
+    monkeypatch.setattr("tricert.eigsolve.DENSE_CUTOFF", 0)
+    for n, bc, dim in ((4, "dirichlet", 3), (5, "dirichlet", 6), (4, "edge-mean", 12)):
+        ops = operators(EQ, n, "cg", bc)
+        assert ops.dim == dim
+        with pytest.raises(ValueError, match="sparse backend"):
+            solve_lowest(ops, dim, method="sparse")
+        assert len(solve_lowest(ops, dim)) == dim
 
 
 def test_singular_shift_invert_factor_is_diagnosed():
