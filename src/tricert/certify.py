@@ -29,7 +29,9 @@ logical step auditable without rerunning the code.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import functools
 import json
 import math
@@ -268,6 +270,65 @@ def _reference_operators(n: int, family: str, bc: str) -> DiscreteOperators:
     return assemble(build_space(uniform_subdivide(_T_REF, n), family, bc))
 
 
+# Thread-count entries of the OpenBLAS builds in the NumPy and SciPy wheels
+# (SciPy's LP64 build, NumPy's ILP64 build), then of a system OpenBLAS.
+_OPENBLAS_ENTRIES = (
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process; empty where none can be found (then nothing is controlled)."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted(
+                {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line.lower()}
+            )
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_ENTRIES:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with one thread in every controlled OpenBLAS, then
+    restore the caller's thread counts.
+
+    A multithreaded BLAS may split a reduction differently with each
+    thread count, so the certified bits would depend on the machine's
+    core count; parallelism comes from the point-solve pool instead.
+    The counts are process-wide: threads of one process that enter this
+    concurrently may restore each other's counts early.
+    """
+    controls = _openblas_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, saved):
+            set_(n)
+
+
+@single_blas_thread()
 def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData:
     """Solve both discrete problems at one angle and certify the brackets."""
     _check_problem(problem)

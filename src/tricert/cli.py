@@ -33,6 +33,7 @@ from .certify import (
     RunConfig,
     compute_points,
     run_proof,
+    single_blas_thread,
 )
 from .eigsolve import EigensolveError, solve_lowest, verify_enclosure
 from .fem import assemble, build_space
@@ -252,13 +253,16 @@ def _constants_triangle(args):
 def cmd_constants(args) -> int:
     tri = _constants_triangle(args)
 
-    mesh_cr = uniform_subdivide(tri, args.cr_n)
-    ops_cr = assemble(build_space(mesh_cr, "cr", "edge-mean"))
-    enc_cr = solve_lowest(ops_cr, 2)
-    enc_cr = [verify_enclosure(ops_cr, enc_cr[0], (enc_cr[1],)), enc_cr[1]]
-    ops_cg = assemble(build_space(uniform_subdivide(tri, args.cg_n), "cg", "edge-mean"))
-    enc_cg = solve_lowest(ops_cg, 2)
-    enc_cg = [verify_enclosure(ops_cg, enc_cg[0], (enc_cg[1],)), enc_cg[1]]
+    # one BLAS thread, as in compute_point: the printed bits must not
+    # depend on the machine's core count
+    with single_blas_thread():
+        mesh_cr = uniform_subdivide(tri, args.cr_n)
+        ops_cr = assemble(build_space(mesh_cr, "cr", "edge-mean"))
+        enc_cr = solve_lowest(ops_cr, 2)
+        enc_cr = [verify_enclosure(ops_cr, enc_cr[0], (enc_cr[1],)), enc_cr[1]]
+        ops_cg = assemble(build_space(uniform_subdivide(tri, args.cg_n), "cg", "edge-mean"))
+        enc_cg = solve_lowest(ops_cg, 2)
+        enc_cg = [verify_enclosure(ops_cg, enc_cg[0], (enc_cg[1],)), enc_cg[1]]
     lam1 = eig_bracket(enc_cr, enc_cg, mesh_cr.h)[0]
 
     c_iv = Interval(1.0) / Interval(lam1.lower, lam1.upper).sqrt()

@@ -5,9 +5,11 @@ suite; everything here uses coarse meshes or the quick preset."""
 import csv
 import json
 import math
+import sys
 
 import pytest
 
+from helpers import needs_two_cores, stdout_per_blas_threads
 from tricert import certify
 from tricert.certify import (
     CSV_COLUMNS,
@@ -182,6 +184,52 @@ class TestPointData:
         serial = compute_points("cr-constant", thetas, 12, 8, jobs=1)
         parallel = compute_points("cr-constant", thetas, 12, 8, jobs=2)
         assert serial == parallel  # bitwise: same dataclasses, same floats
+
+
+class TestBlasThreads:
+    def test_thread_counts_restored(self, monkeypatch):
+        controls = certify._openblas_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control found in this process")
+        seen = []
+        real_solve = certify.solve_lowest
+
+        def recording_solve(ops, count):
+            seen.append([get() for get, _ in controls])
+            return real_solve(ops, count)
+
+        monkeypatch.setattr(certify, "solve_lowest", recording_solve)
+        before = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        try:
+            callers = [get() for get, _ in controls]
+            compute_point("dirichlet", 0.8, cg_n=12, cr_n=8)
+            assert seen and all(counts == [1] * len(controls) for counts in seen)
+            assert [get() for get, _ in controls] == callers
+            with pytest.raises(ValueError):
+                compute_point("no-such-problem", 0.8, cg_n=12, cr_n=8)
+            assert [get() for get, _ in controls] == callers
+        finally:
+            for (_, set_), n in zip(controls, before):
+                set_(n)
+
+    def test_no_library_found_changes_nothing(self, monkeypatch):
+        expected = compute_point("cr-constant", 0.9, cg_n=12, cr_n=8)
+        monkeypatch.setattr(certify, "_openblas_controls", lambda: ())
+        assert compute_point("cr-constant", 0.9, cg_n=12, cr_n=8) == expected
+
+    @needs_two_cores
+    def test_corner_bits_independent_of_blas_threads(self):
+        # the edge-mean corner mesh, where a two-thread BLAS used to
+        # change the last digits of the bracket
+        code = (
+            "import math\n"
+            "from tricert.certify import compute_point\n"
+            "print(repr(compute_point('cr-constant', math.pi / 3, 192, 32)))\n"
+        )
+        outs = stdout_per_blas_threads([sys.executable, "-c", code])
+        assert outs[0] == outs[1]
 
 
 class TestAlgorithm1:

@@ -9,9 +9,11 @@ import io
 import json
 import math
 import re
+import sys
 
 import pytest
 
+from helpers import needs_two_cores, stdout_per_blas_threads
 from tricert.cli import SWEEP_COLUMNS, main
 from tricert.certify import CSV_COLUMNS
 
@@ -147,6 +149,17 @@ def test_constants_scales_with_diameter(capsys):
     lo2, hi2 = c_interval(out2)
     mid1, mid2 = (lo1 + hi1) / 2, (lo2 + hi2) / 2
     assert math.isclose(mid1 / mid2, math.sqrt(2.0), rel_tol=1e-3)
+
+
+@needs_two_cores
+def test_constants_bits_independent_of_blas_threads():
+    # at the equilateral corner on a 192/32 mesh pair a two-thread BLAS
+    # used to change the last digits of the printed upper bound
+    outs = stdout_per_blas_threads(
+        [sys.executable, "-m", "tricert", "constants", "--theta", repr(EQ),
+         "--cg-n", "192", "--cr-n", "32"]
+    )
+    assert outs[0] == outs[1]
 
 
 def test_constants_argument_validation(capsys):
