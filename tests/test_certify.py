@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from helpers import needs_two_cores, stdout_per_blas_threads
-from tricert import certify
+from tricert import certify, eigsolve
 from tricert.certify import (
     CSV_COLUMNS,
     CERT_SCHEMA,
@@ -178,6 +178,20 @@ class TestPointData:
         certify._reference_operators.cache_clear()
         compute_points("dirichlet", [0.4, 0.6, 0.8, 0.9, EQ], 12, 8, jobs=1)
         assert sorted(calls) == [(8, "cr"), (12, "cg")]
+
+    def test_one_certificate_per_mode(self, monkeypatch):
+        # two modes in each of the two spaces; the gap refinement reuses
+        # the certificate of mode 1 instead of computing it again
+        calls = []
+        real_bound = eigsolve.residual_bound
+
+        def counting_bound(*args):
+            calls.append(args)
+            return real_bound(*args)
+
+        monkeypatch.setattr(eigsolve, "residual_bound", counting_bound)
+        compute_point("cr-constant", 0.9, cg_n=12, cr_n=8)
+        assert len(calls) == 4
 
     def test_parallel_matches_serial(self):
         thetas = [0.4, 0.7, 1.0, EQ]

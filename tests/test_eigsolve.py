@@ -20,6 +20,7 @@ from tricert.eigsolve import (
     DENSE_CUTOFF,
     EigenEnclosure,
     EigensolveError,
+    _certify,
     quad_form_interval,
     residual_bound,
     solve_lowest,
@@ -145,19 +146,48 @@ def test_determinism():
         assert np.array_equal(x.vector, y.vector)
 
 
-@pytest.mark.parametrize("n", [6, 16])
 @pytest.mark.parametrize(
-    "family, bc",
-    [("cg", "dirichlet"), ("cg", "edge-mean"), ("cr", "dirichlet"), ("cr", "edge-mean")],
+    "family, bc, n, theta",
+    [
+        # theta = 0.05 is the thinnest triangle, so the smallest mass eigenvalue
+        pytest.param(family, bc, n, theta, id=f"{family}-{bc}-{n}{suffix}")
+        for family, bc in (
+            ("cg", "dirichlet"), ("cg", "edge-mean"), ("cr", "dirichlet"), ("cr", "edge-mean")
+        )
+        for n in (6, 16)
+        for theta, suffix in ((EQ, ""), (0.05, "-0.05"))
+    ],
 )
-def test_residual_bound_dominates_true_residual(family, bc, n):
-    ops = operators(EQ, n, family, bc)
+def test_residual_bound_dominates_true_residual(family, bc, n, theta):
+    ops = operators(theta, n, family, bc)
     (enc,) = solve_lowest(ops, 1)
     u, rho = enc.vector, enc.rayleigh
     r = ops.A @ u - rho * (ops.M @ u)
     minv_norm = math.sqrt(float(r @ np.linalg.solve(ops.M.toarray(), r)))
     mass_norm = math.sqrt(float(u @ (ops.M @ u)))
     assert residual_bound(ops, u, rho) >= minv_norm / mass_norm
+
+
+def test_no_mass_solve(monkeypatch):
+    # the residual is certified through the mass eigenvalue bound alone
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG solve with M called")
+
+    monkeypatch.setattr("tricert.eigsolve.spla.cg", no_cg)
+    ops = operators(0.9, 8, "cg", "edge-mean")
+    encs = solve_lowest(ops, 2)
+    for enc, lam in zip(encs, dense_eigs(ops, 2)):
+        assert lam in enc
+
+
+def test_unnormalized_vector_enclosure_contains_eigenvalue():
+    # delta bounds ||r||_{M^-1} / ||u||_M: a vector of mass norm 1e-6
+    # must widen the enclosure by 1e6 against its raw residual norm
+    ops = operators(EQ, 8, "cg", "dirichlet")
+    vals, vecs = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
+    u = 1e-6 * (vecs[:, 0] + 1e-3 * vecs[:, 1])
+    enc = _certify(ops, u, 1)
+    assert enc.lower <= vals[0] <= enc.upper
 
 
 def test_gap_refinement_tightens_lower_bound():
