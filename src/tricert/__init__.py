@@ -1,13 +1,8 @@
 """Certified eigenvalue bounds and shape-extremality proofs for triangle Laplacians."""
 
 from .geometry import (
-    AffineMap,
     TriangleShape,
-    map_between,
-    map_derivative_gram,
     perturbation_factor_bounds,
-    perturbation_factors,
-    qqT_spectrum,
     triangle_from_angle,
     triangle_from_vertex,
 )
@@ -17,7 +12,6 @@ from .eigsolve import EigenEnclosure, EigensolveError, solve_lowest, verify_encl
 from .bounds import (
     BracketError,
     EigBracket,
-    EigenfunctionErrorBound,
     F_of,
     bracket,
     err_bound,
@@ -41,13 +35,8 @@ from .certify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "TriangleShape",
-    "map_between",
-    "map_derivative_gram",
     "perturbation_factor_bounds",
-    "perturbation_factors",
-    "qqT_spectrum",
     "triangle_from_angle",
     "triangle_from_vertex",
     "Mesh",
@@ -62,7 +51,6 @@ __all__ = [
     "verify_enclosure",
     "BracketError",
     "EigBracket",
-    "EigenfunctionErrorBound",
     "F_of",
     "bracket",
     "err_bound",

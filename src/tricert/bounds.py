@@ -79,16 +79,6 @@ class EigBracket:
 
 
 @dataclass(frozen=True)
-class EigenfunctionErrorBound:
-    """eta bound with the inputs it was formed from."""
-
-    a: float
-    b: float
-    c: float
-    eta: float
-
-
-@dataclass(frozen=True)
 class DerivativePoint:
     """Derivative functional at one angle with its certified envelope.
 
@@ -101,7 +91,6 @@ class DerivativePoint:
     gram_xx: float
     gram_xy: float
     gram_yy: float
-    mass: float
     f_value: float
     err: float
 

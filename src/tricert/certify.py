@@ -36,9 +36,8 @@ import functools
 import json
 import math
 import platform
-import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
@@ -240,7 +239,7 @@ class PointData:
     """Certified quantities at one angle (no vectors kept; pickle-friendly).
 
     Gram entries are raw quadratic forms of the unnormalized conforming
-    ground vector; mass carries the normalization.
+    ground vector; mass, its certified M-form, carries the normalization.
     """
 
     theta: float
@@ -337,7 +336,7 @@ def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData
 
     ops_cr = _reference_operators(cr_n, "cr", bc).mapped(tri)
     enc_cr = solve_lowest(ops_cr, 2)
-    enc_cr = [verify_enclosure(ops_cr, enc_cr[0], (enc_cr[1],)), enc_cr[1]]
+    enc_cr = [verify_enclosure(enc_cr[0], (enc_cr[1],)), enc_cr[1]]
     # the bracket needs only the CR mesh size; releasing the CR operators
     # keeps them out of the memory peak of the conforming solve
     h_cr = ops_cr.space.mesh.h
@@ -345,7 +344,7 @@ def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData
 
     ops_cg = _reference_operators(cg_n, "cg", bc).mapped(tri)
     enc_cg = solve_lowest(ops_cg, 2)
-    enc_cg = [verify_enclosure(ops_cg, enc_cg[0], (enc_cg[1],)), enc_cg[1]]
+    enc_cg = [verify_enclosure(enc_cg[0], (enc_cg[1],)), enc_cg[1]]
 
     lam1, lam2 = bracket(enc_cr, enc_cg, h_cr)
 
@@ -353,7 +352,7 @@ def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData
     xx = quad_form_interval(ops_cg.Kxx, u)
     xy = quad_form_interval(ops_cg.Kxy, u)
     yy = quad_form_interval(ops_cg.Kyy, u)
-    mm = quad_form_interval(ops_cg.M, u)
+    mm = enc_cg[0].mass_form
     return PointData(
         theta, cg_n, cr_n, lam1, lam2,
         (xx.lo, xx.hi), (xy.lo, xy.hi), (yy.lo, yy.hi), (mm.lo, mm.hi),
@@ -445,24 +444,15 @@ class Algorithm1Result:
     rows: list[LedgerRow]
 
 
-def algorithm1(
-    schedule: Schedule,
-    problem: str,
-    cg_n: int = 96,
-    cr_n: int = 64,
-    jobs: int = 1,
-    points: dict[float, PointData] | None = None,
-) -> Algorithm1Result:
+def algorithm1(schedule: Schedule, points: dict[float, PointData]) -> Algorithm1Result:
     """Certified lower bound of lambda_1 over I = (0, last breakpoint].
 
     Each subinterval (theta_{i-1}, theta_i] gets the point bracket at its
     right endpoint, extended leftward by the infimum of the perturbation
     low factor over the subinterval (attained at an endpoint; the ratio
     monotonicity behind that is asserted per call, not assumed).
+    ``points`` must hold every breakpoint.
     """
-    _check_problem(problem)
-    if points is None:
-        points = compute_points(problem, schedule.breakpoints, cg_n, cr_n, jobs)
     rows = []
     lower_min = math.inf
     argmin = -1
@@ -533,24 +523,16 @@ def _j_factors(t_lo: float, t_hi: float) -> tuple[float, float]:
 
 
 def simplicity_check(
-    epsilon: float,
-    n2: int,
-    problem: str,
-    cg_n: int = 96,
-    cr_n: int = 64,
-    jobs: int = 1,
-    points: dict[float, PointData] | None = None,
+    epsilon: float, n2: int, points: dict[float, PointData]
 ) -> SimplicityEvidence:
     """Certified lambda_1 upper vs lambda_2 lower over all of J.
 
     Per subinterval, the left-endpoint brackets are pushed across by the
     perturbation factors; the evidence compares the worst cases.  Run
     for both problems, including the one whose simplicity is classical.
+    ``points`` must hold every node of :func:`j_nodes`.
     """
-    _check_problem(problem)
     nodes = j_nodes(epsilon, n2)
-    if points is None:
-        points = compute_points(problem, nodes, cg_n, cr_n, jobs)
     lam1_up = -math.inf
     lam2_lo = math.inf
     for t_lo, t_hi in _j_pairs(nodes):
@@ -570,12 +552,8 @@ def _j_pairs(nodes: list[float]) -> list[tuple[float, float]]:
 def algorithm2(
     epsilon: float,
     n2: int,
-    problem: str,
-    cg_n: int = 96,
-    cr_n: int = 64,
-    jobs: int = 1,
-    points: dict[float, PointData] | None = None,
-    simplicity: SimplicityEvidence | None = None,
+    points: dict[float, PointData],
+    simplicity: SimplicityEvidence,
 ) -> DerivativeRange:
     """Certified range of dlambda_1/dtheta over J.
 
@@ -591,14 +569,11 @@ def algorithm2(
       supremum) widens that enclosure to cover the true derivative.
 
     The result is the hull over subintervals.  The corner diagnostics
-    (gram triple, F, Err at theta = pi/3) ride along.
+    (gram triple, F, Err at theta = pi/3) ride along.  ``points`` must
+    hold every node of :func:`j_nodes`, and ``simplicity`` is the
+    :func:`simplicity_check` evidence on them, which must separate.
     """
-    _check_problem(problem)
     nodes = j_nodes(epsilon, n2)
-    if points is None:
-        points = compute_points(problem, nodes, cg_n, cr_n, jobs)
-    if simplicity is None:
-        simplicity = simplicity_check(epsilon, n2, problem, cg_n, cr_n, jobs, points)
     if not simplicity.separated:
         raise CertifyError(
             "simplicity precondition unmet on J: "
@@ -614,25 +589,23 @@ def algorithm2(
     for i, (t_lo, t_hi) in enumerate(_j_pairs(nodes), start=1):
         pd = points[t_lo]
         try:
-            row = _algorithm2_interval(i, t_lo, t_hi, pd)
+            row, e = _algorithm2_interval(i, t_lo, t_hi, pd)
         except (ValueError, ZeroDivisionError, BracketError) as exc:
             raise CertifyError(f"interval {i} (theta in [{t_lo!r}, {t_hi!r}]): {exc}") from exc
         rows.append(row)
         f_lo = min(f_lo, row.f_lo)
         f_hi = max(f_hi, row.f_hi)
-        eta_max = max(eta_max, row._eta)
+        eta_max = max(eta_max, e)
         err_max = max(err_max, row.err)
 
     corner = _corner_point(points[nodes[-1]])
     return DerivativeRange(f_lo, f_hi, rows, corner, eta_max, err_max)
 
 
-@dataclass(frozen=True)
-class _Row3(LedgerRow):
-    _eta: float = 0.0
-
-
-def _algorithm2_interval(i: int, t_lo: float, t_hi: float, pd: PointData) -> _Row3:
+def _algorithm2_interval(
+    i: int, t_lo: float, t_hi: float, pd: PointData
+) -> tuple[LedgerRow, float]:
+    """Ledger row of one subinterval of J, with its eta_range supremum."""
     flo, fhi = _j_factors(t_lo, t_hi)
     a_lo = (Interval(pd.lam1.lower) * Interval(flo)).lo
     a_hi = (Interval(pd.lam1.upper) * Interval(fhi)).hi
@@ -662,12 +635,13 @@ def _algorithm2_interval(i: int, t_lo: float, t_hi: float, pd: PointData) -> _Ro
     Ct = -al * X + C
     f_iv = F_interval(Ct, Yt, cot_interval(tt), be * m)
 
-    return _Row3(
+    row = LedgerRow(
         i, t_lo, t_hi,
         lambda1_lo=a_lo, lambda1_hi=a_hi, lambda2_lo=rho_lo,
         f_lo=dn(f_iv.lo - err, 2), f_hi=up(f_iv.hi + err, 2),
-        err=err, _eta=e,
+        err=err,
     )
+    return row, e
 
 
 def _corner_point(pd: PointData) -> DerivativePoint:
@@ -678,10 +652,7 @@ def _corner_point(pd: PointData) -> DerivativePoint:
     b_hi = ((X + Y) / m).hi
     err = err_bound(pd.lam1.lower, b_hi, pd.lam2.lower, pd.theta)
     gram = (X.mid / m.mid, C.mid / m.mid, Y.mid / m.mid)
-    return DerivativePoint(
-        pd.theta, gram[0], gram[1], gram[2], 1.0,
-        F_of(gram, pd.theta), err,
-    )
+    return DerivativePoint(pd.theta, *gram, F_of(gram, pd.theta), err)
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +787,7 @@ def run_proof(problem: str, config: RunConfig | None = None) -> Certificate:
         )
         eq_pd = compute_point(problem, math.pi / 3, eq_cg, eq_cr)
 
-        alg1 = algorithm1(sched, problem, cg_n, cr_n, config.jobs, points)
+        alg1 = algorithm1(sched, points)
         rows2 = alg1.rows
         step2 = {
             "lower_min": alg1.lower_min,
@@ -836,7 +807,7 @@ def run_proof(problem: str, config: RunConfig | None = None) -> Certificate:
                 ),
             }
 
-        simp = simplicity_check(eps, n2, problem, cg_n, cr_n, config.jobs, points)
+        simp = simplicity_check(eps, n2, points)
         step3 = {
             "simplicity": {
                 "lambda1_upper": simp.lambda1_upper,
@@ -845,12 +816,8 @@ def run_proof(problem: str, config: RunConfig | None = None) -> Certificate:
             }
         }
         if simp.separated:
-            rng = algorithm2(eps, n2, problem, cg_n, cr_n, config.jobs, points, simp)
-            rows3 = [
-                LedgerRow(r.i, r.theta_lo, r.theta_hi, r.lambda1_lo,
-                          r.lambda1_hi, r.lambda2_lo, r.f_lo, r.f_hi, r.err)
-                for r in rng.rows
-            ]
+            rng = algorithm2(eps, n2, points, simp)
+            rows3 = rng.rows
             step3.update(
                 {
                     "f_lo": rng.f_lo,

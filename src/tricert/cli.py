@@ -28,6 +28,7 @@ from pathlib import Path
 
 from .bounds import BracketError, bracket as eig_bracket
 from .certify import (
+    EQ_MESH,
     PAPER_EPSILON,
     PAPER_N2,
     RunConfig,
@@ -125,6 +126,11 @@ def cmd_prove(args) -> int:
             problems.append(f"--epsilon {args.epsilon}")
         if args.n2 is not None and args.n2 != PAPER_N2[args.problem]:
             problems.append(f"--n2 {args.n2}")
+        eq_cg_n, eq_cr_n = EQ_MESH[args.problem]
+        if args.eq_cg_n is not None and args.eq_cg_n != eq_cg_n:
+            problems.append(f"--eq-cg-n {args.eq_cg_n}")
+        if args.eq_cr_n is not None and args.eq_cr_n != eq_cr_n:
+            problems.append(f"--eq-cr-n {args.eq_cr_n}")
         if problems:
             raise ValueError(
                 "--paper-config given but the configuration deviates: "
@@ -259,10 +265,10 @@ def cmd_constants(args) -> int:
         mesh_cr = uniform_subdivide(tri, args.cr_n)
         ops_cr = assemble(build_space(mesh_cr, "cr", "edge-mean"))
         enc_cr = solve_lowest(ops_cr, 2)
-        enc_cr = [verify_enclosure(ops_cr, enc_cr[0], (enc_cr[1],)), enc_cr[1]]
+        enc_cr = [verify_enclosure(enc_cr[0], (enc_cr[1],)), enc_cr[1]]
         ops_cg = assemble(build_space(uniform_subdivide(tri, args.cg_n), "cg", "edge-mean"))
         enc_cg = solve_lowest(ops_cg, 2)
-        enc_cg = [verify_enclosure(ops_cg, enc_cg[0], (enc_cg[1],)), enc_cg[1]]
+        enc_cg = [verify_enclosure(enc_cg[0], (enc_cg[1],)), enc_cg[1]]
     lam1 = eig_bracket(enc_cr, enc_cg, mesh_cr.h)[0]
 
     c_iv = Interval(1.0) / Interval(lam1.lower, lam1.upper).sqrt()

@@ -65,15 +65,24 @@ class EigensolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenEnclosure:
-    """Certified enclosure [lower, upper] around the k-th computed mode."""
+    """Certified enclosure [lower, upper] around the k-th computed mode.
+
+    rho encloses the Rayleigh quotient of ``vector`` and mass_form its
+    M-form u^T M u, both as certified when the enclosure was made.
+    """
 
     k: int                      # 1-based solver ordering
     lower: float
     upper: float
-    rayleigh: float
+    rho: Interval
+    mass_form: Interval
     residual_bound: float
     vector: np.ndarray
     gap_refined: bool = False
+
+    @property
+    def rayleigh(self) -> float:
+        return self.rho.mid
 
     @property
     def width(self) -> float:
@@ -160,7 +169,7 @@ def _certify(ops: DiscreteOperators, u: np.ndarray, k: int) -> EigenEnclosure:
     if k == 1:
         # unconditional Rayleigh bound lambda_1 <= R(u)
         upper = min(upper, up(rho.hi, 4))
-    return EigenEnclosure(k, lower, upper, rho.mid, delta, u)
+    return EigenEnclosure(k, lower, upper, rho, den, delta, u)
 
 
 def _normalize(M: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
@@ -239,18 +248,17 @@ def solve_lowest(
 
 
 def verify_enclosure(
-    ops: DiscreteOperators,
-    enclosure: EigenEnclosure,
-    neighbors: tuple[EigenEnclosure, ...] = (),
+    enclosure: EigenEnclosure, neighbors: tuple[EigenEnclosure, ...] = ()
 ) -> EigenEnclosure:
     """Apply the Kato-Temple gap refinement to a certified enclosure.
 
-    ``enclosure`` must come from :func:`solve_lowest` on ``ops``: its
-    bounds and its residual bound delta are used as certified, not
-    computed again.  If a neighbor enclosure lies certifiably above this
-    one, the spectral gap tightens the lower end to
-    rho - delta^2 / (beta - rho).  Overlapping or absent neighbors leave
-    the enclosure unchanged, flagged ``gap_refined=False``.
+    ``enclosure`` and ``neighbors`` must come from one :func:`solve_lowest`
+    call: the enclosure's bounds, its stored Rayleigh interval and its
+    residual bound delta are used as certified, not computed again.  If
+    a neighbor enclosure lies certifiably above this one, the spectral
+    gap tightens the lower end to rho - delta^2 / (beta - rho).
+    Overlapping or absent neighbors leave the enclosure unchanged,
+    flagged ``gap_refined=False``.
     """
     lower, upper = enclosure.lower, enclosure.upper
 
@@ -258,9 +266,7 @@ def verify_enclosure(
     refined = False
     if betas:
         beta = min(betas)
-        rho = quad_form_interval(ops.A, enclosure.vector) / quad_form_interval(
-            ops.M, enclosure.vector
-        )
+        rho = enclosure.rho
         gap = dn(beta - rho.hi, 2)
         if gap > 0.0:
             d2 = up(enclosure.residual_bound * enclosure.residual_bound, 2)

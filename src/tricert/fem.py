@@ -65,14 +65,6 @@ class FemSpace:
             return K[self.free][:, self.free].tocsr()
         return (self.Z.T @ K @ self.Z).tocsr()
 
-    def prolong(self, u: np.ndarray) -> np.ndarray:
-        """Reduced coefficient vector -> full dof vector."""
-        if self.free is not None:
-            full = np.zeros(self.full_dim)
-            full[self.free] = u
-            return full
-        return self.Z @ u
-
 
 def build_space(mesh: Mesh, family: str, bc: str) -> FemSpace:
     if family not in FAMILIES:
@@ -219,23 +211,6 @@ class DiscreteOperators:
             Kxy=(Kxy - bx * Kxx).tocsr(),
             Kyy=kyy.tocsr(),
         )
-
-    def gram_triple(self, u: np.ndarray) -> tuple[float, float, float]:
-        """(||u_x||^2, (u_x, u_y), ||u_y||^2) for reduced coefficients u."""
-        return (
-            float(u @ (self.Kxx @ u)),
-            float(u @ (self.Kxy @ u)),
-            float(u @ (self.Kyy @ u)),
-        )
-
-    def dump(self, path_prefix: str) -> None:
-        """Coordinate-format text dump, one file per matrix."""
-        for name in ("A", "M", "Kxx", "Kxy", "Kyy"):
-            mat = getattr(self, name).tocoo()
-            with open(f"{path_prefix}_{name}.txt", "w") as f:
-                f.write(f"% {mat.shape[0]} {mat.shape[1]} {mat.nnz}\n")
-                for i, j, v in zip(mat.row, mat.col, mat.data):
-                    f.write(f"{i} {j} {float(v)!r}\n")
 
 
 def assemble(space: FemSpace) -> DiscreteOperators:

@@ -1,4 +1,4 @@
-"""Triangle family, affine maps between members, and perturbation factors.
+"""Triangle family and certified perturbation factors between its members.
 
 The normalized family: T(theta) has vertices O = (0,0), A = (1,0) and
 B = (cos theta, sin theta), so the apex angle at O is theta and both legs
@@ -63,92 +63,22 @@ def triangle_from_vertex(bx: float, by: float) -> TriangleShape:
     return TriangleShape(theta, bx, by)
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Linear shear-scale Q mapping T(theta) onto T(theta_tilde).
-
-    Q = [[1, alpha], [0, beta]] fixes O and A and sends B(theta) to
-    B(theta_tilde):
-
-        alpha = (cos(theta_tilde) - cos(theta)) / sin(theta)
-        beta  = sin(theta_tilde) / sin(theta)
-
-    det Q = beta > 0, so orientation is preserved and integrals scale by
-    beta under composition with Q^{-1}.
-    """
-
-    alpha: float
-    beta: float
-    theta_source: float
-    theta_target: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[1.0, self.alpha], [0.0, self.beta]])
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.matrix.T
-
-    def inverse(self) -> "AffineMap":
-        return map_between(self.theta_target, self.theta_source)
-
-
-def map_between(theta: float, theta_tilde: float) -> AffineMap:
-    if not (0.0 < theta < math.pi and 0.0 < theta_tilde < math.pi):
-        raise ValueError("both angles must lie in (0, pi)")
-    s = math.sin(theta)
-    alpha = (math.cos(theta_tilde) - math.cos(theta)) / s
-    beta = math.sin(theta_tilde) / s
-    return AffineMap(alpha, beta, theta, theta_tilde)
-
-
-def qqT_spectrum(alpha: float, beta: float) -> tuple[float, float]:
-    """Eigenvalues (min, max) of Q Q^T for Q = [[1, alpha], [0, beta]].
-
-    trace(QQ^T) = 1 + alpha^2 + beta^2 =: g and det = beta^2, so the pair
-    is (g -+ sqrt(g^2 - 4 beta^2)) / 2.  The discriminant
-    g^2 - 4 beta^2 = (alpha^2 + (1-beta)^2)(alpha^2 + (1+beta)^2) >= 0
-    can only lose sign to rounding, hence the clip.
-    """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    g = 1.0 + alpha * alpha + beta * beta
-    disc = g * g - 4.0 * beta * beta
-    d = math.sqrt(max(disc, 0.0))
-    return (g - d) / 2.0, (g + d) / 2.0
-
-
-def perturbation_factors(theta: float, theta_tilde: float) -> tuple[float, float]:
-    """Two-sided eigenvalue perturbation factors between T(theta) and T(theta_tilde).
-
-    For the map Q of :func:`map_between`, the singular values squared of
-    Q Q^T work out to the closed pair
-
-        (cos theta - 1) / (cos theta_tilde - 1),
-        (cos theta + 1) / (cos theta_tilde + 1),
-
-    and with (low, high) = (min, max) of that pair every Laplacian
-    eigenvalue of either discrete or continuous kind satisfies
-
-        low * lambda_k(theta) <= lambda_k(theta_tilde) <= high * lambda_k(theta),
-
-    as does the Rayleigh quotient of any fixed function pushed through Q.
-    Sanity anchors: theta_tilde -> theta gives (1, 1); theta_tilde -> 0
-    sends high -> infinity, matching lambda_1 -> infinity on a degenerating
-    triangle.  Product relation: low(t, s) = 1 / high(s, t).
-    """
-    if not (0.0 < theta < math.pi and 0.0 < theta_tilde < math.pi):
-        raise ValueError("both angles must lie in (0, pi)")
-    r1 = (math.cos(theta) - 1.0) / (math.cos(theta_tilde) - 1.0)
-    r2 = (math.cos(theta) + 1.0) / (math.cos(theta_tilde) + 1.0)
-    return (min(r1, r2), max(r1, r2))
-
-
 def perturbation_factor_bounds(
     theta: float, theta_lo: float, theta_hi: float
 ) -> tuple[float, float]:
     """Certified (inf low, sup high) of the factors for theta_tilde in [theta_lo, theta_hi].
+
+    The shear-scale map Q = [[1, alpha], [0, beta]] that fixes O and A and
+    sends T(theta) onto T(theta_tilde) gives (Q Q^T)^{-1} the eigenvalues
+
+        (cos theta - 1) / (cos theta_tilde - 1),
+        (cos theta + 1) / (cos theta_tilde + 1).
+
+    Pushing a function through Q scales its Rayleigh quotient by a
+    factor between them, so with (low, high) = (min, max) of the pair
+    every Laplacian eigenvalue, discrete or continuous, satisfies
+
+        low * lambda_k(theta) <= lambda_k(theta_tilde) <= high * lambda_k(theta).
 
     Each ratio is a Moebius function of cos(theta_tilde), hence monotone in
     theta_tilde, so extremes sit at the interval endpoints.  Endpoint ratio
@@ -190,48 +120,3 @@ def perturbation_factor_bounds(
         lows.extend((r1.lo, r2.lo))
         highs.extend((r1.hi, r2.hi))
     return dn(min(lows), 4), up(max(highs), 4)
-
-
-def map_derivative_gram(
-    gram: tuple[float, float, float], alpha: float, beta: float
-) -> tuple[float, float, float]:
-    """Transform the partial-derivative Gram triple under the shear-scale map.
-
-    For u on T(theta) with X = ||u_x||^2, C = (u_x, u_y), Y = ||u_y||^2,
-    the pushed-forward function u o Q^{-1} on T(theta_tilde) has
-
-        X~ = beta * X
-        C~ = -alpha * X + C
-        Y~ = (alpha^2 X - 2 alpha C + Y) / beta
-
-    obtained from grad(u o Q^{-1}) = Q^{-T} grad(u) o Q^{-1} with
-    Q^{-T} = [[1, 0], [-alpha/beta, 1/beta]] and the area factor beta.
-
-    Parameters
-    ----------
-    gram : (X, C, Y) with X, Y >= 0 and |C| <= sqrt(X Y) (Cauchy-Schwarz).
-    alpha, beta : map coefficients, beta > 0.
-
-    Raises
-    ------
-    ValueError on a triple violating the Cauchy-Schwarz constraint beyond
-    rounding slack, or on beta <= 0.
-    """
-    X, C, Y = (float(v) for v in gram)
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    _check_gram(X, C, Y, "input")
-    Xt = beta * X
-    Ct = -alpha * X + C
-    Yt = (alpha * alpha * X - 2.0 * alpha * C + Y) / beta
-    _check_gram(Xt, Ct, Yt, "output")
-    return Xt, Ct, Yt
-
-
-def _check_gram(X: float, C: float, Y: float, which: str) -> None:
-    if X < 0.0 or Y < 0.0:
-        raise ValueError(f"{which} gram triple has a negative diagonal: {(X, C, Y)}")
-    # rounding slack: the transform itself only loses ~1e-15 relative
-    slack = 1e-12 * (X + Y) + 1e-300
-    if C * C > X * Y + slack:
-        raise ValueError(f"{which} gram triple violates Cauchy-Schwarz: {(X, C, Y)}")

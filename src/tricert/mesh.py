@@ -9,7 +9,6 @@ mesh edge is (longest parent side) / n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,21 +96,6 @@ class Mesh:
         pos = {int(nd): k for k, nd in enumerate(nodes)}
         key = [min(pos[int(a)], pos[int(b)]) for a, b in self.edges[sel]]
         return sel[np.argsort(key, kind="stable")]
-
-    def to_json(self, path) -> None:
-        """Debug dump of the full connectivity."""
-        payload = {
-            "theta": self.triangle.theta,
-            "vertices": self.triangle.vertices.tolist(),
-            "n": self.n,
-            "nodes": self.nodes.tolist(),
-            "lattice": self.lattice.tolist(),
-            "elements": self.elements.tolist(),
-            "edges": self.edges.tolist(),
-            "edge_side": self.edge_side.tolist(),
-        }
-        with open(path, "w") as f:
-            json.dump(payload, f)
 
 
 def uniform_subdivide(triangle: TriangleShape, n: int) -> Mesh:

@@ -31,11 +31,6 @@ def dn(x: float, steps: int = 1) -> float:
     return x
 
 
-def inflate(x: float, ulps: int) -> tuple[float, float]:
-    """Symmetric outward inflation of a point value by ``ulps`` steps."""
-    return dn(x, ulps), up(x, ulps)
-
-
 class Interval:
     """Closed interval with outward-rounded arithmetic.
 
@@ -68,9 +63,6 @@ class Interval:
     @property
     def mid(self):
         return 0.5 * (self.lo + self.hi)
-
-    def widened(self, ulps: int) -> "Interval":
-        return Interval(dn(self.lo, ulps), up(self.hi, ulps))
 
     def __neg__(self):
         return Interval(-self.hi, -self.lo)

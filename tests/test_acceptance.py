@@ -16,12 +16,11 @@ import time
 
 import numpy as np
 import pytest
-from helpers import lowest_two, operators
+from helpers import gram_triple, lowest_two, map_derivative_gram, operators, shear
 
 from tricert.bounds import F_of, err_bound, eta
 from tricert.certify import RunConfig, compute_point
 from tricert.eigsolve import solve_lowest
-from tricert.geometry import map_derivative_gram
 from tricert.rounding import Interval
 
 EQ = math.pi / 3
@@ -173,12 +172,11 @@ def test_criterion_6_property_bullets():
 
         # assembled grams transform exactly like the affine pullback
         src, dst = theta, theta + 0.15
-        alpha = (math.cos(dst) - math.cos(src)) / math.sin(src)
-        beta = math.sin(dst) / math.sin(src)
+        alpha, beta = shear(src, dst)
         u = rng.standard_normal(ops.A.shape[0])
-        x, c, y = ops.gram_triple(u)
+        x, c, y = gram_triple(ops, u)
         ops2 = operators(dst, 7, family, bc)
-        xt, ct, yt = ops2.gram_triple(u)
+        xt, ct, yt = gram_triple(ops2, u)
         mx, mc, my = map_derivative_gram((x, c, y), alpha, beta)
         scale = abs(x) + abs(y)
         assert abs(xt - mx) <= 1e-12 * scale
@@ -196,7 +194,7 @@ def test_criterion_6_property_bullets():
         ops = operators(theta, n, "cg", bc)
         (enc,) = solve_lowest(ops, 1)
         u = enc.vector
-        f = F_of(ops.gram_triple(u), theta, mass=float(u @ (ops.M @ u)))
+        f = F_of(gram_triple(ops, u), theta, mass=float(u @ (ops.M @ u)))
         assert abs(fd - f) <= 1e-2 * abs(f)
 
     # defect-bound and envelope edge cases

@@ -17,6 +17,7 @@ from helpers import (
     EQ,
     LAM1_EQ_DIRICHLET,
     LAM1_RIGHT_ISO_DIRICHLET,
+    gram_triple,
     lowest_two,
     operators,
 )
@@ -25,7 +26,6 @@ from tricert.bounds import (
     BracketError,
     DerivativePoint,
     EigBracket,
-    EigenfunctionErrorBound,
     F_interval,
     F_of,
     bracket,
@@ -39,7 +39,7 @@ from tricert.rounding import Interval, cot_interval
 
 def _enc(k, value):
     return EigenEnclosure(
-        k=k, lower=value, upper=value, rayleigh=value,
+        k=k, lower=value, upper=value, rho=Interval(value), mass_form=Interval(1.0),
         residual_bound=0.0, vector=np.zeros(1),
     )
 
@@ -254,15 +254,13 @@ class TestDerivativeConsistency:
         ops = operators(theta, n, "cg", bc)
         (enc,) = solve_lowest(ops, 1)
         u = enc.vector
-        f = F_of(ops.gram_triple(u), theta, mass=float(u @ (ops.M @ u)))
+        f = F_of(gram_triple(ops, u), theta, mass=float(u @ (ops.M @ u)))
         assert abs(fd - f) <= 1e-2 * abs(f)
 
 
 def test_dataclass_invariants():
     pt = DerivativePoint(
         theta=EQ, gram_xx=26.3, gram_xy=0.0, gram_yy=26.3,
-        mass=1.0, f_value=-30.4, err=11.8,
+        f_value=-30.4, err=11.8,
     )
     assert pt.err >= 0.0
-    eb = EigenfunctionErrorBound(a=52.0, b=52.7, c=121.0, eta=0.3)
-    assert eb.a <= eb.b < eb.c

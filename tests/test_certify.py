@@ -250,7 +250,8 @@ class TestAlgorithm1:
     schedule = Schedule((0.5, 0.8, EQ - 0.01), provenance="test")
 
     def test_row_invariants(self):
-        res = algorithm1(self.schedule, "dirichlet", cg_n=24, cr_n=16)
+        pts = compute_points("dirichlet", self.schedule.breakpoints, 24, 16)
+        res = algorithm1(self.schedule, pts)
         assert len(res.rows) == 3
         prev = 0.0
         for i, row in enumerate(res.rows, start=1):
@@ -263,20 +264,15 @@ class TestAlgorithm1:
         assert res.lower_min == min(r.lambda1_lo for r in res.rows)
         assert res.rows[res.argmin_interval - 1].lambda1_lo == res.lower_min
 
-    def test_supplied_points_give_same_result(self):
-        pts = compute_points("dirichlet", self.schedule.breakpoints, 24, 16)
-        a = algorithm1(self.schedule, "dirichlet", 24, 16, points=pts)
-        b = algorithm1(self.schedule, "dirichlet", 24, 16)
-        assert a == b
-
 
 class TestStep3:
     def test_simplicity_and_derivative_range_coarse(self):
         eps, n2 = math.pi / 300, 3
-        simp = simplicity_check(eps, n2, "cr-constant", cg_n=24, cr_n=16)
+        pts = compute_points("cr-constant", j_nodes(eps, n2), 24, 16)
+        simp = simplicity_check(eps, n2, pts)
         assert simp.separated
         assert simp.lambda1_upper < simp.lambda2_lower
-        rng = algorithm2(eps, n2, "cr-constant", cg_n=24, cr_n=16, simplicity=simp)
+        rng = algorithm2(eps, n2, pts, simp)
         assert len(rng.rows) == n2
         assert rng.f_lo <= rng.corner.f_value <= rng.f_hi
         assert rng.corner.theta == EQ
@@ -288,10 +284,10 @@ class TestStep3:
     def test_overlapping_enclosures_abort(self):
         fake = SimplicityEvidence(lambda1_upper=2.0, lambda2_lower=1.0)
         assert not fake.separated
+        eps, n2 = math.pi / 300, 2
+        pts = compute_points("cr-constant", j_nodes(eps, n2), 12, 8)
         with pytest.raises(CertifyError):
-            algorithm2(
-                math.pi / 300, 2, "cr-constant", cg_n=12, cr_n=8, simplicity=fake
-            )
+            algorithm2(eps, n2, pts, fake)
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from helpers import needs_two_cores, stdout_per_blas_threads
+from tricert import cli
 from tricert.cli import SWEEP_COLUMNS, main
 from tricert.certify import CSV_COLUMNS
 
@@ -51,7 +52,15 @@ def test_missing_schedule_file_is_config_error(capsys):
     assert "configuration error" in err
 
 
-def test_paper_config_rejects_deviations(capsys):
+def test_paper_config_rejects_deviations(capsys, monkeypatch):
+    # a configuration that passes the check reaches run_proof, stopped here
+    class Reached(Exception):
+        pass
+
+    def stop(problem, config):
+        raise Reached(config)
+
+    monkeypatch.setattr(cli, "run_proof", stop)
     code, _, err = run_cli(
         capsys, "prove", "--problem", "dirichlet", "--paper-config", "--quick"
     )
@@ -60,6 +69,20 @@ def test_paper_config_rejects_deviations(capsys):
         capsys, "prove", "--problem", "dirichlet", "--paper-config", "--cg-n", "48"
     )
     assert code == 2 and "48" in err
+    for flag, value in (("--eq-cg-n", "8"), ("--eq-cr-n", "8")):
+        code, _, err = run_cli(
+            capsys, "prove", "--problem", "dirichlet", "--paper-config", flag, value
+        )
+        assert code == 2 and f"{flag} {value}" in err
+
+    # the published corner meshes are no deviation
+    for problem, eq_cg_n, eq_cr_n in (("dirichlet", 288, 128), ("cr-constant", 192, 32)):
+        with pytest.raises(Reached) as reached:
+            main([
+                "prove", "--problem", problem, "--paper-config",
+                "--eq-cg-n", str(eq_cg_n), "--eq-cr-n", str(eq_cr_n),
+            ])
+        assert reached.value.args[0].eff_eq_mesh == (eq_cg_n, eq_cr_n)
 
 
 def test_sweep_rejects_angles_outside_range(capsys):

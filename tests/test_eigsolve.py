@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import EQ, operators
+from tricert import eigsolve
 from tricert.eigsolve import (
     DENSE_CUTOFF,
-    EigenEnclosure,
     EigensolveError,
     _certify,
     quad_form_interval,
@@ -193,7 +193,7 @@ def test_unnormalized_vector_enclosure_contains_eigenvalue():
 def test_gap_refinement_tightens_lower_bound():
     ops = operators(EQ, 12, "cg", "dirichlet")
     e1, e2 = solve_lowest(ops, 2)
-    refined = verify_enclosure(ops, e1, (e2,))
+    refined = verify_enclosure(e1, (e2,))
     assert refined.gap_refined
     assert refined.lower >= e1.lower
     assert refined.upper <= e1.upper * (1.0 + 1e-15)
@@ -201,15 +201,27 @@ def test_gap_refinement_tightens_lower_bound():
     assert refined.lower <= lam1 <= refined.upper
 
 
+def test_gap_refinement_reuses_the_certified_rayleigh_interval(monkeypatch):
+    # the Rayleigh interval was certified with the enclosure; refining
+    # must read it, not form the two quadratic forms again
+    ops = operators(EQ, 12, "cg", "dirichlet")
+    e1, e2 = solve_lowest(ops, 2)
+    want = verify_enclosure(e1, (e2,))
+
+    def no_quadratic_forms(*args):
+        raise AssertionError("verify_enclosure formed a quadratic form")
+
+    monkeypatch.setattr(eigsolve, "quad_form_interval", no_quadratic_forms)
+    got = verify_enclosure(e1, (e2,))
+    assert got.gap_refined
+    assert (got.lower, got.upper) == (want.lower, want.upper)
+
+
 def test_gap_refinement_skipped_on_overlap():
     ops = operators(EQ, 12, "cg", "dirichlet")
     e1, e2 = solve_lowest(ops, 2)
-    fake = EigenEnclosure(
-        k=2, lower=e1.upper - 1e-9, upper=e2.upper,
-        rayleigh=e2.rayleigh, residual_bound=e2.residual_bound,
-        vector=e2.vector,
-    )
-    out = verify_enclosure(ops, e1, (fake,))
+    fake = replace(e2, lower=e1.upper - 1e-9)
+    out = verify_enclosure(e1, (fake,))
     assert not out.gap_refined
     lam1 = dense_eigs(ops, 1)[0]
     assert out.lower <= lam1 <= out.upper

@@ -1,6 +1,7 @@
-"""Triangle family, affine maps between family members, perturbation factors.
+"""Triangle family and perturbation factors between family members.
 
-Oracles: plane geometry (numpy), exact eigenvalues of the zero-trace
+Oracles: plane geometry (numpy), the closed-form shear map, factors and
+gram transform of ``helpers``, exact eigenvalues of the zero-trace
 problem on the equilateral and right isosceles triangles, and the
 discrete eigenvalue sandwich (the mapped mesh of a family member is the
 affine image of the source mesh, so the factor inequalities must hold
@@ -19,15 +20,13 @@ from helpers import (
     LAM1_EQ_DIRICHLET,
     LAM1_RIGHT_ISO_DIRICHLET,
     lowest_two,
+    map_derivative_gram,
+    perturbation_factors,
+    shear,
 )
 from tricert.geometry import (
-    AffineMap,
     TriangleShape,
-    map_between,
-    map_derivative_gram,
     perturbation_factor_bounds,
-    perturbation_factors,
-    qqT_spectrum,
     triangle_from_angle,
     triangle_from_vertex,
 )
@@ -71,35 +70,39 @@ class TestTriangleShape:
         assert math.isclose(again.theta, theta, rel_tol=1e-12)
 
 
+def _shear_matrix(theta, theta_t):
+    alpha, beta = shear(theta, theta_t)
+    return np.array([[1.0, alpha], [0.0, beta]])
+
+
 class TestAffineMap:
+    """The shear-scale map Q between family members, the oracle behind
+    the gram-transform and equivariance checks."""
+
     @given(arc_angles, arc_angles)
     def test_maps_family_vertices(self, theta, theta_t):
-        phi = map_between(theta, theta_t)
+        q = _shear_matrix(theta, theta_t)
         src = triangle_from_angle(theta).vertices
         dst = triangle_from_angle(theta_t).vertices
-        assert np.allclose(phi.apply(src), dst, atol=1e-14)
+        assert np.allclose(src @ q.T, dst, atol=1e-14)
 
     @given(arc_angles, arc_angles)
     def test_inverse_composes_to_identity(self, theta, theta_t):
-        phi = map_between(theta, theta_t)
-        inv = phi.inverse()
+        q = _shear_matrix(theta, theta_t)
+        inv = _shear_matrix(theta_t, theta)
         pts = np.array([[0.3, 0.2], [0.7, 0.1], [0.5, 0.5]])
-        assert np.allclose(inv.apply(phi.apply(pts)), pts, atol=1e-12)
+        assert np.allclose(pts @ q.T @ inv.T, pts, atol=1e-12)
 
     def test_identity_map(self):
-        phi = map_between(0.8, 0.8)
-        assert math.isclose(phi.alpha, 0.0, abs_tol=1e-15)
-        assert math.isclose(phi.beta, 1.0, rel_tol=1e-15)
+        alpha, beta = shear(0.8, 0.8)
+        assert math.isclose(alpha, 0.0, abs_tol=1e-15)
+        assert math.isclose(beta, 1.0, rel_tol=1e-15)
 
-    @given(
-        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-        st.floats(min_value=0.05, max_value=5.0, allow_nan=False),
-    )
-    def test_qqT_spectrum_matches_dense_eig(self, alpha, beta):
-        q = np.array([[1.0, alpha], [0.0, beta]])
-        oracle = np.linalg.eigvalsh(q @ q.T)
-        mine = qqT_spectrum(alpha, beta)
-        assert np.allclose(sorted(mine), oracle, rtol=1e-10, atol=1e-12)
+    @given(arc_angles, arc_angles)
+    def test_factors_are_the_spectrum_of_the_inverse_gram(self, theta, theta_t):
+        q = _shear_matrix(theta, theta_t)
+        oracle = np.linalg.eigvalsh(np.linalg.inv(q @ q.T))
+        assert np.allclose(perturbation_factors(theta, theta_t), oracle, rtol=1e-10)
 
 
 class TestDerivativeGramTransform:

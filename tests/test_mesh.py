@@ -1,6 +1,5 @@
 """Uniform triangulation: counts, orientation, incidence, side labeling."""
 
-import json
 import math
 
 import numpy as np
@@ -136,13 +135,3 @@ def test_h_is_longest_element_edge(n, theta):
     d = m.nodes[m.edges[:, 0]] - m.nodes[m.edges[:, 1]]
     longest = float(np.max(np.hypot(d[:, 0], d[:, 1])))
     assert math.isclose(m.h, longest, rel_tol=1e-12)
-
-
-def test_to_json(tmp_path):
-    m = make(n=3)
-    path = tmp_path / "mesh.json"
-    m.to_json(path)
-    data = json.loads(path.read_text())
-    assert len(data["nodes"]) == m.n_nodes
-    assert len(data["elements"]) == m.n_elements
-    np.testing.assert_array_equal(np.array(data["elements"]), m.elements)

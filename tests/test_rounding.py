@@ -18,7 +18,6 @@ from tricert.rounding import (
     cos_interval,
     cot_interval,
     dn,
-    inflate,
     sin_interval,
     up,
 )
@@ -39,14 +38,6 @@ def test_up_dn_bracket_identity(x):
 def test_up_dn_zero():
     assert up(0.0) > 0.0 > dn(0.0)
     assert up(0.0) == math.ulp(0.0)
-
-
-@given(finite, st.integers(min_value=0, max_value=8))
-def test_inflate_symmetric(x, k):
-    lo, hi = inflate(x, k)
-    assert lo <= x <= hi
-    if k > 0:
-        assert lo < x < hi
 
 
 def test_interval_constructor_validation():
