@@ -11,7 +11,8 @@ Core facts used (stated for a triangle T with mesh size h):
 
       lambda_CR / (1 + C_h^2 lambda_CR) <= lambda_k(T),
 
-  while the conforming discrete value bounds lambda_k(T) from above.
+  while the Rayleigh quotient R(u) of any nonzero conforming function u
+  bounds lambda_1(T) from above.
   The constant 0.1893 is itself an upper bound for the interpolation
   constant of the unit-diameter family, which is what the certified
   pipeline ultimately re-establishes; its use here is a bootstrap on a
@@ -95,34 +96,38 @@ class DerivativePoint:
     err: float
 
 
-def bracket(
-    cr: list[EigenEnclosure], cg: list[EigenEnclosure], h: float
-) -> list[EigBracket]:
-    """Pair CR and CG enclosures into certified two-sided brackets.
+def bracket(cr: list[EigenEnclosure], cg_rho: Interval, h: float) -> list[EigBracket]:
+    """Certified two-sided brackets from the CR enclosures and the CG
+    Rayleigh quotient.
 
     Parameters
     ----------
-    cr, cg : enclosures of the lowest modes of the same continuous
-        problem in the nonconforming resp. conforming space, matched by
-        position.
+    cr : enclosures of the lowest modes of the nonconforming problem,
+        in order; one bracket is returned per enclosure.
+    cg_rho : certified Rayleigh quotient R(u) of a nonzero conforming
+        vector of the same continuous problem.
     h : longest mesh edge (of the CR mesh, used in the correction).
 
     Notes
     -----
-    lambda/(1 + C_h^2 lambda) is increasing in lambda and decreasing in
-    C_h, so the safe corner is the enclosure's lower end with C_h
-    rounded up.
+    The lower ends are the corrected CR bounds: lambda/(1 + C_h^2 lambda)
+    is increasing in lambda and decreasing in C_h, so the safe corner is
+    the enclosure's lower end with C_h rounded up.  The upper end of
+    lambda_1 is the conforming Rayleigh bound lambda_1 <= R(u), which
+    holds for any u != 0; the higher modes get +inf, since no conforming
+    bound is computed for them.
     """
     if h <= 0.0:
         raise ValueError("mesh size must be positive")
     ch = Interval(LEMMA_CONST) * Interval(dn(h, 4), up(h, 4))
     out = []
-    for k, (e_cr, e_cg) in enumerate(zip(cr, cg), start=1):
+    for k, e_cr in enumerate(cr, start=1):
         if e_cr.lower <= 0.0:
             raise BracketError(f"CR enclosure for k={k} is not certifiably positive")
         lam = Interval(e_cr.lower)
         low = lam / (1.0 + ch * ch * lam)
-        out.append(EigBracket(k, low.lo, up(e_cg.upper, 4), c_h=ch.hi))
+        upper = up(cg_rho.hi, 4) if k == 1 else math.inf
+        out.append(EigBracket(k, low.lo, upper, c_h=ch.hi))
     return out
 
 

@@ -53,7 +53,13 @@ from .bounds import (
     err_bound,
     eta_range,
 )
-from .eigsolve import EigensolveError, quad_form_interval, solve_lowest, verify_enclosure
+from .eigsolve import (
+    EigensolveError,
+    ground_rayleigh,
+    quad_form_interval,
+    solve_lowest,
+    verify_enclosure,
+)
 from .fem import DiscreteOperators, assemble, build_space
 from .geometry import perturbation_factor_bounds, triangle_from_angle, triangle_from_vertex
 from .mesh import uniform_subdivide
@@ -240,6 +246,7 @@ class PointData:
 
     Gram entries are raw quadratic forms of the unnormalized conforming
     ground vector; mass, its certified M-form, carries the normalization.
+    lam2 certifies only its lower end; its upper end is +inf.
     """
 
     theta: float
@@ -343,16 +350,15 @@ def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData
     del ops_cr
 
     ops_cg = _reference_operators(cg_n, "cg", bc).mapped(tri)
-    enc_cg = solve_lowest(ops_cg, 2)
-    enc_cg = [verify_enclosure(enc_cg[0], (enc_cg[1],)), enc_cg[1]]
+    cg = ground_rayleigh(ops_cg)
 
-    lam1, lam2 = bracket(enc_cr, enc_cg, h_cr)
+    lam1, lam2 = bracket(enc_cr, cg.rho, h_cr)
 
-    u = enc_cg[0].vector
+    u = cg.vector
     xx = quad_form_interval(ops_cg.Kxx, u)
     xy = quad_form_interval(ops_cg.Kxy, u)
     yy = quad_form_interval(ops_cg.Kyy, u)
-    mm = enc_cg[0].mass_form
+    mm = cg.mass_form
     return PointData(
         theta, cg_n, cr_n, lam1, lam2,
         (xx.lo, xx.hi), (xy.lo, xy.hi), (yy.lo, yy.hi), (mm.lo, mm.hi),
@@ -762,8 +768,9 @@ def run_proof(problem: str, config: RunConfig | None = None) -> Certificate:
         "quick": config.quick,
         "lemma_constant": LEMMA_CONST,
         "enclosure_model": (
-            "rayleigh +- certified residual (M-inverse norm via mass eigenvalue "
-            "lower bound, running-error majorants, outward rounding)"
+            "CR: rayleigh +- certified residual (M-inverse norm via mass "
+            "eigenvalue lower bound, running-error majorants, outward rounding); "
+            "CG: certified Rayleigh quotient upper bound on lambda_1"
         ),
     }
     env_record = {

@@ -36,7 +36,7 @@ from .certify import (
     run_proof,
     single_blas_thread,
 )
-from .eigsolve import EigensolveError, solve_lowest, verify_enclosure
+from .eigsolve import EigensolveError, ground_rayleigh, solve_lowest, verify_enclosure
 from .fem import assemble, build_space
 from .geometry import triangle_from_angle, triangle_from_vertex
 from .mesh import uniform_subdivide
@@ -267,9 +267,8 @@ def cmd_constants(args) -> int:
         enc_cr = solve_lowest(ops_cr, 2)
         enc_cr = [verify_enclosure(enc_cr[0], (enc_cr[1],)), enc_cr[1]]
         ops_cg = assemble(build_space(uniform_subdivide(tri, args.cg_n), "cg", "edge-mean"))
-        enc_cg = solve_lowest(ops_cg, 2)
-        enc_cg = [verify_enclosure(enc_cg[0], (enc_cg[1],)), enc_cg[1]]
-    lam1 = eig_bracket(enc_cr, enc_cg, mesh_cr.h)[0]
+        cg = ground_rayleigh(ops_cg)
+    lam1 = eig_bracket(enc_cr, cg.rho, mesh_cr.h)[0]
 
     c_iv = Interval(1.0) / Interval(lam1.lower, lam1.upper).sqrt()
     print(f"triangle: apex ({tri.bx!r}, {tri.by!r}), diameter {tri.diameter!r}")

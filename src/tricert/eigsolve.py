@@ -2,10 +2,10 @@
 
 The floating-point eigensolve is treated as a heuristic that produces a
 pair (rho, u).  Spaces of at most DENSE_CUTOFF unknowns go to dense
-LAPACK, which computes only the requested modes plus one guard mode;
-larger ones go to ARPACK shift-invert Lanczos.  The cutoff is the
-crossover measured between the two backends, not a memory limit.
-Certification then rests only on
+LAPACK, which computes only the modes asked for; larger ones go to
+ARPACK shift-invert Lanczos.  The cutoff is the crossover measured
+between the two backends, not a memory limit.  Certification then
+rests only on
 
     min_k |lambda_k - rho| <= ||A u - rho M u||_{M^{-1}} / ||u||_M,
 
@@ -31,10 +31,16 @@ n from 32 to 96 and theta from 0.05 to pi/3.  Measuring r in the
 sharper M^{-1}-norm, which needs a solve with M, would shrink delta by
 under 5 %.
 
-Which INDEX that eigenvalue has is the one trusted, uncertified step:
-enclosures are labeled by the solver's ordering.  The Rayleigh quotient
-upper bound lambda_1 <= R(u), and the Kato-Temple gap refinement in
-:func:`verify_enclosure`, are exact modulo that labeling.
+The conforming side needs none of this.  Its one certified number is
+the Rayleigh quotient R(u) of :func:`ground_rayleigh`, and lambda_1 <=
+R(u) holds for every u != 0, so that side computes a single mode, with
+no guard mode and no residual bound, and its bound does not depend on
+which mode the solver returned.
+
+On the nonconforming side (:func:`solve_lowest`), which INDEX each
+enclosed eigenvalue has is the one trusted, uncertified step: enclosures
+are labeled by the solver's ordering, and the Kato-Temple gap refinement
+in :func:`verify_enclosure` is exact modulo that labeling.
 """
 
 from __future__ import annotations
@@ -67,15 +73,14 @@ class EigensolveError(RuntimeError):
 class EigenEnclosure:
     """Certified enclosure [lower, upper] around the k-th computed mode.
 
-    rho encloses the Rayleigh quotient of ``vector`` and mass_form its
-    M-form u^T M u, both as certified when the enclosure was made.
+    rho encloses the Rayleigh quotient of ``vector``, as certified when
+    the enclosure was made.
     """
 
     k: int                      # 1-based solver ordering
     lower: float
     upper: float
     rho: Interval
-    mass_form: Interval
     residual_bound: float
     vector: np.ndarray
     gap_refined: bool = False
@@ -152,15 +157,33 @@ def residual_bound(ops: DiscreteOperators, u: np.ndarray, rho: float) -> float:
     return up(up(_norm2_upper(r) + _norm2_upper(delta_elem), 2) / sqrt_mu, 4)
 
 
-def _certify(ops: DiscreteOperators, u: np.ndarray, k: int) -> EigenEnclosure:
+@dataclass(frozen=True)
+class RayleighBound:
+    """Certified Rayleigh quotient rho of ``vector`` and its M-form.
+
+    lambda_1 <= rho.hi holds for any nonzero vector, whichever mode the
+    solver returned, so rho.hi is a certified upper bound on lambda_1.
+    """
+
+    rho: Interval
+    mass_form: Interval
+    vector: np.ndarray
+
+
+def _rayleigh(ops: DiscreteOperators, u: np.ndarray) -> RayleighBound:
     num = quad_form_interval(ops.A, u)
     den = quad_form_interval(ops.M, u)
     if den.lo <= 0.0:
         raise EigensolveError("mass quadratic form not certifiably positive")
-    rho = num / den
+    return RayleighBound(num / den, den, u)
+
+
+def _certify(ops: DiscreteOperators, u: np.ndarray, k: int) -> EigenEnclosure:
+    ray = _rayleigh(ops, u)
+    rho, mass = ray.rho, ray.mass_form
     # delta bounds ||r||_{M^{-1}} / ||u||_M, so divide by a certified lower
     # bound on ||u||_M; u need not be normalised
-    delta = up(residual_bound(ops, u, rho.mid) / dn(float(np.sqrt(den.lo)), 2), 2)
+    delta = up(residual_bound(ops, u, rho.mid) / dn(float(np.sqrt(mass.lo)), 2), 2)
     # enclosure around the Rayleigh interval; the residual was taken at its
     # midpoint, so widen by the interval radius as well
     rad = up(delta + 0.5 * rho.width, 4)
@@ -169,10 +192,11 @@ def _certify(ops: DiscreteOperators, u: np.ndarray, k: int) -> EigenEnclosure:
     if k == 1:
         # unconditional Rayleigh bound lambda_1 <= R(u)
         upper = min(upper, up(rho.hi, 4))
-    return EigenEnclosure(k, lower, upper, rho, den, delta, u)
+    return EigenEnclosure(k, lower, upper, rho, delta, u)
 
 
 def _normalize(M: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
+    u = np.ascontiguousarray(u)
     nrm = float(np.sqrt(u @ (M @ u)))
     if not np.isfinite(nrm) or nrm <= 0.0:
         raise EigensolveError("eigenvector has nonpositive mass norm")
@@ -181,43 +205,25 @@ def _normalize(M: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
     return -u if u[j] < 0.0 else u
 
 
-def solve_lowest(
-    ops: DiscreteOperators, count: int = 1, method: str = "auto"
-) -> list[EigenEnclosure]:
-    """Certified enclosures for the ``count`` lowest modes.
+def _lowest_modes(ops: DiscreteOperators, k: int, method: str) -> np.ndarray:
+    """The floating-point backend: the ``k`` lowest eigenvectors, as
+    columns in ascending order of their eigenvalues.
 
     method: "auto" picks dense LAPACK up to DENSE_CUTOFF unknowns (the
-    measured crossover) or when every mode is requested, and the
-    shift-invert Lanczos solver otherwise; "dense" / "sparse" force one
-    backend (certification is identical either way).  Both compute
-    ``count`` + 1 modes, the last one a guard for the ordering, where the
-    space has that many.  The sparse backend computes at most dim - 1
-    modes, so ``method="sparse"`` with ``count == dim`` is a ValueError.
-
-    Raises EigensolveError on solver non-convergence; never silently
-    substitutes approximate results.
+    measured crossover) or when more than dim modes are asked for, and
+    the shift-invert Lanczos solver otherwise; "dense" / "sparse" force
+    one backend.  Dense LAPACK yields at most dim modes and Lanczos at
+    most dim - 1, so fewer than ``k`` may come back.  Nothing returned
+    is certified.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     if method not in ("auto", "dense", "sparse"):
         raise ValueError(f"method must be auto, dense or sparse, got {method!r}")
     n = ops.dim
-    if count > n:
-        raise ValueError(f"requested {count} modes from a {n}-dimensional space")
-
-    if method == "sparse" and count >= n:
-        raise ValueError(
-            f"the sparse backend computes at most dim - 1 = {n - 1} modes, "
-            f"requested {count}; use method='dense'"
-        )
-    if method == "dense" or (method == "auto" and (n <= DENSE_CUTOFF or count >= n)):
-        # the requested modes plus one guard mode for ordering, as below
+    if method == "dense" or (method == "auto" and (n <= DENSE_CUTOFF or k > n)):
         vals, vecs = scipy.linalg.eigh(
-            ops.A.toarray(), ops.M.toarray(), subset_by_index=[0, min(count, n - 1)]
+            ops.A.toarray(), ops.M.toarray(), subset_by_index=[0, min(k, n) - 1]
         )
     else:
-        k = min(count + 1, n - 1)  # one guard mode for ordering
-        v0 = np.ones(n)
         # A is symmetric positive definite on every space, so a symmetric
         # fill-reducing ordering with diagonal pivots is stable
         try:
@@ -230,21 +236,55 @@ def solve_lowest(
         opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
         try:
             vals, vecs = spla.eigsh(
-                ops.A, k=k, M=ops.M, sigma=0.0, which="LM", v0=v0, OPinv=opinv
+                ops.A, k=min(k, n - 1), M=ops.M, sigma=0.0, which="LM",
+                v0=np.ones(n), OPinv=opinv,
             )
         except spla.ArpackNoConvergence as exc:
             raise EigensolveError(f"ARPACK did not converge: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-
-    if not np.all(np.isfinite(vals[:count])):
+    if not np.all(np.isfinite(vals)):
         raise EigensolveError("solver returned non-finite eigenvalues")
+    return vecs
 
-    out = []
-    for i in range(count):
-        u = _normalize(ops.M, np.ascontiguousarray(vecs[:, i]))
-        out.append(_certify(ops, u, i + 1))
-    return out
+
+def solve_lowest(
+    ops: DiscreteOperators, count: int = 1, method: str = "auto"
+) -> list[EigenEnclosure]:
+    """Certified enclosures for the ``count`` lowest modes.
+
+    method selects the backend as in :func:`_lowest_modes`;
+    certification is identical either way.  ``count`` + 1 modes are
+    computed, the last one a guard for the ordering, where the space
+    has that many.  The sparse backend computes at most dim - 1 modes,
+    so ``method="sparse"`` with ``count == dim`` is a ValueError.
+
+    Raises EigensolveError on solver non-convergence; never silently
+    substitutes approximate results.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    n = ops.dim
+    if count > n:
+        raise ValueError(f"requested {count} modes from a {n}-dimensional space")
+    if method == "sparse" and count >= n:
+        raise ValueError(
+            f"the sparse backend computes at most dim - 1 = {n - 1} modes, "
+            f"requested {count}; use method='dense'"
+        )
+    vecs = _lowest_modes(ops, count + 1, method)
+    return [_certify(ops, _normalize(ops.M, vecs[:, i]), i + 1) for i in range(count)]
+
+
+def ground_rayleigh(ops: DiscreteOperators) -> RayleighBound:
+    """Certified Rayleigh upper bound on lambda_1 from one computed mode.
+
+    The backend (chosen as in :func:`solve_lowest`) computes the lowest
+    mode alone, with no guard mode, and only the quadratic forms u^T A u
+    and u^T M u are certified: neither a residual bound nor an index is
+    needed for lambda_1 <= R(u).
+    """
+    return _rayleigh(ops, _normalize(ops.M, _lowest_modes(ops, 1, "auto")[:, 0]))
 
 
 def verify_enclosure(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tricert
-from tricert.eigsolve import solve_lowest
+from tricert.eigsolve import ground_rayleigh, solve_lowest
 from tricert.fem import assemble, build_space
 from tricert.geometry import triangle_from_angle
 from tricert.mesh import uniform_subdivide
@@ -122,6 +122,12 @@ def operators(theta: float, n: int, family: str, bc: str):
 @lru_cache(maxsize=128)
 def lowest_two(theta: float, n: int, family: str, bc: str):
     return tuple(solve_lowest(operators(theta, n, family, bc), 2))
+
+
+@lru_cache(maxsize=128)
+def ground_rho(theta: float, n: int, family: str, bc: str):
+    """Certified Rayleigh quotient of the computed ground mode."""
+    return ground_rayleigh(operators(theta, n, family, bc)).rho
 
 
 needs_two_cores = pytest.mark.skipif(

@@ -18,6 +18,7 @@ from helpers import (
     LAM1_EQ_DIRICHLET,
     LAM1_RIGHT_ISO_DIRICHLET,
     gram_triple,
+    ground_rho,
     lowest_two,
     operators,
 )
@@ -39,8 +40,8 @@ from tricert.rounding import Interval, cot_interval
 
 def _enc(k, value):
     return EigenEnclosure(
-        k=k, lower=value, upper=value, rho=Interval(value), mass_form=Interval(1.0),
-        residual_bound=0.0, vector=np.zeros(1),
+        k=k, lower=value, upper=value, rho=Interval(value), residual_bound=0.0,
+        vector=np.zeros(1),
     )
 
 
@@ -48,7 +49,8 @@ class TestBracket:
     def test_formula_against_rational_arithmetic(self):
         lam = 27.94
         h = 1.0 / 64.0
-        out = bracket([_enc(1, lam)], [_enc(1, 28.0)], h)
+        out = bracket([_enc(1, lam)], Interval(28.0), h)
+        assert len(out) == 1
         lower = out[0].lower
         ch = Fraction(LEMMA_CONST) * Fraction(h)
         exact = Fraction(lam) / (1 + ch * ch * Fraction(lam))
@@ -60,7 +62,7 @@ class TestBracket:
 
     def test_inconsistent_bracket_raises(self):
         with pytest.raises(BracketError):
-            bracket([_enc(1, 60.0)], [_enc(1, 52.0)], 1.0 / 64.0)
+            bracket([_enc(1, 60.0)], Interval(52.0), 1.0 / 64.0)
 
     def test_eigbracket_validation(self):
         with pytest.raises(ValueError):
@@ -74,27 +76,36 @@ class TestBracket:
     @pytest.mark.parametrize("n_cr,n_cg", [(4, 4), (8, 8), (16, 12), (24, 16)])
     def test_equilateral_oracle_inside_every_bracket(self, n_cr, n_cg):
         cr = list(lowest_two(EQ, n_cr, "cr", "dirichlet"))
-        cg = list(lowest_two(EQ, n_cg, "cg", "dirichlet"))
+        rho = ground_rho(EQ, n_cg, "cg", "dirichlet")
         h = 1.0 / n_cr
-        out = bracket(cr, cg, h)
+        out = bracket(cr, rho, h)
         assert LAM1_EQ_DIRICHLET in out[0]
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_right_isosceles_oracle_inside_bracket(self, n):
         theta = math.pi / 2  # legs 1, diameter sqrt(2)
         cr = list(lowest_two(theta, n, "cr", "dirichlet"))
-        cg = list(lowest_two(theta, n, "cg", "dirichlet"))
+        rho = ground_rho(theta, n, "cg", "dirichlet")
         h = math.sqrt(2.0) / n
-        out = bracket(cr, cg, h)
+        out = bracket(cr, rho, h)
         assert LAM1_RIGHT_ISO_DIRICHLET in out[0]
 
     def test_second_mode_bracketed_too(self):
+        # only the lower end of lambda_2 is certified; the conforming side
+        # bounds lambda_1 alone
         cr = list(lowest_two(EQ, 16, "cr", "dirichlet"))
-        cg = list(lowest_two(EQ, 16, "cg", "dirichlet"))
-        out = bracket(cr, cg, 1.0 / 16.0)
+        rho = ground_rho(EQ, 16, "cg", "dirichlet")
+        out = bracket(cr, rho, 1.0 / 16.0)
         lam2 = 112.0 * math.pi**2 / 9.0
         assert out[1].k == 2
-        assert lam2 in out[1]
+        assert out[1].lower <= lam2
+        assert out[1].upper == math.inf
+        assert out[1].lower > out[0].upper  # the two modes are separated
+
+    def test_upper_end_is_the_rayleigh_bound(self):
+        rho = Interval(52.5, 52.75)
+        (out,) = bracket([_enc(1, 52.0)], rho, 1.0 / 64.0)
+        assert 52.75 < out.upper <= 52.75 * (1.0 + 1e-14)
 
 
 class TestEta:

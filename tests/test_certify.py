@@ -180,8 +180,9 @@ class TestPointData:
         assert sorted(calls) == [(8, "cr"), (12, "cg")]
 
     def test_one_certificate_per_mode(self, monkeypatch):
-        # two modes in each of the two spaces; the gap refinement reuses
-        # the certificate of mode 1 instead of computing it again
+        # two CR modes; the gap refinement reuses the certificate of mode 1
+        # instead of computing it again, and the conforming side certifies
+        # its Rayleigh quotient without a residual bound
         calls = []
         real_bound = eigsolve.residual_bound
 
@@ -191,7 +192,29 @@ class TestPointData:
 
         monkeypatch.setattr(eigsolve, "residual_bound", counting_bound)
         compute_point("cr-constant", 0.9, cg_n=12, cr_n=8)
-        assert len(calls) == 4
+        assert len(calls) == 2
+
+    def test_conforming_side_solves_one_mode_uncertified_by_residual(self, monkeypatch):
+        # both spaces above DENSE_CUTOFF, so both go to shift-invert Lanczos:
+        # CR with two modes plus a guard, CG with the ground mode alone
+        cg_dim, cr_dim = 351, 360
+        eigsh_k, residual_dims = [], []
+        real_eigsh, real_bound = eigsolve.spla.eigsh, eigsolve.residual_bound
+
+        def recording_eigsh(A, k, **kwargs):
+            eigsh_k.append((A.shape[0], k))
+            return real_eigsh(A, k, **kwargs)
+
+        def recording_bound(ops, u, rho):
+            residual_dims.append(u.size)
+            return real_bound(ops, u, rho)
+
+        monkeypatch.setattr(eigsolve.spla, "eigsh", recording_eigsh)
+        monkeypatch.setattr(eigsolve, "residual_bound", recording_bound)
+        pd = compute_point("dirichlet", 0.9, cg_n=28, cr_n=16)
+        assert sorted(eigsh_k) == [(cg_dim, 1), (cr_dim, 3)]
+        assert residual_dims == [cr_dim, cr_dim]
+        assert pd.lam1.lower < pd.lam1.upper < pd.lam2.lower
 
     def test_parallel_matches_serial(self):
         thetas = [0.4, 0.7, 1.0, EQ]
@@ -288,6 +311,49 @@ class TestStep3:
         pts = compute_points("cr-constant", j_nodes(eps, n2), 12, 8)
         with pytest.raises(CertifyError):
             algorithm2(eps, n2, pts, fake)
+
+
+def _second_mode_as_ground(monkeypatch):
+    """Make the backend answer every one-mode request with mode 2."""
+    real = eigsolve._lowest_modes
+
+    def second_mode(ops, k, method):
+        return real(ops, k, method) if k != 1 else real(ops, 2, method)[:, 1:]
+
+    monkeypatch.setattr(eigsolve, "_lowest_modes", second_mode)
+
+
+class TestConformingIndexFree:
+    """The conforming side is certified without trusting the mode index:
+    a solver that returns mode 2 as the ground mode widens lambda_1's
+    upper end and makes step 3 fail with a diagnosis, never prove."""
+
+    def test_wrong_mode_still_brackets_lambda1(self, monkeypatch):
+        honest = compute_point("dirichlet", EQ, cg_n=24, cr_n=16)
+        _second_mode_as_ground(monkeypatch)
+        wrong = compute_point("dirichlet", EQ, cg_n=24, cr_n=16)
+        assert wrong.lam1.lower <= LAM1_EQ_DIRICHLET <= wrong.lam1.upper
+        assert wrong.lam1.lower == honest.lam1.lower
+        # the Rayleigh quotient of mode 2 sits near lambda_2
+        assert wrong.lam1.upper > LAM2_EQ_DIRICHLET > honest.lam1.upper
+
+    def test_wrong_mode_fails_step3_with_diagnosis(self, monkeypatch):
+        eps, n2 = math.pi / 300, 3
+        nodes = j_nodes(eps, n2)
+        simp = simplicity_check(eps, n2, compute_points("cr-constant", nodes, 24, 16))
+        assert simp.separated
+        _second_mode_as_ground(monkeypatch)
+        wrong = compute_points("cr-constant", nodes, 24, 16)
+        with pytest.raises(CertifyError, match="reference Rayleigh upper .* not below separator"):
+            algorithm2(eps, n2, wrong, simp)
+        assert not simplicity_check(eps, n2, wrong).separated
+
+    def test_wrong_mode_never_proves(self, monkeypatch):
+        _second_mode_as_ground(monkeypatch)
+        cert = run_proof("dirichlet", RunConfig(problem="dirichlet", quick=True))
+        assert cert.verdict == "failed"
+        assert cert.failure is not None
+        assert cert.step2["ok"] is False
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ from tricert.eigsolve import (
     DENSE_CUTOFF,
     EigensolveError,
     _certify,
+    ground_rayleigh,
     quad_form_interval,
     residual_bound,
     solve_lowest,
@@ -246,3 +247,51 @@ def test_first_enclosure_upper_is_rayleigh_bound():
     den = quad_form_interval(ops.M, enc.vector)
     num = quad_form_interval(ops.A, enc.vector)
     assert enc.upper <= (num / den).hi * (1.0 + 1e-12)
+
+
+@settings(max_examples=20)
+@given(
+    st.floats(min_value=0.4, max_value=math.pi - 0.6),
+    st.integers(min_value=3, max_value=7),
+    families,
+    bcs,
+)
+def test_ground_rayleigh_bounds_lambda1_from_above(theta, n, family, bc):
+    ops = operators(theta, n, family, bc)
+    lam1 = dense_eigs(ops, 1)[0]
+    g = ground_rayleigh(ops)
+    assert lam1 <= g.rho.hi <= lam1 * (1.0 + 1e-10)
+    assert g.rho.width <= 1e-10 * lam1
+    assert g.mass_form.lo <= float(g.vector @ (ops.M @ g.vector)) <= g.mass_form.hi
+
+
+@pytest.mark.parametrize("method", ["dense", "sparse"])
+def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
+    # one mode, no guard, and neither a residual bound nor a gap refinement;
+    # the cutoff moves so that "auto" picks the backend under test
+    ops = operators(0.9, 12, "cg", "edge-mean")
+    monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", ops.dim if method == "dense" else 0)
+    lam1 = dense_eigs(ops, 1)[0]
+    requested = []
+    real_eigh, real_eigsh = eigsolve.scipy.linalg.eigh, eigsolve.spla.eigsh
+
+    def recording_eigh(*args, subset_by_index, **kwargs):
+        requested.append(("dense", list(subset_by_index)))
+        return real_eigh(*args, subset_by_index=subset_by_index, **kwargs)
+
+    def recording_eigsh(A, k, **kwargs):
+        requested.append(("sparse", k))
+        return real_eigsh(A, k, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("residual certification on the conforming side")
+
+    monkeypatch.setattr(eigsolve.scipy.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(eigsolve.spla, "eigsh", recording_eigsh)
+    monkeypatch.setattr(eigsolve, "residual_bound", forbidden)
+    monkeypatch.setattr(eigsolve, "verify_enclosure", forbidden)
+    g = ground_rayleigh(ops)
+    want = ("dense", [0, 0]) if method == "dense" else ("sparse", 1)
+    assert requested == [want]
+    assert lam1 <= g.rho.hi
+
