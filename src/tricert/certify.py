@@ -18,6 +18,10 @@ steps over the normalized family T(theta):
    lambda_1 keeps decreasing into the corner.  Validity requires
    lambda_1 to stay simple on J, which step 3 certifies first.
 
+Steps 2 and 3 extend point brackets across a subinterval by one rule,
+:func:`_extend`; each J subinterval is extended once, by the simplicity
+check, and the derivative range reads those extended brackets.
+
 "Proven" therefore means: lambda_1(theta) > lambda_1(pi/3) on I, and
 lambda_1 strictly decreasing on J, i.e. the equilateral triangle is the
 strict minimizer (equivalently, the interpolation-constant maximizer).
@@ -37,7 +41,7 @@ import json
 import math
 import platform
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import scipy
@@ -148,7 +152,9 @@ def schedule_from_file(path: str) -> Schedule:
             data = json.load(f)
     except OSError as exc:
         raise ValueError(f"cannot read schedule file {path}: {exc}") from exc
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(
+        isinstance(t, (int, float)) and not isinstance(t, bool) for t in data
+    ):
         raise ValueError(f"schedule file {path} must hold a JSON list of angles")
     return Schedule(tuple(float(t) for t in data), provenance=f"file:{path}")
 
@@ -381,6 +387,8 @@ def compute_points(
     Results are merged by task index, so the mapping does not depend on
     completion order or on the worker count.
     """
+    if min(cg_n, cr_n, jobs) < 1:
+        raise ValueError(f"cg_n, cr_n and jobs must be >= 1, got {cg_n}, {cr_n}, {jobs}")
     uniq = sorted(set(float(t) for t in thetas))
     tasks = [(i, problem, t, cg_n, cr_n) for i, t in enumerate(uniq)]
     out: dict[float, PointData] = {}
@@ -429,14 +437,44 @@ def write_ledger_csv(path, rows: list[LedgerRow]) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(CSV_COLUMNS)
-        for r in rows:
-            w.writerow(
-                [
-                    r.i, _fmt(r.theta_lo), _fmt(r.theta_hi),
-                    _fmt(r.lambda1_lo), _fmt(r.lambda1_hi), _fmt(r.lambda2_lo),
-                    _fmt(r.f_lo), _fmt(r.f_hi), _fmt(r.err),
-                ]
-            )
+        w.writerows([_fmt(x) for x in astuple(r)] for r in rows)
+
+
+def _row_dict(r: LedgerRow) -> dict:
+    return dict(zip(CSV_COLUMNS, astuple(r)))
+
+
+# ---------------------------------------------------------------------------
+# extension of point brackets across a subinterval
+
+
+@dataclass(frozen=True)
+class Extension:
+    """Point brackets pushed across [t_lo, t_hi]: the lambda_1 lower and
+    upper and lambda_2 lower ends, scaled outward by the perturbation
+    factors (flo, fhi) from the point's angle to the subinterval."""
+
+    t_lo: float
+    t_hi: float
+    flo: float
+    fhi: float
+    lam1_lo: float
+    lam1_hi: float
+    lam2_lo: float
+
+
+def _extend(i: int, pd: PointData, t_lo: float, t_hi: float) -> Extension:
+    """The one extension rule of steps 2 and 3, for subinterval ``i``."""
+    try:
+        flo, fhi = perturbation_factor_bounds(pd.theta, t_lo, t_hi)
+        return Extension(
+            t_lo, t_hi, flo, fhi,
+            (Interval(pd.lam1.lower) * Interval(flo)).lo,
+            (Interval(pd.lam1.upper) * Interval(fhi)).hi,
+            (Interval(pd.lam2.lower) * Interval(flo)).lo,
+        )
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CertifyError(f"interval {i} (theta in [{t_lo!r}, {t_hi!r}]): {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +503,14 @@ def algorithm1(schedule: Schedule, points: dict[float, PointData]) -> Algorithm1
     prev = 0.0
     for i, th in enumerate(schedule.breakpoints, start=1):
         pd = points[th]
-        try:
-            flo, _ = perturbation_factor_bounds(th, prev, th)
-            ext_lo = (Interval(pd.lam1.lower) * Interval(flo)).lo
-            lam2_ext = (Interval(pd.lam2.lower) * Interval(flo)).lo
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CertifyError(f"interval {i} (theta_hi={th!r}): {exc}") from exc
-        if ext_lo > pd.lam1.lower:
+        ext = _extend(i, pd, prev, th)
+        if ext.lam1_lo > pd.lam1.lower:
             raise CertifyError(f"interval {i}: extension exceeded the point bracket")
-        if ext_lo <= 0.0:
+        if ext.lam1_lo <= 0.0:
             raise CertifyError(f"interval {i}: extended lower bound not positive")
-        rows.append(LedgerRow(i, prev, th, ext_lo, pd.lam1.upper, lam2_ext))
-        if ext_lo < lower_min:
-            lower_min, argmin = ext_lo, i
+        rows.append(LedgerRow(i, prev, th, ext.lam1_lo, pd.lam1.upper, ext.lam2_lo))
+        if ext.lam1_lo < lower_min:
+            lower_min, argmin = ext.lam1_lo, i
         prev = th
     return Algorithm1Result(lower_min, argmin, rows)
 
@@ -488,8 +521,12 @@ def algorithm1(schedule: Schedule, points: dict[float, PointData]) -> Algorithm1
 
 @dataclass(frozen=True)
 class SimplicityEvidence:
+    """Worst cases over J of the extended brackets, with those brackets:
+    ``intervals`` holds one :class:`Extension` per J subinterval, in order."""
+
     lambda1_upper: float
     lambda2_lower: float
+    intervals: tuple[Extension, ...]
 
     @property
     def separated(self) -> bool:
@@ -508,10 +545,8 @@ class DerivativeRange:
 
 def j_nodes(epsilon: float, n2: int) -> list[float]:
     """Equal subdivision of J = [pi/3 - epsilon, pi/3] into n2 parts."""
-    if epsilon < 0.0 or epsilon >= math.pi / 3:
-        raise ValueError(f"epsilon must lie in [0, pi/3), got {epsilon}")
-    if epsilon == 0.0:
-        return [math.pi / 3]
+    if not (0.0 < epsilon < math.pi / 3):
+        raise ValueError(f"epsilon must lie in (0, pi/3), got {epsilon}")
     if n2 < 1:
         raise ValueError(f"n2 must be >= 1, got {n2}")
     start = math.pi / 3 - epsilon
@@ -522,52 +557,38 @@ def j_nodes(epsilon: float, n2: int) -> list[float]:
     return nodes
 
 
-def _j_factors(t_lo: float, t_hi: float) -> tuple[float, float]:
-    if t_lo == t_hi:
-        return (1.0, 1.0)
-    return perturbation_factor_bounds(t_lo, t_lo, t_hi)
-
-
 def simplicity_check(
     epsilon: float, n2: int, points: dict[float, PointData]
 ) -> SimplicityEvidence:
     """Certified lambda_1 upper vs lambda_2 lower over all of J.
 
     Per subinterval, the left-endpoint brackets are pushed across by the
-    perturbation factors; the evidence compares the worst cases.  Run
-    for both problems, including the one whose simplicity is classical.
+    perturbation factors; the evidence compares the worst cases and
+    keeps every extension for :func:`algorithm2`.  Run for both
+    problems, including the one whose simplicity is classical.
     ``points`` must hold every node of :func:`j_nodes`.
     """
     nodes = j_nodes(epsilon, n2)
-    lam1_up = -math.inf
-    lam2_lo = math.inf
-    for t_lo, t_hi in _j_pairs(nodes):
-        pd = points[t_lo]
-        flo, fhi = _j_factors(t_lo, t_hi)
-        lam1_up = max(lam1_up, (Interval(pd.lam1.upper) * Interval(fhi)).hi)
-        lam2_lo = min(lam2_lo, (Interval(pd.lam2.lower) * Interval(flo)).lo)
-    return SimplicityEvidence(lam1_up, lam2_lo)
-
-
-def _j_pairs(nodes: list[float]) -> list[tuple[float, float]]:
-    if len(nodes) == 1:
-        return [(nodes[0], nodes[0])]
-    return list(zip(nodes, nodes[1:]))
+    exts = tuple(
+        _extend(i, points[t_lo], t_lo, t_hi)
+        for i, (t_lo, t_hi) in enumerate(zip(nodes, nodes[1:]), start=1)
+    )
+    return SimplicityEvidence(
+        max(e.lam1_hi for e in exts), min(e.lam2_lo for e in exts), exts
+    )
 
 
 def algorithm2(
-    epsilon: float,
-    n2: int,
-    points: dict[float, PointData],
-    simplicity: SimplicityEvidence,
+    points: dict[float, PointData], simplicity: SimplicityEvidence
 ) -> DerivativeRange:
     """Certified range of dlambda_1/dtheta over J.
 
     Per subinterval [theta_i, theta_{i+1}] with the reference eigenpair
     solved at theta_i:
 
-    * lambda_1, lambda_2 and the mapped-reference Rayleigh quotient are
-      pushed across the subinterval by the perturbation factors;
+    * lambda_1, lambda_2 (extended by :func:`simplicity_check`) and the
+      mapped-reference Rayleigh quotient are pushed across the
+      subinterval by the perturbation factors;
     * the derivative functional of the mapped reference is enclosed
       through the exact gram transform with alpha, beta ranging over the
       subinterval;
@@ -575,11 +596,9 @@ def algorithm2(
       supremum) widens that enclosure to cover the true derivative.
 
     The result is the hull over subintervals.  The corner diagnostics
-    (gram triple, F, Err at theta = pi/3) ride along.  ``points`` must
-    hold every node of :func:`j_nodes`, and ``simplicity`` is the
-    :func:`simplicity_check` evidence on them, which must separate.
+    (gram triple, F, Err at theta = pi/3) ride along.  ``simplicity``
+    must separate, and ``points`` must hold every node it was made on.
     """
-    nodes = j_nodes(epsilon, n2)
     if not simplicity.separated:
         raise CertifyError(
             "simplicity precondition unmet on J: "
@@ -592,38 +611,35 @@ def algorithm2(
     f_hi = -math.inf
     eta_max = 0.0
     err_max = 0.0
-    for i, (t_lo, t_hi) in enumerate(_j_pairs(nodes), start=1):
-        pd = points[t_lo]
+    for i, ext in enumerate(simplicity.intervals, start=1):
         try:
-            row, e = _algorithm2_interval(i, t_lo, t_hi, pd)
+            row, e = _algorithm2_interval(i, ext, points[ext.t_lo])
         except (ValueError, ZeroDivisionError, BracketError) as exc:
-            raise CertifyError(f"interval {i} (theta in [{t_lo!r}, {t_hi!r}]): {exc}") from exc
+            raise CertifyError(
+                f"interval {i} (theta in [{ext.t_lo!r}, {ext.t_hi!r}]): {exc}"
+            ) from exc
         rows.append(row)
         f_lo = min(f_lo, row.f_lo)
         f_hi = max(f_hi, row.f_hi)
         eta_max = max(eta_max, e)
         err_max = max(err_max, row.err)
 
-    corner = _corner_point(points[nodes[-1]])
+    corner = _corner_point(points[simplicity.intervals[-1].t_hi])
     return DerivativeRange(f_lo, f_hi, rows, corner, eta_max, err_max)
 
 
-def _algorithm2_interval(
-    i: int, t_lo: float, t_hi: float, pd: PointData
-) -> tuple[LedgerRow, float]:
+def _algorithm2_interval(i: int, ext: Extension, pd: PointData) -> tuple[LedgerRow, float]:
     """Ledger row of one subinterval of J, with its eta_range supremum."""
-    flo, fhi = _j_factors(t_lo, t_hi)
-    a_lo = (Interval(pd.lam1.lower) * Interval(flo)).lo
-    a_hi = (Interval(pd.lam1.upper) * Interval(fhi)).hi
-    rho_lo = (Interval(pd.lam2.lower) * Interval(flo)).lo
+    t_lo, t_hi = ext.t_lo, ext.t_hi
+    a_lo, a_hi, rho_lo = ext.lam1_lo, ext.lam1_hi, ext.lam2_lo
 
     X = Interval(*pd.gram_xx)
     C = Interval(*pd.gram_xy)
     Y = Interval(*pd.gram_yy)
     m = Interval(*pd.mass)
     R = (X + Y) / m
-    b_hi = (R * Interval(fhi)).hi
-    b_lo = (R * Interval(flo)).lo
+    b_hi = (R * Interval(ext.fhi)).hi
+    b_lo = (R * Interval(ext.flo)).lo
 
     if not (b_hi < rho_lo):
         raise BracketError(
@@ -704,20 +720,6 @@ class Certificate:
 
     def write_csv(self, path) -> None:
         write_ledger_csv(path, self.rows_step2 + self.rows_step3)
-
-
-def _row_dict(r: LedgerRow) -> dict:
-    return {
-        "i": r.i,
-        "theta_lo": r.theta_lo,
-        "theta_hi": r.theta_hi,
-        "lambda1_lo": r.lambda1_lo,
-        "lambda1_hi": r.lambda1_hi,
-        "lambda2_lo": r.lambda2_lo,
-        "F_lo": r.f_lo,
-        "F_hi": r.f_hi,
-        "Err": r.err,
-    }
 
 
 _STEP1_NOTE = (
@@ -823,7 +825,7 @@ def run_proof(problem: str, config: RunConfig | None = None) -> Certificate:
             }
         }
         if simp.separated:
-            rng = algorithm2(eps, n2, points, simp)
+            rng = algorithm2(points, simp)
             rows3 = rng.rows
             step3.update(
                 {

@@ -31,6 +31,7 @@ from .certify import (
     EQ_MESH,
     PAPER_EPSILON,
     PAPER_N2,
+    CertifyError,
     RunConfig,
     compute_points,
     run_proof,
@@ -53,19 +54,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, problem=True):
-        if problem:
-            sp.add_argument(
-                "--problem",
-                choices=("dirichlet", "cr-constant"),
-                required=True,
-                help="dirichlet: zero-trace eigenproblem; cr-constant: "
-                "edge-mean eigenproblem behind the interpolation constant",
-            )
+    def meshes(sp):
         sp.add_argument("--cg-n", type=int, default=96,
                         help="conforming mesh subdivision (default 96)")
         sp.add_argument("--cr-n", type=int, default=64,
                         help="nonconforming mesh subdivision (default 64)")
+
+    def common(sp):
+        sp.add_argument(
+            "--problem",
+            choices=("dirichlet", "cr-constant"),
+            required=True,
+            help="dirichlet: zero-trace eigenproblem; cr-constant: "
+            "edge-mean eigenproblem behind the interpolation constant",
+        )
+        meshes(sp)
         sp.add_argument("--jobs", type=int, default=1,
                         help="parallel point solves (default 1)")
         sp.add_argument("--out", type=Path, default=None, metavar="DIR",
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("constants", help="certified interpolation-constant bracket")
-    common(sp, problem=False)
+    meshes(sp)
     sp.add_argument("--theta", type=float, default=None,
                     help="apex angle parameter of the arc family, in (0, pi)")
     sp.add_argument("--bx", type=float, default=None,
@@ -288,7 +291,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (EigensolveError, BracketError) as exc:
+    except (CertifyError, EigensolveError, BracketError) as exc:
         # only reachable from sweep/constants; prove folds these into
         # the certificate verdict
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -205,21 +205,18 @@ def _normalize(M: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
     return -u if u[j] < 0.0 else u
 
 
-def _lowest_modes(ops: DiscreteOperators, k: int, method: str) -> np.ndarray:
+def _lowest_modes(ops: DiscreteOperators, k: int) -> np.ndarray:
     """The floating-point backend: the ``k`` lowest eigenvectors, as
     columns in ascending order of their eigenvalues.
 
-    method: "auto" picks dense LAPACK up to DENSE_CUTOFF unknowns (the
-    measured crossover) or when more than dim modes are asked for, and
-    the shift-invert Lanczos solver otherwise; "dense" / "sparse" force
-    one backend.  Dense LAPACK yields at most dim modes and Lanczos at
-    most dim - 1, so fewer than ``k`` may come back.  Nothing returned
-    is certified.
+    Dense LAPACK runs up to DENSE_CUTOFF unknowns (the measured
+    crossover) or when more than dim modes are asked for, and the
+    shift-invert Lanczos solver otherwise.  Dense LAPACK yields at most
+    dim modes and Lanczos at most dim - 1, so fewer than ``k`` may come
+    back.  Nothing returned is certified.
     """
-    if method not in ("auto", "dense", "sparse"):
-        raise ValueError(f"method must be auto, dense or sparse, got {method!r}")
     n = ops.dim
-    if method == "dense" or (method == "auto" and (n <= DENSE_CUTOFF or k > n)):
+    if n <= DENSE_CUTOFF or k > n:
         vals, vecs = scipy.linalg.eigh(
             ops.A.toarray(), ops.M.toarray(), subset_by_index=[0, min(k, n) - 1]
         )
@@ -248,16 +245,12 @@ def _lowest_modes(ops: DiscreteOperators, k: int, method: str) -> np.ndarray:
     return vecs
 
 
-def solve_lowest(
-    ops: DiscreteOperators, count: int = 1, method: str = "auto"
-) -> list[EigenEnclosure]:
+def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]:
     """Certified enclosures for the ``count`` lowest modes.
 
-    method selects the backend as in :func:`_lowest_modes`;
-    certification is identical either way.  ``count`` + 1 modes are
-    computed, the last one a guard for the ordering, where the space
-    has that many.  The sparse backend computes at most dim - 1 modes,
-    so ``method="sparse"`` with ``count == dim`` is a ValueError.
+    The backend is chosen as in :func:`_lowest_modes`; certification is
+    identical either way.  ``count`` + 1 modes are computed, the last
+    one a guard for the ordering, where the space has that many.
 
     Raises EigensolveError on solver non-convergence; never silently
     substitutes approximate results.
@@ -267,12 +260,7 @@ def solve_lowest(
     n = ops.dim
     if count > n:
         raise ValueError(f"requested {count} modes from a {n}-dimensional space")
-    if method == "sparse" and count >= n:
-        raise ValueError(
-            f"the sparse backend computes at most dim - 1 = {n - 1} modes, "
-            f"requested {count}; use method='dense'"
-        )
-    vecs = _lowest_modes(ops, count + 1, method)
+    vecs = _lowest_modes(ops, count + 1)
     return [_certify(ops, _normalize(ops.M, vecs[:, i]), i + 1) for i in range(count)]
 
 
@@ -284,7 +272,7 @@ def ground_rayleigh(ops: DiscreteOperators) -> RayleighBound:
     and u^T M u are certified: neither a residual bound nor an index is
     needed for lambda_1 <= R(u).
     """
-    return _rayleigh(ops, _normalize(ops.M, _lowest_modes(ops, 1, "auto")[:, 0]))
+    return _rayleigh(ops, _normalize(ops.M, _lowest_modes(ops, 1)[:, 0]))
 
 
 def verify_enclosure(

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from helpers import gram_triple, lowest_two, map_derivative_gram, operators, shear
 
+from tricert import eigsolve
 from tricert.bounds import F_of, err_bound, eta
 from tricert.certify import RunConfig, compute_point
 from tricert.eigsolve import solve_lowest
@@ -148,7 +149,7 @@ def test_criterion_5_simplicity_evidence(cr_run):
     assert simp["lambda1_upper"] < simp["lambda2_lower"]
 
 
-def test_criterion_6_property_bullets():
+def test_criterion_6_property_bullets(monkeypatch):
     # dense vs sparse backends agree on coarse meshes, and on one mesh each
     # side of the cutoff (322 and 351 unknowns)
     for n, family, bc in (
@@ -158,8 +159,10 @@ def test_criterion_6_property_bullets():
     ):
         ops = operators(0.9, n, family, bc)
         k = min(3, ops.A.shape[0] - 2)
-        dense = solve_lowest(ops, k, method="dense")
-        sparse = solve_lowest(ops, k, method="sparse")
+        monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", ops.dim)
+        dense = solve_lowest(ops, k)
+        monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", 0)
+        sparse = solve_lowest(ops, k)
         for d, s in zip(dense, sparse):
             assert abs(d.rayleigh - s.rayleigh) <= 1e-10 * abs(d.rayleigh)
 

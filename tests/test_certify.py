@@ -132,9 +132,6 @@ class TestRunConfig:
 
 
 class TestJNodes:
-    def test_degenerate_epsilon(self):
-        assert j_nodes(0.0, 5) == [EQ]
-
     def test_layout(self):
         eps, n2 = math.pi / 300, 7
         nodes = j_nodes(eps, n2)
@@ -144,6 +141,8 @@ class TestJNodes:
         assert all(b > a for a, b in zip(nodes, nodes[1:]))
 
     def test_bad_args(self):
+        with pytest.raises(ValueError):
+            j_nodes(0.0, 5)  # J must have positive width, as RunConfig requires
         with pytest.raises(ValueError):
             j_nodes(-1e-3, 5)
         with pytest.raises(ValueError):
@@ -295,30 +294,51 @@ class TestStep3:
         simp = simplicity_check(eps, n2, pts)
         assert simp.separated
         assert simp.lambda1_upper < simp.lambda2_lower
-        rng = algorithm2(eps, n2, pts, simp)
+        assert len(simp.intervals) == n2
+        rng = algorithm2(pts, simp)
         assert len(rng.rows) == n2
         assert rng.f_lo <= rng.corner.f_value <= rng.f_hi
         assert rng.corner.theta == EQ
         assert rng.eta_max >= 0.0 and rng.err_max >= 0.0
-        for row in rng.rows:
+        for row, ext in zip(rng.rows, simp.intervals):
             assert row.f_lo <= row.f_hi
             assert row.err is not None and row.err >= 0.0
+            # the ledger carries the brackets the simplicity check extended
+            assert (row.theta_lo, row.theta_hi) == (ext.t_lo, ext.t_hi)
+            assert (row.lambda1_lo, row.lambda1_hi, row.lambda2_lo) == (
+                ext.lam1_lo, ext.lam1_hi, ext.lam2_lo
+            )
+
+    def test_each_j_subinterval_extended_once(self, monkeypatch):
+        eps, n2 = math.pi / 300, 4
+        pts = compute_points("cr-constant", j_nodes(eps, n2), 12, 8)
+        calls = []
+        real = certify.perturbation_factor_bounds
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(certify, "perturbation_factor_bounds", counting)
+        algorithm2(pts, simplicity_check(eps, n2, pts))
+        assert len(calls) == n2
 
     def test_overlapping_enclosures_abort(self):
-        fake = SimplicityEvidence(lambda1_upper=2.0, lambda2_lower=1.0)
-        assert not fake.separated
         eps, n2 = math.pi / 300, 2
         pts = compute_points("cr-constant", j_nodes(eps, n2), 12, 8)
+        real = simplicity_check(eps, n2, pts)
+        fake = SimplicityEvidence(lambda1_upper=2.0, lambda2_lower=1.0, intervals=real.intervals)
+        assert not fake.separated
         with pytest.raises(CertifyError):
-            algorithm2(eps, n2, pts, fake)
+            algorithm2(pts, fake)
 
 
 def _second_mode_as_ground(monkeypatch):
     """Make the backend answer every one-mode request with mode 2."""
     real = eigsolve._lowest_modes
 
-    def second_mode(ops, k, method):
-        return real(ops, k, method) if k != 1 else real(ops, 2, method)[:, 1:]
+    def second_mode(ops, k):
+        return real(ops, k) if k != 1 else real(ops, 2)[:, 1:]
 
     monkeypatch.setattr(eigsolve, "_lowest_modes", second_mode)
 
@@ -345,7 +365,7 @@ class TestConformingIndexFree:
         _second_mode_as_ground(monkeypatch)
         wrong = compute_points("cr-constant", nodes, 24, 16)
         with pytest.raises(CertifyError, match="reference Rayleigh upper .* not below separator"):
-            algorithm2(eps, n2, wrong, simp)
+            algorithm2(wrong, simp)
         assert not simplicity_check(eps, n2, wrong).separated
 
     def test_wrong_mode_never_proves(self, monkeypatch):

@@ -52,6 +52,17 @@ def test_missing_schedule_file_is_config_error(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("text", ["[0.5, null]", "[[0.5]]", "[0.5, true]"])
+def test_malformed_schedule_file_is_config_error(capsys, tmp_path, text):
+    path = tmp_path / "sched.json"
+    path.write_text(text)
+    code, _, err = run_cli(
+        capsys, "prove", "--problem", "dirichlet", "--schedule", str(path)
+    )
+    assert code == 2
+    assert "configuration error" in err
+
+
 def test_paper_config_rejects_deviations(capsys, monkeypatch):
     # a configuration that passes the check reaches run_proof, stopped here
     class Reached(Exception):
@@ -92,6 +103,34 @@ def test_sweep_rejects_angles_outside_range(capsys):
         )
         assert code == 2, bad
         assert "configuration error" in err
+
+
+@pytest.mark.parametrize("flag", ["--cg-n", "--cr-n", "--jobs"])
+def test_sweep_nonpositive_sizes_are_config_errors(capsys, flag):
+    code, _, err = run_cli(
+        capsys, "sweep", "--problem", "dirichlet", "--theta", "0.5", flag, "0"
+    )
+    assert code == 2
+    assert err.startswith("configuration error")
+
+
+def test_sweep_failed_point_solve_is_numerical_abort(capsys):
+    # the conforming Dirichlet space on the 2-fold mesh has no unknowns
+    code, out, err = run_cli(
+        capsys, "sweep", "--problem", "dirichlet", "--theta", "0.5",
+        "--cg-n", "2", "--cr-n", "2",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("numerical abort") and err.count("\n") == 1
+
+
+def test_constants_takes_no_jobs_or_out(capsys):
+    for flag, value in (("--jobs", "2"), ("--out", "somewhere")):
+        with pytest.raises(SystemExit) as e:
+            main(["constants", "--theta", "1.0", flag, value])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # sweep -----------------------------------------------------------------------

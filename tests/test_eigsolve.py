@@ -66,9 +66,9 @@ def test_enclosures_contain_dense_oracle(theta, n, family, bc, count):
         assert enc.width <= 1e-6 * max(1.0, abs(lam))
 
 
-def test_dense_and_sparse_backends_agree():
-    # forced backends on coarse meshes, and on one mesh each side of the
-    # cutoff where "auto" switches from one backend to the other
+def test_dense_and_sparse_backends_agree(monkeypatch):
+    # each backend forced by moving the cutoff, on coarse meshes and on
+    # one mesh each side of the cutoff where the choice switches
     cases = [
         (n, family, bc)
         for n in (4, 5, 6)
@@ -86,8 +86,10 @@ def test_dense_and_sparse_backends_agree():
         k = min(3, ops.dim - 2)
         if k < 1:
             continue
-        d = solve_lowest(ops, k, method="dense")
-        s = solve_lowest(ops, k, method="sparse")
+        monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", ops.dim)
+        d = solve_lowest(ops, k)
+        monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", 0)
+        s = solve_lowest(ops, k)
         for a, b in zip(d, s):
             rel = abs(a.rayleigh - b.rayleigh) / abs(a.rayleigh)
             assert rel <= 1e-10
@@ -108,22 +110,18 @@ def test_quick_spaces_use_shift_invert(monkeypatch, bc, dim):
     assert e1.upper < e2.lower
 
 
-def test_method_validation(monkeypatch):
+def test_count_validation(monkeypatch):
     ops = operators(EQ, 3, "cg", "dirichlet")
-    with pytest.raises(ValueError):
-        solve_lowest(ops, 1, method="magic")
     with pytest.raises(ValueError):
         solve_lowest(ops, 0)
     with pytest.raises(ValueError):
         solve_lowest(ops, 5)  # only one dof available
-    # shift-invert Lanczos yields at most dim - 1 modes, so "auto" sends a
-    # full-spectrum request to the dense backend even above the cutoff
+    # shift-invert Lanczos yields at most dim - 1 modes, so a full-spectrum
+    # request goes to the dense backend even above the cutoff
     monkeypatch.setattr("tricert.eigsolve.DENSE_CUTOFF", 0)
     for n, bc, dim in ((4, "dirichlet", 3), (5, "dirichlet", 6), (4, "edge-mean", 12)):
         ops = operators(EQ, n, "cg", bc)
         assert ops.dim == dim
-        with pytest.raises(ValueError, match="sparse backend"):
-            solve_lowest(ops, dim, method="sparse")
         assert len(solve_lowest(ops, dim)) == dim
 
 
@@ -268,7 +266,7 @@ def test_ground_rayleigh_bounds_lambda1_from_above(theta, n, family, bc):
 @pytest.mark.parametrize("method", ["dense", "sparse"])
 def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
     # one mode, no guard, and neither a residual bound nor a gap refinement;
-    # the cutoff moves so that "auto" picks the backend under test
+    # the cutoff moves so that the backend under test is picked
     ops = operators(0.9, 12, "cg", "edge-mean")
     monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", ops.dim if method == "dense" else 0)
     lam1 = dense_eigs(ops, 1)[0]
