@@ -140,9 +140,11 @@ class TestJNodes:
         assert nodes[-1] == EQ  # corner hit exactly, not via accumulation
         assert all(b > a for a, b in zip(nodes, nodes[1:]))
 
-    def test_bad_args(self):
+    def test_degenerate_epsilon(self):
         with pytest.raises(ValueError):
             j_nodes(0.0, 5)  # J must have positive width, as RunConfig requires
+
+    def test_bad_args(self):
         with pytest.raises(ValueError):
             j_nodes(-1e-3, 5)
         with pytest.raises(ValueError):
