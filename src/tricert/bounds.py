@@ -96,6 +96,27 @@ class DerivativePoint:
     err: float
 
 
+def _correction(h: float) -> Interval:
+    """Enclosure of the correction constant C_h = 0.1893 h."""
+    if h <= 0.0:
+        raise ValueError("mesh size must be positive")
+    return Interval(LEMMA_CONST) * Interval(dn(h, 4), up(h, 4))
+
+
+def corrected_lower(cr: EigenEnclosure, h: float) -> float:
+    """Certified lower bound on lambda_k(T) from the CR enclosure of mode k.
+
+    lambda/(1 + C_h^2 lambda) is increasing in lambda and decreasing in
+    C_h, so the safe corner is the enclosure's lower end with C_h
+    rounded up.  h is the longest edge of the CR mesh.
+    """
+    ch = _correction(h)
+    if cr.lower <= 0.0:
+        raise BracketError(f"CR enclosure for k={cr.k} is not certifiably positive")
+    lam = Interval(cr.lower)
+    return (lam / (1.0 + ch * ch * lam)).lo
+
+
 def bracket(cr: list[EigenEnclosure], cg_rho: Interval, h: float) -> list[EigBracket]:
     """Certified two-sided brackets from the CR enclosures and the CG
     Rayleigh quotient.
@@ -110,25 +131,19 @@ def bracket(cr: list[EigenEnclosure], cg_rho: Interval, h: float) -> list[EigBra
 
     Notes
     -----
-    The lower ends are the corrected CR bounds: lambda/(1 + C_h^2 lambda)
-    is increasing in lambda and decreasing in C_h, so the safe corner is
-    the enclosure's lower end with C_h rounded up.  The upper end of
-    lambda_1 is the conforming Rayleigh bound lambda_1 <= R(u), which
-    holds for any u != 0; the higher modes get +inf, since no conforming
-    bound is computed for them.
+    The lower ends are the corrected CR bounds of
+    :func:`corrected_lower`.  The upper end of lambda_1 is the
+    conforming Rayleigh bound lambda_1 <= R(u), which holds for any
+    u != 0; the higher modes get +inf, since no conforming bound is
+    computed for them.
     """
-    if h <= 0.0:
-        raise ValueError("mesh size must be positive")
-    ch = Interval(LEMMA_CONST) * Interval(dn(h, 4), up(h, 4))
-    out = []
-    for k, e_cr in enumerate(cr, start=1):
-        if e_cr.lower <= 0.0:
-            raise BracketError(f"CR enclosure for k={k} is not certifiably positive")
-        lam = Interval(e_cr.lower)
-        low = lam / (1.0 + ch * ch * lam)
-        upper = up(cg_rho.hi, 4) if k == 1 else math.inf
-        out.append(EigBracket(k, low.lo, upper, c_h=ch.hi))
-    return out
+    c_h = _correction(h).hi
+    return [
+        EigBracket(
+            k, corrected_lower(e_cr, h), up(cg_rho.hi, 4) if k == 1 else math.inf, c_h=c_h
+        )
+        for k, e_cr in enumerate(cr, start=1)
+    ]
 
 
 def eta(a: float, b: float, c: float) -> float:

@@ -54,6 +54,7 @@ from .bounds import (
     F_interval,
     F_of,
     bracket,
+    corrected_lower,
     err_bound,
     eta_range,
 )
@@ -269,12 +270,15 @@ class PointData:
 _T_REF = triangle_from_vertex(0.0, 1.0)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=8)
 def _reference_operators(n: int, family: str, bc: str) -> DiscreteOperators:
     """Operators on the n-fold mesh of T_ref, built once per process.
 
-    Four entries hold a proof's two sweep spaces and its two corner
-    spaces.  Every caller shares the cached matrices, so they are only
+    Eight entries hold the two sweep spaces and the two corner spaces of
+    each problem, so a process that proves both problems (or runs both
+    quick proofs, six spaces) builds each space once; with four, every
+    proof of the pair would evict the other's spaces and rebuild its
+    own.  Every caller shares the cached matrices, so they are only
     read (:meth:`DiscreteOperators.mapped` builds new ones).  The three
     builders are called through this module's names, so wrapping them
     here sees every build.
@@ -356,7 +360,7 @@ def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData
     del ops_cr
 
     ops_cg = _reference_operators(cg_n, "cg", bc).mapped(tri)
-    cg = ground_rayleigh(ops_cg)
+    cg = ground_rayleigh(ops_cg, corrected_lower(enc_cr[0], h_cr))
 
     lam1, lam2 = bracket(enc_cr, cg.rho, h_cr)
 

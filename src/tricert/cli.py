@@ -26,7 +26,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bounds import BracketError, bracket as eig_bracket
+from .bounds import BracketError, bracket as eig_bracket, corrected_lower
 from .certify import (
     EQ_MESH,
     PAPER_EPSILON,
@@ -204,6 +204,8 @@ def _parse_sweep_angles(args) -> list[float]:
             step = (stop - start) / (count - 1)
             thetas.extend(start + i * step for i in range(count - 1))
             thetas.append(stop)
+    if not thetas:
+        raise ValueError("no angles given: use --theta or --theta-range")
     for t in thetas:
         if not (0.0 < t <= math.pi / 3):
             raise ValueError(f"sweep angles must lie in (0, pi/3], got {t}")
@@ -270,7 +272,7 @@ def cmd_constants(args) -> int:
         enc_cr = solve_lowest(ops_cr, 2)
         enc_cr = [verify_enclosure(enc_cr[0], (enc_cr[1],)), enc_cr[1]]
         ops_cg = assemble(build_space(uniform_subdivide(tri, args.cg_n), "cg", "edge-mean"))
-        cg = ground_rayleigh(ops_cg)
+        cg = ground_rayleigh(ops_cg, corrected_lower(enc_cr[0], mesh_cr.h))
     lam1 = eig_bracket(enc_cr, cg.rho, mesh_cr.h)[0]
 
     c_iv = Interval(1.0) / Interval(lam1.lower, lam1.upper).sqrt()

@@ -20,8 +20,9 @@ majorant Delta, so
 ||u||_M is bounded below by its certified quadratic form, and every
 step is rounded outward, so the final enclosure [rho - delta,
 rho + delta] is mathematically guaranteed to contain at least one
-eigenvalue.  No system with M is solved; the only factorisation is the
-one of A that drives the shift-invert Lanczos solver.
+eigenvalue.  No system with M is solved; the only factorisations are
+the ones that drive the shift-invert Lanczos solver: of A on the
+nonconforming side, of A - sigma M on the conforming side.
 
 The rounding term sets delta.  For a converged pair ||r||_2 is itself
 at rounding level, while Delta is a worst case over every rounded term
@@ -35,7 +36,11 @@ The conforming side needs none of this.  Its one certified number is
 the Rayleigh quotient R(u) of :func:`ground_rayleigh`, and lambda_1 <=
 R(u) holds for every u != 0, so that side computes a single mode, with
 no guard mode and no residual bound, and its bound does not depend on
-which mode the solver returned.
+which mode the solver returned.  Its Lanczos run is shifted to a
+certified lower bound sigma on lambda_1, where the ground mode is far
+better separated than at 0; sigma only steers the solver, so a wrong
+sigma costs solves or ends in a diagnosed error, never a bound below
+lambda_1.
 
 On the nonconforming side (:func:`solve_lowest`), which INDEX each
 enclosed eigenvalue has is the one trusted, uncertified step: enclosures
@@ -63,6 +68,14 @@ _EPS = float(np.finfo(np.float64).eps)
 #   171: 9.6 / 14.0   253: 11.5 / 13.7   322: 17.9 / 18.9
 #   351: 19.6 / 17.7  465: 37.5 / 12.4   558: 59.1 / 25.7
 DENSE_CUTOFF = 330
+
+# Lanczos vectors for the shifted ground solve of ground_rayleigh.  Factor
+# solves summed over every fourth point of both paper schedules at CG 96,
+# shifted to the corrected CR bound, by ncv (ARPACK's default of 20 at
+# sigma = 0 makes 4178):  3: 1068,  4: 1090,  5: 1221,  6: 1413,  8: 1798.
+# The corner solves take 5 (Dirichlet 288) and 6 (edge-mean 192); only the
+# thinnest Dirichlet angles still need 30 to 42, about as many as unshifted.
+GROUND_NCV = 3
 
 
 class EigensolveError(RuntimeError):
@@ -205,15 +218,18 @@ def _normalize(M: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
     return -u if u[j] < 0.0 else u
 
 
-def _lowest_modes(ops: DiscreteOperators, k: int) -> np.ndarray:
+def _lowest_modes(
+    ops: DiscreteOperators, k: int, sigma: float = 0.0, ncv: int | None = None
+) -> np.ndarray:
     """The floating-point backend: the ``k`` lowest eigenvectors, as
     columns in ascending order of their eigenvalues.
 
     Dense LAPACK runs up to DENSE_CUTOFF unknowns (the measured
     crossover) or when more than dim modes are asked for, and the
-    shift-invert Lanczos solver otherwise.  Dense LAPACK yields at most
-    dim modes and Lanczos at most dim - 1, so fewer than ``k`` may come
-    back.  Nothing returned is certified.
+    shift-invert Lanczos solver otherwise, on A - ``sigma`` M with
+    ``ncv`` Lanczos vectors (ARPACK's default when None).  Dense LAPACK
+    yields at most dim modes and Lanczos at most dim - 1, so fewer than
+    ``k`` may come back.  Nothing returned is certified.
     """
     n = ops.dim
     if n <= DENSE_CUTOFF or k > n:
@@ -221,11 +237,14 @@ def _lowest_modes(ops: DiscreteOperators, k: int) -> np.ndarray:
             ops.A.toarray(), ops.M.toarray(), subset_by_index=[0, min(k, n) - 1]
         )
     else:
-        # A is symmetric positive definite on every space, so a symmetric
-        # fill-reducing ordering with diagonal pivots is stable
+        # A - sigma M is symmetric positive definite for sigma below the
+        # lowest eigenvalue, so a symmetric fill-reducing ordering with
+        # diagonal pivots is stable there; above it the factor may fail,
+        # which is diagnosed, or steer Lanczos to another mode
+        shifted = ops.A - sigma * ops.M if sigma else ops.A
         try:
             lu = spla.splu(
-                ops.A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
         except RuntimeError as exc:
@@ -233,8 +252,8 @@ def _lowest_modes(ops: DiscreteOperators, k: int) -> np.ndarray:
         opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
         try:
             vals, vecs = spla.eigsh(
-                ops.A, k=min(k, n - 1), M=ops.M, sigma=0.0, which="LM",
-                v0=np.ones(n), OPinv=opinv,
+                ops.A, k=min(k, n - 1), M=ops.M, sigma=sigma, which="LM",
+                v0=np.ones(n), ncv=ncv, OPinv=opinv,
             )
         except spla.ArpackNoConvergence as exc:
             raise EigensolveError(f"ARPACK did not converge: {exc}") from exc
@@ -264,15 +283,22 @@ def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]
     return [_certify(ops, _normalize(ops.M, vecs[:, i]), i + 1) for i in range(count)]
 
 
-def ground_rayleigh(ops: DiscreteOperators) -> RayleighBound:
+def ground_rayleigh(ops: DiscreteOperators, below: float) -> RayleighBound:
     """Certified Rayleigh upper bound on lambda_1 from one computed mode.
 
-    The backend (chosen as in :func:`solve_lowest`) computes the lowest
-    mode alone, with no guard mode, and only the quadratic forms u^T A u
-    and u^T M u are certified: neither a residual bound nor an index is
-    needed for lambda_1 <= R(u).
+    ``below`` is a lower bound on the lowest eigenvalue of the pencil,
+    such as the corrected CR bound.  Shift-invert Lanczos runs at sigma =
+    ``below`` with GROUND_NCV vectors: just below the wanted eigenvalue
+    the ground mode is far better separated than at 0, so ARPACK
+    converges in a handful of factor solves.  The dense backend (chosen
+    as in :func:`solve_lowest`) ignores the shift.  Only the quadratic
+    forms u^T A u and u^T M u are certified: neither a residual bound nor
+    an index is needed for lambda_1 <= R(u), so the bound holds whatever
+    ``below`` is; a shift at or above the ground eigenvalue can only
+    return a larger R(u) or end in an EigensolveError.
     """
-    return _rayleigh(ops, _normalize(ops.M, _lowest_modes(ops, 1)[:, 0]))
+    u = _lowest_modes(ops, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
+    return _rayleigh(ops, _normalize(ops.M, u))
 
 
 def verify_enclosure(

@@ -126,8 +126,8 @@ def lowest_two(theta: float, n: int, family: str, bc: str):
 
 @lru_cache(maxsize=128)
 def ground_rho(theta: float, n: int, family: str, bc: str):
-    """Certified Rayleigh quotient of the computed ground mode."""
-    return ground_rayleigh(operators(theta, n, family, bc)).rho
+    """Certified Rayleigh quotient of the computed ground mode, unshifted."""
+    return ground_rayleigh(operators(theta, n, family, bc), 0.0).rho
 
 
 needs_two_cores = pytest.mark.skipif(

@@ -180,6 +180,18 @@ class TestPointData:
         compute_points("dirichlet", [0.4, 0.6, 0.8, 0.9, EQ], 12, 8, jobs=1)
         assert sorted(calls) == [(8, "cr"), (12, "cg")]
 
+    def test_both_quick_proofs_share_the_operator_cache(self):
+        # the two quick proofs need six spaces (CG 32, CR 32, corner CG 64
+        # per problem), so a second round of both must build none of them
+        def both_proofs():
+            for problem in ("dirichlet", "cr-constant"):
+                run_proof(problem, RunConfig(problem=problem, quick=True))
+
+        both_proofs()
+        misses = certify._reference_operators.cache_info().misses
+        both_proofs()
+        assert certify._reference_operators.cache_info().misses == misses
+
     def test_one_certificate_per_mode(self, monkeypatch):
         # two CR modes; the gap refinement reuses the certificate of mode 1
         # instead of computing it again, and the conforming side certifies
@@ -339,7 +351,7 @@ def _second_mode_as_ground(monkeypatch):
     """Make the backend answer every one-mode request with mode 2."""
     real = eigsolve._lowest_modes
 
-    def second_mode(ops, k):
+    def second_mode(ops, k, **shift):
         return real(ops, k) if k != 1 else real(ops, 2)[:, 1:]
 
     monkeypatch.setattr(eigsolve, "_lowest_modes", second_mode)

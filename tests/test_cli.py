@@ -136,10 +136,11 @@ def test_constants_takes_no_jobs_or_out(capsys):
 # sweep -----------------------------------------------------------------------
 
 
-def test_sweep_no_angles_prints_bare_header(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--problem", "dirichlet")
-    assert code == 0
-    assert out.strip() == ",".join(SWEEP_COLUMNS)
+def test_sweep_no_angles_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--problem", "dirichlet")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error") and err.count("\n") == 1
 
 
 def test_sweep_sorts_and_brackets(capsys):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import EQ, operators
 from tricert import eigsolve
+from tricert.bounds import corrected_lower
 from tricert.eigsolve import (
     DENSE_CUTOFF,
     EigensolveError,
@@ -257,7 +258,7 @@ def test_first_enclosure_upper_is_rayleigh_bound():
 def test_ground_rayleigh_bounds_lambda1_from_above(theta, n, family, bc):
     ops = operators(theta, n, family, bc)
     lam1 = dense_eigs(ops, 1)[0]
-    g = ground_rayleigh(ops)
+    g = ground_rayleigh(ops, 0.0)
     assert lam1 <= g.rho.hi <= lam1 * (1.0 + 1e-10)
     assert g.rho.width <= 1e-10 * lam1
     assert g.mass_form.lo <= float(g.vector @ (ops.M @ g.vector)) <= g.mass_form.hi
@@ -278,7 +279,7 @@ def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
         return real_eigh(*args, subset_by_index=subset_by_index, **kwargs)
 
     def recording_eigsh(A, k, **kwargs):
-        requested.append(("sparse", k))
+        requested.append(("sparse", k, kwargs["sigma"], kwargs["ncv"]))
         return real_eigsh(A, k, **kwargs)
 
     def forbidden(*args, **kwargs):
@@ -288,8 +289,68 @@ def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
     monkeypatch.setattr(eigsolve.spla, "eigsh", recording_eigsh)
     monkeypatch.setattr(eigsolve, "residual_bound", forbidden)
     monkeypatch.setattr(eigsolve, "verify_enclosure", forbidden)
-    g = ground_rayleigh(ops)
-    want = ("dense", [0, 0]) if method == "dense" else ("sparse", 1)
+    below = 0.9 * lam1
+    g = ground_rayleigh(ops, below)
+    want = ("dense", [0, 0]) if method == "dense" else ("sparse", 1, below, eigsolve.GROUND_NCV)
     assert requested == [want]
+    assert lam1 <= g.rho.hi
+
+
+def _count_factor_solves(monkeypatch) -> list:
+    """Record every solve with a shift-invert factor made from now on."""
+    solves = []
+    real_splu = eigsolve.spla.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, b):
+            solves.append(b.shape)
+            return self._lu.solve(b)
+
+    monkeypatch.setattr(
+        eigsolve.spla, "splu", lambda *args, **kwargs: Counted(real_splu(*args, **kwargs))
+    )
+    return solves
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+@pytest.mark.parametrize("theta", [0.1, 0.9, EQ], ids=["0.1", "0.9", "fl(pi/3)"])
+def test_shifted_ground_solve_agrees_in_few_factor_solves(monkeypatch, bc, theta):
+    # shifted to the corrected CR bound, as compute_point does, the
+    # conforming solve at CG 96 / CR 64 needs a handful of factor solves
+    # instead of ARPACK's default 21 and returns the same Rayleigh bound.
+    # The agreement is limited by the float Rayleigh quotient, not by the
+    # shift: on the thin edge-mean triangle (theta = 0.1) its terms cancel,
+    # and two unshifted solves that differ only in ncv already give rho.hi
+    # 2e-12 apart, against a certified width of 1e-6
+    cr = operators(theta, 64, "cr", bc)
+    e1, e2 = solve_lowest(cr, 2)
+    below = corrected_lower(verify_enclosure(e1, (e2,)), cr.space.mesh.h)
+    ops = operators(theta, 96, "cg", bc)
+    assert ops.dim > DENSE_CUTOFF
+    plain = ground_rayleigh(ops, 0.0)
+    solves = _count_factor_solves(monkeypatch)
+    shifted = ground_rayleigh(ops, below)
+    assert below < plain.rho.lo
+    assert math.isclose(shifted.rho.hi, plain.rho.hi, rel_tol=1e-11)
+    assert 0 < len(solves) <= 10
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+@pytest.mark.parametrize("where", ["between-1-2", "above-2"])
+def test_shift_above_lambda1_never_lowers_the_bound(bc, where):
+    # a shift at or above the ground eigenvalue (a wrong CR index) steers
+    # Lanczos elsewhere; the Rayleigh bound may only grow, or the solve
+    # ends in a diagnosed error
+    ops = operators(0.9, 32, "cg", bc)
+    assert ops.dim > DENSE_CUTOFF
+    lam1, lam2, lam3 = dense_eigs(ops, 3)
+    sigma = 0.5 * (lam1 + lam2) if where == "between-1-2" else 0.5 * (lam2 + lam3)
+    try:
+        g = ground_rayleigh(ops, sigma)
+    except EigensolveError:
+        return
     assert lam1 <= g.rho.hi
 
