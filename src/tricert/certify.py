@@ -65,7 +65,7 @@ from .eigsolve import (
     solve_lowest,
     verify_enclosure,
 )
-from .fem import DiscreteOperators, assemble, build_space
+from .fem import ReferenceMap, assemble, build_space
 from .geometry import perturbation_factor_bounds, triangle_from_angle, triangle_from_vertex
 from .mesh import uniform_subdivide
 from .rounding import Interval, cos_interval, cot_interval, dn, sin_interval, up
@@ -271,19 +271,19 @@ _T_REF = triangle_from_vertex(0.0, 1.0)
 
 
 @functools.lru_cache(maxsize=8)
-def _reference_operators(n: int, family: str, bc: str) -> DiscreteOperators:
+def _reference_operators(n: int, family: str, bc: str) -> ReferenceMap:
     """Operators on the n-fold mesh of T_ref, built once per process.
 
     Eight entries hold the two sweep spaces and the two corner spaces of
     each problem, so a process that proves both problems (or runs both
     quick proofs, six spaces) builds each space once; with four, every
     proof of the pair would evict the other's spaces and rebuild its
-    own.  Every caller shares the cached matrices, so they are only
-    read (:meth:`DiscreteOperators.mapped` builds new ones).  The three
-    builders are called through this module's names, so wrapping them
-    here sees every build.
+    own.  Every caller shares the cached arrays, so they are only read
+    (:meth:`ReferenceMap.mapped` builds new ones).  The three builders
+    are called through this module's names, so wrapping them here sees
+    every build.
     """
-    return assemble(build_space(uniform_subdivide(_T_REF, n), family, bc))
+    return ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
 
 
 # Thread-count entries of the OpenBLAS builds in the NumPy and SciPy wheels

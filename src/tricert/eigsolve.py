@@ -24,13 +24,19 @@ eigenvalue.  No system with M is solved; the only factorisations are
 the ones that drive the shift-invert Lanczos solver: of A on the
 nonconforming side, of A - sigma M on the conforming side.
 
-The rounding term sets delta.  For a converged pair ||r||_2 is itself
-at rounding level, while Delta is a worst case over every rounded term
-of the matrix-vector products, so ||Delta||_2 / sqrt(mu) is 14 to 5,700
-times the exact ||r||_{M^{-1}} over both families and constraints,
-n from 32 to 96 and theta from 0.05 to pi/3.  Measuring r in the
-sharper M^{-1}-norm, which needs a solve with M, would shrink delta by
-under 5 %.
+The rounding term sets delta.  Each Lanczos run stops at ARPACK's
+relative tolerance LANCZOS_TOL = 1e-12, not at machine precision, and
+its residual still lies far below the rounding term: Delta is a worst
+case over every rounded term of the matrix-vector products, so
+||Delta||_2 / sqrt(mu) is 10 to 5,400 times the exact ||r||_{M^{-1}}
+over both families and constraints, n from 32 to 96 and theta from
+0.05 to pi/3 (10 to 2,500 on the nonconforming side, the only one the
+proof certifies this way).  Converging on to machine precision costs a
+further restart cycle and changes the nonconforming delta by -6 % to
++1 % (-6 % only for the second mode at fl(pi/3), where lambda_2 =
+lambda_3 is double).  Measuring r in the sharper M^{-1}-norm, which
+needs a solve with M, would shrink delta by under 4 % on the
+nonconforming side (12 % on the conforming one).
 
 The conforming side needs none of this.  Its one certified number is
 the Rayleigh quotient R(u) of :func:`ground_rayleigh`, and lambda_1 <=
@@ -70,12 +76,20 @@ _EPS = float(np.finfo(np.float64).eps)
 DENSE_CUTOFF = 330
 
 # Lanczos vectors for the shifted ground solve of ground_rayleigh.  Factor
-# solves summed over every fourth point of both paper schedules at CG 96,
-# shifted to the corrected CR bound, by ncv (ARPACK's default of 20 at
-# sigma = 0 makes 4178):  3: 1068,  4: 1090,  5: 1221,  6: 1413,  8: 1798.
-# The corner solves take 5 (Dirichlet 288) and 6 (edge-mean 192); only the
-# thinnest Dirichlet angles still need 30 to 42, about as many as unshifted.
+# solves summed over every fourth point of both paper schedules (step-2
+# breakpoints and J nodes) at CG 96, shifted to the corrected CR bound,
+# stopping at LANCZOS_TOL, by ncv (ARPACK's default of 20 at sigma = 0
+# makes 4189):  3: 868,  4: 1023,  5: 1215,  6: 1411,  8: 1803.
+# The corner solves take 4 (Dirichlet 288) and 5 (edge-mean 192); only the
+# thinnest Dirichlet angles still need 8 to 32 (theta = 0.1 down to 0.0209).
 GROUND_NCV = 3
+
+# ARPACK's relative stopping tolerance for every Lanczos run.  The
+# running-error majorant, not the residual, sets delta (module docstring),
+# so ARPACK's default of machine precision buys a further restart cycle
+# and no certified digit: most CR 64 solves take 21 factor solves instead
+# of 36 to 51.
+LANCZOS_TOL = 1e-12
 
 
 class EigensolveError(RuntimeError):
@@ -227,7 +241,8 @@ def _lowest_modes(
     Dense LAPACK runs up to DENSE_CUTOFF unknowns (the measured
     crossover) or when more than dim modes are asked for, and the
     shift-invert Lanczos solver otherwise, on A - ``sigma`` M with
-    ``ncv`` Lanczos vectors (ARPACK's default when None).  Dense LAPACK
+    ``ncv`` Lanczos vectors (ARPACK's default when None), stopping at
+    LANCZOS_TOL.  Dense LAPACK
     yields at most dim modes and Lanczos at most dim - 1, so fewer than
     ``k`` may come back.  Nothing returned is certified.
     """
@@ -253,7 +268,7 @@ def _lowest_modes(
         try:
             vals, vecs = spla.eigsh(
                 ops.A, k=min(k, n - 1), M=ops.M, sigma=sigma, which="LM",
-                v0=np.ones(n), ncv=ncv, OPinv=opinv,
+                v0=np.ones(n), ncv=ncv, tol=LANCZOS_TOL, OPinv=opinv,
             )
         except spla.ArpackNoConvergence as exc:
             raise EigensolveError(f"ARPACK did not converge: {exc}") from exc

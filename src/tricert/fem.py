@@ -31,8 +31,8 @@ u_y = (U_Y - bx U_X) / by and dx dy = by dX dY give
 
 for the full operators, and for the reduced ones too, since reduction
 (a principal submatrix, or a congruence with Z) does not depend on the
-apex.  :meth:`DiscreteOperators.mapped` applies
-these identities, so one assembly per mesh size serves every angle.
+apex.  :class:`ReferenceMap` applies these identities, so one assembly
+per mesh size serves every angle.
 """
 
 from __future__ import annotations
@@ -183,16 +183,68 @@ class DiscreteOperators:
     def mapped(self, triangle: TriangleShape) -> "DiscreteOperators":
         """These operators, assembled on T_ref, carried to ``triangle``.
 
-        Applies the reference-map identities of the module docstring.
-        The returned space holds the mesh of ``triangle``, with node
-        coordinates computed exactly as :func:`uniform_subdivide` does.
+        A one-off :meth:`ReferenceMap.mapped`; build the ReferenceMap
+        once to carry one space to many triangles.
         """
-        mesh = self.space.mesh
-        ref = mesh.triangle
+        return ReferenceMap.of(self).mapped(triangle)
+
+
+@dataclass(frozen=True)
+class ReferenceMap:
+    """Operators assembled on T_ref, kept in the form that carries them to
+    any triangle entry by entry.
+
+    xx, xy, xy_sym and yy hold Kxx, Kxy, Kxy + Kxy^T and Kyy as value
+    arrays on the union of the sparsity patterns of Kxx, Kxy, Kxy^T and
+    Kyy (``indptr``, ``indices``, canonical CSR order), 0 where a matrix
+    has no entry.  The reference A, Kxy and Kyy are not kept: the map
+    reads none of them, and the cache of one map per reference space
+    would hold them for the life of the process.
+    """
+
+    space: FemSpace
+    M: sp.csr_matrix
+    Kxx: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    xx: np.ndarray
+    xy: np.ndarray
+    xy_sym: np.ndarray
+    yy: np.ndarray
+
+    @classmethod
+    def of(cls, ops: DiscreteOperators) -> "ReferenceMap":
+        """The map of ``ops``, whose grams must be in canonical CSR form,
+        as :func:`assemble` leaves them."""
+        ref = ops.space.mesh.triangle
         if (ref.bx, ref.by) != (0.0, 1.0):
             raise ValueError(
                 f"operators must be assembled on the reference triangle, apex ({ref.bx}, {ref.by})"
             )
+        n = ops.dim
+        grams = (ops.Kxx, ops.Kxy, ops.Kxy.T.tocsr(), ops.Kyy)
+        union = sum(sp.csr_matrix((np.ones(K.nnz), K.indices, K.indptr), K.shape) for K in grams)
+        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(union.indptr)) * n + union.indices
+
+        def scatter(K):
+            vals = np.zeros(union.nnz)
+            k_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(K.indptr))
+            vals[np.searchsorted(keys, k_rows * n + K.indices)] = K.data
+            return vals
+
+        xx, xy, yx, yy = map(scatter, grams)
+        # shared by every mapped matrix that stores the whole pattern
+        union.indptr.flags.writeable = union.indices.flags.writeable = False
+        return cls(ops.space, ops.M, ops.Kxx, union.indptr, union.indices, xx, xy, xy + yx, yy)
+
+    def mapped(self, triangle: TriangleShape) -> DiscreteOperators:
+        """The operators on ``triangle``, by the reference-map identities of
+        the module docstring.
+
+        The returned space holds the mesh of ``triangle``, with node
+        coordinates computed exactly as :func:`uniform_subdivide` does.
+        """
+        mesh = self.space.mesh
         bx, by = triangle.bx, triangle.by
         a, b = triangle.vertices[1:]
         i = mesh.lattice[:, 0:1]
@@ -200,17 +252,36 @@ class DiscreteOperators:
         nodes = (i * a + j * b) / mesh.n
         space = replace(self.space, mesh=replace(mesh, triangle=triangle, nodes=nodes))
 
-        Kxx, Kxy = self.Kxx, self.Kxy
-        kxx = by * Kxx
-        kyy = ((bx * bx) * Kxx - bx * (Kxy + Kxy.T) + self.Kyy) / by
+        # Kyy of the module docstring entry by entry, evaluated in place to
+        # spare temporaries of the pattern's size; scipy divides a sparse
+        # matrix by a scalar as a product with its reciprocal, so "* (1 /
+        # by)" keeps every stored value equal to the sparse-matrix form
+        kyy = (bx * bx) * self.xx
+        stiff = np.multiply(self.xy_sym, bx)
+        kyy -= stiff
+        kyy += self.yy
+        kyy *= 1.0 / by
+        np.multiply(self.xx, by, out=stiff)
+        stiff += kyy
         return DiscreteOperators(
             space,
-            A=(kxx + kyy).tocsr(),
-            M=(by * self.M).tocsr(),
-            Kxx=kxx.tocsr(),
-            Kxy=(Kxy - bx * Kxx).tocsr(),
-            Kyy=kyy.tocsr(),
+            A=self._csr(stiff),
+            M=by * self.M,
+            Kxx=by * self.Kxx,
+            Kxy=self._csr(self.xy - bx * self.xx),
+            Kyy=self._csr(kyy),
         )
+
+    def _csr(self, vals: np.ndarray) -> sp.csr_matrix:
+        """The matrix with ``vals`` on the union pattern, exact zeros dropped
+        as the sparse algebra drops them."""
+        n = self.indptr.size - 1
+        keep = vals != 0.0
+        if keep.all():
+            return sp.csr_matrix((vals, self.indices, self.indptr), shape=(n, n))
+        kept = np.zeros(vals.size + 1, dtype=self.indptr.dtype)
+        np.cumsum(keep, out=kept[1:])
+        return sp.csr_matrix((vals[keep], self.indices[keep], kept[self.indptr]), shape=(n, n))
 
 
 def assemble(space: FemSpace) -> DiscreteOperators:
@@ -248,7 +319,13 @@ def assemble(space: FemSpace) -> DiscreteOperators:
     shape = (space.full_dim, space.full_dim)
 
     def build(loc):
-        return space.reduce(sp.coo_matrix((loc.ravel(), (rows, cols)), shape=shape).tocsr())
+        # the zero entries of the element matrices (all off-diagonal ones of
+        # the CR mass) are not stored: every product and quadratic form
+        # would walk them, and each stored entry of a row widens the
+        # running-error bounds of eigsolve
+        K = space.reduce(sp.coo_matrix((loc.ravel(), (rows, cols)), shape=shape).tocsr())
+        K.eliminate_zeros()
+        return K
 
     # one local array at a time, so that only one is alive with its
     # triplet expansion: this sets the memory peak of the assembly

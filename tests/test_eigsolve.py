@@ -354,3 +354,48 @@ def test_shift_above_lambda1_never_lowers_the_bound(bc, where):
         return
     assert lam1 <= g.rho.hi
 
+
+@pytest.mark.parametrize(
+    "n, bc, theta",
+    [(64, "edge-mean", 0.5), (64, "edge-mean", 0.9), (64, "dirichlet", 0.5), (128, "dirichlet", EQ)],
+    ids=["cr64-edge-mean-0.5", "cr64-edge-mean-0.9", "cr64-dirichlet-0.5", "cr128-dirichlet-fl(pi/3)"],
+)
+def test_cr_solve_stops_at_the_lanczos_tolerance(monkeypatch, n, bc, theta):
+    # converging past LANCZOS_TOL costs restart cycles that move no
+    # certified number (test_residual_floor_does_not_need_a_tighter_tolerance);
+    # at ARPACK's machine-precision default these solves take 36 to 51
+    ops = operators(theta, n, "cr", bc)
+    assert ops.dim > DENSE_CUTOFF
+    solves = _count_factor_solves(monkeypatch)
+    solve_lowest(ops, 2)
+    assert 0 < len(solves) <= 25
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+@pytest.mark.parametrize("theta", [0.3, 0.8, 1.04, EQ], ids=["0.3", "0.8", "1.04", "fl(pi/3)"])
+def test_cr_modes_carry_the_index_of_the_dense_oracle(bc, theta):
+    # the index of each CR enclosure is the solver's ordering, the one
+    # trusted step.  Lanczos starts from v0 = ones, which is exactly
+    # mirror-symmetric on the Dirichlet meshes (the triangle is isosceles
+    # and the mesh shares its mirror), so in exact arithmetic the Krylov
+    # space holds no antisymmetric mode.  For theta < pi/3 the lowest
+    # antisymmetric mode lies above lambda_2 (it is lambda_3 at 0.8 and
+    # 1.04), so only the uncertified guard relies on rounding to appear
+    ops = operators(theta, 32, "cr", bc)
+    assert ops.dim > DENSE_CUTOFF
+    e1, e2 = solve_lowest(ops, 2)
+    lam1, lam2 = dense_eigs(ops, 2)
+    assert lam1 in e1
+    assert lam2 in e2
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+def test_residual_floor_does_not_need_a_tighter_tolerance(monkeypatch, bc):
+    # delta is set by the running-error majorant, not by the true residual,
+    # so converging to machine precision leaves it where it is
+    ops = operators(0.9, 64, "cr", bc)
+    default = solve_lowest(ops, 2)
+    monkeypatch.setattr(eigsolve, "LANCZOS_TOL", 0.0)
+    tight = solve_lowest(ops, 2)
+    for d, t in zip(default, tight):
+        assert math.isclose(d.residual_bound, t.residual_bound, rel_tol=0.1)

@@ -227,6 +227,45 @@ def test_mapped_reference_operators_match_direct_assembly(tri, family, bc):
     assert mapped.mass_min_eig_lower() == direct.mass_min_eig_lower()
 
 
+@pytest.mark.parametrize(
+    "family, bc",
+    [("cg", "dirichlet"), ("cg", "edge-mean"), ("cr", "dirichlet"), ("cr", "edge-mean")],
+)
+def test_mapped_operators_equal_the_sparse_algebra_bit_for_bit(family, bc):
+    # mapped evaluates the identities entrywise on a pattern fixed per
+    # reference space; their sparse-matrix form is the reference, and
+    # every stored index and value must be the same
+    ref = assemble(build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), 12), family, bc))
+    Kxx, Kxy, Kyy = ref.Kxx, ref.Kxy, ref.Kyy
+    tris = [triangle_from_angle(t) for t in (0.05, 0.5, 1.0, EQ, math.pi / 2, 2.0)]
+    for tri in tris + [triangle_from_vertex(0.0, 1.0), triangle_from_vertex(-0.4, 0.5)]:
+        bx, by = tri.bx, tri.by
+        kxx = by * Kxx
+        kyy = ((bx * bx) * Kxx - bx * (Kxy + Kxy.T) + Kyy) / by
+        want = {
+            "A": (kxx + kyy).tocsr(), "M": by * ref.M, "Kxx": kxx,
+            "Kxy": (Kxy - bx * Kxx).tocsr(), "Kyy": kyy.tocsr(),
+        }
+        got = ref.mapped(tri)
+        for name, w in want.items():
+            g = getattr(got, name)
+            assert np.array_equal(g.indptr, w.indptr), name
+            assert np.array_equal(g.indices, w.indices), name
+            assert g.data.tobytes() == w.data.tobytes(), name
+
+
+@settings(max_examples=10)
+@given(space_angles, st.integers(min_value=3, max_value=6), families, bcs)
+def test_assembly_stores_no_zero_entries(theta, n, family, bc):
+    # a stored zero costs every product and widens the running-error
+    # bounds, which count the stored entries of a row
+    ops = assemble(space(theta, n, family, bc))
+    for name in ("A", "M", "Kxx", "Kxy", "Kyy"):
+        assert np.all(getattr(ops, name).data != 0.0), name
+    if family == "cr" and bc == "dirichlet":
+        assert ops.M.nnz == ops.dim  # the CR mass matrix is diagonal
+
+
 def test_mapping_needs_reference_operators():
     with pytest.raises(ValueError, match="reference triangle"):
         operators(EQ, 4, "cg", "dirichlet").mapped(triangle_from_angle(0.5))
