@@ -27,7 +27,9 @@ from .certify import (
     algorithm2,
     compute_point,
     compute_points,
+    paper_config,
     paper_schedule,
+    quick_config,
     run_proof,
     simplicity_check,
 )
@@ -64,7 +66,9 @@ __all__ = [
     "algorithm2",
     "compute_point",
     "compute_points",
+    "paper_config",
     "paper_schedule",
+    "quick_config",
     "run_proof",
     "simplicity_check",
     "__version__",

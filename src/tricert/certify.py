@@ -41,7 +41,7 @@ import json
 import math
 import platform
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 import scipy
@@ -75,8 +75,8 @@ _BC = {"dirichlet": "dirichlet", "cr-constant": "edge-mean"}
 
 PAPER_EPSILON = {"dirichlet": math.pi / 1500, "cr-constant": math.pi / 3000}
 PAPER_N2 = {"dirichlet": 200, "cr-constant": 100}
-# corner-bracket meshes; see README for how these interact with the
-# published bracket windows
+# corner-bracket meshes: the sweep meshes' eigenvalue defect at pi/3
+# alone exceeds the step-2 margin, so the corner has finer meshes of its own
 EQ_MESH = {"dirichlet": (288, 128), "cr-constant": (192, 32)}
 
 CERT_SCHEMA = "triangle-extremality-certificate/1"
@@ -171,76 +171,57 @@ def _check_problem(problem: str) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a proof run depends on.
+    """Everything a proof run depends on, fully resolved.
 
-    quick=True overrides meshes and schedules with the desk-scale preset
-    (cg_n = cr_n = 32, coarse cover of I, n2 = 10).
+    :func:`paper_config` and :func:`quick_config` build the two presets;
+    ``quick`` records only which one a run started from.
     """
 
     problem: str
-    cg_n: int = 96
-    cr_n: int = 64
-    epsilon: float | None = None        # default: published value per problem
-    n2: int | None = None               # default: published value per problem
-    schedule: str = "paper"             # "paper" or a JSON file path
-    eq_cg_n: int | None = None          # corner-bracket meshes (see EQ_MESH)
-    eq_cr_n: int | None = None
+    cg_n: int
+    cr_n: int
+    epsilon: float
+    n2: int
+    schedule: Schedule
+    eq_cg_n: int          # corner-bracket meshes
+    eq_cr_n: int
     jobs: int = 1
     quick: bool = False
 
     def __post_init__(self):
         _check_problem(self.problem)
-        for name in ("cg_n", "cr_n"):
+        for name in ("cg_n", "cr_n", "eq_cg_n", "eq_cr_n", "n2", "jobs"):
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v}")
-        for name in ("eq_cg_n", "eq_cr_n"):
-            v = getattr(self, name)
-            if v is not None and not (isinstance(v, int) and v >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {v}")
-        if self.epsilon is not None and not (0.0 < self.epsilon < math.pi / 3):
+        if not (0.0 < self.epsilon < math.pi / 3):
             raise ValueError(f"epsilon must lie in (0, pi/3), got {self.epsilon}")
-        if self.n2 is not None and self.n2 < 1:
-            raise ValueError(f"n2 must be >= 1, got {self.n2}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        end = self.schedule.breakpoints[-1]
+        if end < math.pi / 3 - self.epsilon:
+            raise ValueError(
+                f"schedule ends at {end} but the corner interval starts at "
+                f"{math.pi / 3 - self.epsilon}; the union would not cover (0, pi/3]"
+            )
 
-    # resolved (effective) values ------------------------------------------
 
-    @property
-    def eff_cg_n(self) -> int:
-        return 32 if self.quick else self.cg_n
+def paper_config(problem: str, **changes) -> RunConfig:
+    """The published run of ``problem``, with ``changes`` applied."""
+    sched = paper_schedule(problem)
+    eq_cg_n, eq_cr_n = EQ_MESH[problem]
+    preset = RunConfig(
+        problem, 96, 64, PAPER_EPSILON[problem], PAPER_N2[problem], sched, eq_cg_n, eq_cr_n
+    )
+    return replace(preset, **changes)
 
-    @property
-    def eff_cr_n(self) -> int:
-        return 32 if self.quick else self.cr_n
 
-    @property
-    def eff_epsilon(self) -> float:
-        return PAPER_EPSILON[self.problem] if self.epsilon is None else self.epsilon
-
-    @property
-    def eff_n2(self) -> int:
-        if self.quick:
-            return 10
-        return PAPER_N2[self.problem] if self.n2 is None else self.n2
-
-    @property
-    def eff_eq_mesh(self) -> tuple[int, int]:
-        if self.quick:
-            return (2 * self.eff_cg_n, self.eff_cr_n)
-        d_cg, d_cr = EQ_MESH[self.problem]
-        return (
-            d_cg if self.eq_cg_n is None else self.eq_cg_n,
-            d_cr if self.eq_cr_n is None else self.eq_cr_n,
-        )
-
-    def schedule_obj(self) -> Schedule:
-        if self.quick:
-            return quick_schedule(self.problem)
-        if self.schedule == "paper":
-            return paper_schedule(self.problem)
-        return schedule_from_file(self.schedule)
+def quick_config(problem: str, **changes) -> RunConfig:
+    """The desk-scale preset of ``problem`` (32/32 meshes, the coarse
+    schedule, n2 = 10), with ``changes`` applied."""
+    sched = quick_schedule(problem)
+    preset = RunConfig(
+        problem, 32, 32, PAPER_EPSILON[problem], 10, sched, 64, 32, quick=True
+    )
+    return replace(preset, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -734,39 +715,21 @@ _STEP1_NOTE = (
 )
 
 
-def run_proof(problem: str, config: RunConfig | None = None) -> Certificate:
+def run_proof(config: RunConfig) -> Certificate:
     """Execute steps 1-3 and assemble the Certificate.
 
     Sub-step failures (solver non-convergence, inverted brackets,
     sign-indefinite envelope) yield verdict "failed" with the diagnosis
-    in the certificate rather than an exception; only configuration
-    errors raise.
+    in the certificate rather than an exception; configuration errors
+    are raised by :class:`RunConfig` itself.
     """
-    if config is None:
-        config = RunConfig(problem=problem)
-    if config.problem != problem:
-        raise ValueError(
-            f"config.problem={config.problem!r} does not match problem={problem!r}"
-        )
-
-    sched = config.schedule_obj()
-    eps = config.eff_epsilon
-    n2 = config.eff_n2
-    cg_n, cr_n = config.eff_cg_n, config.eff_cr_n
-    eq_cg, eq_cr = config.eff_eq_mesh
-
-    if sched.breakpoints[-1] < math.pi / 3 - eps:
-        raise ValueError(
-            f"schedule ends at {sched.breakpoints[-1]} but the corner interval "
-            f"starts at {math.pi / 3 - eps}; the union would not cover (0, pi/3]"
-        )
-
+    problem, sched, eps, n2 = config.problem, config.schedule, config.epsilon, config.n2
     cfg_record = {
         "problem": problem,
-        "cg_n": cg_n,
-        "cr_n": cr_n,
-        "eq_cg_n": eq_cg,
-        "eq_cr_n": eq_cr,
+        "cg_n": config.cg_n,
+        "cr_n": config.cr_n,
+        "eq_cg_n": config.eq_cg_n,
+        "eq_cr_n": config.eq_cr_n,
         "epsilon": eps,
         "n2": n2,
         "schedule_provenance": sched.provenance,
@@ -796,9 +759,9 @@ def run_proof(problem: str, config: RunConfig | None = None) -> Certificate:
     try:
         nodes = j_nodes(eps, n2)
         points = compute_points(
-            problem, list(sched.breakpoints) + nodes, cg_n, cr_n, config.jobs
+            problem, list(sched.breakpoints) + nodes, config.cg_n, config.cr_n, config.jobs
         )
-        eq_pd = compute_point(problem, math.pi / 3, eq_cg, eq_cr)
+        eq_pd = compute_point(problem, math.pi / 3, config.eq_cg_n, config.eq_cr_n)
 
         alg1 = algorithm1(sched, points)
         rows2 = alg1.rows

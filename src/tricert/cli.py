@@ -24,17 +24,18 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bounds import BracketError, bracket as eig_bracket, corrected_lower
 from .certify import (
-    EQ_MESH,
-    PAPER_EPSILON,
-    PAPER_N2,
     CertifyError,
-    RunConfig,
     compute_points,
+    paper_config,
+    paper_schedule,
+    quick_config,
     run_proof,
+    schedule_from_file,
     single_blas_thread,
 )
 from .eigsolve import EigensolveError, ground_rayleigh, solve_lowest, verify_enclosure
@@ -54,13 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def meshes(sp):
-        sp.add_argument("--cg-n", type=int, default=96,
-                        help="conforming mesh subdivision (default 96)")
-        sp.add_argument("--cr-n", type=int, default=64,
-                        help="nonconforming mesh subdivision (default 64)")
+    def meshes(sp, cg_n=96, cr_n=64):
+        sp.add_argument("--cg-n", type=int, default=cg_n,
+                        help=f"conforming mesh subdivision (default {cg_n or 'from the preset'})")
+        sp.add_argument("--cr-n", type=int, default=cr_n,
+                        help=f"nonconforming mesh subdivision (default {cr_n or 'from the preset'})")
 
-    def common(sp):
+    def common(sp, **mesh_defaults):
         sp.add_argument(
             "--problem",
             choices=("dirichlet", "cr-constant"),
@@ -68,28 +69,33 @@ def build_parser() -> argparse.ArgumentParser:
             help="dirichlet: zero-trace eigenproblem; cr-constant: "
             "edge-mean eigenproblem behind the interpolation constant",
         )
-        meshes(sp)
+        meshes(sp, **mesh_defaults)
         sp.add_argument("--jobs", type=int, default=1,
                         help="parallel point solves (default 1)")
         sp.add_argument("--out", type=Path, default=None, metavar="DIR",
                         help="output directory (sweep defaults to stdout)")
 
+    # a prove flag left unset keeps the preset's value (the published run,
+    # or --quick's); each flag given replaces that one value
     sp = sub.add_parser("prove", help="run the three-step extremality proof")
-    common(sp)
+    common(sp, cg_n=None, cr_n=None)
     sp.add_argument("--epsilon", type=float, default=None,
-                    help="corner-interval half width (default: published value)")
+                    help="corner-interval half width (default from the preset)")
     sp.add_argument("--n2", type=int, default=None,
-                    help="corner-interval subdivisions (default: published value)")
-    sp.add_argument("--schedule", default="paper", metavar="FILE|paper",
-                    help="breakpoint schedule: 'paper' or a JSON file of angles")
+                    help="corner-interval subdivisions (default from the preset)")
+    sp.add_argument("--schedule", default=None, metavar="FILE|paper",
+                    help="breakpoint schedule: 'paper' or a JSON file of angles "
+                    "(default from the preset)")
     sp.add_argument("--eq-cg-n", type=int, default=None,
                     help="conforming subdivision for the corner reference bracket")
     sp.add_argument("--eq-cr-n", type=int, default=None,
                     help="nonconforming subdivision for the corner reference bracket")
     sp.add_argument("--quick", action="store_true",
-                    help="desk-scale preset: 32/32 meshes, coarse schedule, n2=10")
+                    help="start from the desk-scale preset (32/32 meshes, coarse "
+                    "schedule, n2=10) instead of the published run; other flags "
+                    "apply on top of it")
     sp.add_argument("--paper-config", action="store_true",
-                    help="assert the effective configuration is the published one")
+                    help="reject any deviation from the published run")
     sp.set_defaults(func=cmd_prove)
 
     sp = sub.add_parser("sweep", help="certified lambda_1 brackets along angles")
@@ -116,45 +122,43 @@ def build_parser() -> argparse.ArgumentParser:
 # prove
 
 
+# RunConfig fields that a prove flag of the same name sets
+_PRESET_FLAGS = ("cg_n", "cr_n", "epsilon", "n2", "schedule", "eq_cg_n", "eq_cr_n")
+
+
+def _flag(name: str, value) -> str:
+    """A RunConfig field as the command line would give it."""
+    if name == "quick":
+        return "--quick"
+    if name == "schedule":
+        value = value.provenance
+    return f"--{name.replace('_', '-')} {value}"
+
+
 def cmd_prove(args) -> int:
+    changes = {f: getattr(args, f) for f in _PRESET_FLAGS if getattr(args, f) is not None}
+    if "schedule" in changes:
+        path = changes["schedule"]
+        changes["schedule"] = (
+            paper_schedule(args.problem) if path == "paper" else schedule_from_file(path)
+        )
+    preset = quick_config if args.quick else paper_config
+    config = preset(args.problem, jobs=args.jobs, **changes)
+
     if args.paper_config:
-        problems = []
-        if args.quick:
-            problems.append("--quick")
-        if args.schedule != "paper":
-            problems.append(f"--schedule {args.schedule}")
-        if (args.cg_n, args.cr_n) != (96, 64):
-            problems.append(f"meshes {args.cg_n}/{args.cr_n}")
-        if args.epsilon is not None and args.epsilon != PAPER_EPSILON[args.problem]:
-            problems.append(f"--epsilon {args.epsilon}")
-        if args.n2 is not None and args.n2 != PAPER_N2[args.problem]:
-            problems.append(f"--n2 {args.n2}")
-        eq_cg_n, eq_cr_n = EQ_MESH[args.problem]
-        if args.eq_cg_n is not None and args.eq_cg_n != eq_cg_n:
-            problems.append(f"--eq-cg-n {args.eq_cg_n}")
-        if args.eq_cr_n is not None and args.eq_cr_n != eq_cr_n:
-            problems.append(f"--eq-cr-n {args.eq_cr_n}")
-        if problems:
+        paper = paper_config(args.problem, jobs=args.jobs)
+        deviations = [
+            _flag(f.name, getattr(config, f.name))
+            for f in fields(config)
+            if getattr(config, f.name) != getattr(paper, f.name)
+        ]
+        if deviations:
             raise ValueError(
                 "--paper-config given but the configuration deviates: "
-                + "; ".join(problems)
+                + "; ".join(deviations)
             )
 
-    config = RunConfig(
-        problem=args.problem,
-        cg_n=args.cg_n,
-        cr_n=args.cr_n,
-        epsilon=args.epsilon,
-        n2=args.n2,
-        schedule=args.schedule,
-        eq_cg_n=args.eq_cg_n,
-        eq_cr_n=args.eq_cr_n,
-        jobs=args.jobs,
-        quick=args.quick,
-    )
-    config.schedule_obj()  # surface schedule file problems as config errors
-
-    cert = run_proof(args.problem, config)
+    cert = run_proof(config)
 
     out_dir = args.out if args.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)

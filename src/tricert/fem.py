@@ -180,14 +180,6 @@ class DiscreteOperators:
         area_low = dn(dn(0.5 * tri.by, 2) / (n * n), 2)
         return area_low / 12.0 if self.space.family == "cg" else dn(area_low / 3.0)
 
-    def mapped(self, triangle: TriangleShape) -> "DiscreteOperators":
-        """These operators, assembled on T_ref, carried to ``triangle``.
-
-        A one-off :meth:`ReferenceMap.mapped`; build the ReferenceMap
-        once to carry one space to many triangles.
-        """
-        return ReferenceMap.of(self).mapped(triangle)
-
 
 @dataclass(frozen=True)
 class ReferenceMap:
@@ -241,16 +233,11 @@ class ReferenceMap:
         """The operators on ``triangle``, by the reference-map identities of
         the module docstring.
 
-        The returned space holds the mesh of ``triangle``, with node
-        coordinates computed exactly as :func:`uniform_subdivide` does.
+        The returned space holds the mesh of ``triangle``: the reference
+        mesh with its triangle swapped.
         """
-        mesh = self.space.mesh
         bx, by = triangle.bx, triangle.by
-        a, b = triangle.vertices[1:]
-        i = mesh.lattice[:, 0:1]
-        j = mesh.lattice[:, 1:2]
-        nodes = (i * a + j * b) / mesh.n
-        space = replace(self.space, mesh=replace(mesh, triangle=triangle, nodes=nodes))
+        space = replace(self.space, mesh=replace(self.space.mesh, triangle=triangle))
 
         # Kyy of the module docstring entry by entry, evaluated in place to
         # spare temporaries of the pattern's size; scipy divides a sparse

@@ -24,9 +24,8 @@ class Mesh:
     ----------
     triangle : parent TriangleShape.
     n : subdivision count per side.
-    nodes : (n_nodes, 2) float array, row-lexicographic in the lattice
-        coordinates (j, i), base row j = 0 first.
-    lattice : (n_nodes, 2) int array of (i, j) lattice coordinates.
+    lattice : (n_nodes, 2) int array of (i, j) lattice coordinates,
+        row-lexicographic in (j, i), base row j = 0 first.
     elements : (n_elem, 3) int array, counterclockwise vertex triples.
     edges : (n_edges, 2) int array, each row sorted, rows in
         lexicographic order; this ordering is the CR dof numbering.
@@ -38,7 +37,6 @@ class Mesh:
 
     triangle: TriangleShape
     n: int
-    nodes: np.ndarray = field(repr=False)
     lattice: np.ndarray = field(repr=False)
     elements: np.ndarray = field(repr=False)
     edges: np.ndarray = field(repr=False)
@@ -46,8 +44,18 @@ class Mesh:
     edge_side: np.ndarray = field(repr=False)
 
     @property
+    def nodes(self) -> np.ndarray:
+        """(n_nodes, 2) float coordinates (i A + j B) / n, in lattice order.
+
+        Computed on each access from the lattice and the parent, so a
+        mesh carried to another triangle needs only its triangle swapped.
+        """
+        a, b = self.triangle.vertices[1:]
+        return (self.lattice[:, 0:1] * a + self.lattice[:, 1:2] * b) / self.n
+
+    @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return self.lattice.shape[0]
 
     @property
     def n_elements(self) -> int:
@@ -122,21 +130,15 @@ def uniform_subdivide(triangle: TriangleShape, n: int) -> Mesh:
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
-    v = triangle.vertices
-    a = v[1]
-    b = v[2]
 
     def idx(i, j):
         return j * (n + 1) - (j * (j - 1)) // 2 + i
 
     n_nodes = (n + 1) * (n + 2) // 2
-    nodes = np.empty((n_nodes, 2))
     lattice = np.empty((n_nodes, 2), dtype=np.int32)
     for j in range(n + 1):
         for i in range(n + 1 - j):
             k = idx(i, j)
-            nodes[k, 0] = (i * a[0] + j * b[0]) / n
-            nodes[k, 1] = (i * a[1] + j * b[1]) / n
             lattice[k, 0] = i
             lattice[k, 1] = j
 
@@ -171,4 +173,4 @@ def uniform_subdivide(triangle: TriangleShape, n: int) -> Mesh:
     edge_side[on1[ea] & on1[eb]] = 1
     edge_side[(li[ea] == 0) & (li[eb] == 0)] = 2
 
-    return Mesh(triangle, n, nodes, lattice, elements, edges, element_edges, edge_side)
+    return Mesh(triangle, n, lattice, elements, edges, element_edges, edge_side)

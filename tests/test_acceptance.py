@@ -20,7 +20,7 @@ from helpers import gram_triple, lowest_two, map_derivative_gram, operators, she
 
 from tricert import eigsolve
 from tricert.bounds import F_of, err_bound, eta
-from tricert.certify import RunConfig, compute_point
+from tricert.certify import compute_point, paper_config
 from tricert.eigsolve import solve_lowest
 from tricert.rounding import Interval
 
@@ -64,9 +64,8 @@ def corner_bracket(problem):
     defect alone exceeds the margin), so the reference bracket is
     computed at the configuration's corner meshes.
     """
-    cfg = RunConfig(problem=problem, cg_n=96, cr_n=64)
-    eq_cg, eq_cr = cfg.eff_eq_mesh
-    return compute_point(problem, EQ, eq_cg, eq_cr).lam1
+    cfg = paper_config(problem)
+    return compute_point(problem, EQ, cfg.eq_cg_n, cfg.eq_cr_n).lam1
 
 
 def test_criterion_1_equilateral_dirichlet_bracket():

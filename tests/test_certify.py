@@ -19,7 +19,6 @@ from tricert.certify import (
     PAPER_N2,
     Certificate,
     CertifyError,
-    RunConfig,
     Schedule,
     SimplicityEvidence,
     algorithm1,
@@ -27,7 +26,9 @@ from tricert.certify import (
     compute_point,
     compute_points,
     j_nodes,
+    paper_config,
     paper_schedule,
+    quick_config,
     quick_schedule,
     run_proof,
     schedule_from_file,
@@ -96,39 +97,44 @@ class TestSchedule:
 class TestRunConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            RunConfig(problem="neumann")
+            paper_config("neumann")
         with pytest.raises(ValueError):
-            RunConfig(problem="dirichlet", cg_n=0)
+            paper_config("dirichlet", cg_n=0)
         with pytest.raises(ValueError):
-            RunConfig(problem="dirichlet", eq_cr_n=-4)
+            paper_config("dirichlet", eq_cr_n=-4)
         with pytest.raises(ValueError):
-            RunConfig(problem="dirichlet", epsilon=0.0)
+            paper_config("dirichlet", epsilon=0.0)
         with pytest.raises(ValueError):
-            RunConfig(problem="dirichlet", epsilon=EQ)
+            paper_config("dirichlet", epsilon=EQ)
         with pytest.raises(ValueError):
-            RunConfig(problem="dirichlet", n2=0)
+            paper_config("dirichlet", n2=0)
         with pytest.raises(ValueError):
-            RunConfig(problem="dirichlet", jobs=0)
+            paper_config("dirichlet", jobs=0)
 
     def test_effective_defaults(self):
         for problem in ("dirichlet", "cr-constant"):
-            c = RunConfig(problem=problem)
-            assert c.eff_cg_n == 96 and c.eff_cr_n == 64
-            assert c.eff_epsilon == PAPER_EPSILON[problem]
-            assert c.eff_n2 == PAPER_N2[problem]
-            assert c.eff_eq_mesh == EQ_MESH[problem]
-            assert c.schedule_obj().provenance == f"paper-{problem}"
+            c = paper_config(problem)
+            assert c.cg_n == 96 and c.cr_n == 64
+            assert c.epsilon == PAPER_EPSILON[problem]
+            assert c.n2 == PAPER_N2[problem]
+            assert (c.eq_cg_n, c.eq_cr_n) == EQ_MESH[problem]
+            assert c.schedule.provenance == f"paper-{problem}"
+            assert not c.quick
 
-    def test_quick_overrides_everything(self):
-        c = RunConfig(problem="dirichlet", cg_n=96, cr_n=64, quick=True)
-        assert c.eff_cg_n == 32 and c.eff_cr_n == 32
-        assert c.eff_n2 == 10
-        assert c.eff_eq_mesh == (64, 32)
-        assert c.schedule_obj().provenance == "quick-dirichlet"
+    def test_quick_preset(self):
+        c = quick_config("dirichlet")
+        assert c.cg_n == 32 and c.cr_n == 32
+        assert c.n2 == 10
+        assert (c.eq_cg_n, c.eq_cr_n) == (64, 32)
+        assert c.schedule.provenance == "quick-dirichlet"
+        assert c.quick
+        # changes apply on top of the preset, leaving its other values
+        c = quick_config("dirichlet", cg_n=48, n2=4)
+        assert (c.cg_n, c.cr_n, c.n2, c.quick) == (48, 32, 4, True)
 
     def test_corner_mesh_overrides(self):
-        c = RunConfig(problem="dirichlet", eq_cg_n=100, eq_cr_n=40)
-        assert c.eff_eq_mesh == (100, 40)
+        c = paper_config("dirichlet", eq_cg_n=100, eq_cr_n=40)
+        assert (c.eq_cg_n, c.eq_cr_n) == (100, 40)
 
 
 class TestJNodes:
@@ -185,7 +191,7 @@ class TestPointData:
         # per problem), so a second round of both must build none of them
         def both_proofs():
             for problem in ("dirichlet", "cr-constant"):
-                run_proof(problem, RunConfig(problem=problem, quick=True))
+                run_proof(quick_config(problem))
 
         both_proofs()
         misses = certify._reference_operators.cache_info().misses
@@ -384,7 +390,7 @@ class TestConformingIndexFree:
 
     def test_wrong_mode_never_proves(self, monkeypatch):
         _second_mode_as_ground(monkeypatch)
-        cert = run_proof("dirichlet", RunConfig(problem="dirichlet", quick=True))
+        cert = run_proof(quick_config("dirichlet"))
         assert cert.verdict == "failed"
         assert cert.failure is not None
         assert cert.step2["ok"] is False
@@ -392,7 +398,7 @@ class TestConformingIndexFree:
 
 @pytest.fixture(scope="module")
 def quick_cr_cert():
-    return run_proof("cr-constant", RunConfig(problem="cr-constant", quick=True))
+    return run_proof(quick_config("cr-constant"))
 
 
 class TestRunProof:
@@ -412,7 +418,7 @@ class TestRunProof:
         assert len(d["ledger"]["step3"]) == len(cert.rows_step3)
 
     def test_quick_rows_are_complete_even_on_failure(self):
-        cert = run_proof("dirichlet", RunConfig(problem="dirichlet", quick=True))
+        cert = run_proof(quick_config("dirichlet"))
         # coarse preset cannot clear the margin, but the ledger must be whole
         n_sched = len(quick_schedule("dirichlet").breakpoints)
         assert len(cert.rows_step2) == n_sched
@@ -421,22 +427,19 @@ class TestRunProof:
             assert cert.failure is not None
             assert cert.failure["stage"] in ("step2", "step3", "abort")
 
-    def test_mismatched_problem_rejected(self):
-        with pytest.raises(ValueError):
-            run_proof("dirichlet", RunConfig(problem="cr-constant"))
-
     def test_schedule_gap_rejected(self, tmp_path):
+        # a config that would leave (end, pi/3 - epsilon) uncovered cannot
+        # be built, so no run can start from one
         p = tmp_path / "short.json"
         p.write_text("[0.5]")  # stops far below the corner interval
-        cfg = RunConfig(problem="dirichlet", schedule=str(p))
         with pytest.raises(ValueError, match="cover"):
-            run_proof("dirichlet", cfg)
+            paper_config("dirichlet", schedule=schedule_from_file(str(p)))
+        with pytest.raises(ValueError, match="cover"):
+            quick_config("dirichlet", epsilon=PAPER_EPSILON["dirichlet"] / 2)
 
     def test_rerun_and_jobs_byte_identical(self, quick_cr_cert, tmp_path):
-        again = run_proof("cr-constant", RunConfig(problem="cr-constant", quick=True))
-        par = run_proof(
-            "cr-constant", RunConfig(problem="cr-constant", quick=True, jobs=2)
-        )
+        again = run_proof(quick_config("cr-constant"))
+        par = run_proof(quick_config("cr-constant", jobs=2))
         paths = []
         for name, cert in (("a", quick_cr_cert), ("b", again), ("c", par)):
             path = tmp_path / f"{name}.json"

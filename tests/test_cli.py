@@ -16,7 +16,7 @@ import pytest
 from helpers import needs_two_cores, stdout_per_blas_threads
 from tricert import cli
 from tricert.cli import SWEEP_COLUMNS, main
-from tricert.certify import CSV_COLUMNS
+from tricert.certify import CSV_COLUMNS, paper_schedule
 
 EQ = math.pi / 3
 
@@ -68,7 +68,7 @@ def test_paper_config_rejects_deviations(capsys, monkeypatch):
     class Reached(Exception):
         pass
 
-    def stop(problem, config):
+    def stop(config):
         raise Reached(config)
 
     monkeypatch.setattr(cli, "run_proof", stop)
@@ -93,7 +93,19 @@ def test_paper_config_rejects_deviations(capsys, monkeypatch):
                 "prove", "--problem", problem, "--paper-config",
                 "--eq-cg-n", str(eq_cg_n), "--eq-cr-n", str(eq_cr_n),
             ])
-        assert reached.value.args[0].eff_eq_mesh == (eq_cg_n, eq_cr_n)
+        config = reached.value.args[0]
+        assert (config.eq_cg_n, config.eq_cr_n) == (eq_cg_n, eq_cr_n)
+
+
+def test_paper_config_names_a_file_schedule(capsys, tmp_path):
+    # the published angles read from a file still deviate: the
+    # certificate would record the file as the schedule's provenance
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(list(paper_schedule("dirichlet").breakpoints)))
+    code, _, err = run_cli(
+        capsys, "prove", "--problem", "dirichlet", "--paper-config", "--schedule", str(path)
+    )
+    assert code == 2 and f"--schedule file:{path}" in err
 
 
 def test_sweep_rejects_angles_outside_range(capsys):
@@ -262,3 +274,14 @@ def test_prove_quick_writes_artifacts(capsys, tmp_path):
     assert len(rows) - 1 == len(cert["ledger"]["step2"]) + len(cert["ledger"]["step3"])
     assert len(cert["ledger"]["step2"]) >= 20
     assert len(cert["ledger"]["step3"]) == 10
+
+
+def test_prove_flags_apply_on_top_of_quick(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys, "prove", "--problem", "dirichlet", "--quick", "--cg-n", "48", "--n2", "4",
+        "--out", str(tmp_path),
+    )
+    assert code in (0, 1)
+    config = json.load(open(tmp_path / "certificate.json"))["config"]
+    assert (config["cg_n"], config["n2"], config["quick"]) == (48, 4, True)
+    assert config["cr_n"] == 32  # unset flags keep the preset's value

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import EQ, gram_triple, map_derivative_gram, operators, shear
-from tricert.fem import assemble, build_space
+from tricert.fem import ReferenceMap, assemble, build_space
 from tricert.geometry import triangle_from_angle, triangle_from_vertex
 from tricert.mesh import uniform_subdivide
 
@@ -211,7 +211,7 @@ def test_mapped_reference_operators_match_direct_assembly(tri, family, bc):
     n = 9
     direct = assemble(build_space(uniform_subdivide(tri, n), family, bc))
     ref = assemble(build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, bc))
-    mapped = ref.mapped(tri)
+    mapped = ReferenceMap.of(ref).mapped(tri)
 
     for name in ("A", "M", "Kxx", "Kyy"):
         want = getattr(direct, name).toarray()
@@ -237,6 +237,7 @@ def test_mapped_operators_equal_the_sparse_algebra_bit_for_bit(family, bc):
     # every stored index and value must be the same
     ref = assemble(build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), 12), family, bc))
     Kxx, Kxy, Kyy = ref.Kxx, ref.Kxy, ref.Kyy
+    mapping = ReferenceMap.of(ref)
     tris = [triangle_from_angle(t) for t in (0.05, 0.5, 1.0, EQ, math.pi / 2, 2.0)]
     for tri in tris + [triangle_from_vertex(0.0, 1.0), triangle_from_vertex(-0.4, 0.5)]:
         bx, by = tri.bx, tri.by
@@ -246,7 +247,7 @@ def test_mapped_operators_equal_the_sparse_algebra_bit_for_bit(family, bc):
             "A": (kxx + kyy).tocsr(), "M": by * ref.M, "Kxx": kxx,
             "Kxy": (Kxy - bx * Kxx).tocsr(), "Kyy": kyy.tocsr(),
         }
-        got = ref.mapped(tri)
+        got = mapping.mapped(tri)
         for name, w in want.items():
             g = getattr(got, name)
             assert np.array_equal(g.indptr, w.indptr), name
@@ -268,4 +269,4 @@ def test_assembly_stores_no_zero_entries(theta, n, family, bc):
 
 def test_mapping_needs_reference_operators():
     with pytest.raises(ValueError, match="reference triangle"):
-        operators(EQ, 4, "cg", "dirichlet").mapped(triangle_from_angle(0.5))
+        ReferenceMap.of(operators(EQ, 4, "cg", "dirichlet"))
