@@ -22,7 +22,14 @@ step is rounded outward, so the final enclosure [rho - delta,
 rho + delta] is mathematically guaranteed to contain at least one
 eigenvalue.  No system with M is solved; the only factorisations are
 the ones that drive the shift-invert Lanczos solver: of A on the
-nonconforming side, of A - sigma M on the conforming side.
+nonconforming side, of A - sigma M on the conforming side.  Spaces above
+SPLIT_CUTOFF unknowns are solved in their two mirror-parity halves
+(:meth:`fem.ReferenceMap.half`), each far cheaper to factorise than
+the whole: the nonconforming side factorises the A of each half, the
+conforming side the A - sigma M of the half that holds the ground mode.
+The computed vectors are lifted to the whole space and certified there,
+exactly as a whole-space vector would be, so the halves steer the
+solver as sigma does and never enter a bound.
 
 The rounding term sets delta.  Each Lanczos run stops at ARPACK's
 relative tolerance LANCZOS_TOL = 1e-12, not at machine precision, and
@@ -51,11 +58,22 @@ lambda_1.
 On the nonconforming side (:func:`solve_lowest`), which INDEX each
 enclosed eigenvalue has is the one trusted, uncertified step: enclosures
 are labeled by the solver's ordering, and the Kato-Temple gap refinement
-in :func:`verify_enclosure` is exact modulo that labeling.
+in :func:`verify_enclosure` is exact modulo that labeling.  Every
+Lanczos run starts from v0 = ones.  On a whole space of T(theta) that
+vector is mirror-symmetric, so in exact arithmetic its Krylov space holds
+no antisymmetric mode: one enters only through rounding, after ARPACK
+restarts (on CR 64 Dirichlet at theta = 1.0 the first cycle's third mode
+is lambda_4, the second cycle's the antisymmetric lambda_3).  The split
+solve runs each half from its own v0 = ones, so each half's modes are
+reached without rounding, and the ordering is that of the union of the
+two halves' spectra, which is the whole spectrum.  The whole-space path
+is left to spaces at most SPLIT_CUTOFF (all of the quick preset) and to
+triangles off the unit circle, which have no mirror.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,7 +81,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import DiscreteOperators
+from .fem import DiscreteOperators, Half
 from .rounding import Interval, dn, up
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -75,6 +93,22 @@ _EPS = float(np.finfo(np.float64).eps)
 #   351: 19.6 / 17.7  465: 37.5 / 12.4   558: 59.1 / 25.7
 DENSE_CUTOFF = 330
 
+# Largest space that certify.compute_point solves whole; larger ones are
+# solved in their two mirror-parity halves (solve_lowest and
+# ground_rayleigh with halves).  The CR side makes two factorisations and
+# Lanczos runs for one, which pays only on large spaces; the CG side makes
+# one, in the half of the ground mode.  CPU ms per solve side on a 2-core
+# VM, theta = 0.9, median of 15, whole / split, by number of unknowns:
+#   CR Dirichlet   1488: 10.7 / 10.7   2340: 11.0 / 14.2   3384: 35.2 / 32.2   6048: 60.3 / 51.2
+#   CR edge-mean   1581: 14.0 / 18.7   2457: 16.4 / 19.2   3525: 22.2 / 27.5   6237: 56.9 / 58.8
+#   CG Dirichlet    465:  4.5 /  6.9   1081:  7.3 /  5.9   1953: 12.0 /  8.0   4465: 27.7 / 16.1
+#   CG edge-mean    558:  6.8 / 10.8   1222: 11.2 /  7.5   2142: 21.2 / 12.0   4750: 45.0 / 22.2
+# The CR crossover lies near 3,000 unknowns, the CG one near 1,000.  The
+# cutoff between them keeps every space of the quick preset whole (the
+# largest has 2,142 unknowns), and splits every sweep space at CG 96 /
+# CR 64 and every published corner space but edge-mean CR 32.
+SPLIT_CUTOFF = 2500
+
 # Lanczos vectors for the shifted ground solve of ground_rayleigh.  Factor
 # solves summed over every fourth point of both paper schedules (step-2
 # breakpoints and J nodes) at CG 96, shifted to the corrected CR bound,
@@ -83,6 +117,18 @@ DENSE_CUTOFF = 330
 # The corner solves take 4 (Dirichlet 288) and 5 (edge-mean 192); only the
 # thinnest Dirichlet angles still need 8 to 32 (theta = 0.1 down to 0.0209).
 GROUND_NCV = 3
+
+# Lanczos vectors for each half's run in _split_modes.  Factor solves per
+# half run (symmetric, antisymmetric) on CR 32, 64 and 128, both
+# constraints, at theta in {0.3, 0.5, 0.8, 1.0, fl(pi/3)}: at ARPACK's
+# default of 20, 21 each, but 36 for the Dirichlet antisymmetric half at
+# every such angle and size (a second restart cycle), and for both
+# Dirichlet halves of CR 64 at fl(pi/3); at 23, 24 for every half.  The
+# thin angles 0.05 and 0.1 take 21 to 69 either way.  Summed over every
+# eighth breakpoint and every 25th J node of both paper schedules at CR 64,
+# 23 takes 1,603 factor solves against 1,866 (Dirichlet) and 2,198 against
+# 1,938 (edge-mean), in 3.34 s against 3.26 s.
+HALF_NCV = 23
 
 # ARPACK's relative stopping tolerance for every Lanczos run.  The
 # running-error majorant, not the residual, sets delta (module docstring),
@@ -233,7 +279,7 @@ def _normalize(M: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
 
 
 def _lowest_modes(
-    ops: DiscreteOperators, k: int, sigma: float = 0.0, ncv: int | None = None
+    ops: DiscreteOperators | Half, k: int, sigma: float = 0.0, ncv: int | None = None
 ) -> np.ndarray:
     """The floating-point backend: the ``k`` lowest eigenvectors, as
     columns in ascending order of their eigenvalues.
@@ -279,12 +325,38 @@ def _lowest_modes(
     return vecs
 
 
-def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]:
+def _split_modes(halves: Sequence[Half], k: int) -> np.ndarray:
+    """The ``k`` lowest modes of the union of the halves' spectra, as
+    columns in the space's reduced coordinates, in ascending order of
+    their Ritz values.
+
+    Each half's backend run (as in :func:`_lowest_modes`) computes ``k``
+    modes, so the union holds the ``k`` lowest of the whole pencil,
+    which is the direct sum of the halves.  Nothing returned is
+    certified.
+    """
+    ritz, lifted = [], []
+    for half in halves:
+        vecs = _lowest_modes(half, k, ncv=HALF_NCV)
+        ritz.extend(
+            float(v @ (half.A @ v)) / float(v @ (half.M @ v)) for v in vecs.T
+        )
+        lifted.append(half.C @ vecs)
+    order = np.argsort(ritz, kind="stable")[:k]
+    return np.hstack(lifted)[:, order]
+
+
+def solve_lowest(
+    ops: DiscreteOperators, count: int = 1, halves: Sequence[Half] | None = None
+) -> list[EigenEnclosure]:
     """Certified enclosures for the ``count`` lowest modes.
 
     The backend is chosen as in :func:`_lowest_modes`; certification is
     identical either way.  ``count`` + 1 modes are computed, the last
-    one a guard for the ordering, where the space has that many.
+    one a guard for the ordering, where the space has that many.  With
+    ``halves``, the two mirror-parity halves of ``ops`` (:meth:`ReferenceMap.
+    half`), the modes are computed in each half by :func:`_split_modes`
+    and certified on ``ops``, as any other vector would be.
 
     Raises EigensolveError on solver non-convergence; never silently
     substitutes approximate results.
@@ -294,11 +366,14 @@ def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]
     n = ops.dim
     if count > n:
         raise ValueError(f"requested {count} modes from a {n}-dimensional space")
-    vecs = _lowest_modes(ops, count + 1)
+    if halves is None:
+        vecs = _lowest_modes(ops, count + 1)
+    else:
+        vecs = _split_modes(halves, count + 1)
     return [_certify(ops, _normalize(ops.M, vecs[:, i]), i + 1) for i in range(count)]
 
 
-def ground_rayleigh(ops: DiscreteOperators, below: float) -> RayleighBound:
+def ground_rayleigh(ops: DiscreteOperators, below: float, half: Half | None = None) -> RayleighBound:
     """Certified Rayleigh upper bound on lambda_1 from one computed mode.
 
     ``below`` is a lower bound on the lowest eigenvalue of the pencil,
@@ -306,13 +381,19 @@ def ground_rayleigh(ops: DiscreteOperators, below: float) -> RayleighBound:
     ``below`` with GROUND_NCV vectors: just below the wanted eigenvalue
     the ground mode is far better separated than at 0, so ARPACK
     converges in a handful of factor solves.  The dense backend (chosen
-    as in :func:`solve_lowest`) ignores the shift.  Only the quadratic
-    forms u^T A u and u^T M u are certified: neither a residual bound nor
-    an index is needed for lambda_1 <= R(u), so the bound holds whatever
-    ``below`` is; a shift at or above the ground eigenvalue can only
-    return a larger R(u) or end in an EigensolveError.
+    as in :func:`solve_lowest`) ignores the shift.  With ``half``, a
+    mirror-parity half of ``ops``, the mode is computed in that half and
+    lifted.  Only the quadratic forms u^T A u and u^T M u are certified,
+    on ``ops``: neither a residual bound nor an index is needed for
+    lambda_1 <= R(u), so the bound holds whatever ``below`` and ``half``
+    are; a shift at or above the ground eigenvalue, or the half that
+    lacks the ground mode, can only return a larger R(u) or end in an
+    EigensolveError.
     """
-    u = _lowest_modes(ops, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
+    if half is None:
+        u = _lowest_modes(ops, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
+    else:
+        u = half.C @ _lowest_modes(half, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
     return _rayleigh(ops, _normalize(ops.M, u))
 
 

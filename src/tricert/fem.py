@@ -33,10 +33,18 @@ for the full operators, and for the reduced ones too, since reduction
 (a principal submatrix, or a congruence with Z) does not depend on the
 apex.  :class:`ReferenceMap` applies these identities, so one assembly
 per mesh size serves every angle.
+
+Every T(theta) is isosceles, its sides from the origin both of length
+1, and the lattice swap (i, j) -> (j, i) of T_ref (:func:`mirror`) is its
+reflection.  Each space is the direct sum of its mirror-symmetric and
+antisymmetric halves (:func:`parity_bases`), and on T(theta) the pencil
+(A, M) splits with it; :meth:`ReferenceMap.half` maps a half's
+reference grams by the same identities.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,7 +93,7 @@ def build_space(mesh: Mesh, family: str, bc: str) -> FemSpace:
             )
         return FemSpace(mesh, family, bc, full_dim, int(free.size), free, None)
 
-    Z = _edge_mean_nullspace(mesh, family, full_dim)
+    Z, _ = _eliminate(_edge_mean_constraints(mesh, family), full_dim)
     if Z.shape[1] == 0:
         raise ValueError(
             f"{family}/edge-mean space on n={mesh.n} has dimension 0; refine the mesh"
@@ -93,28 +101,26 @@ def build_space(mesh: Mesh, family: str, bc: str) -> FemSpace:
     return FemSpace(mesh, family, bc, full_dim, int(Z.shape[1]), None, Z)
 
 
-def _edge_mean_nullspace(mesh: Mesh, family: str, full_dim: int) -> sp.csr_matrix:
-    """Null-space basis of the three side-mean constraints.
+def _edge_mean_constraints(mesh: Mesh, family: str) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """(dofs, weights, slave) of the mean constraint of each parent side.
 
     Constraint s involves only side-s dofs, and the slave chosen for it
-    appears in no other constraint, so eliminating each slave from its
-    own constraint satisfies all three simultaneously.  Constant side
-    factors are dropped; they do not change the null space.
+    appears in no other constraint.  Constant side factors are dropped;
+    they do not change the null space.
     """
-    constraints: list[tuple[int, np.ndarray, np.ndarray]] = []  # slave, masters, weights
+    constraints = []
     for s in range(3):
         if family == "cg":
-            nd = mesh.side_nodes(s)
-            if nd.size < 3:
+            dofs = mesh.side_nodes(s)
+            if dofs.size < 3:
                 # no interior side node available as a slave
                 raise ValueError(
                     f"cg/edge-mean needs n >= 2 sub-edges per side, mesh has n={mesh.n}"
                 )
             # trapezoid weights, exact for functions linear on each sub-edge
-            w = np.ones(nd.size)
+            w = np.ones(dofs.size)
             w[0] = w[-1] = 0.5
             slave_pos = 1
-            dofs = nd
         else:
             dofs = mesh.side_edges(s)
             if dofs.size < 2:
@@ -123,26 +129,136 @@ def _edge_mean_nullspace(mesh: Mesh, family: str, full_dim: int) -> sp.csr_matri
                 )
             w = np.ones(dofs.size)
             slave_pos = 0
-        slave = int(dofs[slave_pos])
-        mask = np.arange(dofs.size) != slave_pos
-        constraints.append((slave, dofs[mask], -w[mask] / w[slave_pos]))
+        constraints.append((dofs, w, int(dofs[slave_pos])))
+    return constraints
 
-    slaves = sorted(c[0] for c in constraints)
-    if len(set(slaves)) != 3:
+
+def _eliminate(
+    constraints: list[tuple[np.ndarray, np.ndarray, int]], dim: int
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Null-space basis of ``constraints`` on ``dim`` coordinates, and its
+    master coordinates.
+
+    Each slave appears in no other constraint, so eliminating each slave
+    from its own constraint satisfies all of them at once: the basis is
+    the identity on the masters, and a slave's row solves its constraint.
+    """
+    slaves = sorted(c[2] for c in constraints)
+    if len(set(slaves)) != len(slaves):
         raise AssertionError("slave dofs must be distinct")
-    masters = np.setdiff1d(np.arange(full_dim), slaves)
+    masters = np.setdiff1d(np.arange(dim), slaves)
     col_of = {int(m): k for k, m in enumerate(masters)}
 
     rows = list(masters)
     cols = list(range(masters.size))
     vals = [1.0] * masters.size
-    for slave, mdofs, mw in constraints:
-        for d, wv in zip(mdofs, mw):
-            rows.append(slave)
-            cols.append(col_of[int(d)])
-            vals.append(float(wv))
-    Z = sp.coo_matrix((vals, (rows, cols)), shape=(full_dim, masters.size))
-    return Z.tocsr()
+    for dofs, w, slave in constraints:
+        w_slave = w[dofs == slave][0]
+        for d, wv in zip(dofs, w):
+            if d != slave:
+                rows.append(slave)
+                cols.append(col_of[int(d)])
+                vals.append(float(-wv / w_slave))
+    Z = sp.coo_matrix((vals, (rows, cols)), shape=(dim, masters.size))
+    return Z.tocsr(), masters
+
+
+def mirror(space: FemSpace) -> np.ndarray:
+    """The mirror of T_ref, the lattice swap (i, j) -> (j, i), as the
+    permutation of the full dofs of ``space``: it maps dof k to dof p[k].
+
+    The swap exchanges sides 0 and 2 and reverses side 1.  On T(theta),
+    whose sides 0 and 2 both have length 1, it is the reflection in the
+    bisector of the angle at the origin, an isometry, so it maps the
+    uniform mesh, each space and each constraint onto itself and leaves
+    the mapped A and M invariant.
+    """
+    mesh = space.mesh
+    i = mesh.lattice[:, 0].astype(np.int64)
+    j = mesh.lattice[:, 1].astype(np.int64)
+    # ascending, since the lattice is row-lexicographic in (j, i)
+    keys = j * (mesh.n + 1) + i
+    nodes = np.searchsorted(keys, i * (mesh.n + 1) + j)
+    if space.family == "cg":
+        return nodes
+    a, b = nodes[mesh.edges[:, 0]], nodes[mesh.edges[:, 1]]
+    # ascending, since the edges are sorted pairs in lexicographic order
+    edge_keys = mesh.edges[:, 0].astype(np.int64) * mesh.n_nodes + mesh.edges[:, 1]
+    return np.searchsorted(edge_keys, np.minimum(a, b) * mesh.n_nodes + np.maximum(a, b))
+
+
+def parity_bases(space: FemSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Bases C+ and C- of the mirror-symmetric and antisymmetric halves of
+    ``space``, as maps from half coordinates to the space's reduced
+    coordinates.
+
+    Each column is e_k + e_p(k) (symmetric; e_k alone where p(k) = k) or
+    e_k - e_p(k) (antisymmetric) of one orbit of the mirror p.  The
+    Dirichlet dofs are a union of orbits.  Under the mirror the edge-mean
+    constraint of side 2 is that of side 0, and that of side 1 is itself,
+    so on symmetric vectors sides 0 and 2 give one constraint and side 1
+    another, while on antisymmetric ones side 1 holds by itself and side
+    2 follows from side 0: each half eliminates its own constraints.  The
+    columns lift to vectors that meet every constraint, so the two halves
+    split the space and, for the mapped operators of T(theta), its pencil.
+    """
+    p = mirror(space)
+    n = space.full_dim
+    if space.free is not None:
+        kept = np.zeros(n, dtype=bool)
+        kept[space.free] = True
+        reduced = space.free
+    else:
+        kept = np.ones(n, dtype=bool)
+        constraints = _edge_mean_constraints(space.mesh, space.family)
+        reduced = _eliminate(constraints, n)[1]
+    bases = []
+    for sign, sides in ((1.0, (0, 1)), (-1.0, (0,))):
+        # one column per orbit of kept dofs, led by its smaller dof; a dof
+        # the mirror fixes has no antisymmetric part
+        lead = np.flatnonzero(kept & (np.arange(n) <= p))
+        if sign < 0.0:
+            lead = lead[p[lead] != lead]
+        pair = np.flatnonzero(p[lead] != lead)
+        rows = np.concatenate([lead, p[lead[pair]]])
+        cols = np.concatenate([np.arange(lead.size), pair])
+        vals = np.concatenate([np.ones(lead.size), np.full(pair.size, sign)])
+        S = sp.csr_matrix((vals, (rows, cols)), shape=(n, lead.size))
+        if space.Z is not None:
+            S = S @ _half_nullspace([constraints[s][:2] for s in sides], S)
+        bases.append(S.tocsr()[reduced])
+    return bases[0], bases[1]
+
+
+def mirror_half(space: FemSpace, u: np.ndarray) -> int:
+    """The half of ``space`` that u, in reduced coordinates, lies nearer
+    to: 0 for the symmetric half, 1 for the antisymmetric one, in the
+    order of :func:`parity_bases`.
+
+    With w the full-dof form of u and p the mirror, the squared norms of
+    the symmetric and antisymmetric parts (w +- w[p]) / 2 differ by w .
+    w[p], whose sign names the larger part.
+    """
+    if space.free is not None:
+        w = np.zeros(space.full_dim)
+        w[space.free] = u
+    else:
+        w = space.Z @ u
+    return 0 if float(w @ w[mirror(space)]) >= 0.0 else 1
+
+
+def _half_nullspace(sides: list[tuple[np.ndarray, np.ndarray]], S: sp.csr_matrix) -> sp.csr_matrix:
+    """Null-space basis, in the coordinates of S, of the side-mean
+    constraints given as (dofs, weights); each slave is the first
+    coordinate of its constraint that no other one involves."""
+    rows = []
+    for dofs, w in sides:
+        g = S[dofs].T @ w
+        coords = np.flatnonzero(g)
+        rows.append((coords, g[coords]))
+    involved = np.bincount(np.concatenate([c for c, _ in rows]), minlength=S.shape[1])
+    constraints = [(c, g, int(c[involved[c] == 1][0])) for c, g in rows]
+    return _eliminate(constraints, S.shape[1])[0]
 
 
 @dataclass(frozen=True)
@@ -182,6 +298,24 @@ class DiscreteOperators:
 
 
 @dataclass(frozen=True)
+class Half:
+    """One mirror-parity half of a space's pencil on T(theta).
+
+    A and M act on half coordinates, and C (:func:`parity_bases`) lifts
+    them to the space's reduced coordinates: A = C^T A_space C, and
+    likewise M.
+    """
+
+    A: sp.csr_matrix
+    M: sp.csr_matrix
+    C: sp.csr_matrix
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[0]
+
+
+@dataclass(frozen=True)
 class ReferenceMap:
     """Operators assembled on T_ref, kept in the form that carries them to
     any triangle entry by entry.
@@ -189,20 +323,23 @@ class ReferenceMap:
     xx, xy, xy_sym and yy hold Kxx, Kxy, Kxy + Kxy^T and Kyy as value
     arrays on the union of the sparsity patterns of Kxx, Kxy, Kxy^T and
     Kyy (``indptr``, ``indices``, canonical CSR order), 0 where a matrix
-    has no entry.  The reference A, Kxy and Kyy are not kept: the map
-    reads none of them, and the cache of one map per reference space
-    would hold them for the life of the process.
+    has no entry.  The reference A and grams are not kept as matrices:
+    the map reads none of them, and the cache of one map per reference
+    space would hold them for the life of the process.
     """
 
     space: FemSpace
     M: sp.csr_matrix
-    Kxx: sp.csr_matrix
     indptr: np.ndarray
     indices: np.ndarray
     xx: np.ndarray
     xy: np.ndarray
     xy_sym: np.ndarray
     yy: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.M.shape[0]
 
     @classmethod
     def of(cls, ops: DiscreteOperators) -> "ReferenceMap":
@@ -213,8 +350,12 @@ class ReferenceMap:
             raise ValueError(
                 f"operators must be assembled on the reference triangle, apex ({ref.bx}, {ref.by})"
             )
-        n = ops.dim
-        grams = (ops.Kxx, ops.Kxy, ops.Kxy.T.tocsr(), ops.Kyy)
+        return cls._of_grams(ops.space, ops.M, ops.Kxx, ops.Kxy, ops.Kyy)
+
+    @classmethod
+    def _of_grams(cls, space, M, Kxx, Kxy, Kyy) -> "ReferenceMap":
+        n = M.shape[0]
+        grams = (Kxx, Kxy, Kxy.T.tocsr(), Kyy)
         union = sum(sp.csr_matrix((np.ones(K.nnz), K.indices, K.indptr), K.shape) for K in grams)
         keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(union.indptr)) * n + union.indices
 
@@ -227,7 +368,7 @@ class ReferenceMap:
         xx, xy, yx, yy = map(scatter, grams)
         # shared by every mapped matrix that stores the whole pattern
         union.indptr.flags.writeable = union.indices.flags.writeable = False
-        return cls(ops.space, ops.M, ops.Kxx, union.indptr, union.indices, xx, xy, xy + yx, yy)
+        return cls(space, M, union.indptr, union.indices, xx, xy, xy + yx, yy)
 
     def mapped(self, triangle: TriangleShape) -> DiscreteOperators:
         """The operators on ``triangle``, by the reference-map identities of
@@ -238,7 +379,18 @@ class ReferenceMap:
         """
         bx, by = triangle.bx, triangle.by
         space = replace(self.space, mesh=replace(self.space.mesh, triangle=triangle))
+        stiff, kyy = self._stiffness(bx, by)
+        return DiscreteOperators(
+            space,
+            A=self._csr(stiff),
+            M=by * self.M,
+            Kxx=self._csr(by * self.xx),
+            Kxy=self._csr(self.xy - bx * self.xx),
+            Kyy=self._csr(kyy),
+        )
 
+    def _stiffness(self, bx: float, by: float) -> tuple[np.ndarray, np.ndarray]:
+        """The values of A and Kyy on the union pattern."""
         # Kyy of the module docstring entry by entry, evaluated in place to
         # spare temporaries of the pattern's size; scipy divides a sparse
         # matrix by a scalar as a product with its reciprocal, so "* (1 /
@@ -250,14 +402,43 @@ class ReferenceMap:
         kyy *= 1.0 / by
         np.multiply(self.xx, by, out=stiff)
         stiff += kyy
-        return DiscreteOperators(
-            space,
-            A=self._csr(stiff),
-            M=by * self.M,
-            Kxx=by * self.Kxx,
-            Kxy=self._csr(self.xy - bx * self.xx),
-            Kyy=self._csr(kyy),
-        )
+        return stiff, kyy
+
+    def half(self, triangle: TriangleShape, parity: int) -> Half:
+        """The symmetric (``parity`` 0) or antisymmetric (1) half of the
+        pencil on ``triangle``, which must be a T(theta) (apex on the unit
+        circle): only there does the mirror map the triangle onto itself.
+
+        The half's reference grams are built on its first call and kept
+        with this map; each call maps them as :meth:`mapped` maps the whole
+        space's, A and M only.
+        """
+        bx, by = triangle.bx, triangle.by
+        if abs(bx * bx + by * by - 1.0) > 1e-12:
+            raise ValueError(f"apex ({bx}, {by}) is off the unit circle; the mirror needs T(theta)")
+        if parity not in self._halves:
+            self._halves[parity] = self._half_map(parity)
+        ref, C = self._halves[parity]
+        return Half(ref._csr(ref._stiffness(bx, by)[0]), by * ref.M, C)
+
+    @functools.cached_property
+    def _halves(self) -> dict[int, tuple["ReferenceMap", sp.csr_matrix]]:
+        """(map of C^T K C for every reference gram K, C) of each half
+        built so far, by parity."""
+        return {}
+
+    def _half_map(self, parity: int) -> tuple["ReferenceMap", sp.csr_matrix]:
+        C = parity_bases(self.space)[parity]
+        Ct = C.T.tocsr()
+
+        def congruent(K):
+            H = (Ct @ K @ C).tocsr()
+            H.eliminate_zeros()
+            H.sort_indices()
+            return H
+
+        grams = (self.M, *(self._csr(v) for v in (self.xx, self.xy, self.yy)))
+        return ReferenceMap._of_grams(self.space, *map(congruent, grams)), C
 
     def _csr(self, vals: np.ndarray) -> sp.csr_matrix:
         """The matrix with ``vals`` on the union pattern, exact zeros dropped

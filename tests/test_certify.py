@@ -235,6 +235,54 @@ class TestPointData:
         assert residual_dims == [cr_dim, cr_dim]
         assert pd.lam1.lower < pd.lam1.upper < pd.lam2.lower
 
+    @pytest.mark.parametrize("problem", ["dirichlet", "cr-constant"])
+    @pytest.mark.parametrize("theta", [0.4, 1.0, EQ], ids=["0.4", "1.0", "fl(pi/3)"])
+    def test_split_point_matches_the_whole_point(self, monkeypatch, problem, theta):
+        # splitting only steers the solver; every number is certified on
+        # the whole operators, so the point data agree to rounding, and the
+        # conforming side solves one half
+        whole = compute_point(problem, theta, cg_n=28, cr_n=16)
+        eigsh_dims = []
+        real_lowest = eigsolve._lowest_modes
+
+        def recording(target, k, **kwargs):
+            eigsh_dims.append((target.dim, k))
+            return real_lowest(target, k, **kwargs)
+
+        monkeypatch.setattr(certify, "SPLIT_CUTOFF", 0)
+        monkeypatch.setattr(eigsolve, "_lowest_modes", recording)
+        split = compute_point(problem, theta, cg_n=28, cr_n=16)
+        tri = certify.triangle_from_angle(theta)
+        cr = certify._reference_operators(16, "cr", certify._BC[problem])
+        cg = certify._reference_operators(28, "cg", certify._BC[problem])
+        # the ground mode is symmetric at these angles
+        assert eigsh_dims == [
+            (cr.half(tri, 0).dim, 3), (cr.half(tri, 1).dim, 3), (cg.half(tri, 0).dim, 1)
+        ]
+        for name in ("lam1", "lam2"):
+            for end in ("lower", "upper"):
+                w, s = getattr(getattr(whole, name), end), getattr(getattr(split, name), end)
+                assert w == s or math.isclose(w, s, rel_tol=1e-9)
+        for name in ("gram_xx", "gram_xy", "gram_yy", "mass"):
+            scale = abs(whole.gram_xx[1]) + abs(whole.gram_yy[1])
+            for w, s in zip(getattr(whole, name), getattr(split, name)):
+                assert abs(w - s) <= 1e-9 * scale
+
+    def test_split_cutoff_lies_between_the_quick_and_the_sweep_spaces(self):
+        # the quick preset (CG 32 / CR 32, corner CG 64 / CR 32) stays whole,
+        # so its certificates keep their bytes; the paper sweep meshes split
+        def dim(n, family, problem):
+            return certify._reference_operators(n, family, certify._BC[problem]).dim
+
+        for problem in ("dirichlet", "cr-constant"):
+            quick = quick_config(problem)
+            paper = paper_config(problem)
+            assert max(
+                dim(quick.cg_n, "cg", problem), dim(quick.cr_n, "cr", problem),
+                dim(quick.eq_cg_n, "cg", problem), dim(quick.eq_cr_n, "cr", problem),
+            ) <= certify.SPLIT_CUTOFF
+            assert min(dim(paper.cg_n, "cg", problem), dim(paper.cr_n, "cr", problem)) > certify.SPLIT_CUTOFF
+
     def test_parallel_matches_serial(self):
         thetas = [0.4, 0.7, 1.0, EQ]
         serial = compute_points("cr-constant", thetas, 12, 8, jobs=1)
@@ -250,9 +298,9 @@ class TestBlasThreads:
         seen = []
         real_solve = certify.solve_lowest
 
-        def recording_solve(ops, count):
+        def recording_solve(ops, count, *halves):
             seen.append([get() for get, _ in controls])
-            return real_solve(ops, count)
+            return real_solve(ops, count, *halves)
 
         monkeypatch.setattr(certify, "solve_lowest", recording_solve)
         before = [get() for get, _ in controls]

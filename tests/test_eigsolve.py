@@ -3,7 +3,8 @@
 Main honesty property: every enclosure must contain the corresponding
 eigenvalue of the dense generalized solve (the oracle), whatever mesh,
 family or constraint produced the matrices.  Then determinism, the
-dense/sparse agreement, and the gap refinement.
+dense/sparse agreement, the solves split into mirror-parity halves, and
+the gap refinement.
 """
 
 import math
@@ -12,12 +13,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import EQ, operators
+from tricert.certify import _reference_operators
 from tricert import eigsolve
 from tricert.bounds import corrected_lower
+from tricert.geometry import triangle_from_angle
 from tricert.eigsolve import (
     DENSE_CUTOFF,
     EigensolveError,
@@ -297,16 +301,20 @@ def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
 
 
 def _count_factor_solves(monkeypatch) -> list:
-    """Record every solve with a shift-invert factor made from now on."""
+    """Record every solve with a shift-invert factor made from now on, as
+    the index of the factor, in the order the factors were made."""
     solves = []
+    made = [0]
     real_splu = eigsolve.spla.splu
 
     class Counted:
         def __init__(self, lu):
             self._lu = lu
+            self._k = made[0]
+            made[0] += 1
 
         def solve(self, b):
-            solves.append(b.shape)
+            solves.append(self._k)
             return self._lu.solve(b)
 
     monkeypatch.setattr(
@@ -399,3 +407,72 @@ def test_residual_floor_does_not_need_a_tighter_tolerance(monkeypatch, bc):
     tight = solve_lowest(ops, 2)
     for d, t in zip(default, tight):
         assert math.isclose(d.residual_bound, t.residual_bound, rel_tol=0.1)
+
+
+# mirror-parity halves -------------------------------------------------------
+
+
+def mapped_with_halves(theta, n, family, bc):
+    ref = _reference_operators(n, family, bc)
+    tri = triangle_from_angle(theta)
+    return ref.mapped(tri), [ref.half(tri, p) for p in (0, 1)]
+
+
+@pytest.mark.parametrize("family, bc", [("cr", "dirichlet"), ("cr", "edge-mean")])
+@pytest.mark.parametrize("n", [12, 24])
+@pytest.mark.parametrize("theta", [0.3, 1.0, EQ], ids=["0.3", "1.0", "fl(pi/3)"])
+def test_split_enclosures_contain_dense_oracle(theta, n, family, bc):
+    # the halves only steer the solver: each enclosure is certified on the
+    # whole operators and must hold the whole pencil's eigenvalue of its
+    # index, on half spaces small enough for either backend
+    ops, halves = mapped_with_halves(theta, n, family, bc)
+    oracle = dense_eigs(ops, 3)
+    whole = solve_lowest(ops, 3)
+    split = solve_lowest(ops, 3, halves)
+    for i, (w, enc, lam) in enumerate(zip(whole, split, oracle)):
+        assert enc.k == i + 1
+        assert enc.lower <= lam <= enc.upper
+        assert math.isclose(enc.rayleigh, w.rayleigh, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+@pytest.mark.parametrize("theta", [0.3, EQ], ids=["0.3", "fl(pi/3)"])
+def test_split_ground_rayleigh_uses_one_half(monkeypatch, bc, theta):
+    # the conforming solve runs in the half of the ground mode alone; the
+    # other half only raises the Rayleigh bound, never below lambda_1
+    ops, halves = mapped_with_halves(theta, 24, "cg", bc)
+    lam1 = dense_eigs(ops, 1)[0]
+    whole = ground_rayleigh(ops, 0.9 * lam1)
+    dims = []
+    real = eigsolve._lowest_modes
+
+    def recording(target, k, **kwargs):
+        dims.append(target.dim)
+        return real(target, k, **kwargs)
+
+    monkeypatch.setattr(eigsolve, "_lowest_modes", recording)
+    ground = ground_rayleigh(ops, 0.9 * lam1, halves[0])
+    other = ground_rayleigh(ops, 0.9 * lam1, halves[1])
+    assert dims == [halves[0].dim, halves[1].dim]
+    assert math.isclose(ground.rho.hi, whole.rho.hi, rel_tol=1e-10)
+    assert lam1 <= ground.rho.hi < other.rho.lo
+
+
+def test_split_solve_finds_the_antisymmetric_mode_in_one_cycle(monkeypatch):
+    # v0 = ones is mirror-symmetric, so a whole-space run on CR 64
+    # Dirichlet at theta = 1.0 meets the antisymmetric lambda_3 = 128.3
+    # only through rounding, after a second ARPACK restart cycle (36
+    # factor solves against 21; before that cycle its third mode is
+    # lambda_4 = 215.3).  Each half holds its own modes from the start, so
+    # the split's third candidate is lambda_3 of a random-start oracle,
+    # and each half's run converges in one cycle
+    ops, halves = mapped_with_halves(1.0, 64, "cr", "dirichlet")
+    v0 = np.random.default_rng(2).standard_normal(ops.dim)
+    oracle = np.sort(scipy.sparse.linalg.eigsh(ops.A, k=4, M=ops.M, sigma=0.0, v0=v0)[0])
+    assert 128.0 < oracle[2] < 129.0 < 215.0 < oracle[3] < 216.0
+    solves = _count_factor_solves(monkeypatch)
+    vecs = eigsolve._split_modes(halves, 3)
+    ritz = [float(v @ (ops.A @ v)) / float(v @ (ops.M @ v)) for v in vecs.T]
+    assert np.allclose(ritz, oracle[:3], rtol=1e-10)
+    assert sorted(set(solves)) == [0, 1]  # one factor per half
+    assert all(solves.count(k) <= 25 for k in (0, 1))

@@ -9,7 +9,8 @@ equilateral meshes, worked out by hand from the hat-function gradients:
 
 Everything else is structural: operator identities, constraint
 satisfaction after prolongation, affine equivariance of the gram triple,
-and agreement of the reference-mapped operators with direct assembly.
+agreement of the reference-mapped operators with direct assembly, and
+the split of each space into its two mirror-parity halves.
 """
 
 import math
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import EQ, gram_triple, map_derivative_gram, operators, shear
-from tricert.fem import ReferenceMap, assemble, build_space
+from tricert.fem import ReferenceMap, assemble, build_space, mirror, mirror_half, parity_bases
 from tricert.geometry import triangle_from_angle, triangle_from_vertex
 from tricert.mesh import uniform_subdivide
 
@@ -270,3 +271,84 @@ def test_assembly_stores_no_zero_entries(theta, n, family, bc):
 def test_mapping_needs_reference_operators():
     with pytest.raises(ValueError, match="reference triangle"):
         ReferenceMap.of(operators(EQ, 4, "cg", "dirichlet"))
+
+
+# mirror-parity halves --------------------------------------------------------
+
+PAIRS = [("cg", "dirichlet"), ("cg", "edge-mean"), ("cr", "dirichlet"), ("cr", "edge-mean")]
+
+
+def reference_map(n, family, bc):
+    return ReferenceMap.of(
+        assemble(build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, bc))
+    )
+
+
+def side_means(sp_, w):
+    """The three side-mean constraint values of the full-dof vector w."""
+    mesh = sp_.mesh
+    if sp_.family == "cg":
+        sides = [w[mesh.side_nodes(s)] for s in range(3)]
+        return [0.5 * v[0] + v[1:-1].sum() + 0.5 * v[-1] for v in sides]
+    return [w[mesh.side_edges(s)].sum() for s in range(3)]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("family, bc", PAIRS)
+def test_parity_bases_split_the_space(family, bc, n):
+    sp_ = space(EQ, n, family, bc)
+    p = mirror(sp_)
+    assert np.array_equal(np.sort(p), np.arange(sp_.full_dim))
+    assert np.array_equal(p[p], np.arange(sp_.full_dim))  # an involution
+    c_plus, c_minus = parity_bases(sp_)
+    assert c_plus.shape[1] + c_minus.shape[1] == sp_.dof_count
+    for C, sign in ((c_plus, 1.0), (c_minus, -1.0)):
+        assert C.shape[0] == sp_.dof_count
+        lifted = sp_.Z @ C.toarray() if bc == "edge-mean" else None
+        for k in range(C.shape[1]):
+            if lifted is None:
+                w = np.zeros(sp_.full_dim)
+                w[sp_.free] = C[:, k].toarray().ravel()
+            else:
+                w = lifted[:, k]
+                scale = np.abs(w).sum()
+                assert all(abs(m) <= 1e-14 * scale for m in side_means(sp_, w))
+            assert np.array_equal(w[p], sign * w)  # each column has its parity
+    # together the columns span the space
+    assert np.linalg.matrix_rank(np.hstack([c_plus.toarray(), c_minus.toarray()])) == sp_.dof_count
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.9, EQ], ids=["0.3", "0.9", "fl(pi/3)"])
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("family, bc", PAIRS)
+def test_half_spectra_unite_to_the_whole_spectrum(family, bc, n, theta):
+    ref = reference_map(n, family, bc)
+    tri = triangle_from_angle(theta)
+    whole = ref.mapped(tri)
+    want = scipy.linalg.eigh(whole.A.toarray(), whole.M.toarray(), eigvals_only=True)
+    halves = [ref.half(tri, p) for p in (0, 1)]
+    got = np.sort(np.concatenate([
+        scipy.linalg.eigh(h.A.toarray(), h.M.toarray(), eigvals_only=True) for h in halves
+    ]))
+    assert np.all(np.abs(got - want) <= 1e-10 * want)
+    for h in halves:
+        # each half is the congruence of the whole pencil by its basis
+        for name in ("A", "M"):
+            full = getattr(whole, name)
+            direct = (h.C.T @ full @ h.C).toarray()
+            assert np.abs(getattr(h, name).toarray() - direct).max() <= 1e-13 * abs(full).max()
+
+
+@pytest.mark.parametrize("family, bc", PAIRS)
+def test_mirror_half_names_the_parity_of_a_vector(family, bc):
+    ref = reference_map(8, family, bc)
+    rng = np.random.default_rng(3)
+    for index, C in enumerate(parity_bases(ref.space)):
+        u = C @ rng.standard_normal(C.shape[1])
+        assert mirror_half(ref.space, u) == index
+
+
+def test_halves_need_the_apex_on_the_unit_circle():
+    ref = reference_map(6, "cr", "dirichlet")
+    with pytest.raises(ValueError, match="unit circle"):
+        ref.half(triangle_from_vertex(0.3, 0.8), 0)
