@@ -52,16 +52,11 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class EigBracket:
-    """Two-sided bound lower <= lambda_k(T) <= upper.
-
-    c_h records the dimensionless correction constant 0.1893 h that
-    produced the lower bound.
-    """
+    """Two-sided bound lower <= lambda_k(T) <= upper."""
 
     k: int
     lower: float
     upper: float
-    c_h: float = 0.0
 
     def __post_init__(self):
         if not (self.lower <= self.upper):
@@ -137,11 +132,8 @@ def bracket(cr: list[EigenEnclosure], cg_rho: Interval, h: float) -> list[EigBra
     u != 0; the higher modes get +inf, since no conforming bound is
     computed for them.
     """
-    c_h = _correction(h).hi
     return [
-        EigBracket(
-            k, corrected_lower(e_cr, h), up(cg_rho.hi, 4) if k == 1 else math.inf, c_h=c_h
-        )
+        EigBracket(k, corrected_lower(e_cr, h), up(cg_rho.hi, 4) if k == 1 else math.inf)
         for k, e_cr in enumerate(cr, start=1)
     ]
 
@@ -174,8 +166,10 @@ def eta_range(
     directions always pin to the corner (b_hi, c_lo).  In a the sign of
     d(eta^2)/da = 1 - sqrt(q) (2 + a/(c - a)) can flip; when the
     sufficient condition sqrt(q)(2 + a/(c - a)) > 1 holds over the whole
-    box the supremum is at a_lo, otherwise a certified grid scan over a
-    with a Lipschitz margin on eta^2 takes over.
+    box the supremum is at a_lo.  Otherwise eta^2 <= a_hi + b_hi bounds
+    it.  That case needs sqrt(q) <= 1/2, so eta >= sqrt(b), Err >= 2 b
+    (2 cot + sqrt(2)) and |F| <= (2 cot + 1) b < Err: no derivative row in
+    it can be certified, however sharp the bound.
     """
     a_lo, a_hi = a_range
     b_lo, b_hi = b_range
@@ -195,17 +189,7 @@ def eta_range(
     if cond.lo > 1.0:
         return eta(a_lo, b_hi, c_lo)
 
-    # fallback: scan a, bound the slope of eta^2 in a over the box;
-    # |d(eta^2)/da| = |1 - sqrt(q)(2 + a/(c-a))| <= 3 + a_hi/(c_lo - a_hi) since q <= 1
-    steps = 256
-    slope = up((3.0 + Interval(a_hi) / (Interval(c_lo) - a_hi)).hi, 2)
-    margin = up((a_hi - a_lo) / steps * slope, 2)
-    best = 0.0
-    for i in range(steps + 1):
-        ai = min(a_lo + (a_hi - a_lo) * i / steps, a_hi)
-        e = eta(ai, b_hi, c_lo)
-        best = max(best, up(e * e, 2))
-    return up(math.sqrt(up(best + margin, 2)), 2)
+    return up(math.sqrt(up(a_hi + b_hi, 2)), 2)
 
 
 def F_of(gram: tuple[float, float, float], theta: float, mass: float = 1.0) -> float:

@@ -66,7 +66,7 @@ from .eigsolve import (
     solve_lowest,
     verify_enclosure,
 )
-from .fem import ReferenceMap, assemble, build_space, mirror_half
+from .fem import ReferenceMap, assemble, build_space
 from .geometry import perturbation_factor_bounds, triangle_from_angle, triangle_from_vertex
 from .mesh import uniform_subdivide
 from .rounding import Interval, cos_interval, cot_interval, dn, sin_interval, up
@@ -256,22 +256,22 @@ _T_REF = triangle_from_vertex(0.0, 1.0)
 def _reference_operators(n: int, family: str, bc: str) -> ReferenceMap:
     """Operators on the n-fold mesh of T_ref, built once per process.
 
-    Each entry is the :class:`ReferenceMap` of one space.  A space that
-    :func:`compute_point` splits also holds, inside its map, the reference
-    grams and basis of each mirror-parity half it was solved in, built on
-    the first :meth:`ReferenceMap.half` call for that half (the CG side
-    uses only the half of the ground mode); the spaces of the quick preset
-    are never split and hold none.  Eight entries hold the two sweep
+    Each entry is the :class:`ReferenceMap` of one space, with the
+    mirror-parity halves it is solved in: both for a CR space above
+    SPLIT_CUTOFF unknowns, the symmetric one for such a CG space
+    (:mod:`eigsolve`), none below.  Eight entries hold the two sweep
     spaces and the two corner spaces of each problem, so a process that
     proves both problems (or runs both quick proofs, six spaces) builds
     each space once; with four, every proof of the pair would evict the
     other's spaces and rebuild its own.  Every caller shares the cached
-    arrays, so they are only read (:meth:`ReferenceMap.mapped` and
-    :meth:`ReferenceMap.half` build new ones).  Mesh, space and assembly
-    are built through this module's names, so wrapping them here sees
-    every build.
+    arrays, so they are only read (:meth:`ReferenceMap.mapped` builds new
+    ones).  Mesh, space and assembly are built through this module's
+    names, so wrapping them here sees every build.
     """
-    return ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
+    ref = ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
+    if ref.dim <= SPLIT_CUTOFF:
+        return ref
+    return ref.with_halves((0, 1) if family == "cr" else (0,))
 
 
 # Thread-count entries of the OpenBLAS builds in the NumPy and SciPy wheels
@@ -336,31 +336,24 @@ def single_blas_thread():
 def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData:
     """Solve both discrete problems at one angle and certify the brackets.
 
-    Spaces above SPLIT_CUTOFF unknowns are solved in their mirror-parity
-    halves: the CR side in both, the CG side in the half of the CR ground
-    mode.  That only steers the solver; every enclosure and Rayleigh bound
-    is certified on the whole mapped operators.
+    The mapped operators carry the mirror-parity halves of their space
+    (:func:`_reference_operators`), which only steer the solver; every
+    enclosure and Rayleigh bound is certified on the whole operators.
     """
     _check_problem(problem)
     bc = _BC[problem]
     tri = triangle_from_angle(theta)
 
-    ref_cr = _reference_operators(cr_n, "cr", bc)
-    ops_cr = ref_cr.mapped(tri)
-    halves_cr = [ref_cr.half(tri, p) for p in (0, 1)] if ref_cr.dim > SPLIT_CUTOFF else None
-    enc_cr = solve_lowest(ops_cr, 2, halves_cr)
+    ops_cr = _reference_operators(cr_n, "cr", bc).mapped(tri)
+    enc_cr = solve_lowest(ops_cr, 2)
     enc_cr = [verify_enclosure(enc_cr[0], (enc_cr[1],)), enc_cr[1]]
-    # the bracket needs only the CR mesh size and the ground mode's half;
-    # releasing the CR operators keeps them out of the memory peak of the
-    # conforming solve
+    # the bracket needs only the CR mesh size; releasing the CR operators
+    # keeps them out of the memory peak of the conforming solve
     h_cr = ops_cr.space.mesh.h
-    ground = mirror_half(ops_cr.space, enc_cr[0].vector)
-    del ops_cr, halves_cr
+    del ops_cr
 
-    ref_cg = _reference_operators(cg_n, "cg", bc)
-    ops_cg = ref_cg.mapped(tri)
-    half_cg = ref_cg.half(tri, ground) if ref_cg.dim > SPLIT_CUTOFF else None
-    cg = ground_rayleigh(ops_cg, corrected_lower(enc_cr[0], h_cr), half_cg)
+    ops_cg = _reference_operators(cg_n, "cg", bc).mapped(tri)
+    cg = ground_rayleigh(ops_cg, corrected_lower(enc_cr[0], h_cr))
 
     lam1, lam2 = bracket(enc_cr, cg.rho, h_cr)
 

@@ -22,14 +22,14 @@ step is rounded outward, so the final enclosure [rho - delta,
 rho + delta] is mathematically guaranteed to contain at least one
 eigenvalue.  No system with M is solved; the only factorisations are
 the ones that drive the shift-invert Lanczos solver: of A on the
-nonconforming side, of A - sigma M on the conforming side.  Spaces above
-SPLIT_CUTOFF unknowns are solved in their two mirror-parity halves
-(:meth:`fem.ReferenceMap.half`), each far cheaper to factorise than
-the whole: the nonconforming side factorises the A of each half, the
-conforming side the A - sigma M of the half that holds the ground mode.
-The computed vectors are lifted to the whole space and certified there,
-exactly as a whole-space vector would be, so the halves steer the
-solver as sigma does and never enter a bound.
+nonconforming side, of A - sigma M on the conforming side.  Operators
+that carry mirror-parity halves (:attr:`fem.DiscreteOperators.halves`,
+chosen per space with SPLIT_CUTOFF) are solved in them, each far cheaper
+to factorise than the whole: the nonconforming side in both halves, the
+conforming side in the symmetric half alone.  The computed vectors are
+lifted to the whole space and certified there, exactly as a whole-space
+vector would be, so the halves steer the solver as sigma does and never
+enter a bound.
 
 The rounding term sets delta.  Each Lanczos run stops at ARPACK's
 relative tolerance LANCZOS_TOL = 1e-12, not at machine precision, and
@@ -53,7 +53,10 @@ which mode the solver returned.  Its Lanczos run is shifted to a
 certified lower bound sigma on lambda_1, where the ground mode is far
 better separated than at 0; sigma only steers the solver, so a wrong
 sigma costs solves or ends in a diagnosed error, never a bound below
-lambda_1.
+lambda_1.  So does the symmetric half, which holds the ground mode: the
+uniform mesh of T(theta) is acute (angles theta and (pi - theta)/2), so
+the P1 Dirichlet stiffness is an M-matrix and, by Perron-Frobenius, the
+ground mode positive; on edge-mean spaces it was measured symmetric.
 
 On the nonconforming side (:func:`solve_lowest`), which INDEX each
 enclosed eigenvalue has is the one trusted, uncertified step: enclosures
@@ -66,9 +69,8 @@ restarts (on CR 64 Dirichlet at theta = 1.0 the first cycle's third mode
 is lambda_4, the second cycle's the antisymmetric lambda_3).  The split
 solve runs each half from its own v0 = ones, so each half's modes are
 reached without rounding, and the ordering is that of the union of the
-two halves' spectra, which is the whole spectrum.  The whole-space path
-is left to spaces at most SPLIT_CUTOFF (all of the quick preset) and to
-triangles off the unit circle, which have no mirror.
+two halves' spectra, which is the whole spectrum.  Operators without
+both halves (all of the quick preset) are solved whole.
 """
 
 from __future__ import annotations
@@ -93,11 +95,11 @@ _EPS = float(np.finfo(np.float64).eps)
 #   351: 19.6 / 17.7  465: 37.5 / 12.4   558: 59.1 / 25.7
 DENSE_CUTOFF = 330
 
-# Largest space that certify.compute_point solves whole; larger ones are
-# solved in their two mirror-parity halves (solve_lowest and
-# ground_rayleigh with halves).  The CR side makes two factorisations and
-# Lanczos runs for one, which pays only on large spaces; the CG side makes
-# one, in the half of the ground mode.  CPU ms per solve side on a 2-core
+# Largest space that certify._reference_operators maps without halves;
+# above it a CR space carries both mirror-parity halves and a CG space the
+# symmetric one.  The CR side makes two factorisations and Lanczos runs
+# for one, which pays only on large spaces; the CG side makes one, in the
+# symmetric half.  CPU ms per solve side on a 2-core
 # VM, theta = 0.9, median of 15, whole / split, by number of unknowns:
 #   CR Dirichlet   1488: 10.7 / 10.7   2340: 11.0 / 14.2   3384: 35.2 / 32.2   6048: 60.3 / 51.2
 #   CR edge-mean   1581: 14.0 / 18.7   2457: 16.4 / 19.2   3525: 22.2 / 27.5   6237: 56.9 / 58.8
@@ -346,17 +348,15 @@ def _split_modes(halves: Sequence[Half], k: int) -> np.ndarray:
     return np.hstack(lifted)[:, order]
 
 
-def solve_lowest(
-    ops: DiscreteOperators, count: int = 1, halves: Sequence[Half] | None = None
-) -> list[EigenEnclosure]:
+def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]:
     """Certified enclosures for the ``count`` lowest modes.
 
     The backend is chosen as in :func:`_lowest_modes`; certification is
     identical either way.  ``count`` + 1 modes are computed, the last
-    one a guard for the ordering, where the space has that many.  With
-    ``halves``, the two mirror-parity halves of ``ops`` (:meth:`ReferenceMap.
-    half`), the modes are computed in each half by :func:`_split_modes`
-    and certified on ``ops``, as any other vector would be.
+    one a guard for the ordering, where the space has that many.  When
+    ``ops`` carries both mirror-parity halves, the modes are computed in
+    each half by :func:`_split_modes`, otherwise in the whole space, and
+    certified on ``ops``, as any other vector would be.
 
     Raises EigensolveError on solver non-convergence; never silently
     substitutes approximate results.
@@ -366,14 +366,14 @@ def solve_lowest(
     n = ops.dim
     if count > n:
         raise ValueError(f"requested {count} modes from a {n}-dimensional space")
-    if halves is None:
-        vecs = _lowest_modes(ops, count + 1)
+    if len(ops.halves) == 2:
+        vecs = _split_modes(ops.halves, count + 1)
     else:
-        vecs = _split_modes(halves, count + 1)
+        vecs = _lowest_modes(ops, count + 1)
     return [_certify(ops, _normalize(ops.M, vecs[:, i]), i + 1) for i in range(count)]
 
 
-def ground_rayleigh(ops: DiscreteOperators, below: float, half: Half | None = None) -> RayleighBound:
+def ground_rayleigh(ops: DiscreteOperators, below: float) -> RayleighBound:
     """Certified Rayleigh upper bound on lambda_1 from one computed mode.
 
     ``below`` is a lower bound on the lowest eigenvalue of the pencil,
@@ -381,18 +381,19 @@ def ground_rayleigh(ops: DiscreteOperators, below: float, half: Half | None = No
     ``below`` with GROUND_NCV vectors: just below the wanted eigenvalue
     the ground mode is far better separated than at 0, so ARPACK
     converges in a handful of factor solves.  The dense backend (chosen
-    as in :func:`solve_lowest`) ignores the shift.  With ``half``, a
-    mirror-parity half of ``ops``, the mode is computed in that half and
-    lifted.  Only the quadratic forms u^T A u and u^T M u are certified,
-    on ``ops``: neither a residual bound nor an index is needed for
-    lambda_1 <= R(u), so the bound holds whatever ``below`` and ``half``
-    are; a shift at or above the ground eigenvalue, or the half that
-    lacks the ground mode, can only return a larger R(u) or end in an
+    as in :func:`solve_lowest`) ignores the shift.  When ``ops`` carries
+    mirror-parity halves, the mode is computed in the first and lifted.
+    Only the quadratic forms u^T A u and u^T M u are certified, on
+    ``ops``: neither a residual bound nor an index is needed for lambda_1
+    <= R(u), so the bound holds whatever ``below`` and the half are; a
+    shift at or above the ground eigenvalue, or a half that lacks the
+    ground mode, can only return a larger R(u) or end in an
     EigensolveError.
     """
-    if half is None:
+    if not ops.halves:
         u = _lowest_modes(ops, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
     else:
+        half = ops.halves[0]
         u = half.C @ _lowest_modes(half, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
     return _rayleigh(ops, _normalize(ops.M, u))
 

@@ -38,13 +38,12 @@ Every T(theta) is isosceles, its sides from the origin both of length
 1, and the lattice swap (i, j) -> (j, i) of T_ref (:func:`mirror`) is its
 reflection.  Each space is the direct sum of its mirror-symmetric and
 antisymmetric halves (:func:`parity_bases`), and on T(theta) the pencil
-(A, M) splits with it; :meth:`ReferenceMap.half` maps a half's
-reference grams by the same identities.
+(A, M) splits with it; :meth:`ReferenceMap.with_halves` keeps a half's
+reference grams, which map by the same identities.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -230,23 +229,6 @@ def parity_bases(space: FemSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return bases[0], bases[1]
 
 
-def mirror_half(space: FemSpace, u: np.ndarray) -> int:
-    """The half of ``space`` that u, in reduced coordinates, lies nearer
-    to: 0 for the symmetric half, 1 for the antisymmetric one, in the
-    order of :func:`parity_bases`.
-
-    With w the full-dof form of u and p the mirror, the squared norms of
-    the symmetric and antisymmetric parts (w +- w[p]) / 2 differ by w .
-    w[p], whose sign names the larger part.
-    """
-    if space.free is not None:
-        w = np.zeros(space.full_dim)
-        w[space.free] = u
-    else:
-        w = space.Z @ u
-    return 0 if float(w @ w[mirror(space)]) >= 0.0 else 1
-
-
 def _half_nullspace(sides: list[tuple[np.ndarray, np.ndarray]], S: sp.csr_matrix) -> sp.csr_matrix:
     """Null-space basis, in the coordinates of S, of the side-mean
     constraints given as (dofs, weights); each slave is the first
@@ -269,6 +251,8 @@ class DiscreteOperators:
     Kxx, Kxy, Kyy the partial-derivative grams, so A = Kxx + Kyy holds
     as an assembly identity.  Kxy is stored as assembled (row index
     differentiates in x, column in y); only its quadratic form is used.
+    ``halves`` are mirror-parity halves (:class:`Half`) for the solvers
+    to work in; assembled operators carry none.
     """
 
     space: FemSpace
@@ -277,6 +261,7 @@ class DiscreteOperators:
     Kxx: sp.csr_matrix
     Kxy: sp.csr_matrix
     Kyy: sp.csr_matrix
+    halves: tuple[Half, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -325,7 +310,8 @@ class ReferenceMap:
     Kyy (``indptr``, ``indices``, canonical CSR order), 0 where a matrix
     has no entry.  The reference A and grams are not kept as matrices:
     the map reads none of them, and the cache of one map per reference
-    space would hold them for the life of the process.
+    space would hold them for the life of the process.  ``halves`` holds
+    a (map, basis) pair for each half the map carries.
     """
 
     space: FemSpace
@@ -336,6 +322,7 @@ class ReferenceMap:
     xy: np.ndarray
     xy_sym: np.ndarray
     yy: np.ndarray
+    halves: tuple[tuple["ReferenceMap", sp.csr_matrix], ...] = ()
 
     @property
     def dim(self) -> int:
@@ -370,14 +357,36 @@ class ReferenceMap:
         union.indptr.flags.writeable = union.indices.flags.writeable = False
         return cls(space, M, union.indptr, union.indices, xx, xy, xy + yx, yy)
 
+    def with_halves(self, parities: tuple[int, ...]) -> "ReferenceMap":
+        """This map carrying the symmetric (parity 0) or antisymmetric (1)
+        half of each of ``parities``, in that order: C^T K C for every
+        reference gram K, with the half's basis C.
+        """
+        bases = parity_bases(self.space)
+        grams = (self.M, *(self._csr(v) for v in (self.xx, self.xy, self.yy)))
+        halves = []
+        for C in (bases[p] for p in parities):
+            Ct = C.T.tocsr()
+            congruent = [(Ct @ K @ C).tocsr() for K in grams]
+            for H in congruent:
+                H.eliminate_zeros()
+                H.sort_indices()
+            halves.append((ReferenceMap._of_grams(self.space, *congruent), C))
+        return replace(self, halves=tuple(halves))
+
     def mapped(self, triangle: TriangleShape) -> DiscreteOperators:
         """The operators on ``triangle``, by the reference-map identities of
-        the module docstring.
+        the module docstring, with each half this map carries mapped alike
+        (A and M only).
 
         The returned space holds the mesh of ``triangle``: the reference
-        mesh with its triangle swapped.
+        mesh with its triangle swapped.  A map with halves needs a
+        T(theta), apex on the unit circle: only there does the mirror map
+        the triangle onto itself.
         """
         bx, by = triangle.bx, triangle.by
+        if self.halves and abs(bx * bx + by * by - 1.0) > 1e-12:
+            raise ValueError(f"apex ({bx}, {by}) is off the unit circle; the mirror needs T(theta)")
         space = replace(self.space, mesh=replace(self.space.mesh, triangle=triangle))
         stiff, kyy = self._stiffness(bx, by)
         return DiscreteOperators(
@@ -387,6 +396,9 @@ class ReferenceMap:
             Kxx=self._csr(by * self.xx),
             Kxy=self._csr(self.xy - bx * self.xx),
             Kyy=self._csr(kyy),
+            halves=tuple(
+                Half(ref._csr(ref._stiffness(bx, by)[0]), by * ref.M, C) for ref, C in self.halves
+            ),
         )
 
     def _stiffness(self, bx: float, by: float) -> tuple[np.ndarray, np.ndarray]:
@@ -403,42 +415,6 @@ class ReferenceMap:
         np.multiply(self.xx, by, out=stiff)
         stiff += kyy
         return stiff, kyy
-
-    def half(self, triangle: TriangleShape, parity: int) -> Half:
-        """The symmetric (``parity`` 0) or antisymmetric (1) half of the
-        pencil on ``triangle``, which must be a T(theta) (apex on the unit
-        circle): only there does the mirror map the triangle onto itself.
-
-        The half's reference grams are built on its first call and kept
-        with this map; each call maps them as :meth:`mapped` maps the whole
-        space's, A and M only.
-        """
-        bx, by = triangle.bx, triangle.by
-        if abs(bx * bx + by * by - 1.0) > 1e-12:
-            raise ValueError(f"apex ({bx}, {by}) is off the unit circle; the mirror needs T(theta)")
-        if parity not in self._halves:
-            self._halves[parity] = self._half_map(parity)
-        ref, C = self._halves[parity]
-        return Half(ref._csr(ref._stiffness(bx, by)[0]), by * ref.M, C)
-
-    @functools.cached_property
-    def _halves(self) -> dict[int, tuple["ReferenceMap", sp.csr_matrix]]:
-        """(map of C^T K C for every reference gram K, C) of each half
-        built so far, by parity."""
-        return {}
-
-    def _half_map(self, parity: int) -> tuple["ReferenceMap", sp.csr_matrix]:
-        C = parity_bases(self.space)[parity]
-        Ct = C.T.tocsr()
-
-        def congruent(K):
-            H = (Ct @ K @ C).tocsr()
-            H.eliminate_zeros()
-            H.sort_indices()
-            return H
-
-        grams = (self.M, *(self._csr(v) for v in (self.xx, self.xy, self.yy)))
-        return ReferenceMap._of_grams(self.space, *map(congruent, grams)), C
 
     def _csr(self, vals: np.ndarray) -> sp.csr_matrix:
         """The matrix with ``vals`` on the union pattern, exact zeros dropped

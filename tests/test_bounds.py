@@ -58,7 +58,6 @@ class TestBracket:
         assert lower <= float(exact)  # outward
         assert abs(lower - 27.9332) <= 1e-4
         assert 28.0 <= out[0].upper <= 28.0 * (1.0 + 1e-14)
-        assert out[0].c_h >= float(ch)
 
     def test_inconsistent_bracket_raises(self):
         with pytest.raises(BracketError):

@@ -251,13 +251,20 @@ class TestPointData:
 
         monkeypatch.setattr(certify, "SPLIT_CUTOFF", 0)
         monkeypatch.setattr(eigsolve, "_lowest_modes", recording)
-        split = compute_point(problem, theta, cg_n=28, cr_n=16)
-        tri = certify.triangle_from_angle(theta)
-        cr = certify._reference_operators(16, "cr", certify._BC[problem])
-        cg = certify._reference_operators(28, "cg", certify._BC[problem])
-        # the ground mode is symmetric at these angles
+        # the split of a space is fixed when its map is built, so the cache
+        # must hold no whole map here and keep no split one after the test
+        certify._reference_operators.cache_clear()
+        try:
+            split = compute_point(problem, theta, cg_n=28, cr_n=16)
+            tri = certify.triangle_from_angle(theta)
+            cr = certify._reference_operators(16, "cr", certify._BC[problem]).mapped(tri)
+            cg = certify._reference_operators(28, "cg", certify._BC[problem]).mapped(tri)
+        finally:
+            certify._reference_operators.cache_clear()
+        # the conforming side solves the symmetric half alone
+        assert len(cr.halves) == 2 and len(cg.halves) == 1
         assert eigsh_dims == [
-            (cr.half(tri, 0).dim, 3), (cr.half(tri, 1).dim, 3), (cg.half(tri, 0).dim, 1)
+            (cr.halves[0].dim, 3), (cr.halves[1].dim, 3), (cg.halves[0].dim, 1)
         ]
         for name in ("lam1", "lam2"):
             for end in ("lower", "upper"):
@@ -298,9 +305,9 @@ class TestBlasThreads:
         seen = []
         real_solve = certify.solve_lowest
 
-        def recording_solve(ops, count, *halves):
+        def recording_solve(ops, count):
             seen.append([get() for get, _ in controls])
-            return real_solve(ops, count, *halves)
+            return real_solve(ops, count)
 
         monkeypatch.setattr(certify, "solve_lowest", recording_solve)
         before = [get() for get, _ in controls]

@@ -412,10 +412,22 @@ def test_residual_floor_does_not_need_a_tighter_tolerance(monkeypatch, bc):
 # mirror-parity halves -------------------------------------------------------
 
 
-def mapped_with_halves(theta, n, family, bc):
-    ref = _reference_operators(n, family, bc)
-    tri = triangle_from_angle(theta)
-    return ref.mapped(tri), [ref.half(tri, p) for p in (0, 1)]
+def mapped_with_halves(theta, n, family, bc, parities=(0, 1)):
+    ref = _reference_operators(n, family, bc).with_halves(parities)
+    return ref.mapped(triangle_from_angle(theta))
+
+
+def _record_backend_dims(monkeypatch) -> list:
+    """Record the dimension of every backend run made from now on."""
+    dims = []
+    real = eigsolve._lowest_modes
+
+    def recording(target, k, **kwargs):
+        dims.append(target.dim)
+        return real(target, k, **kwargs)
+
+    monkeypatch.setattr(eigsolve, "_lowest_modes", recording)
+    return dims
 
 
 @pytest.mark.parametrize("family, bc", [("cr", "dirichlet"), ("cr", "edge-mean")])
@@ -425,10 +437,10 @@ def test_split_enclosures_contain_dense_oracle(theta, n, family, bc):
     # the halves only steer the solver: each enclosure is certified on the
     # whole operators and must hold the whole pencil's eigenvalue of its
     # index, on half spaces small enough for either backend
-    ops, halves = mapped_with_halves(theta, n, family, bc)
+    ops = mapped_with_halves(theta, n, family, bc)
     oracle = dense_eigs(ops, 3)
-    whole = solve_lowest(ops, 3)
-    split = solve_lowest(ops, 3, halves)
+    whole = solve_lowest(replace(ops, halves=()), 3)
+    split = solve_lowest(ops, 3)
     for i, (w, enc, lam) in enumerate(zip(whole, split, oracle)):
         assert enc.k == i + 1
         assert enc.lower <= lam <= enc.upper
@@ -440,20 +452,13 @@ def test_split_enclosures_contain_dense_oracle(theta, n, family, bc):
 def test_split_ground_rayleigh_uses_one_half(monkeypatch, bc, theta):
     # the conforming solve runs in the half of the ground mode alone; the
     # other half only raises the Rayleigh bound, never below lambda_1
-    ops, halves = mapped_with_halves(theta, 24, "cg", bc)
+    ops = mapped_with_halves(theta, 24, "cg", bc)
     lam1 = dense_eigs(ops, 1)[0]
-    whole = ground_rayleigh(ops, 0.9 * lam1)
-    dims = []
-    real = eigsolve._lowest_modes
-
-    def recording(target, k, **kwargs):
-        dims.append(target.dim)
-        return real(target, k, **kwargs)
-
-    monkeypatch.setattr(eigsolve, "_lowest_modes", recording)
-    ground = ground_rayleigh(ops, 0.9 * lam1, halves[0])
-    other = ground_rayleigh(ops, 0.9 * lam1, halves[1])
-    assert dims == [halves[0].dim, halves[1].dim]
+    whole = ground_rayleigh(replace(ops, halves=()), 0.9 * lam1)
+    dims = _record_backend_dims(monkeypatch)
+    ground = ground_rayleigh(ops, 0.9 * lam1)  # the first half, the symmetric one
+    other = ground_rayleigh(replace(ops, halves=ops.halves[1:]), 0.9 * lam1)
+    assert dims == [ops.halves[0].dim, ops.halves[1].dim]
     assert math.isclose(ground.rho.hi, whole.rho.hi, rel_tol=1e-10)
     assert lam1 <= ground.rho.hi < other.rho.lo
 
@@ -466,13 +471,27 @@ def test_split_solve_finds_the_antisymmetric_mode_in_one_cycle(monkeypatch):
     # lambda_4 = 215.3).  Each half holds its own modes from the start, so
     # the split's third candidate is lambda_3 of a random-start oracle,
     # and each half's run converges in one cycle
-    ops, halves = mapped_with_halves(1.0, 64, "cr", "dirichlet")
+    ops = mapped_with_halves(1.0, 64, "cr", "dirichlet")
     v0 = np.random.default_rng(2).standard_normal(ops.dim)
     oracle = np.sort(scipy.sparse.linalg.eigsh(ops.A, k=4, M=ops.M, sigma=0.0, v0=v0)[0])
     assert 128.0 < oracle[2] < 129.0 < 215.0 < oracle[3] < 216.0
     solves = _count_factor_solves(monkeypatch)
-    vecs = eigsolve._split_modes(halves, 3)
+    vecs = eigsolve._split_modes(ops.halves, 3)
     ritz = [float(v @ (ops.A @ v)) / float(v @ (ops.M @ v)) for v in vecs.T]
     assert np.allclose(ritz, oracle[:3], rtol=1e-10)
     assert sorted(set(solves)) == [0, 1]  # one factor per half
     assert all(solves.count(k) <= 25 for k in (0, 1))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+@pytest.mark.parametrize("theta", [0.3, 0.9, EQ], ids=["0.3", "0.9", "fl(pi/3)"])
+def test_one_half_is_solved_whole(monkeypatch, bc, theta):
+    # a conforming map carries the symmetric half alone, which lacks the
+    # antisymmetric modes: solve_lowest solves the whole space instead
+    ops = mapped_with_halves(theta, 24, "cg", bc, parities=(0,))
+    dims = _record_backend_dims(monkeypatch)
+    encs = solve_lowest(ops, 3)
+    assert dims == [ops.dim]
+    for i, (enc, lam) in enumerate(zip(encs, dense_eigs(ops, 3))):
+        assert enc.k == i + 1
+        assert enc.lower <= lam <= enc.upper

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import EQ, gram_triple, map_derivative_gram, operators, shear
-from tricert.fem import ReferenceMap, assemble, build_space, mirror, mirror_half, parity_bases
+from tricert.fem import ReferenceMap, assemble, build_space, mirror, parity_bases
 from tricert.geometry import triangle_from_angle, triangle_from_vertex
 from tricert.mesh import uniform_subdivide
 
@@ -322,11 +322,9 @@ def test_parity_bases_split_the_space(family, bc, n):
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("family, bc", PAIRS)
 def test_half_spectra_unite_to_the_whole_spectrum(family, bc, n, theta):
-    ref = reference_map(n, family, bc)
-    tri = triangle_from_angle(theta)
-    whole = ref.mapped(tri)
+    whole = reference_map(n, family, bc).with_halves((0, 1)).mapped(triangle_from_angle(theta))
     want = scipy.linalg.eigh(whole.A.toarray(), whole.M.toarray(), eigvals_only=True)
-    halves = [ref.half(tri, p) for p in (0, 1)]
+    halves = whole.halves
     got = np.sort(np.concatenate([
         scipy.linalg.eigh(h.A.toarray(), h.M.toarray(), eigvals_only=True) for h in halves
     ]))
@@ -339,16 +337,27 @@ def test_half_spectra_unite_to_the_whole_spectrum(family, bc, n, theta):
             assert np.abs(getattr(h, name).toarray() - direct).max() <= 1e-13 * abs(full).max()
 
 
-@pytest.mark.parametrize("family, bc", PAIRS)
-def test_mirror_half_names_the_parity_of_a_vector(family, bc):
-    ref = reference_map(8, family, bc)
-    rng = np.random.default_rng(3)
-    for index, C in enumerate(parity_bases(ref.space)):
-        u = C @ rng.standard_normal(C.shape[1])
-        assert mirror_half(ref.space, u) == index
-
-
 def test_halves_need_the_apex_on_the_unit_circle():
-    ref = reference_map(6, "cr", "dirichlet")
+    ref = reference_map(6, "cr", "dirichlet").with_halves((0,))
     with pytest.raises(ValueError, match="unit circle"):
-        ref.half(triangle_from_vertex(0.3, 0.8), 0)
+        ref.mapped(triangle_from_vertex(0.3, 0.8))
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.9, 1.0, EQ], ids=["0.05", "0.3", "0.9", "1.0", "fl(pi/3)"])
+@pytest.mark.parametrize("n", [12, 24])
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+def test_conforming_ground_mode_is_mirror_symmetric(bc, n, theta):
+    # a split conforming space is solved in its symmetric half alone.  For
+    # Dirichlet the ground mode lies there by a theorem: T(theta) has angles
+    # theta and (pi - theta)/2, all below pi/2, so its uniform mesh is acute
+    # and the P1 stiffness an M-matrix (Ciarlet & Raviart 1973); by
+    # Perron-Frobenius the ground mode is positive, so it is its own mirror
+    # image.  For edge-mean this checks a measured fact.
+    ops = operators(theta, n, "cg", bc)
+    u = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray(), subset_by_index=[0, 0])[1][:, 0]
+    if bc == "dirichlet":
+        w = np.zeros(ops.space.full_dim)
+        w[ops.space.free] = u
+    else:
+        w = ops.space.Z @ u
+    assert np.abs(w[mirror(ops.space)] - w).max() <= 1e-9 * np.abs(w).max()
