@@ -59,6 +59,7 @@ from .bounds import (
     eta_range,
 )
 from .eigsolve import (
+    BAND_CUTOFF,
     SPLIT_CUTOFF,
     EigensolveError,
     ground_rayleigh,
@@ -259,7 +260,11 @@ def _reference_operators(n: int, family: str, bc: str) -> ReferenceMap:
     Each entry is the :class:`ReferenceMap` of one space, with the
     mirror-parity halves it is solved in: both for a CR space above
     SPLIT_CUTOFF unknowns, the symmetric one for such a CG space
-    (:mod:`eigsolve`), none below.  Eight entries hold the two sweep
+    (:mod:`eigsolve`), none below.  Each solver target, every half or
+    else the whole space, carries its band order where that is at most
+    BAND_CUTOFF wide, and its shift-invert factor is then banded Cholesky
+    instead of SuperLU: a space's split and factor backend are both fixed
+    here, once, from its pattern alone.  Eight entries hold the two sweep
     spaces and the two corner spaces of each problem, so a process that
     proves both problems (or runs both quick proofs, six spaces) builds
     each space once; with four, every proof of the pair would evict the
@@ -270,8 +275,17 @@ def _reference_operators(n: int, family: str, bc: str) -> ReferenceMap:
     """
     ref = ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
     if ref.dim <= SPLIT_CUTOFF:
-        return ref
-    return ref.with_halves((0, 1) if family == "cr" else (0,))
+        return _banded(ref)
+    ref = ref.with_halves((0, 1) if family == "cr" else (0,))
+    return replace(ref, halves=tuple((_banded(half), C) for half, C in ref.halves))
+
+
+def _banded(ref: ReferenceMap) -> ReferenceMap:
+    """``ref`` carrying its band order if the band is at most BAND_CUTOFF
+    wide (:mod:`eigsolve`), so that its mapped operators are factorised by
+    banded Cholesky; unchanged otherwise, for SuperLU."""
+    order = ref.band_order()
+    return replace(ref, band=order) if order.width <= BAND_CUTOFF else ref
 
 
 # Thread-count entries of the OpenBLAS builds in the NumPy and SciPy wheels

@@ -22,8 +22,16 @@ step is rounded outward, so the final enclosure [rho - delta,
 rho + delta] is mathematically guaranteed to contain at least one
 eigenvalue.  No system with M is solved; the only factorisations are
 the ones that drive the shift-invert Lanczos solver: of A on the
-nonconforming side, of A - sigma M on the conforming side.  Operators
-that carry mirror-parity halves (:attr:`fem.DiscreteOperators.halves`,
+nonconforming side, of A - sigma M on the conforming side.  Each is made
+by one of two backends, picked by what the operators carry, which
+certify._reference_operators fixes once per reference space: where they
+carry a band order (:class:`fem.BandOrder`, at most BAND_CUTOFF wide),
+LAPACK's banded Cholesky in that order; otherwise SuperLU with its own
+fill-reducing order.  Operators assembled directly carry none and keep
+SuperLU.  Both expect A - sigma M positive definite, sigma below
+lambda_1: on any other matrix the banded Cholesky fails with a diagnosis,
+and SuperLU may fail alike or steer Lanczos to another mode.
+Operators that carry mirror-parity halves (:attr:`fem.DiscreteOperators.halves`,
 chosen per space with SPLIT_CUTOFF) are solved in them, each far cheaper
 to factorise than the whole: the nonconforming side in both halves, the
 conforming side in the symmetric half alone.  The computed vectors are
@@ -110,6 +118,35 @@ DENSE_CUTOFF = 330
 # largest has 2,142 unknowns), and splits every sweep space at CG 96 /
 # CR 64 and every published corner space but edge-mean CR 32.
 SPLIT_CUTOFF = 2500
+
+# Widest band order that certify._reference_operators gives a solver
+# target (a mirror half, or a space solved whole), so that its shift-invert
+# factor is LAPACK's banded Cholesky (dpbtrf, dpbtrs) in that order, not
+# SuperLU.  On the uniform lattice the reverse Cuthill-McKee order of A and
+# M has about one lattice row per band; the edge-mean elimination couples
+# a whole parent side, so those bands are far wider.  ms per factor / per
+# solve on one BLAS thread of a 2-vCPU VM, theta = 0.9, CG shifted to
+# 0.99 lambda_1, median of 15 (31 per solve), banded / SuperLU, by width:
+#   CG 32 Dirichlet whole    465,  30:  0.4 / 0.03    1.7 / 0.07
+#   CG 96 Dirichlet half    2256,  47:  3.0 / 0.17    7.8 / 0.32
+#   CR 32 Dirichlet whole   1488,  62:  1.4 / 0.12    3.5 / 0.18
+#   CG 64 Dirichlet whole   1953,  62:  2.5 / 0.16    6.1 / 0.30
+#   CR 64 Dirichlet half    3040,  63:  3.1 / 0.25    8.8 / 0.34
+#   CR 64 edge-mean half    3103,  94:  7.3 / 0.29    8.2 / 0.34
+#   CG 32 edge-mean whole    558, 121:  1.7 / 0.04    2.9 / 0.07
+#   CR 128 Dirichlet half  12224, 127: 38.0 / 2.17   48.2 / 1.61
+#   CG 288 Dirichlet half  20592, 143: 83.1 / 6.73  132.1 / 4.53
+#   CG 96 edge-mean half    2399, 146:  9.5 / 0.27   10.5 / 0.38
+#   CR 32 edge-mean whole   1581, 177:  6.7 / 0.17    4.4 / 0.20
+#   CR 64 edge-mean half    3134, 184: 14.0 / 0.44    8.1 / 0.40
+#   CG 192 edge-mean half   9407, 290: 75.7 / 4.83   60.6 / 1.79
+# Up to width 63 the band factors 2.4 to 4 times faster and solves faster
+# too.  From 94 to 146 the gain is under a fifth of a factor or is lost to
+# slower solves over a run's 24 (CR 128: 90 against 87 ms), and above 170
+# SuperLU wins.  The cutoff bands every Dirichlet sweep and quick-preset
+# target and leaves every edge-mean target and both published corner
+# spaces on SuperLU.
+BAND_CUTOFF = 64
 
 # Lanczos vectors for the shifted ground solve of ground_rayleigh.  Factor
 # solves summed over every fourth point of both paper schedules (step-2
@@ -280,6 +317,80 @@ def _normalize(M: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
     return -u if u[j] < 0.0 else u
 
 
+def _band_pack(ops: DiscreteOperators | Half, sigma: float) -> np.ndarray:
+    """A - ``sigma`` M in the order ``ops.band``, in LAPACK's upper band
+    storage: entry (i, j), i <= j, of the permuted matrix at [w + i - j, j]
+    of a (w + 1, n) array in column-major order, w the band's width.
+
+    Each entry is formed as the sparse difference forms it, a - (sigma m),
+    so the band holds the permuted upper triangle of A - sigma M bit for
+    bit.
+    """
+    band, n = ops.band, ops.dim
+    w = band.width
+
+    def upper(K):
+        """The flat band positions and values of K's upper triangle."""
+        j = band.rank[K.indices]
+        d = j - band.rank[np.repeat(np.arange(n), np.diff(K.indptr))]
+        # an entry outside the band would overwrite another's position
+        if d.max(initial=0) > w:
+            raise ValueError(f"operator pattern exceeds its band order's width {w}")
+        keep = np.flatnonzero(d >= 0)
+        return (w - d + (w + 1) * j)[keep], K.data[keep]
+
+    ab = np.zeros((w + 1) * n)
+    pos, vals = upper(ops.A)
+    ab[pos] = vals
+    if sigma:
+        pos, vals = upper(ops.M)
+        ab[pos] -= sigma * vals
+    return ab.reshape((w + 1, n), order="F")
+
+
+class _BandCholesky:
+    """LAPACK banded Cholesky factor of A - sigma M (:func:`_band_pack`),
+    solving in the unknowns' own order, as a SuperLU factor does."""
+
+    def __init__(self, ops: DiscreteOperators | Half, sigma: float):
+        self._band = ops.band
+        self._factor, info = scipy.linalg.lapack.dpbtrf(_band_pack(ops, sigma), overwrite_ab=1)
+        if info != 0:
+            raise EigensolveError(
+                f"shift-invert factorisation failed: banded Cholesky info {info} "
+                "(A - sigma M is not positive definite)"
+            )
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = scipy.linalg.lapack.dpbtrs(self._factor, b[self._band.perm])
+        if info != 0:
+            raise EigensolveError(f"banded Cholesky solve failed: info {info}")
+        return x[self._band.rank]
+
+
+def _shift_invert_factor(ops: DiscreteOperators | Half, sigma: float):
+    """A factor of A - ``sigma`` M whose ``solve`` drives shift-invert
+    Lanczos: banded Cholesky in ``ops.band`` where the operators carry a
+    band order, SuperLU otherwise.
+
+    A - sigma M is symmetric positive definite for sigma below the lowest
+    eigenvalue, so both are stable there: Cholesky needs no pivoting, and
+    SuperLU takes a symmetric fill-reducing ordering with diagonal pivots.
+    Above it the Cholesky factorisation fails, and SuperLU may fail or steer
+    Lanczos to another mode; every failure is an EigensolveError.
+    """
+    if ops.band is not None:
+        return _BandCholesky(ops, sigma)
+    shifted = ops.A - sigma * ops.M if sigma else ops.A
+    try:
+        return spla.splu(
+            shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise EigensolveError(f"shift-invert factorisation failed: {exc}") from exc
+
+
 def _lowest_modes(
     ops: DiscreteOperators | Half, k: int, sigma: float = 0.0, ncv: int | None = None
 ) -> np.ndarray:
@@ -288,38 +399,31 @@ def _lowest_modes(
 
     Dense LAPACK runs up to DENSE_CUTOFF unknowns (the measured
     crossover) or when more than dim modes are asked for, and the
-    shift-invert Lanczos solver otherwise, on A - ``sigma`` M with
-    ``ncv`` Lanczos vectors (ARPACK's default when None), stopping at
-    LANCZOS_TOL.  Dense LAPACK
-    yields at most dim modes and Lanczos at most dim - 1, so fewer than
-    ``k`` may come back.  Nothing returned is certified.
+    shift-invert Lanczos solver otherwise, on A - ``sigma`` M
+    (:func:`_shift_invert_factor`) with ``ncv`` Lanczos vectors (ARPACK's
+    default when None), stopping at LANCZOS_TOL.  Dense LAPACK yields at
+    most dim modes and Lanczos at most dim - 1, so fewer than ``k`` may
+    come back.  Nothing returned is certified; every failure of either
+    backend is an EigensolveError.
     """
     n = ops.dim
     if n <= DENSE_CUTOFF or k > n:
-        vals, vecs = scipy.linalg.eigh(
-            ops.A.toarray(), ops.M.toarray(), subset_by_index=[0, min(k, n) - 1]
-        )
-    else:
-        # A - sigma M is symmetric positive definite for sigma below the
-        # lowest eigenvalue, so a symmetric fill-reducing ordering with
-        # diagonal pivots is stable there; above it the factor may fail,
-        # which is diagnosed, or steer Lanczos to another mode
-        shifted = ops.A - sigma * ops.M if sigma else ops.A
         try:
-            lu = spla.splu(
-                shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
+            vals, vecs = scipy.linalg.eigh(
+                ops.A.toarray(), ops.M.toarray(), subset_by_index=[0, min(k, n) - 1]
             )
-        except RuntimeError as exc:
-            raise EigensolveError(f"shift-invert factorisation failed: {exc}") from exc
-        opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolveError(f"dense generalized eigensolve failed: {exc}") from exc
+    else:
+        factor = _shift_invert_factor(ops, sigma)
+        opinv = spla.LinearOperator((n, n), matvec=factor.solve, dtype=np.float64)
         try:
             vals, vecs = spla.eigsh(
                 ops.A, k=min(k, n - 1), M=ops.M, sigma=sigma, which="LM",
                 v0=np.ones(n), ncv=ncv, tol=LANCZOS_TOL, OPinv=opinv,
             )
-        except spla.ArpackNoConvergence as exc:
-            raise EigensolveError(f"ARPACK did not converge: {exc}") from exc
+        except spla.ArpackError as exc:
+            raise EigensolveError(f"ARPACK failed: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     if not np.all(np.isfinite(vals)):

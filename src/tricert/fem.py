@@ -40,6 +40,11 @@ reflection.  Each space is the direct sum of its mirror-symmetric and
 antisymmetric halves (:func:`parity_bases`), and on T(theta) the pencil
 (A, M) splits with it; :meth:`ReferenceMap.with_halves` keeps a half's
 reference grams, which map by the same identities.
+
+The sparsity pattern of A and M does not depend on the apex either, so a
+symmetric ordering of the unknowns that packs the pencil into a narrow
+band (:class:`BandOrder`) is computed once, on the reference operators,
+and serves every angle.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .geometry import TriangleShape
 from .mesh import Mesh
@@ -244,6 +250,28 @@ def _half_nullspace(sides: list[tuple[np.ndarray, np.ndarray]], S: sp.csr_matrix
 
 
 @dataclass(frozen=True)
+class BandOrder:
+    """A symmetric ordering of a space's unknowns: unknown ``perm[k]`` is
+    the k-th, ``rank`` is the inverse permutation, and every entry (i, j)
+    of the pattern it was made for has |rank[i] - rank[j]| <= ``width``."""
+
+    perm: np.ndarray
+    rank: np.ndarray
+    width: int
+
+    @classmethod
+    def of(cls, pattern: sp.csr_matrix) -> "BandOrder":
+        """The reverse Cuthill-McKee order of the symmetric ``pattern``."""
+        n = pattern.shape[0]
+        perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.int64)
+        rank = np.empty(n, dtype=np.int64)
+        rank[perm] = np.arange(n)
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        width = int(np.max(np.abs(rank[rows] - rank[pattern.indices]), initial=0))
+        return cls(perm, rank, width)
+
+
+@dataclass(frozen=True)
 class DiscreteOperators:
     """Reduced stiffness/mass family for one space.
 
@@ -252,7 +280,9 @@ class DiscreteOperators:
     as an assembly identity.  Kxy is stored as assembled (row index
     differentiates in x, column in y); only its quadratic form is used.
     ``halves`` are mirror-parity halves (:class:`Half`) for the solvers
-    to work in; assembled operators carry none.
+    to work in, and ``band`` an order that packs A and M into a narrow
+    band, for the solvers to factorise in; assembled operators carry
+    neither.
     """
 
     space: FemSpace
@@ -262,6 +292,7 @@ class DiscreteOperators:
     Kxy: sp.csr_matrix
     Kyy: sp.csr_matrix
     halves: tuple[Half, ...] = ()
+    band: BandOrder | None = None
 
     @property
     def dim(self) -> int:
@@ -288,12 +319,13 @@ class Half:
 
     A and M act on half coordinates, and C (:func:`parity_bases`) lifts
     them to the space's reduced coordinates: A = C^T A_space C, and
-    likewise M.
+    likewise M.  ``band`` is as in :class:`DiscreteOperators`.
     """
 
     A: sp.csr_matrix
     M: sp.csr_matrix
     C: sp.csr_matrix
+    band: BandOrder | None = None
 
     @property
     def dim(self) -> int:
@@ -311,7 +343,8 @@ class ReferenceMap:
     has no entry.  The reference A and grams are not kept as matrices:
     the map reads none of them, and the cache of one map per reference
     space would hold them for the life of the process.  ``halves`` holds
-    a (map, basis) pair for each half the map carries.
+    a (map, basis) pair for each half the map carries, and ``band`` the
+    order the mapped operators carry (:meth:`band_order`), if any.
     """
 
     space: FemSpace
@@ -323,6 +356,7 @@ class ReferenceMap:
     xy_sym: np.ndarray
     yy: np.ndarray
     halves: tuple[tuple["ReferenceMap", sp.csr_matrix], ...] = ()
+    band: BandOrder | None = None
 
     @property
     def dim(self) -> int:
@@ -374,10 +408,17 @@ class ReferenceMap:
             halves.append((ReferenceMap._of_grams(self.space, *congruent), C))
         return replace(self, halves=tuple(halves))
 
+    def band_order(self) -> BandOrder:
+        """The reverse Cuthill-McKee order of the pattern of A and M, which
+        holds the pattern of the operators mapped to any triangle."""
+        n = self.dim
+        union = sp.csr_matrix((np.ones(self.indices.size), self.indices, self.indptr), (n, n))
+        return BandOrder.of((union + abs(self.M)).tocsr())
+
     def mapped(self, triangle: TriangleShape) -> DiscreteOperators:
         """The operators on ``triangle``, by the reference-map identities of
         the module docstring, with each half this map carries mapped alike
-        (A and M only).
+        (A and M only), each carrying the band order of its map.
 
         The returned space holds the mesh of ``triangle``: the reference
         mesh with its triangle swapped.  A map with halves needs a
@@ -397,8 +438,10 @@ class ReferenceMap:
             Kxy=self._csr(self.xy - bx * self.xx),
             Kyy=self._csr(kyy),
             halves=tuple(
-                Half(ref._csr(ref._stiffness(bx, by)[0]), by * ref.M, C) for ref, C in self.halves
+                Half(ref._csr(ref._stiffness(bx, by)[0]), by * ref.M, C, ref.band)
+                for ref, C in self.halves
             ),
+            band=self.band,
         )
 
     def _stiffness(self, bx: float, by: float) -> tuple[np.ndarray, np.ndarray]:

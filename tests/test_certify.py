@@ -290,6 +290,33 @@ class TestPointData:
             ) <= certify.SPLIT_CUTOFF
             assert min(dim(paper.cg_n, "cg", problem), dim(paper.cr_n, "cr", problem)) > certify.SPLIT_CUTOFF
 
+    def test_band_cutoff_bands_the_dirichlet_sweep_and_quick_spaces_only(self):
+        # every solver target (each half, or the whole space) of the
+        # Dirichlet sweep and quick-preset spaces is factorised banded; the
+        # edge-mean elimination couples a whole parent side, so no edge-mean
+        # space is, and the published corner spaces are too wide
+        def targets(n, family, problem):
+            ref = certify._reference_operators(n, family, certify._BC[problem])
+            return [half for half, _ in ref.halves] or [ref]
+
+        for problem in ("dirichlet", "cr-constant"):
+            quick, paper = quick_config(problem), paper_config(problem)
+            spaces = {
+                "sweep": [(paper.cg_n, "cg"), (paper.cr_n, "cr")],
+                "quick": [
+                    (quick.cg_n, "cg"), (quick.cr_n, "cr"),
+                    (quick.eq_cg_n, "cg"), (quick.eq_cr_n, "cr"),
+                ],
+                "corner": [(paper.eq_cg_n, "cg"), (paper.eq_cr_n, "cr")],
+            }
+            for kind, sizes in spaces.items():
+                banded = problem == "dirichlet" and kind != "corner"
+                for n, family in sizes:
+                    for ref in targets(n, family, problem):
+                        assert (ref.band is not None) == banded, (problem, kind, n, family)
+                        width = ref.band_order().width
+                        assert (width <= certify.BAND_CUTOFF) == banded
+
     def test_parallel_matches_serial(self):
         thetas = [0.4, 0.7, 1.0, EQ]
         serial = compute_points("cr-constant", thetas, 12, 8, jobs=1)
@@ -457,6 +484,18 @@ def quick_cr_cert():
 
 
 class TestRunProof:
+    def test_arpack_failure_is_a_diagnosed_abort(self, monkeypatch):
+        # any ARPACK error, not only non-convergence, becomes a certificate
+        # that fails at stage abort, never an exception out of run_proof
+        def failing_eigsh(*args, **kwargs):
+            raise eigsolve.spla.ArpackError(-9999)
+
+        monkeypatch.setattr(eigsolve.spla, "eigsh", failing_eigsh)
+        cert = run_proof(quick_config("dirichlet"))
+        assert cert.verdict == "failed"
+        assert cert.failure["stage"] == "abort"
+        assert "ARPACK" in cert.failure["detail"]
+
     def test_certificate_shape(self, quick_cr_cert):
         cert = quick_cr_cert
         d = cert.to_dict()

@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 
 from helpers import EQ, operators
 from tricert.certify import _reference_operators
-from tricert import eigsolve
+from tricert import certify, eigsolve
 from tricert.bounds import corrected_lower
 from tricert.geometry import triangle_from_angle
 from tricert.eigsolve import (
     DENSE_CUTOFF,
     EigensolveError,
+    _band_pack,
     _certify,
     ground_rayleigh,
     quad_form_interval,
@@ -32,6 +33,7 @@ from tricert.eigsolve import (
     solve_lowest,
     verify_enclosure,
 )
+from tricert.fem import BandOrder
 
 families = st.sampled_from(["cg", "cr"])
 bcs = st.sampled_from(["dirichlet", "edge-mean"])
@@ -138,6 +140,38 @@ def test_singular_shift_invert_factor_is_diagnosed():
     A[:, 0] = 0.0
     with pytest.raises(EigensolveError, match="factorisation"):
         solve_lowest(replace(ops, A=A.tocsr()), 2)
+
+
+def test_singular_banded_factor_is_diagnosed():
+    # the banded twin: a zero pivot ends the Cholesky factorisation
+    ops = _reference_operators(32, "cg", "dirichlet").mapped(triangle_from_angle(EQ))
+    assert ops.band is not None and ops.dim > DENSE_CUTOFF
+    A = ops.A.tolil()
+    A[0, :] = 0.0
+    A[:, 0] = 0.0
+    with pytest.raises(EigensolveError, match="factorisation"):
+        solve_lowest(replace(ops, A=A.tocsr()), 2)
+
+
+@pytest.mark.parametrize("method", ["dense", "sparse"])
+def test_every_backend_failure_is_diagnosed(monkeypatch, method):
+    # a failure of either backend, not only ARPACK's non-convergence, is an
+    # EigensolveError, which the proof turns into a diagnosed verdict
+    ops = operators(0.9, 12, "cg", "edge-mean")
+    monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", ops.dim if method == "dense" else 0)
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("leading minor not positive definite")
+
+    def failing_eigsh(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    monkeypatch.setattr(eigsolve.scipy.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(eigsolve.spla, "eigsh", failing_eigsh)
+    with pytest.raises(EigensolveError):
+        solve_lowest(ops, 2)
+    with pytest.raises(EigensolveError):
+        ground_rayleigh(ops, 0.0)
 
 
 def test_determinism():
@@ -301,11 +335,11 @@ def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
 
 
 def _count_factor_solves(monkeypatch) -> list:
-    """Record every solve with a shift-invert factor made from now on, as
-    the index of the factor, in the order the factors were made."""
+    """Record every solve with a shift-invert factor made from now on, by
+    either backend (SuperLU or banded Cholesky), as the index of the
+    factor, in the order the factors were made."""
     solves = []
     made = [0]
-    real_splu = eigsolve.spla.splu
 
     class Counted:
         def __init__(self, lu):
@@ -317,9 +351,11 @@ def _count_factor_solves(monkeypatch) -> list:
             solves.append(self._k)
             return self._lu.solve(b)
 
-    monkeypatch.setattr(
-        eigsolve.spla, "splu", lambda *args, **kwargs: Counted(real_splu(*args, **kwargs))
-    )
+    for owner, name in ((eigsolve.spla, "splu"), (eigsolve, "_BandCholesky")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args, real=real, **kwargs: Counted(real(*args, **kwargs))
+        )
     return solves
 
 
@@ -346,16 +382,29 @@ def test_shifted_ground_solve_agrees_in_few_factor_solves(monkeypatch, bc, theta
     assert 0 < len(solves) <= 10
 
 
-@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
-@pytest.mark.parametrize("where", ["between-1-2", "above-2"])
-def test_shift_above_lambda1_never_lowers_the_bound(bc, where):
+@pytest.mark.parametrize(
+    "where, bc, backend",
+    [
+        pytest.param(where, bc, backend, id=f"{where}-{bc}{suffix}")
+        for backend, suffix in (("superlu", ""), ("banded", "-banded"))
+        for bc in ("dirichlet", "edge-mean")
+        for where in ("between-1-2", "above-2")
+    ],
+)
+def test_shift_above_lambda1_never_lowers_the_bound(where, bc, backend):
     # a shift at or above the ground eigenvalue (a wrong CR index) steers
     # Lanczos elsewhere; the Rayleigh bound may only grow, or the solve
-    # ends in a diagnosed error
+    # ends in a diagnosed error.  A - sigma M is then indefinite, so its
+    # banded Cholesky factorisation always fails
     ops = operators(0.9, 32, "cg", bc)
     assert ops.dim > DENSE_CUTOFF
     lam1, lam2, lam3 = dense_eigs(ops, 3)
     sigma = 0.5 * (lam1 + lam2) if where == "between-1-2" else 0.5 * (lam2 + lam3)
+    if backend == "banded":
+        ops = replace(ops, band=BandOrder.of(abs(ops.A) + abs(ops.M)))
+        with pytest.raises(EigensolveError, match="factorisation"):
+            ground_rayleigh(ops, sigma)
+        return
     try:
         g = ground_rayleigh(ops, sigma)
     except EigensolveError:
@@ -471,7 +520,8 @@ def test_split_solve_finds_the_antisymmetric_mode_in_one_cycle(monkeypatch):
     # lambda_4 = 215.3).  Each half holds its own modes from the start, so
     # the split's third candidate is lambda_3 of a random-start oracle,
     # and each half's run converges in one cycle
-    ops = mapped_with_halves(1.0, 64, "cr", "dirichlet")
+    ops = _reference_operators(64, "cr", "dirichlet").mapped(triangle_from_angle(1.0))
+    assert len(ops.halves) == 2
     v0 = np.random.default_rng(2).standard_normal(ops.dim)
     oracle = np.sort(scipy.sparse.linalg.eigsh(ops.A, k=4, M=ops.M, sigma=0.0, v0=v0)[0])
     assert 128.0 < oracle[2] < 129.0 < 215.0 < oracle[3] < 216.0
@@ -495,3 +545,85 @@ def test_one_half_is_solved_whole(monkeypatch, bc, theta):
     for i, (enc, lam) in enumerate(zip(encs, dense_eigs(ops, 3))):
         assert enc.k == i + 1
         assert enc.lower <= lam <= enc.upper
+
+
+# banded Cholesky -------------------------------------------------------------
+
+
+def proof_and_superlu_operators(monkeypatch, theta, n, family, split):
+    """The Dirichlet operators of T(theta) as _reference_operators maps them,
+    solved in halves when ``split`` and whole otherwise, and the same
+    operators with BAND_CUTOFF = 0, so on SuperLU alone: the reference."""
+    tri = triangle_from_angle(theta)
+    monkeypatch.setattr(certify, "SPLIT_CUTOFF", 0 if split else 10**9)
+    # the backend of a space is fixed when its map is built, so the cache
+    # must hold no map built under other cutoffs, and keep none of these
+    certify._reference_operators.cache_clear()
+    try:
+        proof = certify._reference_operators(n, family, "dirichlet").mapped(tri)
+        with monkeypatch.context() as patch:
+            patch.setattr(certify, "BAND_CUTOFF", 0)
+            certify._reference_operators.cache_clear()
+            superlu = certify._reference_operators(n, family, "dirichlet").mapped(tri)
+    finally:
+        certify._reference_operators.cache_clear()
+    return proof, superlu
+
+
+def _targets(ops):
+    return ops.halves or (ops,)
+
+
+@pytest.mark.parametrize(
+    "family, n, split",
+    [("cr", 16, False), ("cr", 32, True), ("cg", 28, False), ("cg", 40, True)],
+    ids=["cr16-whole", "cr32-halves", "cg28-whole", "cg40-half"],
+)
+@pytest.mark.parametrize("theta", [0.3, 1.0, EQ], ids=["0.3", "1.0", "fl(pi/3)"])
+def test_banded_solves_contain_the_dense_oracle(monkeypatch, theta, family, n, split):
+    # the band order only steers the solver: the CR enclosures and the
+    # shifted CG Rayleigh bound are certified on the whole operators, hold
+    # the dense oracle, and agree with SuperLU's solve of the same space
+    proof, superlu = proof_and_superlu_operators(monkeypatch, theta, n, family, split)
+    targets = _targets(proof)
+    assert len(targets) == (2 if family == "cr" and split else 1)
+    assert all(t.band is not None and t.dim > DENSE_CUTOFF for t in targets)
+    assert all(t.band is None for t in _targets(superlu))
+    vals = scipy.linalg.eigh(
+        proof.A.toarray(), proof.M.toarray(), eigvals_only=True, subset_by_index=[0, 1]
+    )
+    if family == "cr":
+        banded, reference = solve_lowest(proof, 2), solve_lowest(superlu, 2)
+        for enc, ref, lam in zip(banded, reference, vals):
+            assert enc.lower <= lam <= enc.upper
+            assert math.isclose(enc.rayleigh, ref.rayleigh, rel_tol=1e-10)
+    else:
+        below = 0.99 * vals[0]
+        banded, reference = ground_rayleigh(proof, below), ground_rayleigh(superlu, below)
+        assert vals[0] <= banded.rho.hi
+        assert math.isclose(banded.rho.hi, reference.rho.hi, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "family, n, sigma",
+    [("cr", 32, 0.0), ("cg", 32, 0.0), ("cg", 32, 61.5), ("cg", 96, 57.25)],
+    ids=["cr32", "cg32", "cg32-shifted", "cg96-half-shifted"],
+)
+def test_band_pack_holds_the_permuted_upper_triangle(family, n, sigma):
+    # LAPACK upper band storage: entry (i, j), i <= j, of the permuted
+    # matrix at [w + i - j, j]; the rest of the array is zero
+    ops = _reference_operators(n, family, "dirichlet").mapped(triangle_from_angle(0.9))
+    (target,) = _targets(ops)
+    band, w, size = target.band, target.band.width, target.dim
+    assert w <= eigsolve.BAND_CUTOFF
+    ab = _band_pack(target, sigma)
+    assert ab.shape == (w + 1, size) and ab.flags.f_contiguous
+    rows, j = np.nonzero(ab)
+    i = rows - w + j
+    assert i.min() >= 0  # nothing in the unused corner of the array
+    unpacked = scipy.sparse.csr_matrix((ab[rows, j], (i, j)), shape=(size, size))
+    shifted = target.A - sigma * target.M if sigma else target.A
+    want = scipy.sparse.triu(shifted[band.perm][:, band.perm], format="csr")
+    want.eliminate_zeros()
+    assert unpacked.nnz == want.nnz
+    assert (unpacked != want).nnz == 0
