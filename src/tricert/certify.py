@@ -60,7 +60,6 @@ from .bounds import (
 )
 from .eigsolve import (
     BAND_CUTOFF,
-    SPLIT_CUTOFF,
     EigensolveError,
     ground_rayleigh,
     quad_form_interval,
@@ -258,34 +257,26 @@ def _reference_operators(n: int, family: str, bc: str) -> ReferenceMap:
     """Operators on the n-fold mesh of T_ref, built once per process.
 
     Each entry is the :class:`ReferenceMap` of one space, with the
-    mirror-parity halves it is solved in: both for a CR space above
-    SPLIT_CUTOFF unknowns, the symmetric one for such a CG space
-    (:mod:`eigsolve`), none below.  Each solver target, every half or
-    else the whole space, carries its band order where that is at most
-    BAND_CUTOFF wide, and its shift-invert factor is then banded Cholesky
-    instead of SuperLU: a space's split and factor backend are both fixed
-    here, once, from its pattern alone.  Eight entries hold the two sweep
-    spaces and the two corner spaces of each problem, so a process that
-    proves both problems (or runs both quick proofs, six spaces) builds
-    each space once; with four, every proof of the pair would evict the
-    other's spaces and rebuild its own.  Every caller shares the cached
-    arrays, so they are only read (:meth:`ReferenceMap.mapped` builds new
-    ones).  Mesh, space and assembly are built through this module's
-    names, so wrapping them here sees every build.
+    mirror-parity halves it is solved in, whatever its size: both for a
+    CR space, the symmetric one for a CG space (:mod:`eigsolve`).  Each
+    half carries its band order where that is at most BAND_CUTOFF wide,
+    and its shift-invert factor is then banded Cholesky instead of
+    SuperLU: a half's factor backend is fixed here, once, from its
+    pattern alone.  Eight entries hold the two sweep spaces and the two
+    corner spaces of each problem, so a process that proves both problems
+    (or runs both quick proofs, six spaces) builds each space once; with
+    four, every proof of the pair would evict the other's spaces and
+    rebuild its own.  Every caller shares the cached arrays, so they are
+    only read (:meth:`ReferenceMap.mapped` builds new ones).  Mesh, space
+    and assembly are built through this module's names, so wrapping them
+    here sees every build.
     """
     ref = ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
-    if ref.dim <= SPLIT_CUTOFF:
-        return _banded(ref)
-    ref = ref.with_halves((0, 1) if family == "cr" else (0,))
-    return replace(ref, halves=tuple((_banded(half), C) for half, C in ref.halves))
-
-
-def _banded(ref: ReferenceMap) -> ReferenceMap:
-    """``ref`` carrying its band order if the band is at most BAND_CUTOFF
-    wide (:mod:`eigsolve`), so that its mapped operators are factorised by
-    banded Cholesky; unchanged otherwise, for SuperLU."""
-    order = ref.band_order()
-    return replace(ref, band=order) if order.width <= BAND_CUTOFF else ref
+    halves = []
+    for half, C in ref.with_halves((0, 1) if family == "cr" else (0,)).halves:
+        order = half.band_order()
+        halves.append((replace(half, band=order) if order.width <= BAND_CUTOFF else half, C))
+    return replace(ref, halves=tuple(halves))
 
 
 # Thread-count entries of the OpenBLAS builds in the NumPy and SciPy wheels

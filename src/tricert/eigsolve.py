@@ -1,11 +1,11 @@
 """Generalized eigenvalue solves with certified a posteriori enclosures.
 
 The floating-point eigensolve is treated as a heuristic that produces a
-pair (rho, u).  Spaces of at most DENSE_CUTOFF unknowns go to dense
-LAPACK, which computes only the modes asked for; larger ones go to
-ARPACK shift-invert Lanczos.  The cutoff is the crossover measured
-between the two backends, not a memory limit.  Certification then
-rests only on
+pair (rho, u).  Solver targets (a mirror half, or a whole space) of at
+most DENSE_CUTOFF unknowns go to dense LAPACK, which computes only the
+modes asked for; larger ones go to ARPACK shift-invert Lanczos.  The
+cutoff is the crossover measured between the two backends, not a
+memory limit.  Certification then rests only on
 
     min_k |lambda_k - rho| <= ||A u - rho M u||_{M^{-1}} / ||u||_M,
 
@@ -22,22 +22,24 @@ step is rounded outward, so the final enclosure [rho - delta,
 rho + delta] is mathematically guaranteed to contain at least one
 eigenvalue.  No system with M is solved; the only factorisations are
 the ones that drive the shift-invert Lanczos solver: of A on the
-nonconforming side, of A - sigma M on the conforming side.  Each is made
-by one of two backends, picked by what the operators carry, which
-certify._reference_operators fixes once per reference space: where they
-carry a band order (:class:`fem.BandOrder`, at most BAND_CUTOFF wide),
-LAPACK's banded Cholesky in that order; otherwise SuperLU with its own
-fill-reducing order.  Operators assembled directly carry none and keep
-SuperLU.  Both expect A - sigma M positive definite, sigma below
-lambda_1: on any other matrix the banded Cholesky fails with a diagnosis,
-and SuperLU may fail alike or steer Lanczos to another mode.
-Operators that carry mirror-parity halves (:attr:`fem.DiscreteOperators.halves`,
-chosen per space with SPLIT_CUTOFF) are solved in them, each far cheaper
-to factorise than the whole: the nonconforming side in both halves, the
-conforming side in the symmetric half alone.  The computed vectors are
-lifted to the whole space and certified there, exactly as a whole-space
-vector would be, so the halves steer the solver as sigma does and never
-enter a bound.
+nonconforming side, of A - sigma M on the conforming side.
+
+One rule splits the solves.  Operators that carry mirror-parity halves
+(:attr:`fem.DiscreteOperators.halves`) are solved in them: the
+nonconforming side in both halves, the conforming side in the symmetric
+half alone.  Every map that certify._reference_operators builds carries
+them, whatever its size, so every proof space is solved so; only
+operators assembled directly carry none and are solved whole.  The
+computed vectors are lifted to the whole space and certified there,
+exactly as a whole-space vector would be, so the halves steer the solver
+as sigma does and never enter a bound.  Each factorisation is made by
+one of two backends: LAPACK's banded Cholesky in a half's band order
+(:class:`fem.BandOrder`), which certify._reference_operators gives a
+half, once per reference space, where the band is at most BAND_CUTOFF
+wide; otherwise, and for every whole space, SuperLU with its own
+fill-reducing order.  Both expect A - sigma M positive definite, sigma
+below lambda_1: on any other matrix the banded Cholesky fails with a
+diagnosis, and SuperLU may fail alike or steer Lanczos to another mode.
 
 The rounding term sets delta.  Each Lanczos run stops at ARPACK's
 relative tolerance LANCZOS_TOL = 1e-12, not at machine precision, and
@@ -77,8 +79,9 @@ restarts (on CR 64 Dirichlet at theta = 1.0 the first cycle's third mode
 is lambda_4, the second cycle's the antisymmetric lambda_3).  The split
 solve runs each half from its own v0 = ones, so each half's modes are
 reached without rounding, and the ordering is that of the union of the
-two halves' spectra, which is the whole spectrum.  Operators without
-both halves (all of the quick preset) are solved whole.
+two halves' spectra, which is the whole spectrum.  Every proof space is
+solved so; only directly assembled operators (``tricert constants``)
+still start a whole space from v0 = ones.
 """
 
 from __future__ import annotations
@@ -91,42 +94,34 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import DiscreteOperators, Half
+from .fem import BandOrder, DiscreteOperators, Half
 from .rounding import Interval, dn, up
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Largest space sent to dense LAPACK: the crossover measured for
-# solve_lowest(ops, 2) on a 2-core VM, median of 15 runs in ms, dense
-# (count + 1 modes) / shift-invert Lanczos, by number of unknowns:
-#   171: 9.6 / 14.0   253: 11.5 / 13.7   322: 17.9 / 18.9
-#   351: 19.6 / 17.7  465: 37.5 / 12.4   558: 59.1 / 25.7
-DENSE_CUTOFF = 330
+# Largest solver target sent to dense LAPACK: the crossover measured on
+# halves, run as the proof runs them (CR: both halves, three modes with
+# HALF_NCV vectors; CG: the symmetric half, one mode shifted to 0.99
+# lambda_1, GROUND_NCV vectors; each banded where the proof bands it).  CPU
+# ms on one BLAS thread of a 2-vCPU VM, theta = 0.9, median of 15, dense /
+# Lanczos, by unknowns per half (a CR time covers both halves):
+#   CR Dirichlet  140/133: 4.8 / 8.5   184/176: 9.2 / 9.0   234/225: 17.1 / 8.9
+#   CR edge-mean  159/153: 6.6 / 8.8   206/199: 14.0 / 9.1
+#   CG Dirichlet  110: 1.4 / 1.7   132: 2.1 / 1.5   240: 9.5 / 1.9
+#   CG edge-mean   98: 0.9 / 1.3   119: 1.7 / 1.7   167: 3.2 / 1.6
+# The CG crossover lies near 120 unknowns, the CR one near 180.  The cutoff
+# between them sends every quick-preset half to Lanczos (the smallest, CG
+# 32 Dirichlet's, has 240 unknowns).
+DENSE_CUTOFF = 150
 
-# Largest space that certify._reference_operators maps without halves;
-# above it a CR space carries both mirror-parity halves and a CG space the
-# symmetric one.  The CR side makes two factorisations and Lanczos runs
-# for one, which pays only on large spaces; the CG side makes one, in the
-# symmetric half.  CPU ms per solve side on a 2-core
-# VM, theta = 0.9, median of 15, whole / split, by number of unknowns:
-#   CR Dirichlet   1488: 10.7 / 10.7   2340: 11.0 / 14.2   3384: 35.2 / 32.2   6048: 60.3 / 51.2
-#   CR edge-mean   1581: 14.0 / 18.7   2457: 16.4 / 19.2   3525: 22.2 / 27.5   6237: 56.9 / 58.8
-#   CG Dirichlet    465:  4.5 /  6.9   1081:  7.3 /  5.9   1953: 12.0 /  8.0   4465: 27.7 / 16.1
-#   CG edge-mean    558:  6.8 / 10.8   1222: 11.2 /  7.5   2142: 21.2 / 12.0   4750: 45.0 / 22.2
-# The CR crossover lies near 3,000 unknowns, the CG one near 1,000.  The
-# cutoff between them keeps every space of the quick preset whole (the
-# largest has 2,142 unknowns), and splits every sweep space at CG 96 /
-# CR 64 and every published corner space but edge-mean CR 32.
-SPLIT_CUTOFF = 2500
-
-# Widest band order that certify._reference_operators gives a solver
-# target (a mirror half, or a space solved whole), so that its shift-invert
-# factor is LAPACK's banded Cholesky (dpbtrf, dpbtrs) in that order, not
-# SuperLU.  On the uniform lattice the reverse Cuthill-McKee order of A and
-# M has about one lattice row per band; the edge-mean elimination couples
-# a whole parent side, so those bands are far wider.  ms per factor / per
-# solve on one BLAS thread of a 2-vCPU VM, theta = 0.9, CG shifted to
-# 0.99 lambda_1, median of 15 (31 per solve), banded / SuperLU, by width:
+# Widest band order that certify._reference_operators gives a mirror half,
+# so that its shift-invert factor is LAPACK's banded Cholesky (dpbtrf,
+# dpbtrs) in that order, not SuperLU.  On the uniform lattice the reverse
+# Cuthill-McKee order of A and M has about one lattice row per band; the
+# edge-mean elimination couples a whole parent side, so those bands are far
+# wider.  ms per factor / per solve on one BLAS thread of a 2-vCPU VM,
+# theta = 0.9, CG shifted to 0.99 lambda_1, median of 15 (31 per solve),
+# banded / SuperLU, by width (whole spaces measured as points of the curve):
 #   CG 32 Dirichlet whole    465,  30:  0.4 / 0.03    1.7 / 0.07
 #   CG 96 Dirichlet half    2256,  47:  3.0 / 0.17    7.8 / 0.32
 #   CR 32 Dirichlet whole   1488,  62:  1.4 / 0.12    3.5 / 0.18
@@ -143,9 +138,10 @@ SPLIT_CUTOFF = 2500
 # Up to width 63 the band factors 2.4 to 4 times faster and solves faster
 # too.  From 94 to 146 the gain is under a fifth of a factor or is lost to
 # slower solves over a run's 24 (CR 128: 90 against 87 ms), and above 170
-# SuperLU wins.  The cutoff bands every Dirichlet sweep and quick-preset
-# target and leaves every edge-mean target and both published corner
-# spaces on SuperLU.
+# SuperLU wins.  The cutoff bands every Dirichlet half of the sweep and
+# quick meshes and, of the edge-mean halves, only CG 32's and the
+# antisymmetric one of CR 32 (widths 50 and 46); the published Dirichlet
+# corner halves stay on SuperLU.
 BAND_CUTOFF = 64
 
 # Lanczos vectors for the shifted ground solve of ground_rayleigh.  Factor
@@ -317,17 +313,17 @@ def _normalize(M: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
     return -u if u[j] < 0.0 else u
 
 
-def _band_pack(ops: DiscreteOperators | Half, sigma: float) -> np.ndarray:
-    """A - ``sigma`` M in the order ``ops.band``, in LAPACK's upper band
-    storage: entry (i, j), i <= j, of the permuted matrix at [w + i - j, j]
-    of a (w + 1, n) array in column-major order, w the band's width.
+def _band_pack(half: Half, band: BandOrder, sigma: float) -> np.ndarray:
+    """A - ``sigma`` M of ``half`` in the order ``band``, in LAPACK's upper
+    band storage: entry (i, j), i <= j, of the permuted matrix at
+    [w + i - j, j] of a (w + 1, n) array in column-major order, w the
+    band's width.
 
     Each entry is formed as the sparse difference forms it, a - (sigma m),
     so the band holds the permuted upper triangle of A - sigma M bit for
     bit.
     """
-    band, n = ops.band, ops.dim
-    w = band.width
+    n, w = half.dim, band.width
 
     def upper(K):
         """The flat band positions and values of K's upper triangle."""
@@ -340,10 +336,10 @@ def _band_pack(ops: DiscreteOperators | Half, sigma: float) -> np.ndarray:
         return (w - d + (w + 1) * j)[keep], K.data[keep]
 
     ab = np.zeros((w + 1) * n)
-    pos, vals = upper(ops.A)
+    pos, vals = upper(half.A)
     ab[pos] = vals
     if sigma:
-        pos, vals = upper(ops.M)
+        pos, vals = upper(half.M)
         ab[pos] -= sigma * vals
     return ab.reshape((w + 1, n), order="F")
 
@@ -352,9 +348,10 @@ class _BandCholesky:
     """LAPACK banded Cholesky factor of A - sigma M (:func:`_band_pack`),
     solving in the unknowns' own order, as a SuperLU factor does."""
 
-    def __init__(self, ops: DiscreteOperators | Half, sigma: float):
-        self._band = ops.band
-        self._factor, info = scipy.linalg.lapack.dpbtrf(_band_pack(ops, sigma), overwrite_ab=1)
+    def __init__(self, half: Half, band: BandOrder, sigma: float):
+        self._band = band
+        ab = _band_pack(half, band, sigma)
+        self._factor, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
         if info != 0:
             raise EigensolveError(
                 f"shift-invert factorisation failed: banded Cholesky info {info} "
@@ -368,10 +365,10 @@ class _BandCholesky:
         return x[self._band.rank]
 
 
-def _shift_invert_factor(ops: DiscreteOperators | Half, sigma: float):
+def _shift_invert_factor(target: DiscreteOperators | Half, sigma: float, band: BandOrder | None):
     """A factor of A - ``sigma`` M whose ``solve`` drives shift-invert
-    Lanczos: banded Cholesky in ``ops.band`` where the operators carry a
-    band order, SuperLU otherwise.
+    Lanczos: banded Cholesky in ``band`` where one is given (a half's),
+    SuperLU otherwise.
 
     A - sigma M is symmetric positive definite for sigma below the lowest
     eigenvalue, so both are stable there: Cholesky needs no pivoting, and
@@ -379,9 +376,9 @@ def _shift_invert_factor(ops: DiscreteOperators | Half, sigma: float):
     Above it the Cholesky factorisation fails, and SuperLU may fail or steer
     Lanczos to another mode; every failure is an EigensolveError.
     """
-    if ops.band is not None:
-        return _BandCholesky(ops, sigma)
-    shifted = ops.A - sigma * ops.M if sigma else ops.A
+    if band is not None:
+        return _BandCholesky(target, band, sigma)
+    shifted = target.A - sigma * target.M if sigma else target.A
     try:
         return spla.splu(
             shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -392,34 +389,39 @@ def _shift_invert_factor(ops: DiscreteOperators | Half, sigma: float):
 
 
 def _lowest_modes(
-    ops: DiscreteOperators | Half, k: int, sigma: float = 0.0, ncv: int | None = None
+    target: DiscreteOperators | Half,
+    k: int,
+    sigma: float = 0.0,
+    ncv: int | None = None,
+    band: BandOrder | None = None,
 ) -> np.ndarray:
-    """The floating-point backend: the ``k`` lowest eigenvectors, as
-    columns in ascending order of their eigenvalues.
+    """The floating-point backend: the ``k`` lowest eigenvectors of
+    ``target``, a half or a whole space, as columns in ascending order of
+    their eigenvalues.
 
     Dense LAPACK runs up to DENSE_CUTOFF unknowns (the measured
     crossover) or when more than dim modes are asked for, and the
-    shift-invert Lanczos solver otherwise, on A - ``sigma`` M
-    (:func:`_shift_invert_factor`) with ``ncv`` Lanczos vectors (ARPACK's
-    default when None), stopping at LANCZOS_TOL.  Dense LAPACK yields at
-    most dim modes and Lanczos at most dim - 1, so fewer than ``k`` may
-    come back.  Nothing returned is certified; every failure of either
+    shift-invert Lanczos solver otherwise, on A - ``sigma`` M factorised
+    in ``band`` (:func:`_shift_invert_factor`) with ``ncv`` Lanczos
+    vectors (ARPACK's default when None), stopping at LANCZOS_TOL.  Dense
+    LAPACK yields at most dim modes and Lanczos at most dim - 1, so fewer
+    than ``k`` may come back.  Nothing returned is certified; every failure of either
     backend is an EigensolveError.
     """
-    n = ops.dim
+    n = target.dim
     if n <= DENSE_CUTOFF or k > n:
         try:
             vals, vecs = scipy.linalg.eigh(
-                ops.A.toarray(), ops.M.toarray(), subset_by_index=[0, min(k, n) - 1]
+                target.A.toarray(), target.M.toarray(), subset_by_index=[0, min(k, n) - 1]
             )
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(f"dense generalized eigensolve failed: {exc}") from exc
     else:
-        factor = _shift_invert_factor(ops, sigma)
+        factor = _shift_invert_factor(target, sigma, band)
         opinv = spla.LinearOperator((n, n), matvec=factor.solve, dtype=np.float64)
         try:
             vals, vecs = spla.eigsh(
-                ops.A, k=min(k, n - 1), M=ops.M, sigma=sigma, which="LM",
+                target.A, k=min(k, n - 1), M=target.M, sigma=sigma, which="LM",
                 v0=np.ones(n), ncv=ncv, tol=LANCZOS_TOL, OPinv=opinv,
             )
         except spla.ArpackError as exc:
@@ -443,7 +445,7 @@ def _split_modes(halves: Sequence[Half], k: int) -> np.ndarray:
     """
     ritz, lifted = [], []
     for half in halves:
-        vecs = _lowest_modes(half, k, ncv=HALF_NCV)
+        vecs = _lowest_modes(half, k, ncv=HALF_NCV, band=half.band)
         ritz.extend(
             float(v @ (half.A @ v)) / float(v @ (half.M @ v)) for v in vecs.T
         )
@@ -498,7 +500,7 @@ def ground_rayleigh(ops: DiscreteOperators, below: float) -> RayleighBound:
         u = _lowest_modes(ops, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
     else:
         half = ops.halves[0]
-        u = half.C @ _lowest_modes(half, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
+        u = half.C @ _lowest_modes(half, 1, sigma=below, ncv=GROUND_NCV, band=half.band)[:, 0]
     return _rayleigh(ops, _normalize(ops.M, u))
 
 

@@ -42,9 +42,9 @@ antisymmetric halves (:func:`parity_bases`), and on T(theta) the pencil
 reference grams, which map by the same identities.
 
 The sparsity pattern of A and M does not depend on the apex either, so a
-symmetric ordering of the unknowns that packs the pencil into a narrow
-band (:class:`BandOrder`) is computed once, on the reference operators,
-and serves every angle.
+symmetric ordering of a half's unknowns that packs its pencil into a
+narrow band (:class:`BandOrder`) is computed once, on its reference
+operators, and serves every angle.
 """
 
 from __future__ import annotations
@@ -280,9 +280,7 @@ class DiscreteOperators:
     as an assembly identity.  Kxy is stored as assembled (row index
     differentiates in x, column in y); only its quadratic form is used.
     ``halves`` are mirror-parity halves (:class:`Half`) for the solvers
-    to work in, and ``band`` an order that packs A and M into a narrow
-    band, for the solvers to factorise in; assembled operators carry
-    neither.
+    to work in; mapped operators carry them, assembled ones none.
     """
 
     space: FemSpace
@@ -292,7 +290,6 @@ class DiscreteOperators:
     Kxy: sp.csr_matrix
     Kyy: sp.csr_matrix
     halves: tuple[Half, ...] = ()
-    band: BandOrder | None = None
 
     @property
     def dim(self) -> int:
@@ -319,7 +316,8 @@ class Half:
 
     A and M act on half coordinates, and C (:func:`parity_bases`) lifts
     them to the space's reduced coordinates: A = C^T A_space C, and
-    likewise M.  ``band`` is as in :class:`DiscreteOperators`.
+    likewise M.  ``band``, if any, is an order that packs A and M into a
+    narrow band, for the solvers to factorise in.
     """
 
     A: sp.csr_matrix
@@ -343,8 +341,9 @@ class ReferenceMap:
     has no entry.  The reference A and grams are not kept as matrices:
     the map reads none of them, and the cache of one map per reference
     space would hold them for the life of the process.  ``halves`` holds
-    a (map, basis) pair for each half the map carries, and ``band`` the
-    order the mapped operators carry (:meth:`band_order`), if any.
+    a (map, basis) pair for each half the map carries, and a half's map
+    may hold in ``band`` the order its mapped :class:`Half` carries
+    (:meth:`band_order`).
     """
 
     space: FemSpace
@@ -441,7 +440,6 @@ class ReferenceMap:
                 Half(ref._csr(ref._stiffness(bx, by)[0]), by * ref.M, C, ref.band)
                 for ref, C in self.halves
             ),
-            band=self.band,
         )
 
     def _stiffness(self, bx: float, by: float) -> tuple[np.ndarray, np.ndarray]:

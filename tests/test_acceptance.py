@@ -150,11 +150,11 @@ def test_criterion_5_simplicity_evidence(cr_run):
 
 def test_criterion_6_property_bullets(monkeypatch):
     # dense vs sparse backends agree on coarse meshes, and on one mesh each
-    # side of the cutoff (322 and 351 unknowns)
+    # side of the cutoff (150 and 153 unknowns)
     for n, family, bc in (
         (5, "cg", "edge-mean"), (6, "cg", "dirichlet"),
         (5, "cr", "dirichlet"), (6, "cr", "edge-mean"),
-        (24, "cg", "edge-mean"), (28, "cg", "dirichlet"),
+        (16, "cg", "edge-mean"), (19, "cg", "dirichlet"),
     ):
         ops = operators(0.9, n, family, bc)
         k = min(3, ops.A.shape[0] - 2)

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -159,6 +160,18 @@ class TestJNodes:
             j_nodes(0.1, 0)
 
 
+def _proof_spaces(problem):
+    """(kind, n, family) of every space a quick or paper-config proof of
+    ``problem`` solves."""
+    quick, paper = quick_config(problem), paper_config(problem)
+    return [
+        ("quick", quick.cg_n, "cg"), ("quick", quick.cr_n, "cr"),
+        ("quick", quick.eq_cg_n, "cg"), ("quick", quick.eq_cr_n, "cr"),
+        ("sweep", paper.cg_n, "cg"), ("sweep", paper.cr_n, "cr"),
+        ("corner", paper.eq_cg_n, "cg"), ("corner", paper.eq_cr_n, "cr"),
+    ]
+
+
 class TestPointData:
     def test_brackets_contain_analytic_values(self):
         pd = compute_point("dirichlet", EQ, cg_n=24, cr_n=16)
@@ -214,9 +227,12 @@ class TestPointData:
         assert len(calls) == 2
 
     def test_conforming_side_solves_one_mode_uncertified_by_residual(self, monkeypatch):
-        # both spaces above DENSE_CUTOFF, so both go to shift-invert Lanczos:
-        # CR with two modes plus a guard, CG with the ground mode alone
-        cg_dim, cr_dim = 351, 360
+        # every half above DENSE_CUTOFF, so each goes to shift-invert Lanczos:
+        # both CR halves with two modes plus a guard, the CG symmetric half
+        # with the ground mode alone; the residual is certified on the whole
+        # CR space
+        cg_half, cr_halves, cr_dim = 182, (184, 176), 360
+        assert min(cg_half, *cr_halves) > eigsolve.DENSE_CUTOFF
         eigsh_k, residual_dims = [], []
         real_eigsh, real_bound = eigsolve.spla.eigsh, eigsolve.residual_bound
 
@@ -231,7 +247,7 @@ class TestPointData:
         monkeypatch.setattr(eigsolve.spla, "eigsh", recording_eigsh)
         monkeypatch.setattr(eigsolve, "residual_bound", recording_bound)
         pd = compute_point("dirichlet", 0.9, cg_n=28, cr_n=16)
-        assert sorted(eigsh_k) == [(cg_dim, 1), (cr_dim, 3)]
+        assert sorted(eigsh_k) == sorted([(cg_half, 1)] + [(d, 3) for d in cr_halves])
         assert residual_dims == [cr_dim, cr_dim]
         assert pd.lam1.lower < pd.lam1.upper < pd.lam2.lower
 
@@ -240,8 +256,15 @@ class TestPointData:
     def test_split_point_matches_the_whole_point(self, monkeypatch, problem, theta):
         # splitting only steers the solver; every number is certified on
         # the whole operators, so the point data agree to rounding, and the
-        # conforming side solves one half
-        whole = compute_point(problem, theta, cg_n=28, cr_n=16)
+        # conforming side solves one half.  The whole-space reference is the
+        # same maps without their halves
+        real_reference = certify._reference_operators
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                certify, "_reference_operators",
+                lambda *key: replace(real_reference(*key), halves=()),
+            )
+            whole = compute_point(problem, theta, cg_n=28, cr_n=16)
         eigsh_dims = []
         real_lowest = eigsolve._lowest_modes
 
@@ -249,18 +272,11 @@ class TestPointData:
             eigsh_dims.append((target.dim, k))
             return real_lowest(target, k, **kwargs)
 
-        monkeypatch.setattr(certify, "SPLIT_CUTOFF", 0)
         monkeypatch.setattr(eigsolve, "_lowest_modes", recording)
-        # the split of a space is fixed when its map is built, so the cache
-        # must hold no whole map here and keep no split one after the test
-        certify._reference_operators.cache_clear()
-        try:
-            split = compute_point(problem, theta, cg_n=28, cr_n=16)
-            tri = certify.triangle_from_angle(theta)
-            cr = certify._reference_operators(16, "cr", certify._BC[problem]).mapped(tri)
-            cg = certify._reference_operators(28, "cg", certify._BC[problem]).mapped(tri)
-        finally:
-            certify._reference_operators.cache_clear()
+        split = compute_point(problem, theta, cg_n=28, cr_n=16)
+        tri = certify.triangle_from_angle(theta)
+        cr = certify._reference_operators(16, "cr", certify._BC[problem]).mapped(tri)
+        cg = certify._reference_operators(28, "cg", certify._BC[problem]).mapped(tri)
         # the conforming side solves the symmetric half alone
         assert len(cr.halves) == 2 and len(cg.halves) == 1
         assert eigsh_dims == [
@@ -275,47 +291,54 @@ class TestPointData:
             for w, s in zip(getattr(whole, name), getattr(split, name)):
                 assert abs(w - s) <= 1e-9 * scale
 
-    def test_split_cutoff_lies_between_the_quick_and_the_sweep_spaces(self):
-        # the quick preset (CG 32 / CR 32, corner CG 64 / CR 32) stays whole,
-        # so its certificates keep their bytes; the paper sweep meshes split
-        def dim(n, family, problem):
-            return certify._reference_operators(n, family, certify._BC[problem]).dim
-
+    def test_every_reference_map_carries_its_halves(self):
+        # no proof space is solved whole, whatever its size: every map
+        # carries both non-empty halves of a CR space and the symmetric half
+        # of a CG space, down to the smallest meshes build_space accepts
+        # (one size smaller has no unknowns, or no slave for a side mean).
+        # Every quick-preset half lies above DENSE_CUTOFF, so none goes dense
+        smallest = {"dirichlet": {"cg": 3, "cr": 2}, "cr-constant": {"cg": 2, "cr": 2}}
         for problem in ("dirichlet", "cr-constant"):
-            quick = quick_config(problem)
-            paper = paper_config(problem)
-            assert max(
-                dim(quick.cg_n, "cg", problem), dim(quick.cr_n, "cr", problem),
-                dim(quick.eq_cg_n, "cg", problem), dim(quick.eq_cr_n, "cr", problem),
-            ) <= certify.SPLIT_CUTOFF
-            assert min(dim(paper.cg_n, "cg", problem), dim(paper.cr_n, "cr", problem)) > certify.SPLIT_CUTOFF
+            bc = certify._BC[problem]
+            spaces = _proof_spaces(problem) + [
+                ("smallest", n, family) for family, n in smallest[problem].items()
+            ]
+            for kind, n, family in spaces:
+                ref = certify._reference_operators(n, family, bc)
+                dims = [half.dim for half, _ in ref.halves]
+                assert len(dims) == (2 if family == "cr" else 1), (problem, kind, n, family)
+                assert min(dims) > 0
+                if family == "cr":
+                    assert sum(dims) == ref.dim
+                if kind == "quick":
+                    assert min(dims) > eigsolve.DENSE_CUTOFF
+            for family, n in smallest[problem].items():
+                with pytest.raises(ValueError):
+                    certify._reference_operators(n - 1, family, bc)
 
-    def test_band_cutoff_bands_the_dirichlet_sweep_and_quick_spaces_only(self):
-        # every solver target (each half, or the whole space) of the
-        # Dirichlet sweep and quick-preset spaces is factorised banded; the
-        # edge-mean elimination couples a whole parent side, so no edge-mean
-        # space is, and the published corner spaces are too wide
-        def targets(n, family, problem):
-            ref = certify._reference_operators(n, family, certify._BC[problem])
-            return [half for half, _ in ref.halves] or [ref]
-
+    def test_each_half_is_banded_iff_its_band_is_narrow(self):
+        # every half of the quick, sweep and corner spaces carries its band
+        # order exactly where that is at most BAND_CUTOFF wide.  Every
+        # Dirichlet sweep and quick half is that narrow; the edge-mean
+        # elimination couples a whole parent side, so of the edge-mean halves
+        # only the CG 32 one and the antisymmetric CR 32 one are, and the
+        # published Dirichlet corner halves are too wide
+        banded = set()
         for problem in ("dirichlet", "cr-constant"):
-            quick, paper = quick_config(problem), paper_config(problem)
-            spaces = {
-                "sweep": [(paper.cg_n, "cg"), (paper.cr_n, "cr")],
-                "quick": [
-                    (quick.cg_n, "cg"), (quick.cr_n, "cr"),
-                    (quick.eq_cg_n, "cg"), (quick.eq_cr_n, "cr"),
-                ],
-                "corner": [(paper.eq_cg_n, "cg"), (paper.eq_cr_n, "cr")],
-            }
-            for kind, sizes in spaces.items():
-                banded = problem == "dirichlet" and kind != "corner"
-                for n, family in sizes:
-                    for ref in targets(n, family, problem):
-                        assert (ref.band is not None) == banded, (problem, kind, n, family)
-                        width = ref.band_order().width
-                        assert (width <= certify.BAND_CUTOFF) == banded
+            for kind, n, family in _proof_spaces(problem):
+                ref = certify._reference_operators(n, family, certify._BC[problem])
+                for parity, (half, _) in enumerate(ref.halves):
+                    order = half.band_order()
+                    assert (half.band is not None) == (order.width <= certify.BAND_CUTOFF)
+                    if half.band is not None:
+                        assert half.band.width == order.width
+                        banded.add((problem, family, n, parity))
+        assert banded == {
+            ("dirichlet", "cg", 32, 0), ("dirichlet", "cr", 32, 0), ("dirichlet", "cr", 32, 1),
+            ("dirichlet", "cg", 64, 0), ("dirichlet", "cg", 96, 0),
+            ("dirichlet", "cr", 64, 0), ("dirichlet", "cr", 64, 1),
+            ("cr-constant", "cg", 32, 0), ("cr-constant", "cr", 32, 1),
+        }
 
     def test_parallel_matches_serial(self):
         thetas = [0.4, 0.7, 1.0, EQ]

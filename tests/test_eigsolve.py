@@ -33,7 +33,6 @@ from tricert.eigsolve import (
     solve_lowest,
     verify_enclosure,
 )
-from tricert.fem import BandOrder
 
 families = st.sampled_from(["cg", "cr"])
 bcs = st.sampled_from(["dirichlet", "edge-mean"])
@@ -86,7 +85,7 @@ def test_dense_and_sparse_backends_agree(monkeypatch):
             ("cr", "edge-mean"),
         )
     ]
-    below, above = (24, "cg", "edge-mean"), (28, "cg", "dirichlet")
+    below, above = (16, "cg", "edge-mean"), (19, "cg", "dirichlet")
     assert operators(EQ, *below).dim <= DENSE_CUTOFF < operators(EQ, *above).dim
     for n, family, bc in cases + [below, above]:
         ops = operators(EQ, n, family, bc)
@@ -143,14 +142,17 @@ def test_singular_shift_invert_factor_is_diagnosed():
 
 
 def test_singular_banded_factor_is_diagnosed():
-    # the banded twin: a zero pivot ends the Cholesky factorisation
-    ops = _reference_operators(32, "cg", "dirichlet").mapped(triangle_from_angle(EQ))
-    assert ops.band is not None and ops.dim > DENSE_CUTOFF
-    A = ops.A.tolil()
+    # the banded twin: a zero pivot in a banded half ends its Cholesky
+    # factorisation
+    ops = _reference_operators(32, "cr", "dirichlet").mapped(triangle_from_angle(EQ))
+    half = ops.halves[0]
+    assert half.band is not None and half.dim > DENSE_CUTOFF
+    A = half.A.tolil()
     A[0, :] = 0.0
     A[:, 0] = 0.0
+    singular = replace(half, A=A.tocsr())
     with pytest.raises(EigensolveError, match="factorisation"):
-        solve_lowest(replace(ops, A=A.tocsr()), 2)
+        solve_lowest(replace(ops, halves=(singular, *ops.halves[1:])), 2)
 
 
 @pytest.mark.parametrize("method", ["dense", "sparse"])
@@ -394,14 +396,16 @@ def test_shifted_ground_solve_agrees_in_few_factor_solves(monkeypatch, bc, theta
 def test_shift_above_lambda1_never_lowers_the_bound(where, bc, backend):
     # a shift at or above the ground eigenvalue (a wrong CR index) steers
     # Lanczos elsewhere; the Rayleigh bound may only grow, or the solve
-    # ends in a diagnosed error.  A - sigma M is then indefinite, so its
-    # banded Cholesky factorisation always fails
+    # ends in a diagnosed error.  A - sigma M is then indefinite on the
+    # symmetric half, which holds the ground mode, so the banded Cholesky
+    # factorisation of that half always fails
     ops = operators(0.9, 32, "cg", bc)
     assert ops.dim > DENSE_CUTOFF
     lam1, lam2, lam3 = dense_eigs(ops, 3)
     sigma = 0.5 * (lam1 + lam2) if where == "between-1-2" else 0.5 * (lam2 + lam3)
     if backend == "banded":
-        ops = replace(ops, band=BandOrder.of(abs(ops.A) + abs(ops.M)))
+        ops = _reference_operators(32, "cg", bc).mapped(triangle_from_angle(0.9))
+        assert ops.halves[0].band is not None and ops.halves[0].dim > DENSE_CUTOFF
         with pytest.raises(EigensolveError, match="factorisation"):
             ground_rayleigh(ops, sigma)
         return
@@ -444,6 +448,32 @@ def test_cr_modes_carry_the_index_of_the_dense_oracle(bc, theta):
     lam1, lam2 = dense_eigs(ops, 2)
     assert lam1 in e1
     assert lam2 in e2
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+@pytest.mark.parametrize("theta", [0.8, 1.04, EQ], ids=["0.8", "1.04", "fl(pi/3)"])
+def test_proof_maps_label_cr_modes_as_the_dense_oracle(bc, theta):
+    # the proof's own quick-size maps are solved in their halves, each
+    # from its own v0 = ones, so no mode relies on rounding to appear: the
+    # enclosures labelled 1 and 2 hold dense lambda_1 and lambda_2.  At
+    # fl(pi/3), lambda_2 ~ lambda_3 lie in different halves
+    ops = _reference_operators(32, "cr", bc).mapped(triangle_from_angle(theta))
+    assert len(ops.halves) == 2 and min(h.dim for h in ops.halves) > DENSE_CUTOFF
+    e1, e2 = solve_lowest(ops, 2)
+    lam1, lam2 = scipy.linalg.eigh(
+        ops.A.toarray(), ops.M.toarray(), eigvals_only=True, subset_by_index=[0, 1]
+    )
+    assert lam1 in e1
+    assert lam2 in e2
+    if theta == EQ:
+        lowest = sorted(
+            (lam, parity)
+            for parity, h in enumerate(ops.halves)
+            for lam in scipy.linalg.eigh(
+                h.A.toarray(), h.M.toarray(), eigvals_only=True, subset_by_index=[0, 1]
+            )
+        )
+        assert {lowest[1][1], lowest[2][1]} == {0, 1}
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
@@ -550,45 +580,43 @@ def test_one_half_is_solved_whole(monkeypatch, bc, theta):
 # banded Cholesky -------------------------------------------------------------
 
 
-def proof_and_superlu_operators(monkeypatch, theta, n, family, split):
-    """The Dirichlet operators of T(theta) as _reference_operators maps them,
-    solved in halves when ``split`` and whole otherwise, and the same
-    operators with BAND_CUTOFF = 0, so on SuperLU alone: the reference."""
+def proof_and_superlu_operators(monkeypatch, theta, n, family, bc):
+    """The operators of T(theta) as _reference_operators maps them, and the
+    same operators with BAND_CUTOFF = 0, so on SuperLU alone: the reference."""
     tri = triangle_from_angle(theta)
-    monkeypatch.setattr(certify, "SPLIT_CUTOFF", 0 if split else 10**9)
-    # the backend of a space is fixed when its map is built, so the cache
-    # must hold no map built under other cutoffs, and keep none of these
-    certify._reference_operators.cache_clear()
-    try:
-        proof = certify._reference_operators(n, family, "dirichlet").mapped(tri)
-        with monkeypatch.context() as patch:
-            patch.setattr(certify, "BAND_CUTOFF", 0)
-            certify._reference_operators.cache_clear()
-            superlu = certify._reference_operators(n, family, "dirichlet").mapped(tri)
-    finally:
-        certify._reference_operators.cache_clear()
+    proof = certify._reference_operators(n, family, bc).mapped(tri)
+    # the backend of a half is fixed when its map is built, so the reference
+    # map is built past the cache, which keeps the proof's maps
+    with monkeypatch.context() as patch:
+        patch.setattr(certify, "BAND_CUTOFF", 0)
+        superlu = certify._reference_operators.__wrapped__(n, family, bc).mapped(tri)
     return proof, superlu
 
 
-def _targets(ops):
-    return ops.halves or (ops,)
-
-
 @pytest.mark.parametrize(
-    "family, n, split",
-    [("cr", 16, False), ("cr", 32, True), ("cg", 28, False), ("cg", 40, True)],
-    ids=["cr16-whole", "cr32-halves", "cg28-whole", "cg40-half"],
+    "family, n, bc, bands",
+    [
+        ("cr", 16, "dirichlet", (True, True)),
+        ("cr", 32, "dirichlet", (True, True)),
+        ("cg", 28, "dirichlet", (True,)),
+        ("cg", 40, "dirichlet", (True,)),
+        ("cr", 32, "edge-mean", (False, True)),
+        ("cg", 32, "edge-mean", (True,)),
+    ],
+    ids=[
+        "cr16-halves", "cr32-halves", "cg28-half", "cg40-half",
+        "cr32-edge-mean-halves", "cg32-edge-mean-half",
+    ],
 )
 @pytest.mark.parametrize("theta", [0.3, 1.0, EQ], ids=["0.3", "1.0", "fl(pi/3)"])
-def test_banded_solves_contain_the_dense_oracle(monkeypatch, theta, family, n, split):
+def test_banded_solves_contain_the_dense_oracle(monkeypatch, theta, family, n, bc, bands):
     # the band order only steers the solver: the CR enclosures and the
     # shifted CG Rayleigh bound are certified on the whole operators, hold
     # the dense oracle, and agree with SuperLU's solve of the same space
-    proof, superlu = proof_and_superlu_operators(monkeypatch, theta, n, family, split)
-    targets = _targets(proof)
-    assert len(targets) == (2 if family == "cr" and split else 1)
-    assert all(t.band is not None and t.dim > DENSE_CUTOFF for t in targets)
-    assert all(t.band is None for t in _targets(superlu))
+    proof, superlu = proof_and_superlu_operators(monkeypatch, theta, n, family, bc)
+    assert tuple(h.band is not None for h in proof.halves) == bands
+    assert all(h.dim > DENSE_CUTOFF for h in proof.halves)
+    assert all(h.band is None for h in superlu.halves)
     vals = scipy.linalg.eigh(
         proof.A.toarray(), proof.M.toarray(), eigvals_only=True, subset_by_index=[0, 1]
     )
@@ -613,17 +641,18 @@ def test_band_pack_holds_the_permuted_upper_triangle(family, n, sigma):
     # LAPACK upper band storage: entry (i, j), i <= j, of the permuted
     # matrix at [w + i - j, j]; the rest of the array is zero
     ops = _reference_operators(n, family, "dirichlet").mapped(triangle_from_angle(0.9))
-    (target,) = _targets(ops)
-    band, w, size = target.band, target.band.width, target.dim
-    assert w <= eigsolve.BAND_CUTOFF
-    ab = _band_pack(target, sigma)
-    assert ab.shape == (w + 1, size) and ab.flags.f_contiguous
-    rows, j = np.nonzero(ab)
-    i = rows - w + j
-    assert i.min() >= 0  # nothing in the unused corner of the array
-    unpacked = scipy.sparse.csr_matrix((ab[rows, j], (i, j)), shape=(size, size))
-    shifted = target.A - sigma * target.M if sigma else target.A
-    want = scipy.sparse.triu(shifted[band.perm][:, band.perm], format="csr")
-    want.eliminate_zeros()
-    assert unpacked.nnz == want.nnz
-    assert (unpacked != want).nnz == 0
+    assert len(ops.halves) == (2 if family == "cr" else 1)
+    for target in ops.halves:
+        band, w, size = target.band, target.band.width, target.dim
+        assert w <= eigsolve.BAND_CUTOFF
+        ab = _band_pack(target, band, sigma)
+        assert ab.shape == (w + 1, size) and ab.flags.f_contiguous
+        rows, j = np.nonzero(ab)
+        i = rows - w + j
+        assert i.min() >= 0  # nothing in the unused corner of the array
+        unpacked = scipy.sparse.csr_matrix((ab[rows, j], (i, j)), shape=(size, size))
+        shifted = target.A - sigma * target.M if sigma else target.A
+        want = scipy.sparse.triu(shifted[band.perm][:, band.perm], format="csr")
+        want.eliminate_zeros()
+        assert unpacked.nnz == want.nnz
+        assert (unpacked != want).nnz == 0

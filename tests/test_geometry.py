@@ -115,10 +115,12 @@ class TestDerivativeGramTransform:
         with pytest.raises(ValueError):
             map_derivative_gram((1.0, 5.0, 1.0), alpha=0.1, beta=1.0)
 
+    # grams positive definite with margin, |C| <= (1 - 1e-6) sqrt(X Y): then
+    # Y~ >= Y (1 - c_frac^2) / beta >= 6e-8, far above rounding
     @given(
         st.floats(min_value=0.1, max_value=4.0),
         st.floats(min_value=0.1, max_value=4.0),
-        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=-1.0 + 1e-6, max_value=1.0 - 1e-6),
         st.floats(min_value=-1.5, max_value=1.5),
         st.floats(min_value=0.2, max_value=3.0),
     )
@@ -126,6 +128,15 @@ class TestDerivativeGramTransform:
         c = c_frac * math.sqrt(x * y)
         xt, ct, yt = map_derivative_gram((x, c, y), alpha, beta)
         assert xt > 0.0 and yt > 0.0
+        assert ct * ct <= xt * yt * (1.0 + 1e-9)
+
+    def test_singular_gram_maps_to_a_zero_y_gram(self):
+        # the boundary c_frac = 1 with alpha = sqrt(Y / X), where u_y = alpha
+        # u_x: Y~ = (alpha sqrt(X) - sqrt(Y))^2 / beta is exactly 0
+        x = y = c_frac = alpha = beta = 1.0
+        c = c_frac * math.sqrt(x * y)
+        xt, ct, yt = map_derivative_gram((x, c, y), alpha, beta)
+        assert xt > 0.0 and yt == 0.0
         assert ct * ct <= xt * yt * (1.0 + 1e-9)
 
 
