@@ -117,31 +117,35 @@ DENSE_CUTOFF = 150
 # Widest band order that certify._reference_operators gives a mirror half,
 # so that its shift-invert factor is LAPACK's banded Cholesky (dpbtrf,
 # dpbtrs) in that order, not SuperLU.  On the uniform lattice the reverse
-# Cuthill-McKee order of A and M has about one lattice row per band; the
-# edge-mean elimination couples a whole parent side, so those bands are far
-# wider.  ms per factor / per solve on one BLAS thread of a 2-vCPU VM,
-# theta = 0.9, CG shifted to 0.99 lambda_1, median of 15 (31 per solve),
-# banded / SuperLU, by width (whole spaces measured as points of the curve):
-#   CG 32 Dirichlet whole    465,  30:  0.4 / 0.03    1.7 / 0.07
-#   CG 96 Dirichlet half    2256,  47:  3.0 / 0.17    7.8 / 0.32
-#   CR 32 Dirichlet whole   1488,  62:  1.4 / 0.12    3.5 / 0.18
-#   CG 64 Dirichlet whole   1953,  62:  2.5 / 0.16    6.1 / 0.30
-#   CR 64 Dirichlet half    3040,  63:  3.1 / 0.25    8.8 / 0.34
-#   CR 64 edge-mean half    3103,  94:  7.3 / 0.29    8.2 / 0.34
-#   CG 32 edge-mean whole    558, 121:  1.7 / 0.04    2.9 / 0.07
-#   CR 128 Dirichlet half  12224, 127: 38.0 / 2.17   48.2 / 1.61
-#   CG 288 Dirichlet half  20592, 143: 83.1 / 6.73  132.1 / 4.53
-#   CG 96 edge-mean half    2399, 146:  9.5 / 0.27   10.5 / 0.38
-#   CR 32 edge-mean whole   1581, 177:  6.7 / 0.17    4.4 / 0.20
-#   CR 64 edge-mean half    3134, 184: 14.0 / 0.44    8.1 / 0.40
-#   CG 192 edge-mean half   9407, 290: 75.7 / 4.83   60.6 / 1.79
-# Up to width 63 the band factors 2.4 to 4 times faster and solves faster
-# too.  From 94 to 146 the gain is under a fifth of a factor or is lost to
-# slower solves over a run's 24 (CR 128: 90 against 87 ms), and above 170
-# SuperLU wins.  The cutoff bands every Dirichlet half of the sweep and
-# quick meshes and, of the edge-mean halves, only CG 32's and the
-# antisymmetric one of CR 32 (widths 50 and 46); the published Dirichlet
-# corner halves stay on SuperLU.
+# Cuthill-McKee order of A and M has about one lattice row per band, and
+# the local side differences that span an edge-mean half keep it so
+# (fem.parity_bases).  ms per factor / per solve on one BLAS thread of a
+# 2-vCPU VM, theta = 0.9, CG shifted to 0.99 lambda_1, median of 15 (31 per
+# solve), banded / SuperLU, by width, for the halves of the quick, sweep
+# and corner meshes (CR: symmetric half, then antisymmetric):
+#   CG 32 Dirichlet       240,  15:  0.2 / 0.01    1.2 / 0.02
+#   CG 32 edge-mean       287,  21:  0.2 / 0.01    1.5 / 0.04
+#   CR 32 Dirichlet       736,  30:  0.4 / 0.04    1.3 / 0.05
+#   CR 32 Dirichlet       752,  31:  0.3 / 0.03    1.2 / 0.08
+#   CG 64 Dirichlet       992,  31:  0.4 / 0.03    3.0 / 0.06
+#   CR 32 edge-mean   798/783,  32:  0.4 / 0.04    1.8 / 0.08  (0.4 / 0.05  1.9 / 0.09)
+#   CG 64 edge-mean      1087,  39:  1.0 / 0.05    4.0 / 0.13
+#   CG 96 Dirichlet      2256,  47:  2.3 / 0.16    7.4 / 0.27
+#   CG 96 edge-mean      2399,  58:  1.9 / 0.11    6.5 / 0.30
+#   CR 64 Dirichlet      3008,  62:  2.6 / 0.25    7.1 / 0.31
+#   CR 64 Dirichlet      3040,  63:  2.5 / 0.23    6.4 / 0.28
+#   CR 64 edge-mean 3134/3103,  64:  2.8 / 0.18    7.3 / 0.17  (2.0 / 0.19  5.1 / 0.31)
+#   CG 192 edge-mean     9407, 114: 28.3 / 1.10   50.6 / 1.42
+#   CR 128 Dirichlet    12160, 126: 35.3 / 1.58   37.1 / 1.26
+#   CR 128 Dirichlet    12224, 127: 35.0 / 1.72   43.4 / 1.37
+#   CG 288 Dirichlet    20592, 143: 73.8 / 3.82   89.2 / 3.45
+# Up to width 64 the band factors 2.5 to 7 times faster and solves about
+# as fast or faster.  From 114 to 143 it factors 5 to 80 % faster, but the
+# Dirichlet corner halves solve slower, so over a CR run's 24 solves CR 128
+# comes out even (76 against 76 ms).  The cutoff bands every half of the
+# sweep and quick meshes of both problems; of the published corner halves
+# only CR 32 edge-mean's are banded, and CG 192 edge-mean's and the
+# Dirichlet ones stay on SuperLU.
 BAND_CUTOFF = 64
 
 # Lanczos vectors for the shifted ground solve of ground_rayleigh.  Factor

@@ -39,7 +39,10 @@ Every T(theta) is isosceles, its sides from the origin both of length
 reflection.  Each space is the direct sum of its mirror-symmetric and
 antisymmetric halves (:func:`parity_bases`), and on T(theta) the pencil
 (A, M) splits with it; :meth:`ReferenceMap.with_halves` keeps a half's
-reference grams, which map by the same identities.
+reference grams, which map by the same identities.  An edge-mean space
+keeps its slave basis Z, but its halves are spanned by local differences
+along each parent side, which keep a half's pencil as sparse as the
+lattice, where Z couples every dof of a side.
 
 The sparsity pattern of A and M does not depend on the apex either, so a
 symmetric ordering of a half's unknowns that packs its pencil into a
@@ -53,11 +56,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import breadth_first_order
 
 from .geometry import TriangleShape
 from .mesh import Mesh
 from .rounding import dn
+
+_SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
 FAMILIES = ("cg", "cr")
 BCS = ("dirichlet", "edge-mean")
@@ -98,7 +103,7 @@ def build_space(mesh: Mesh, family: str, bc: str) -> FemSpace:
             )
         return FemSpace(mesh, family, bc, full_dim, int(free.size), free, None)
 
-    Z, _ = _eliminate(_edge_mean_constraints(mesh, family), full_dim)
+    Z = _eliminate(_edge_mean_constraints(mesh, family), full_dim)
     if Z.shape[1] == 0:
         raise ValueError(
             f"{family}/edge-mean space on n={mesh.n} has dimension 0; refine the mesh"
@@ -138,20 +143,15 @@ def _edge_mean_constraints(mesh: Mesh, family: str) -> list[tuple[np.ndarray, np
     return constraints
 
 
-def _eliminate(
-    constraints: list[tuple[np.ndarray, np.ndarray, int]], dim: int
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Null-space basis of ``constraints`` on ``dim`` coordinates, and its
-    master coordinates.
+def _eliminate(constraints: list[tuple[np.ndarray, np.ndarray, int]], dim: int) -> sp.csr_matrix:
+    """Null-space basis of ``constraints`` on ``dim`` coordinates.
 
     Each slave appears in no other constraint, so eliminating each slave
     from its own constraint satisfies all of them at once: the basis is
-    the identity on the masters, and a slave's row solves its constraint.
+    the identity on the masters (:func:`_masters`), and a slave's row
+    solves its constraint.
     """
-    slaves = sorted(c[2] for c in constraints)
-    if len(set(slaves)) != len(slaves):
-        raise AssertionError("slave dofs must be distinct")
-    masters = np.setdiff1d(np.arange(dim), slaves)
+    masters = _masters(constraints, dim)
     col_of = {int(m): k for k, m in enumerate(masters)}
 
     rows = list(masters)
@@ -164,8 +164,15 @@ def _eliminate(
                 rows.append(slave)
                 cols.append(col_of[int(d)])
                 vals.append(float(-wv / w_slave))
-    Z = sp.coo_matrix((vals, (rows, cols)), shape=(dim, masters.size))
-    return Z.tocsr(), masters
+    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, masters.size)).tocsr()
+
+
+def _masters(constraints: list[tuple[np.ndarray, np.ndarray, int]], dim: int) -> np.ndarray:
+    """The coordinates that are no constraint's slave."""
+    slaves = sorted(c[2] for c in constraints)
+    if len(set(slaves)) != len(slaves):
+        raise AssertionError("slave dofs must be distinct")
+    return np.setdiff1d(np.arange(dim), slaves)
 
 
 def mirror(space: FemSpace) -> np.ndarray:
@@ -197,14 +204,17 @@ def parity_bases(space: FemSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     ``space``, as maps from half coordinates to the space's reduced
     coordinates.
 
-    Each column is e_k + e_p(k) (symmetric; e_k alone where p(k) = k) or
-    e_k - e_p(k) (antisymmetric) of one orbit of the mirror p.  The
-    Dirichlet dofs are a union of orbits.  Under the mirror the edge-mean
-    constraint of side 2 is that of side 0, and that of side 1 is itself,
-    so on symmetric vectors sides 0 and 2 give one constraint and side 1
-    another, while on antisymmetric ones side 1 holds by itself and side
-    2 follows from side 0: each half eliminates its own constraints.  The
-    columns lift to vectors that meet every constraint, so the two halves
+    An orbit of the mirror p spans e_k + e_p(k) (symmetric; e_k alone
+    where p(k) = k) and e_k - e_p(k) (antisymmetric).  The Dirichlet dofs
+    are a union of orbits, so each Dirichlet half is spanned by its
+    orbits.  Under the mirror the edge-mean constraint of side 2 is that
+    of side 0, and that of side 1 is itself, so on symmetric vectors sides
+    0 and 2 give one constraint and side 1 another, while on antisymmetric
+    ones side 1 holds by itself and side 2 follows from side 0.  Each
+    edge-mean half is spanned by local differences of its orbits along
+    each side (:func:`_side_differences`), not through the space's slave
+    basis Z, whose side means couple every dof of a side.  Every column
+    lifts to a vector that meets all three constraints, so the two halves
     split the space and, for the mapped operators of T(theta), its pencil.
     """
     p = mirror(space)
@@ -216,7 +226,7 @@ def parity_bases(space: FemSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     else:
         kept = np.ones(n, dtype=bool)
         constraints = _edge_mean_constraints(space.mesh, space.family)
-        reduced = _eliminate(constraints, n)[1]
+        reduced = _masters(constraints, n)
     bases = []
     for sign, sides in ((1.0, (0, 1)), (-1.0, (0,))):
         # one column per orbit of kept dofs, led by its smaller dof; a dof
@@ -230,23 +240,64 @@ def parity_bases(space: FemSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         vals = np.concatenate([np.ones(lead.size), np.full(pair.size, sign)])
         S = sp.csr_matrix((vals, (rows, cols)), shape=(n, lead.size))
         if space.Z is not None:
-            S = S @ _half_nullspace([constraints[s][:2] for s in sides], S)
+            S = S @ _side_differences([constraints[s][:2] for s in sides], S)
         bases.append(S.tocsr()[reduced])
     return bases[0], bases[1]
 
 
-def _half_nullspace(sides: list[tuple[np.ndarray, np.ndarray]], S: sp.csr_matrix) -> sp.csr_matrix:
-    """Null-space basis, in the coordinates of S, of the side-mean
-    constraints given as (dofs, weights); each slave is the first
-    coordinate of its constraint that no other one involves."""
-    rows = []
+def _side_differences(sides: list[tuple[np.ndarray, np.ndarray]], S: sp.csr_matrix) -> sp.csr_matrix:
+    """A null-space basis, in the coordinates of S, of the side-mean
+    constraints given as (dofs in order along the side, weights), built
+    from local differences as in the sparse null-space methods of Benzi,
+    Golub & Liesen, Acta Numerica 14 (2005), section 6.
+
+    In the coordinates of S the constraint of a side reads g . x = 0, on
+    the coordinates of its dofs taken in order along the side.  Each
+    adjacent pair (a, b) of the coordinates that one constraint alone
+    involves gives the column g_b e_a - g_a e_b.  A coordinate c that both
+    involve (the orbit of the two far corners of a CG space) gives the
+    column g_x h_y e_c - g_c h_y e_x - h_c g_x e_y, with x and y the
+    nearest such coordinates of the constraints g and h.  Every other
+    coordinate keeps e_c.  As g and h hold small integers and halves, each
+    column meets every constraint exactly in floating point.  A column is
+    filed under b, or c, and the columns follow the order of those
+    coordinates, the lattice order of their orbits.
+    """
+    m = S.shape[1]
+    entries = S.tocoo()
+    col_of = np.full(S.shape[0], -1)
+    col_of[entries.row] = entries.col
+    lines = []  # each constraint's g, and the coordinates it involves along its side
     for dofs, w in sides:
         g = S[dofs].T @ w
-        coords = np.flatnonzero(g)
-        rows.append((coords, g[coords]))
-    involved = np.bincount(np.concatenate([c for c, _ in rows]), minlength=S.shape[1])
-    constraints = [(c, g, int(c[involved[c] == 1][0])) for c, g in rows]
-    return _eliminate(constraints, S.shape[1])[0]
+        cols = col_of[dofs]
+        cols = cols[cols >= 0]
+        _, first = np.unique(cols, return_index=True)
+        along = cols[np.sort(first)]
+        lines.append((g, along[g[along] != 0.0]))
+    involved = np.bincount(np.concatenate([along for _, along in lines]), minlength=m)
+    columns = {int(c): ([c], [1.0]) for c in np.flatnonzero(involved == 0)}
+    for g, along in lines:
+        own = along[involved[along] == 1]
+        for a, b in zip(own[:-1], own[1:]):
+            columns[int(b)] = ([a, b], [g[b], -g[a]])
+    for c in np.flatnonzero(involved == 2):
+        (g, along), (h, across) = lines
+        x, y = _nearest_own(along, involved, c), _nearest_own(across, involved, c)
+        columns[int(c)] = ([c, x, y], [g[x] * h[y], -g[c] * h[y], -h[c] * g[x]])
+    filed = [columns[c] for c in sorted(columns)]
+    rows = np.concatenate([r for r, _ in filed])
+    cols = np.repeat(np.arange(len(filed)), [len(r) for r, _ in filed])
+    vals = np.concatenate([v for _, v in filed])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, len(filed)))
+
+
+def _nearest_own(along: np.ndarray, involved: np.ndarray, c: int) -> int:
+    """The coordinate of ``along`` nearest to c in its order that no other
+    constraint involves."""
+    at = int(np.flatnonzero(along == c)[0])
+    own = np.flatnonzero(involved[along] == 1)
+    return int(along[own[np.argmin(np.abs(own - at))]])
 
 
 @dataclass(frozen=True)
@@ -261,14 +312,36 @@ class BandOrder:
 
     @classmethod
     def of(cls, pattern: sp.csr_matrix) -> "BandOrder":
-        """The reverse Cuthill-McKee order of the symmetric ``pattern``."""
+        """The narrowest reverse Cuthill-McKee order of the symmetric,
+        connected ``pattern`` started from a node of least degree, the
+        first such node on ties.
+
+        Where several nodes share the least degree the start sets the
+        width: on an edge-mean half they lie along the mirror line, and
+        only some starts give a band within eigsolve.BAND_CUTOFF.  Each
+        row's neighbours are sorted by degree, then index, so that a
+        breadth-first search visits them in Cuthill-McKee order; the
+        result does not depend on how a sort breaks ties.
+        """
         n = pattern.shape[0]
-        perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.int64)
-        rank = np.empty(n, dtype=np.int64)
-        rank[perm] = np.arange(n)
-        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-        width = int(np.max(np.abs(rank[rows] - rank[pattern.indices]), initial=0))
-        return cls(perm, rank, width)
+        degree = np.diff(pattern.indptr)
+        rows = np.repeat(np.arange(n), degree)
+        by_degree = np.lexsort((pattern.indices, degree[pattern.indices], rows))
+        graph = sp.csr_matrix(
+            (np.ones(by_degree.size), pattern.indices[by_degree], pattern.indptr), (n, n)
+        )
+        best = None
+        for start in np.flatnonzero(degree == degree.min()):
+            order = breadth_first_order(graph, start, return_predecessors=False)
+            if order.size < n:
+                raise ValueError("the pattern must be connected")
+            perm = order[::-1].astype(np.int64)
+            rank = np.empty(n, dtype=np.int64)
+            rank[perm] = np.arange(n)
+            width = int(np.max(np.abs(rank[rows] - rank[pattern.indices]), initial=0))
+            if best is None or width < best.width:
+                best = cls(perm, rank, width)
+        return best
 
 
 @dataclass(frozen=True)
@@ -393,23 +466,20 @@ class ReferenceMap:
     def with_halves(self, parities: tuple[int, ...]) -> "ReferenceMap":
         """This map carrying the symmetric (parity 0) or antisymmetric (1)
         half of each of ``parities``, in that order: C^T K C for every
-        reference gram K, with the half's basis C.
+        reference gram K, with the half's basis C, less its cancellation
+        residue (:func:`_congruent`).
         """
         bases = parity_bases(self.space)
         grams = (self.M, *(self._csr(v) for v in (self.xx, self.xy, self.yy)))
         halves = []
         for C in (bases[p] for p in parities):
-            Ct = C.T.tocsr()
-            congruent = [(Ct @ K @ C).tocsr() for K in grams]
-            for H in congruent:
-                H.eliminate_zeros()
-                H.sort_indices()
+            congruent = [_congruent(K, C) for K in grams]
             halves.append((ReferenceMap._of_grams(self.space, *congruent), C))
         return replace(self, halves=tuple(halves))
 
     def band_order(self) -> BandOrder:
-        """The reverse Cuthill-McKee order of the pattern of A and M, which
-        holds the pattern of the operators mapped to any triangle."""
+        """The band order (:meth:`BandOrder.of`) of the pattern of A and M,
+        which holds the pattern of the operators mapped to any triangle."""
         n = self.dim
         union = sp.csr_matrix((np.ones(self.indices.size), self.indices, self.indptr), (n, n))
         return BandOrder.of((union + abs(self.M)).tocsr())
@@ -467,6 +537,25 @@ class ReferenceMap:
         kept = np.zeros(vals.size + 1, dtype=self.indptr.dtype)
         np.cumsum(keep, out=kept[1:])
         return sp.csr_matrix((vals[keep], self.indices[keep], kept[self.indptr]), shape=(n, n))
+
+
+def _congruent(K: sp.csr_matrix, C: sp.csr_matrix) -> sp.csr_matrix:
+    """C^T K C in canonical CSR form, less its cancellation residue.
+
+    Where the columns of C combine entries of K that are equal in exact
+    arithmetic but were rounded apart in assembly, an entry that vanishes
+    exactly is left as a residue of a few ulps of the sum of the
+    magnitudes of its terms: up to 30 eps on the CG 96 edge-mean half and
+    60 eps on CG 192, while every other entry is at least 2 % of that sum.
+    Entries below sqrt(eps) of it are dropped, so that a half's pattern is
+    that of its exact pencil.
+    """
+    Ct = C.T.tocsr()
+    H = (Ct @ K @ C).tocsr()
+    H = H.multiply(abs(H) > _SQRT_EPS * (abs(Ct) @ abs(K) @ abs(C))).tocsr()
+    H.eliminate_zeros()
+    H.sort_indices()
+    return H
 
 
 def assemble(space: FemSpace) -> DiscreteOperators:

@@ -319,10 +319,9 @@ class TestPointData:
     def test_each_half_is_banded_iff_its_band_is_narrow(self):
         # every half of the quick, sweep and corner spaces carries its band
         # order exactly where that is at most BAND_CUTOFF wide.  Every
-        # Dirichlet sweep and quick half is that narrow; the edge-mean
-        # elimination couples a whole parent side, so of the edge-mean halves
-        # only the CG 32 one and the antisymmetric CR 32 one are, and the
-        # published Dirichlet corner halves are too wide
+        # sweep and quick half of both problems is that narrow, the
+        # edge-mean ones since local side differences span them; the
+        # published corner halves are too wide
         banded = set()
         for problem in ("dirichlet", "cr-constant"):
             for kind, n, family in _proof_spaces(problem):
@@ -334,10 +333,10 @@ class TestPointData:
                         assert half.band.width == order.width
                         banded.add((problem, family, n, parity))
         assert banded == {
-            ("dirichlet", "cg", 32, 0), ("dirichlet", "cr", 32, 0), ("dirichlet", "cr", 32, 1),
-            ("dirichlet", "cg", 64, 0), ("dirichlet", "cg", 96, 0),
-            ("dirichlet", "cr", 64, 0), ("dirichlet", "cr", 64, 1),
-            ("cr-constant", "cg", 32, 0), ("cr-constant", "cr", 32, 1),
+            (problem, family, n, parity)
+            for problem in ("dirichlet", "cr-constant")
+            for family, n in (("cg", 32), ("cg", 64), ("cg", 96), ("cr", 32), ("cr", 64))
+            for parity in ((0, 1) if family == "cr" else (0,))
         }
 
     def test_parallel_matches_serial(self):

@@ -600,12 +600,13 @@ def proof_and_superlu_operators(monkeypatch, theta, n, family, bc):
         ("cr", 32, "dirichlet", (True, True)),
         ("cg", 28, "dirichlet", (True,)),
         ("cg", 40, "dirichlet", (True,)),
-        ("cr", 32, "edge-mean", (False, True)),
+        ("cr", 32, "edge-mean", (True, True)),
         ("cg", 32, "edge-mean", (True,)),
+        ("cg", 64, "edge-mean", (True,)),
     ],
     ids=[
         "cr16-halves", "cr32-halves", "cg28-half", "cg40-half",
-        "cr32-edge-mean-halves", "cg32-edge-mean-half",
+        "cr32-edge-mean-halves", "cg32-edge-mean-half", "cg64-edge-mean-half",
     ],
 )
 @pytest.mark.parametrize("theta", [0.3, 1.0, EQ], ids=["0.3", "1.0", "fl(pi/3)"])

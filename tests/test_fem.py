@@ -18,10 +18,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import EQ, gram_triple, map_derivative_gram, operators, shear
+from tricert.certify import paper_config, quick_config
 from tricert.fem import ReferenceMap, assemble, build_space, mirror, parity_bases
 from tricert.geometry import triangle_from_angle, triangle_from_vertex
 from tricert.mesh import uniform_subdivide
@@ -316,6 +318,64 @@ def test_parity_bases_split_the_space(family, bc, n):
             assert np.array_equal(w[p], sign * w)  # each column has its parity
     # together the columns span the space
     assert np.linalg.matrix_rank(np.hstack([c_plus.toarray(), c_minus.toarray()])) == sp_.dof_count
+
+
+def side_mean_matrix(sp_):
+    """The three side-mean constraints of :func:`side_means` as rows on
+    the full dofs."""
+    mesh = sp_.mesh
+    rows = []
+    for s in range(3):
+        dofs = mesh.side_nodes(s) if sp_.family == "cg" else mesh.side_edges(s)
+        w = np.ones(dofs.size)
+        if sp_.family == "cg":
+            w[0] = w[-1] = 0.5
+        rows.append(np.bincount(dofs, weights=w, minlength=sp_.full_dim))
+    return scipy.sparse.csr_matrix(np.vstack(rows))
+
+
+# every edge-mean mesh size of the quick and paper-config proofs
+EDGE_MEAN_MESHES = sorted({
+    (n, family)
+    for config in (quick_config("cr-constant"), paper_config("cr-constant"))
+    for n, family in ((config.cg_n, "cg"), (config.eq_cg_n, "cg"),
+                      (config.cr_n, "cr"), (config.eq_cr_n, "cr"))
+})
+
+
+@pytest.mark.parametrize("n, family", EDGE_MEAN_MESHES)
+def test_edge_mean_halves_meet_every_side_mean_exactly(n, family):
+    # each column is a local side difference, or a compensated corner
+    # orbit, with weights of small integers and halves, so its lift meets
+    # all three side means with no rounding at all
+    sp_ = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, "edge-mean")
+    W = side_mean_matrix(sp_)
+    for C in parity_bases(sp_):
+        assert np.all((W @ (sp_.Z @ C)).toarray() == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 32])
+def test_edge_mean_cr_halves_together_span_the_space(n):
+    sp_ = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), "cr", "edge-mean")
+    lifted = sp_.Z @ scipy.sparse.hstack(parity_bases(sp_))
+    assert np.linalg.matrix_rank(lifted.toarray()) == sp_.dof_count
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.9], ids=["0.3", "0.9"])
+@pytest.mark.parametrize("n, family", EDGE_MEAN_MESHES)
+def test_edge_mean_halves_hold_no_cancellation_residue(n, family, theta):
+    # the half grams are congruences of the full grams, whose entries are
+    # rounded apart where they are equal in exact arithmetic; what vanishes
+    # in exact arithmetic must not be stored as residue of a few ulps.  (At
+    # fl(pi/3) some entries of a half's A vanish by the symmetry of the
+    # equilateral triangle, on any basis, so that angle is left out.)
+    parities = (0, 1) if family == "cr" else (0,)
+    ops = reference_map(n, family, "edge-mean").with_halves(parities).mapped(
+        triangle_from_angle(theta)
+    )
+    for h in ops.halves:
+        for K in (h.A, h.M):
+            assert np.all(np.abs(K.data) >= 1e-12 * np.abs(K.data).max())
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.9, EQ], ids=["0.3", "0.9", "fl(pi/3)"])
