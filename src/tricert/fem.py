@@ -152,27 +152,27 @@ def _eliminate(constraints: list[tuple[np.ndarray, np.ndarray, int]], dim: int) 
     solves its constraint.
     """
     masters = _masters(constraints, dim)
-    col_of = {int(m): k for k, m in enumerate(masters)}
+    col_of = np.full(dim, -1)
+    col_of[masters] = np.arange(masters.size)
 
-    rows = list(masters)
-    cols = list(range(masters.size))
-    vals = [1.0] * masters.size
+    rows, cols, vals = [masters], [np.arange(masters.size)], [np.ones(masters.size)]
     for dofs, w, slave in constraints:
-        w_slave = w[dofs == slave][0]
-        for d, wv in zip(dofs, w):
-            if d != slave:
-                rows.append(slave)
-                cols.append(col_of[int(d)])
-                vals.append(float(-wv / w_slave))
+        master = dofs != slave
+        rows.append(np.full(np.count_nonzero(master), slave))
+        cols.append(col_of[dofs[master]])
+        vals.append(-w[master] / w[~master][0])
+    rows, cols, vals = (np.concatenate(parts) for parts in (rows, cols, vals))
     return sp.coo_matrix((vals, (rows, cols)), shape=(dim, masters.size)).tocsr()
 
 
 def _masters(constraints: list[tuple[np.ndarray, np.ndarray, int]], dim: int) -> np.ndarray:
     """The coordinates that are no constraint's slave."""
-    slaves = sorted(c[2] for c in constraints)
+    slaves = [c[2] for c in constraints]
     if len(set(slaves)) != len(slaves):
         raise AssertionError("slave dofs must be distinct")
-    return np.setdiff1d(np.arange(dim), slaves)
+    master = np.ones(dim, dtype=bool)
+    master[slaves] = False
+    return np.flatnonzero(master)
 
 
 def mirror(space: FemSpace) -> np.ndarray:
@@ -276,20 +276,29 @@ def _side_differences(sides: list[tuple[np.ndarray, np.ndarray]], S: sp.csr_matr
         along = cols[np.sort(first)]
         lines.append((g, along[g[along] != 0.0]))
     involved = np.bincount(np.concatenate([along for _, along in lines]), minlength=m)
-    columns = {int(c): ([c], [1.0]) for c in np.flatnonzero(involved == 0)}
+    # every entry of every column as (the coordinate it is filed under, row,
+    # value), each column's entries in order
+    free = np.flatnonzero(involved == 0)
+    keys, rows, vals = [free], [free], [np.ones(free.size)]
     for g, along in lines:
         own = along[involved[along] == 1]
-        for a, b in zip(own[:-1], own[1:]):
-            columns[int(b)] = ([a, b], [g[b], -g[a]])
+        a, b = own[:-1], own[1:]
+        keys += [b, b]
+        rows += [a, b]
+        vals += [g[b], -g[a]]
     for c in np.flatnonzero(involved == 2):
         (g, along), (h, across) = lines
         x, y = _nearest_own(along, involved, c), _nearest_own(across, involved, c)
-        columns[int(c)] = ([c, x, y], [g[x] * h[y], -g[c] * h[y], -h[c] * g[x]])
-    filed = [columns[c] for c in sorted(columns)]
-    rows = np.concatenate([r for r, _ in filed])
-    cols = np.repeat(np.arange(len(filed)), [len(r) for r, _ in filed])
-    vals = np.concatenate([v for _, v in filed])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, len(filed)))
+        keys.append(np.full(3, c))
+        rows.append(np.array([c, x, y]))
+        vals.append(np.array([g[x] * h[y], -g[c] * h[y], -h[c] * g[x]]))
+    keys, rows, vals = (np.concatenate(parts) for parts in (keys, rows, vals))
+    filed = np.argsort(keys, kind="stable")
+    keys = keys[filed]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    cols = np.cumsum(first) - 1
+    return sp.csr_matrix((vals[filed], (rows[filed], cols)), shape=(m, int(first.sum())))
 
 
 def _nearest_own(along: np.ndarray, involved: np.ndarray, c: int) -> int:
@@ -330,18 +339,27 @@ class BandOrder:
         graph = sp.csr_matrix(
             (np.ones(by_degree.size), pattern.indices[by_degree], pattern.indptr), (n, n)
         )
+        # a breadth-first search discovers each node from its neighbour
+        # visited first, so with the pattern symmetric no entry lies
+        # farther from the diagonal than a node from its predecessor: the
+        # width of an order is the largest of those n - 1 distances
+        steps = np.arange(n, dtype=np.int32)
+        visit, gap = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
         best = None
         for start in np.flatnonzero(degree == degree.min()):
-            order = breadth_first_order(graph, start, return_predecessors=False)
+            order, pred = breadth_first_order(graph, start, return_predecessors=True)
             if order.size < n:
                 raise ValueError("the pattern must be connected")
-            perm = order[::-1].astype(np.int64)
-            rank = np.empty(n, dtype=np.int64)
-            rank[perm] = np.arange(n)
-            width = int(np.max(np.abs(rank[rows] - rank[pattern.indices]), initial=0))
-            if best is None or width < best.width:
-                best = cls(perm, rank, width)
-        return best
+            visit[order] = steps
+            pred[start] = start
+            width = int(np.subtract(visit, visit.take(pred), out=gap).max())
+            if best is None or width < best[1]:
+                best = order, width
+        order, width = best
+        perm = order[::-1].astype(np.int64)
+        rank = np.empty(n, dtype=np.int64)
+        rank[perm] = np.arange(n)
+        return cls(perm, rank, width)
 
 
 @dataclass(frozen=True)
@@ -447,18 +465,21 @@ class ReferenceMap:
 
     @classmethod
     def _of_grams(cls, space, M, Kxx, Kxy, Kyy) -> "ReferenceMap":
-        n = M.shape[0]
         grams = (Kxx, Kxy, Kxy.T.tocsr(), Kyy)
-        union = sum(sp.csr_matrix((np.ones(K.nnz), K.indices, K.indptr), K.shape) for K in grams)
-        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(union.indptr)) * n + union.indices
+        # gram g marks its entries with bit g, so that the entries of the
+        # union that carry bit g are those of gram g, both in canonical order
+        union = sum(
+            sp.csr_matrix((np.full(K.nnz, 2.0**g), K.indices, K.indptr), K.shape)
+            for g, K in enumerate(grams)
+        )
+        carries = union.data.astype(np.int64)
 
-        def scatter(K):
+        def scatter(g, K):
             vals = np.zeros(union.nnz)
-            k_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(K.indptr))
-            vals[np.searchsorted(keys, k_rows * n + K.indices)] = K.data
+            vals[(carries & (1 << g)) != 0] = K.data
             return vals
 
-        xx, xy, yx, yy = map(scatter, grams)
+        xx, xy, yx, yy = (scatter(g, K) for g, K in enumerate(grams))
         # shared by every mapped matrix that stores the whole pattern
         union.indptr.flags.writeable = union.indices.flags.writeable = False
         return cls(space, M, union.indptr, union.indices, xx, xy, xy + yx, yy)
@@ -470,10 +491,10 @@ class ReferenceMap:
         residue (:func:`_congruent`).
         """
         bases = parity_bases(self.space)
-        grams = (self.M, *(self._csr(v) for v in (self.xx, self.xy, self.yy)))
+        grams = [self.M, *(self._csr(v) for v in (self.xx, self.xy, self.yy))]
         halves = []
         for C in (bases[p] for p in parities):
-            congruent = [_congruent(K, C) for K in grams]
+            congruent = _congruent(grams, C)
             halves.append((ReferenceMap._of_grams(self.space, *congruent), C))
         return replace(self, halves=tuple(halves))
 
@@ -531,16 +552,21 @@ class ReferenceMap:
         """The matrix with ``vals`` on the union pattern, exact zeros dropped
         as the sparse algebra drops them."""
         n = self.indptr.size - 1
-        keep = vals != 0.0
-        if keep.all():
-            return sp.csr_matrix((vals, self.indices, self.indptr), shape=(n, n))
-        kept = np.zeros(vals.size + 1, dtype=self.indptr.dtype)
-        np.cumsum(keep, out=kept[1:])
-        return sp.csr_matrix((vals[keep], self.indices[keep], kept[self.indptr]), shape=(n, n))
+        return _kept(sp.csr_matrix((vals, self.indices, self.indptr), shape=(n, n)), vals != 0.0)
 
 
-def _congruent(K: sp.csr_matrix, C: sp.csr_matrix) -> sp.csr_matrix:
-    """C^T K C in canonical CSR form, less its cancellation residue.
+def _kept(K: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    """K with only its entries where ``keep`` holds, in their order."""
+    if keep.all():
+        return K
+    kept = np.zeros(keep.size + 1, dtype=K.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    return sp.csr_matrix((K.data[keep], K.indices[keep], kept[K.indptr]), shape=K.shape)
+
+
+def _congruent(grams: list[sp.csr_matrix], C: sp.csr_matrix) -> list[sp.csr_matrix]:
+    """C^T K C in canonical CSR form, less its cancellation residue, for
+    each K of ``grams``.
 
     Where the columns of C combine entries of K that are equal in exact
     arithmetic but were rounded apart in assembly, an entry that vanishes
@@ -551,11 +577,18 @@ def _congruent(K: sp.csr_matrix, C: sp.csr_matrix) -> sp.csr_matrix:
     that of its exact pencil.
     """
     Ct = C.T.tocsr()
-    H = (Ct @ K @ C).tocsr()
-    H = H.multiply(abs(H) > _SQRT_EPS * (abs(Ct) @ abs(K) @ abs(C))).tocsr()
-    H.eliminate_zeros()
-    H.sort_indices()
-    return H
+    abs_Ct, abs_C = abs(Ct), abs(C)
+    congruent = []
+    for K in grams:
+        H = Ct @ K @ C
+        H.sort_indices()
+        # the sum of the magnitudes of the terms of each entry of H: the
+        # pattern of this product holds that of H
+        bound = abs_Ct @ abs(K) @ abs_C
+        bound.sort_indices()
+        bound = bound.multiply(sp.csr_matrix((np.ones(H.nnz), H.indices, H.indptr), H.shape))
+        congruent.append(_kept(H, np.abs(H.data) > _SQRT_EPS * bound.data))
+    return congruent
 
 
 def assemble(space: FemSpace) -> DiscreteOperators:

@@ -98,11 +98,11 @@ class Mesh:
 
     def side_edges(self, side: int) -> np.ndarray:
         """Edge indices on a parent side, ordered along the side."""
-        nodes = self.side_nodes(side)
         sel = np.nonzero(self.edge_side == side)[0]
         # order sub-edges by the position of their first endpoint on the side
-        pos = {int(nd): k for k, nd in enumerate(nodes)}
-        key = [min(pos[int(a)], pos[int(b)]) for a, b in self.edges[sel]]
+        pos = np.empty(self.n_nodes, dtype=np.int64)
+        pos[self.side_nodes(side)] = np.arange(self.n + 1)
+        key = np.minimum(pos[self.edges[sel, 0]], pos[self.edges[sel, 1]])
         return sel[np.argsort(key, kind="stable")]
 
 
@@ -131,46 +131,46 @@ def uniform_subdivide(triangle: TriangleShape, n: int) -> Mesh:
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
 
-    def idx(i, j):
-        return j * (n + 1) - (j * (j - 1)) // 2 + i
-
     n_nodes = (n + 1) * (n + 2) // 2
-    lattice = np.empty((n_nodes, 2), dtype=np.int32)
-    for j in range(n + 1):
-        for i in range(n + 1 - j):
-            k = idx(i, j)
-            lattice[k, 0] = i
-            lattice[k, 1] = j
+    # row j holds the n + 1 - j nodes i = 0 .. n - j and starts at node
+    # idx(0, j) = j (n + 1) - j (j - 1) / 2
+    row = np.arange(n + 1)
+    start = row * (n + 1) - row * (row - 1) // 2
+    lj = np.repeat(row, n + 1 - row)
+    li = np.arange(n_nodes) - start[lj]
+    lattice = np.column_stack([li, lj]).astype(np.int32)
 
-    tris = []
-    for j in range(n):
-        for i in range(n - j):
-            tris.append((idx(i, j), idx(i + 1, j), idx(i, j + 1)))
-            if i + j <= n - 2:
-                tris.append((idx(i + 1, j + 1), idx(i, j + 1), idx(i + 1, j)))
-    elements = np.array(tris, dtype=np.int32)
+    # the edges of node p = (i, j) to higher-numbered nodes, in that order:
+    # the horizontal one to (i + 1, j) = node p + 1, the diagonal one to
+    # (i - 1, j + 1) = node p + n - j and the vertical one to (i, j + 1) =
+    # node p + n - j + 1, so listing them node by node sorts the edges
+    node = np.arange(n_nodes)
+    inside = li + lj < n
+    present = np.column_stack([inside, li >= 1, inside])
+    ends = np.column_stack([node + 1, node + n - lj, node + n - lj + 1])
+    eid = np.cumsum(present).reshape(n_nodes, 3) - 1   # edge number, where present
+    edges = np.column_stack([np.broadcast_to(node[:, None], ends.shape)[present], ends[present]])
+    edges = edges.astype(np.int32)
+    horizontal, diagonal, vertical = eid.T
 
-    # edge k of an element is the one opposite local vertex k
-    pairs = np.concatenate(
-        [
-            elements[:, [1, 2]],
-            elements[:, [2, 0]],
-            elements[:, [0, 1]],
-        ]
-    )
-    pairs.sort(axis=1)
-    keys = pairs[:, 0].astype(np.int64) * n_nodes + pairs[:, 1]
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    edges = np.column_stack([uniq // n_nodes, uniq % n_nodes]).astype(np.int32)
-    element_edges = inverse.reshape(3, -1).T.astype(np.int32)
+    # the cells (i, j), i + j < n, in lattice order, each an up cell
+    # followed by its down cell where i + j <= n - 2; edge k of an element
+    # is the one opposite local vertex k
+    cell = node[inside]
+    above = cell + n - lj[inside] + 1        # node (i, j + 1)
+    up = np.column_stack([cell, cell + 1, above])
+    down = np.column_stack([above + 1, above, cell + 1])
+    up_edges = np.column_stack([diagonal[cell + 1], vertical[cell], horizontal[cell]])
+    down_edges = np.column_stack([diagonal[cell + 1], vertical[cell + 1], horizontal[above]])
+    has_down = np.column_stack([np.ones(cell.size, dtype=bool), li[inside] + lj[inside] <= n - 2])
+    elements = np.stack([up, down], axis=1)[has_down].astype(np.int32)
+    element_edges = np.stack([up_edges, down_edges], axis=1)[has_down].astype(np.int32)
 
-    li = lattice[:, 0]
-    lj = lattice[:, 1]
-    ea, eb = edges[:, 0], edges[:, 1]
+    # side 0 (j = 0) holds horizontal edges only, side 1 (i + j = n)
+    # diagonal ones and side 2 (i = 0) vertical ones
     edge_side = np.full(edges.shape[0], -1, dtype=np.int8)
-    edge_side[(lj[ea] == 0) & (lj[eb] == 0)] = 0
-    on1 = (li + lj == n)
-    edge_side[on1[ea] & on1[eb]] = 1
-    edge_side[(li[ea] == 0) & (li[eb] == 0)] = 2
+    edge_side[horizontal[inside & (lj == 0)]] = 0
+    edge_side[diagonal[(li >= 1) & ~inside]] = 1
+    edge_side[vertical[inside & (li == 0)]] = 2
 
     return Mesh(triangle, n, lattice, elements, edges, element_edges, edge_side)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tricert
 from tricert.eigsolve import ground_rayleigh, solve_lowest
@@ -111,6 +112,109 @@ def gram_triple(ops, u: np.ndarray) -> tuple[float, float, float]:
         float(u @ (ops.Kxy @ u)),
         float(u @ (ops.Kyy @ u)),
     )
+
+
+def mesh_arrays_by_loops(n: int) -> dict[str, np.ndarray]:
+    """The arrays of the n-fold uniform mesh, built entity by entity in
+    plain loops from the numbering that ``tricert.mesh.Mesh`` documents.
+
+    Nodes are listed row by row, base row j = 0 first; cell (i, j) gives
+    the up element (P(i,j), P(i+1,j), P(i,j+1)) and, where i + j <= n - 2,
+    then the down element (P(i+1,j+1), P(i,j+1), P(i+1,j)); edges are the
+    sorted vertex pairs in lexicographic order, and an element's edge k
+    is the one opposite its vertex k.
+    """
+    node = {}
+    for j in range(n + 1):
+        for i in range(n + 1 - j):
+            node[i, j] = len(node)
+    elements = []
+    for j in range(n):
+        for i in range(n - j):
+            elements.append((node[i, j], node[i + 1, j], node[i, j + 1]))
+            if i + j <= n - 2:
+                elements.append((node[i + 1, j + 1], node[i, j + 1], node[i + 1, j]))
+    # edge k of an element joins its vertices k + 1 and k + 2 (mod 3)
+    sides = [[tuple(sorted((el[k - 2], el[k - 1]))) for k in range(3)] for el in elements]
+    edges = sorted({pair for pairs in sides for pair in pairs})
+    edge = {pair: k for k, pair in enumerate(edges)}
+    element_edges = [[edge[pair] for pair in pairs] for pairs in sides]
+    lattice = list(node)
+    on_side = (
+        lambda i, j: j == 0,          # side 0, O -> A
+        lambda i, j: i + j == n,      # side 1, A -> B
+        lambda i, j: i == 0,          # side 2, O -> B
+    )
+    edge_side = []
+    for a, b in edges:
+        sides = [s for s, on in enumerate(on_side) if on(*lattice[a]) and on(*lattice[b])]
+        edge_side.append(sides[0] if sides else -1)
+    return {
+        "lattice": np.array(lattice, dtype=np.int32),
+        "elements": np.array(elements, dtype=np.int32),
+        "edges": np.array(edges, dtype=np.int32),
+        "element_edges": np.array(element_edges, dtype=np.int32),
+        "edge_side": np.array(edge_side, dtype=np.int8),
+    }
+
+
+def eliminate_by_loops(constraints, dim: int) -> sp.csr_matrix:
+    """The slave-elimination null-space basis of ``fem._eliminate``, built
+    coordinate by coordinate: the identity on the masters, and each
+    slave's row solving its own constraint."""
+    slaves = {slave for _, _, slave in constraints}
+    masters = [d for d in range(dim) if d not in slaves]
+    col_of = {m: k for k, m in enumerate(masters)}
+    rows, cols, vals = list(masters), list(range(len(masters))), [1.0] * len(masters)
+    for dofs, w, slave in constraints:
+        w_slave = w[dofs == slave][0]
+        for d, wv in zip(dofs.tolist(), w):
+            if d != slave:
+                rows.append(slave)
+                cols.append(col_of[d])
+                vals.append(float(-wv / w_slave))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, len(masters))).tocsr()
+
+
+def side_differences_by_loops(sides, S: sp.csr_matrix) -> sp.csr_matrix:
+    """The local side-difference basis of ``fem._side_differences``, built
+    column by column into a dict keyed by the coordinate each column is
+    filed under."""
+    m = S.shape[1]
+    entries = S.tocoo()
+    col_of = np.full(S.shape[0], -1)
+    col_of[entries.row] = entries.col
+    lines = []
+    for dofs, w in sides:
+        g = S[dofs].T @ w
+        along = []
+        for c in col_of[dofs].tolist():
+            if c >= 0 and c not in along:
+                along.append(c)
+        lines.append((g, [c for c in along if g[c] != 0.0]))
+    involved = [0] * m
+    for _, along in lines:
+        for c in along:
+            involved[c] += 1
+    columns = {c: ([c], [1.0]) for c in range(m) if involved[c] == 0}
+    for g, along in lines:
+        own = [c for c in along if involved[c] == 1]
+        for a, b in zip(own[:-1], own[1:]):
+            columns[b] = ([a, b], [g[b], -g[a]])
+    for c in (c for c in range(m) if involved[c] == 2):
+        (g, along), (h, across) = lines
+
+        def nearest_own(line):
+            at = line.index(c)
+            return min((d for d in line if involved[d] == 1), key=lambda d: abs(line.index(d) - at))
+
+        x, y = nearest_own(along), nearest_own(across)
+        columns[c] = ([c, x, y], [g[x] * h[y], -g[c] * h[y], -h[c] * g[x]])
+    filed = [columns[c] for c in sorted(columns)]
+    rows = np.concatenate([r for r, _ in filed])
+    cols = np.repeat(np.arange(len(filed)), [len(r) for r, _ in filed])
+    vals = np.concatenate([v for _, v in filed])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, len(filed)))
 
 
 @lru_cache(maxsize=128)

@@ -22,9 +22,18 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EQ, gram_triple, map_derivative_gram, operators, shear
-from tricert.certify import paper_config, quick_config
-from tricert.fem import ReferenceMap, assemble, build_space, mirror, parity_bases
+from helpers import (
+    EQ,
+    eliminate_by_loops,
+    gram_triple,
+    map_derivative_gram,
+    operators,
+    shear,
+    side_differences_by_loops,
+)
+from tricert.certify import _BC, _reference_operators, paper_config, quick_config
+from tricert import fem
+from tricert.fem import BandOrder, ReferenceMap, assemble, build_space, mirror, parity_bases
 from tricert.geometry import triangle_from_angle, triangle_from_vertex
 from tricert.mesh import uniform_subdivide
 
@@ -354,6 +363,26 @@ def test_edge_mean_halves_meet_every_side_mean_exactly(n, family):
         assert np.all((W @ (sp_.Z @ C)).toarray() == 0.0)
 
 
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("n, family", [(2, "cg"), (3, "cr")] + EDGE_MEAN_MESHES)
+def test_edge_mean_bases_match_the_loop_oracles(n, family, monkeypatch):
+    # the slave basis Z and the half bases, built in index arithmetic, are
+    # the coordinate-by-coordinate constructions to the last bit
+    sp_ = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, "edge-mean")
+    constraints = fem._edge_mean_constraints(sp_.mesh, family)
+    assert_same_csr(sp_.Z, eliminate_by_loops(constraints, sp_.full_dim))
+    bases = parity_bases(sp_)
+    monkeypatch.setattr(fem, "_side_differences", side_differences_by_loops)
+    for got, want in zip(bases, parity_bases(sp_)):
+        assert_same_csr(got, want)
+
+
 @pytest.mark.parametrize("n", [2, 3, 16, 32])
 def test_edge_mean_cr_halves_together_span_the_space(n):
     sp_ = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), "cr", "edge-mean")
@@ -421,3 +450,73 @@ def test_conforming_ground_mode_is_mirror_symmetric(bc, n, theta):
     else:
         w = ops.space.Z @ u
     assert np.abs(w[mirror(ops.space)] - w).max() <= 1e-9 * np.abs(w).max()
+
+
+def first_narrowest_rcm(pattern):
+    """(perm, width) of the reverse Cuthill-McKee order of the symmetric
+    ``pattern`` that BandOrder.of documents, by a plain loop: a
+    breadth-first search from each node of least degree in turn, visiting
+    each node's neighbours by degree, then index, and the width of each
+    order read off every entry of the pattern; the first narrowest wins."""
+    n = pattern.shape[0]
+    degree = np.diff(pattern.indptr)
+    neighbours = [
+        sorted(pattern.indices[pattern.indptr[i]:pattern.indptr[i + 1]], key=lambda j: (degree[j], j))
+        for i in range(n)
+    ]
+    rows = np.repeat(np.arange(n), degree)
+    best = None
+    for start in np.flatnonzero(degree == degree.min()).tolist():
+        order, seen = [start], [False] * n
+        seen[start] = True
+        for node in order:  # grows while it is walked: a queue
+            for j in neighbours[node]:
+                if not seen[j]:
+                    seen[j] = True
+                    order.append(j)
+        perm = np.array(order[::-1])
+        rank = np.empty(n, dtype=np.int64)
+        rank[perm] = np.arange(n)
+        width = int(np.abs(rank[rows] - rank[pattern.indices]).max())
+        if best is None or width < best[1]:
+            best = perm, width
+    return best
+
+
+def quick_and_sweep_spaces(problem):
+    """(n, family) of every space of the quick proof of ``problem`` and of
+    the sweeps of its paper-config proof."""
+    quick, paper = quick_config(problem), paper_config(problem)
+    return sorted({
+        (quick.cg_n, "cg"), (quick.cr_n, "cr"), (quick.eq_cg_n, "cg"), (quick.eq_cr_n, "cr"),
+        (paper.cg_n, "cg"), (paper.cr_n, "cr"),
+    })
+
+
+BAND_SPACES = [
+    (problem, n, family)
+    for problem in ("dirichlet", "cr-constant")
+    for n, family in quick_and_sweep_spaces(problem)
+]
+
+
+@pytest.mark.parametrize("problem, n, family", BAND_SPACES)
+def test_band_order_is_the_first_narrowest_rcm_order(problem, n, family):
+    ref = _reference_operators(n, family, _BC[problem])
+    for half, _ in ref.halves:
+        m = half.dim
+        # the pattern of A and M, which BandOrder.of is given
+        pattern = (
+            scipy.sparse.csr_matrix((np.ones(half.indices.size), half.indices, half.indptr), (m, m))
+            + abs(half.M)
+        ).tocsr()
+        band = BandOrder.of(pattern)
+        assert np.array_equal(np.sort(band.perm), np.arange(m))
+        assert np.array_equal(band.rank[band.perm], np.arange(m))
+        rows = np.repeat(np.arange(m), np.diff(pattern.indptr))
+        assert np.abs(band.rank[rows] - band.rank[pattern.indices]).max() == band.width
+        perm, width = first_narrowest_rcm(pattern)
+        assert band.width == width
+        assert np.array_equal(band.perm, perm)
+        assert np.array_equal(half.band_order().perm, band.perm)
+

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import EQ
+from helpers import EQ, mesh_arrays_by_loops
 from tricert.geometry import triangle_from_angle
 from tricert.mesh import uniform_subdivide
 
@@ -25,6 +25,19 @@ def test_entity_counts(n, theta):
     assert m.n_nodes == (n + 1) * (n + 2) // 2
     assert m.n_elements == n * n
     assert m.n_edges == 3 * n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [32, 64, 96, 128, 192, 288])
+def test_numbering_matches_the_loop_oracle(n):
+    # the edge order is the CR dof numbering and the node order the CG one,
+    # so every array, with its dtype, must match the entity-by-entity
+    # construction exactly: a silent renumbering would change every
+    # certificate
+    m = make(n=n)
+    for name, want in mesh_arrays_by_loops(n).items():
+        got = getattr(m, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
 
 
 def test_invalid_subdivision():
