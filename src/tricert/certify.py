@@ -59,7 +59,6 @@ from .bounds import (
     eta_range,
 )
 from .eigsolve import (
-    BAND_CUTOFF,
     EigensolveError,
     ground_rayleigh,
     quad_form_interval,
@@ -258,17 +257,17 @@ def _reference_operators(n: int, family: str, bc: str) -> ReferenceMap:
 
     Each entry is the :class:`ReferenceMap` of one space, with the
     mirror-parity halves it is solved in, whatever its size: both for a
-    CR space, the symmetric one for a CG space (:mod:`eigsolve`).  Each
-    half carries its band order where that is at most BAND_CUTOFF wide,
-    and its shift-invert factor is then banded Cholesky instead of
-    SuperLU: a half's factor backend is fixed here, once, from its
-    pattern alone.  Eight entries hold the two sweep spaces and the two
-    corner spaces of each problem, so a process that proves both problems
-    (or runs both quick proofs, six spaces) builds each space once; with
-    four, every proof of the pair would evict the other's spaces and
-    rebuild its own.  Every caller shares the cached arrays, so they are
-    only read (:meth:`ReferenceMap.mapped` builds new ones).  Mesh, space
-    and assembly are built through this module's names, so wrapping them
+    CR space, the symmetric one for a CG space (:mod:`eigsolve`).
+    :meth:`ReferenceMap.with_halves` gives each half the band order in
+    which every solve of it factorises A - sigma M by banded Cholesky,
+    so that order is fixed here, once per space.  Eight entries hold the
+    two sweep spaces and the two corner spaces of each problem, so a
+    process that proves both problems (or runs both quick proofs, six
+    spaces) builds each space once; with four, every proof of the pair
+    would evict the other's spaces and rebuild its own.  Every caller
+    shares the cached arrays, so they are only read
+    (:meth:`ReferenceMap.mapped` builds new ones).  Mesh, space and
+    assembly are built through this module's names, so wrapping them
     here sees every build.
 
     Every step of a build is array code.  A cold build in a fresh process
@@ -291,11 +290,7 @@ def _reference_operators(n: int, family: str, bc: str) -> ReferenceMap:
     spaces before its first point.
     """
     ref = ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
-    halves = []
-    for half, C in ref.with_halves((0, 1) if family == "cr" else (0,)).halves:
-        order = half.band_order()
-        halves.append((replace(half, band=order) if order.width <= BAND_CUTOFF else half, C))
-    return replace(ref, halves=tuple(halves))
+    return ref.with_halves((0, 1) if family == "cr" else (0,))
 
 
 # Thread-count entries of the OpenBLAS builds in the NumPy and SciPy wheels

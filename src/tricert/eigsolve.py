@@ -32,14 +32,25 @@ them, whatever its size, so every proof space is solved so; only
 operators assembled directly carry none and are solved whole.  The
 computed vectors are lifted to the whole space and certified there,
 exactly as a whole-space vector would be, so the halves steer the solver
-as sigma does and never enter a bound.  Each factorisation is made by
-one of two backends: LAPACK's banded Cholesky in a half's band order
-(:class:`fem.BandOrder`), which certify._reference_operators gives a
-half, once per reference space, where the band is at most BAND_CUTOFF
-wide; otherwise, and for every whole space, SuperLU with its own
-fill-reducing order.  Both expect A - sigma M positive definite, sigma
-below lambda_1: on any other matrix the banded Cholesky fails with a
-diagnosis, and SuperLU may fail alike or steer Lanczos to another mode.
+as sigma does and never enter a bound.  A half is factorised by LAPACK's
+banded Cholesky in its band order (:class:`fem.BandOrder`), which
+fem.ReferenceMap.with_halves fixes once per reference space, however
+wide: on the uniform lattice a half's band holds about one lattice row.
+Against SuperLU (one BLAS thread, theta = 0.9, median of 15), the banded
+factor is 2.5 to 7 times faster on the quick and sweep halves (15 to 64
+wide) and solves as fast or faster; on the corner halves it factors 1.8
+times faster at width 114 (CG 192 edge-mean) and 5 to 20 % faster at 126
+to 143 (CR 128 and CG 288 Dirichlet), where it solves 11 to 26 % slower.
+So a warm edge-mean corner point took 0.066 to 0.086 s of CPU against
+0.094 to 0.116 s on SuperLU, lower in each of five alternating process
+pairs (median of 7 each), and a Dirichlet one 0.37 to 0.46 s against
+0.36 to 0.44 s.  SuperLU, with its own fill-reducing order, is kept for
+operators that carry no halves: a directly assembled space, whose
+triangle need have no mirror, and whose edge-mean slave basis Z couples
+every dof of a side, so that it has no narrow band.  Both expect A -
+sigma M positive definite, sigma below lambda_1: on any other matrix the
+banded Cholesky fails with a diagnosis, and SuperLU may fail alike or
+steer Lanczos to another mode.
 
 The rounding term sets delta.  Each Lanczos run stops at ARPACK's
 relative tolerance LANCZOS_TOL = 1e-12, not at machine precision, and
@@ -94,7 +105,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import BandOrder, DiscreteOperators, Half
+from .fem import DiscreteOperators, Half
 from .rounding import Interval, dn, up
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -102,7 +113,7 @@ _EPS = float(np.finfo(np.float64).eps)
 # Largest solver target sent to dense LAPACK: the crossover measured on
 # halves, run as the proof runs them (CR: both halves, three modes with
 # HALF_NCV vectors; CG: the symmetric half, one mode shifted to 0.99
-# lambda_1, GROUND_NCV vectors; each banded where the proof bands it).  CPU
+# lambda_1, GROUND_NCV vectors; each banded, as the proof bands it).  CPU
 # ms on one BLAS thread of a 2-vCPU VM, theta = 0.9, median of 15, dense /
 # Lanczos, by unknowns per half (a CR time covers both halves):
 #   CR Dirichlet  140/133: 4.8 / 8.5   184/176: 9.2 / 9.0   234/225: 17.1 / 8.9
@@ -113,40 +124,6 @@ _EPS = float(np.finfo(np.float64).eps)
 # between them sends every quick-preset half to Lanczos (the smallest, CG
 # 32 Dirichlet's, has 240 unknowns).
 DENSE_CUTOFF = 150
-
-# Widest band order that certify._reference_operators gives a mirror half,
-# so that its shift-invert factor is LAPACK's banded Cholesky (dpbtrf,
-# dpbtrs) in that order, not SuperLU.  On the uniform lattice the reverse
-# Cuthill-McKee order of A and M has about one lattice row per band, and
-# the local side differences that span an edge-mean half keep it so
-# (fem.parity_bases).  ms per factor / per solve on one BLAS thread of a
-# 2-vCPU VM, theta = 0.9, CG shifted to 0.99 lambda_1, median of 15 (31 per
-# solve), banded / SuperLU, by width, for the halves of the quick, sweep
-# and corner meshes (CR: symmetric half, then antisymmetric):
-#   CG 32 Dirichlet       240,  15:  0.2 / 0.01    1.2 / 0.02
-#   CG 32 edge-mean       287,  21:  0.2 / 0.01    1.5 / 0.04
-#   CR 32 Dirichlet       736,  30:  0.4 / 0.04    1.3 / 0.05
-#   CR 32 Dirichlet       752,  31:  0.3 / 0.03    1.2 / 0.08
-#   CG 64 Dirichlet       992,  31:  0.4 / 0.03    3.0 / 0.06
-#   CR 32 edge-mean   798/783,  32:  0.4 / 0.04    1.8 / 0.08  (0.4 / 0.05  1.9 / 0.09)
-#   CG 64 edge-mean      1087,  39:  1.0 / 0.05    4.0 / 0.13
-#   CG 96 Dirichlet      2256,  47:  2.3 / 0.16    7.4 / 0.27
-#   CG 96 edge-mean      2399,  58:  1.9 / 0.11    6.5 / 0.30
-#   CR 64 Dirichlet      3008,  62:  2.6 / 0.25    7.1 / 0.31
-#   CR 64 Dirichlet      3040,  63:  2.5 / 0.23    6.4 / 0.28
-#   CR 64 edge-mean 3134/3103,  64:  2.8 / 0.18    7.3 / 0.17  (2.0 / 0.19  5.1 / 0.31)
-#   CG 192 edge-mean     9407, 114: 28.3 / 1.10   50.6 / 1.42
-#   CR 128 Dirichlet    12160, 126: 35.3 / 1.58   37.1 / 1.26
-#   CR 128 Dirichlet    12224, 127: 35.0 / 1.72   43.4 / 1.37
-#   CG 288 Dirichlet    20592, 143: 73.8 / 3.82   89.2 / 3.45
-# Up to width 64 the band factors 2.5 to 7 times faster and solves about
-# as fast or faster.  From 114 to 143 it factors 5 to 80 % faster, but the
-# Dirichlet corner halves solve slower, so over a CR run's 24 solves CR 128
-# comes out even (76 against 76 ms).  The cutoff bands every half of the
-# sweep and quick meshes of both problems; of the published corner halves
-# only CR 32 edge-mean's are banded, and CG 192 edge-mean's and the
-# Dirichlet ones stay on SuperLU.
-BAND_CUTOFF = 64
 
 # Lanczos vectors for the shifted ground solve of ground_rayleigh.  Factor
 # solves summed over every fourth point of both paper schedules (step-2
@@ -317,44 +294,31 @@ def _normalize(M: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
     return -u if u[j] < 0.0 else u
 
 
-def _band_pack(half: Half, band: BandOrder, sigma: float) -> np.ndarray:
-    """A - ``sigma`` M of ``half`` in the order ``band``, in LAPACK's upper
-    band storage: entry (i, j), i <= j, of the permuted matrix at
-    [w + i - j, j] of a (w + 1, n) array in column-major order, w the
-    band's width.
+def _band_pack(half: Half, sigma: float) -> np.ndarray:
+    """A - ``sigma`` M of ``half`` in its band order, in LAPACK's upper
+    band storage, at the positions of the half's slots
+    (:meth:`fem.BandOrder.slots`).
 
     Each entry is formed as the sparse difference forms it, a - (sigma m),
     so the band holds the permuted upper triangle of A - sigma M bit for
     bit.
     """
-    n, w = half.dim, band.width
-
-    def upper(K):
-        """The flat band positions and values of K's upper triangle."""
-        j = band.rank[K.indices]
-        d = j - band.rank[np.repeat(np.arange(n), np.diff(K.indptr))]
-        # an entry outside the band would overwrite another's position
-        if d.max(initial=0) > w:
-            raise ValueError(f"operator pattern exceeds its band order's width {w}")
-        keep = np.flatnonzero(d >= 0)
-        return (w - d + (w + 1) * j)[keep], K.data[keep]
-
-    ab = np.zeros((w + 1) * n)
-    pos, vals = upper(half.A)
-    ab[pos] = vals
+    (a_keep, a_pos), (m_keep, m_pos) = half.slots
+    w = half.band.width
+    ab = np.zeros((w + 1) * half.dim)
+    ab[a_pos] = half.A.data[a_keep]
     if sigma:
-        pos, vals = upper(half.M)
-        ab[pos] -= sigma * vals
-    return ab.reshape((w + 1, n), order="F")
+        ab[m_pos] -= sigma * half.M.data[m_keep]
+    return ab.reshape((w + 1, half.dim), order="F")
 
 
 class _BandCholesky:
     """LAPACK banded Cholesky factor of A - sigma M (:func:`_band_pack`),
     solving in the unknowns' own order, as a SuperLU factor does."""
 
-    def __init__(self, half: Half, band: BandOrder, sigma: float):
-        self._band = band
-        ab = _band_pack(half, band, sigma)
+    def __init__(self, half: Half, sigma: float):
+        self._band = half.band
+        ab = _band_pack(half, sigma)
         self._factor, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
         if info != 0:
             raise EigensolveError(
@@ -369,10 +333,10 @@ class _BandCholesky:
         return x[self._band.rank]
 
 
-def _shift_invert_factor(target: DiscreteOperators | Half, sigma: float, band: BandOrder | None):
+def _shift_invert_factor(target: DiscreteOperators | Half, sigma: float):
     """A factor of A - ``sigma`` M whose ``solve`` drives shift-invert
-    Lanczos: banded Cholesky in ``band`` where one is given (a half's),
-    SuperLU otherwise.
+    Lanczos: banded Cholesky in its band order for a half, SuperLU with its
+    own fill-reducing order for a whole space.
 
     A - sigma M is symmetric positive definite for sigma below the lowest
     eigenvalue, so both are stable there: Cholesky needs no pivoting, and
@@ -380,8 +344,8 @@ def _shift_invert_factor(target: DiscreteOperators | Half, sigma: float, band: B
     Above it the Cholesky factorisation fails, and SuperLU may fail or steer
     Lanczos to another mode; every failure is an EigensolveError.
     """
-    if band is not None:
-        return _BandCholesky(target, band, sigma)
+    if isinstance(target, Half):
+        return _BandCholesky(target, sigma)
     shifted = target.A - sigma * target.M if sigma else target.A
     try:
         return spla.splu(
@@ -393,11 +357,7 @@ def _shift_invert_factor(target: DiscreteOperators | Half, sigma: float, band: B
 
 
 def _lowest_modes(
-    target: DiscreteOperators | Half,
-    k: int,
-    sigma: float = 0.0,
-    ncv: int | None = None,
-    band: BandOrder | None = None,
+    target: DiscreteOperators | Half, k: int, sigma: float = 0.0, ncv: int | None = None
 ) -> np.ndarray:
     """The floating-point backend: the ``k`` lowest eigenvectors of
     ``target``, a half or a whole space, as columns in ascending order of
@@ -406,11 +366,11 @@ def _lowest_modes(
     Dense LAPACK runs up to DENSE_CUTOFF unknowns (the measured
     crossover) or when more than dim modes are asked for, and the
     shift-invert Lanczos solver otherwise, on A - ``sigma`` M factorised
-    in ``band`` (:func:`_shift_invert_factor`) with ``ncv`` Lanczos
-    vectors (ARPACK's default when None), stopping at LANCZOS_TOL.  Dense
-    LAPACK yields at most dim modes and Lanczos at most dim - 1, so fewer
-    than ``k`` may come back.  Nothing returned is certified; every failure of either
-    backend is an EigensolveError.
+    by :func:`_shift_invert_factor` with ``ncv`` Lanczos vectors
+    (ARPACK's default when None), stopping at LANCZOS_TOL.  Dense LAPACK
+    yields at most dim modes and Lanczos at most dim - 1, so fewer than
+    ``k`` may come back.  Nothing returned is certified; every failure of
+    either backend is an EigensolveError.
     """
     n = target.dim
     if n <= DENSE_CUTOFF or k > n:
@@ -421,7 +381,7 @@ def _lowest_modes(
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(f"dense generalized eigensolve failed: {exc}") from exc
     else:
-        factor = _shift_invert_factor(target, sigma, band)
+        factor = _shift_invert_factor(target, sigma)
         opinv = spla.LinearOperator((n, n), matvec=factor.solve, dtype=np.float64)
         try:
             vals, vecs = spla.eigsh(
@@ -449,7 +409,7 @@ def _split_modes(halves: Sequence[Half], k: int) -> np.ndarray:
     """
     ritz, lifted = [], []
     for half in halves:
-        vecs = _lowest_modes(half, k, ncv=HALF_NCV, band=half.band)
+        vecs = _lowest_modes(half, k, ncv=HALF_NCV)
         ritz.extend(
             float(v @ (half.A @ v)) / float(v @ (half.M @ v)) for v in vecs.T
         )
@@ -504,7 +464,7 @@ def ground_rayleigh(ops: DiscreteOperators, below: float) -> RayleighBound:
         u = _lowest_modes(ops, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
     else:
         half = ops.halves[0]
-        u = half.C @ _lowest_modes(half, 1, sigma=below, ncv=GROUND_NCV, band=half.band)[:, 0]
+        u = half.C @ _lowest_modes(half, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
     return _rayleigh(ops, _normalize(ops.M, u))
 
 

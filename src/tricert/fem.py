@@ -327,7 +327,7 @@ class BandOrder:
 
         Where several nodes share the least degree the start sets the
         width: on an edge-mean half they lie along the mirror line, and
-        only some starts give a band within eigsolve.BAND_CUTOFF.  Each
+        some starts give a band half as wide again as others.  Each
         row's neighbours are sorted by degree, then index, so that a
         breadth-first search visits them in Cuthill-McKee order; the
         result does not depend on how a sort breaks ties.
@@ -360,6 +360,26 @@ class BandOrder:
         rank = np.empty(n, dtype=np.int64)
         rank[perm] = np.arange(n)
         return cls(perm, rank, width)
+
+    def slots(self, indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(keep, pos): where a matrix stored on the CSR pattern
+        (``indptr``, ``indices``) lies in LAPACK's upper band storage in
+        this order.  Its stored entries ``data[keep]`` make up its permuted
+        upper triangle, and go to the flat positions ``pos`` of a (w + 1,
+        n) array in column-major order, w the width: entry (i, j), i <= j,
+        of the permuted matrix at [w + i - j, j].
+        """
+        n, w = indptr.size - 1, self.width
+        j = self.rank[indices]
+        d = j - self.rank[np.repeat(np.arange(n), np.diff(indptr))]
+        # an entry outside the band would overwrite another's position
+        if d.max(initial=0) > w:
+            raise ValueError(f"pattern exceeds its band order's width {w}")
+        keep = np.flatnonzero(d >= 0)
+        # the cache holds the slots of every reference space: int32 halves
+        # them (5.5 to 2.7 MB for the corner spaces) and holds every
+        # position of a band below 16 GB
+        return keep.astype(np.int32), (w - d + (w + 1) * j)[keep].astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -407,14 +427,18 @@ class Half:
 
     A and M act on half coordinates, and C (:func:`parity_bases`) lifts
     them to the space's reduced coordinates: A = C^T A_space C, and
-    likewise M.  ``band``, if any, is an order that packs A and M into a
-    narrow band, for the solvers to factorise in.
+    likewise M.  ``band`` is an order that packs A and M into a narrow
+    band, for the solvers to factorise in, and ``slots`` holds its
+    :meth:`BandOrder.slots` of A and of M.  Both are fixed on the
+    reference patterns A and M are stored on: A keeps an entry that
+    vanishes at this apex as an explicit zero, which changes no product.
     """
 
     A: sp.csr_matrix
     M: sp.csr_matrix
     C: sp.csr_matrix
-    band: BandOrder | None = None
+    band: BandOrder
+    slots: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     @property
     def dim(self) -> int:
@@ -433,8 +457,8 @@ class ReferenceMap:
     the map reads none of them, and the cache of one map per reference
     space would hold them for the life of the process.  ``halves`` holds
     a (map, basis) pair for each half the map carries, and a half's map
-    may hold in ``band`` the order its mapped :class:`Half` carries
-    (:meth:`band_order`).
+    holds in ``band`` and ``slots`` those its mapped :class:`Half` carries
+    (:meth:`with_halves`).
     """
 
     space: FemSpace
@@ -447,6 +471,7 @@ class ReferenceMap:
     yy: np.ndarray
     halves: tuple[tuple["ReferenceMap", sp.csr_matrix], ...] = ()
     band: BandOrder | None = None
+    slots: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     @property
     def dim(self) -> int:
@@ -488,14 +513,18 @@ class ReferenceMap:
         """This map carrying the symmetric (parity 0) or antisymmetric (1)
         half of each of ``parities``, in that order: C^T K C for every
         reference gram K, with the half's basis C, less its cancellation
-        residue (:func:`_congruent`).
+        residue (:func:`_congruent`).  Each half's map gets its band order
+        (:meth:`band_order`) and that order's slots of its A and M
+        patterns, once for every angle.
         """
         bases = parity_bases(self.space)
         grams = [self.M, *(self._csr(v) for v in (self.xx, self.xy, self.yy))]
         halves = []
         for C in (bases[p] for p in parities):
-            congruent = _congruent(grams, C)
-            halves.append((ReferenceMap._of_grams(self.space, *congruent), C))
+            half = ReferenceMap._of_grams(self.space, *_congruent(grams, C))
+            band = half.band_order()
+            slots = band.slots(half.indptr, half.indices), band.slots(half.M.indptr, half.M.indices)
+            halves.append((replace(half, band=band, slots=slots), C))
         return replace(self, halves=tuple(halves))
 
     def band_order(self) -> BandOrder:
@@ -508,7 +537,8 @@ class ReferenceMap:
     def mapped(self, triangle: TriangleShape) -> DiscreteOperators:
         """The operators on ``triangle``, by the reference-map identities of
         the module docstring, with each half this map carries mapped alike
-        (A and M only), each carrying the band order of its map.
+        (A and M only, A on its map's whole pattern), each carrying the
+        band order and slots of its map.
 
         The returned space holds the mesh of ``triangle``: the reference
         mesh with its triangle swapped.  A map with halves needs a
@@ -528,7 +558,10 @@ class ReferenceMap:
             Kxy=self._csr(self.xy - bx * self.xx),
             Kyy=self._csr(kyy),
             halves=tuple(
-                Half(ref._csr(ref._stiffness(bx, by)[0]), by * ref.M, C, ref.band)
+                Half(
+                    sp.csr_matrix((ref._stiffness(bx, by)[0], ref.indices, ref.indptr), ref.M.shape),
+                    by * ref.M, C, ref.band, ref.slots,
+                )
                 for ref, C in self.halves
             ),
         )

@@ -8,6 +8,7 @@ import math
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import needs_two_cores, stdout_per_blas_threads
@@ -316,28 +317,33 @@ class TestPointData:
                 with pytest.raises(ValueError):
                     certify._reference_operators(n - 1, family, bc)
 
-    def test_each_half_is_banded_iff_its_band_is_narrow(self):
-        # every half of the quick, sweep and corner spaces carries its band
-        # order exactly where that is at most BAND_CUTOFF wide.  Every
-        # sweep and quick half of both problems is that narrow, the
-        # edge-mean ones since local side differences span them; the
-        # published corner halves are too wide
-        banded = set()
+    def test_every_half_carries_the_band_order_of_its_pattern(self):
+        # every half of the quick, sweep and corner spaces, however wide,
+        # carries the band order that BandOrder.of gives for the pattern of
+        # its A and M, and the mapped half carries it with its slots, so
+        # each of its solves factorises by banded Cholesky.  The widest are
+        # the published corner halves
+        tri = certify.triangle_from_angle(0.9)
+        widths = {}
         for problem in ("dirichlet", "cr-constant"):
             for kind, n, family in _proof_spaces(problem):
                 ref = certify._reference_operators(n, family, certify._BC[problem])
-                for parity, (half, _) in enumerate(ref.halves):
+                for parity, ((half, _), mapped) in enumerate(zip(ref.halves, ref.mapped(tri).halves)):
                     order = half.band_order()
-                    assert (half.band is not None) == (order.width <= certify.BAND_CUTOFF)
-                    if half.band is not None:
-                        assert half.band.width == order.width
-                        banded.add((problem, family, n, parity))
-        assert banded == {
-            (problem, family, n, parity)
-            for problem in ("dirichlet", "cr-constant")
-            for family, n in (("cg", 32), ("cg", 64), ("cg", 96), ("cr", 32), ("cr", 64))
-            for parity in ((0, 1) if family == "cr" else (0,))
+                    assert np.array_equal(half.band.perm, order.perm)
+                    assert half.band.width == order.width
+                    assert mapped.band is half.band and mapped.slots is half.slots
+                    widths[problem, kind, family, n, parity] = order.width
+        corner = {key: w for key, w in widths.items() if key[1] == "corner"}
+        assert corner == {
+            ("dirichlet", "corner", "cg", 288, 0): 143,
+            ("dirichlet", "corner", "cr", 128, 0): 127,
+            ("dirichlet", "corner", "cr", 128, 1): 126,
+            ("cr-constant", "corner", "cg", 192, 0): 114,
+            ("cr-constant", "corner", "cr", 32, 0): 32,
+            ("cr-constant", "corner", "cr", 32, 1): 32,
         }
+        assert max(w for key, w in widths.items() if key[1] != "corner") == 64
 
     def test_parallel_matches_serial(self):
         thetas = [0.4, 0.7, 1.0, EQ]

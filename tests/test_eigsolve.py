@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import EQ, operators
 from tricert.certify import _reference_operators
-from tricert import certify, eigsolve
+from tricert import eigsolve
 from tricert.bounds import corrected_lower
 from tricert.geometry import triangle_from_angle
 from tricert.eigsolve import (
@@ -146,11 +146,12 @@ def test_singular_banded_factor_is_diagnosed():
     # factorisation
     ops = _reference_operators(32, "cr", "dirichlet").mapped(triangle_from_angle(EQ))
     half = ops.halves[0]
-    assert half.band is not None and half.dim > DENSE_CUTOFF
-    A = half.A.tolil()
-    A[0, :] = 0.0
-    A[:, 0] = 0.0
-    singular = replace(half, A=A.tocsr())
+    assert half.dim > DENSE_CUTOFF
+    # zeroed in place: a half's A stays on the pattern its band slots index
+    A = half.A.copy()
+    rows = np.repeat(np.arange(half.dim), np.diff(A.indptr))
+    A.data[(rows == 0) | (A.indices == 0)] = 0.0
+    singular = replace(half, A=A)
     with pytest.raises(EigensolveError, match="factorisation"):
         solve_lowest(replace(ops, halves=(singular, *ops.halves[1:])), 2)
 
@@ -405,7 +406,7 @@ def test_shift_above_lambda1_never_lowers_the_bound(where, bc, backend):
     sigma = 0.5 * (lam1 + lam2) if where == "between-1-2" else 0.5 * (lam2 + lam3)
     if backend == "banded":
         ops = _reference_operators(32, "cg", bc).mapped(triangle_from_angle(0.9))
-        assert ops.halves[0].band is not None and ops.halves[0].dim > DENSE_CUTOFF
+        assert ops.halves[0].dim > DENSE_CUTOFF
         with pytest.raises(EigensolveError, match="factorisation"):
             ground_rayleigh(ops, sigma)
         return
@@ -580,29 +581,24 @@ def test_one_half_is_solved_whole(monkeypatch, bc, theta):
 # banded Cholesky -------------------------------------------------------------
 
 
-def proof_and_superlu_operators(monkeypatch, theta, n, family, bc):
+def proof_and_superlu_operators(theta, n, family, bc):
     """The operators of T(theta) as _reference_operators maps them, and the
-    same operators with BAND_CUTOFF = 0, so on SuperLU alone: the reference."""
-    tri = triangle_from_angle(theta)
-    proof = certify._reference_operators(n, family, bc).mapped(tri)
-    # the backend of a half is fixed when its map is built, so the reference
-    # map is built past the cache, which keeps the proof's maps
-    with monkeypatch.context() as patch:
-        patch.setattr(certify, "BAND_CUTOFF", 0)
-        superlu = certify._reference_operators.__wrapped__(n, family, bc).mapped(tri)
-    return proof, superlu
+    same operators without their halves, solved whole on SuperLU: the
+    reference."""
+    proof = _reference_operators(n, family, bc).mapped(triangle_from_angle(theta))
+    return proof, replace(proof, halves=())
 
 
 @pytest.mark.parametrize(
-    "family, n, bc, bands",
+    "family, n, bc",
     [
-        ("cr", 16, "dirichlet", (True, True)),
-        ("cr", 32, "dirichlet", (True, True)),
-        ("cg", 28, "dirichlet", (True,)),
-        ("cg", 40, "dirichlet", (True,)),
-        ("cr", 32, "edge-mean", (True, True)),
-        ("cg", 32, "edge-mean", (True,)),
-        ("cg", 64, "edge-mean", (True,)),
+        ("cr", 16, "dirichlet"),
+        ("cr", 32, "dirichlet"),
+        ("cg", 28, "dirichlet"),
+        ("cg", 40, "dirichlet"),
+        ("cr", 32, "edge-mean"),
+        ("cg", 32, "edge-mean"),
+        ("cg", 64, "edge-mean"),
     ],
     ids=[
         "cr16-halves", "cr32-halves", "cg28-half", "cg40-half",
@@ -610,14 +606,12 @@ def proof_and_superlu_operators(monkeypatch, theta, n, family, bc):
     ],
 )
 @pytest.mark.parametrize("theta", [0.3, 1.0, EQ], ids=["0.3", "1.0", "fl(pi/3)"])
-def test_banded_solves_contain_the_dense_oracle(monkeypatch, theta, family, n, bc, bands):
+def test_banded_solves_contain_the_dense_oracle(theta, family, n, bc):
     # the band order only steers the solver: the CR enclosures and the
     # shifted CG Rayleigh bound are certified on the whole operators, hold
     # the dense oracle, and agree with SuperLU's solve of the same space
-    proof, superlu = proof_and_superlu_operators(monkeypatch, theta, n, family, bc)
-    assert tuple(h.band is not None for h in proof.halves) == bands
+    proof, superlu = proof_and_superlu_operators(theta, n, family, bc)
     assert all(h.dim > DENSE_CUTOFF for h in proof.halves)
-    assert all(h.band is None for h in superlu.halves)
     vals = scipy.linalg.eigh(
         proof.A.toarray(), proof.M.toarray(), eigvals_only=True, subset_by_index=[0, 1]
     )
@@ -634,6 +628,34 @@ def test_banded_solves_contain_the_dense_oracle(monkeypatch, theta, family, n, b
 
 
 @pytest.mark.parametrize(
+    "family, n, bc, widths",
+    [
+        ("cr", 72, "dirichlet", (71, 70)),
+        ("cr", 68, "edge-mean", (68, 68)),
+        ("cg", 112, "edge-mean", (67,)),
+    ],
+    ids=["cr72-halves", "cr68-edge-mean-halves", "cg112-edge-mean-half"],
+)
+@pytest.mark.parametrize("theta", [0.3, EQ], ids=["0.3", "fl(pi/3)"])
+def test_wide_banded_solves_agree_with_superlu(theta, family, n, bc, widths):
+    # halves wider than every sweep half, as the corner halves are, are
+    # banded all the same.  Their spaces (7k to 9k unknowns) are too large
+    # for a dense oracle, so the whole-space SuperLU solve is the reference:
+    # each CR enclosure of the two solves holds the same eigenvalue, so
+    # they meet, and the shifted CG Rayleigh bounds agree
+    proof, superlu = proof_and_superlu_operators(theta, n, family, bc)
+    assert tuple(h.band.width for h in proof.halves) == widths
+    if family == "cr":
+        for enc, ref in zip(solve_lowest(proof, 2), solve_lowest(superlu, 2)):
+            assert max(enc.lower, ref.lower) <= min(enc.upper, ref.upper)
+            assert math.isclose(enc.rayleigh, ref.rayleigh, rel_tol=1e-10)
+    else:
+        below = 0.99 * ground_rayleigh(superlu, 0.0).rho.lo
+        banded, reference = ground_rayleigh(proof, below), ground_rayleigh(superlu, below)
+        assert math.isclose(banded.rho.hi, reference.rho.hi, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize(
     "family, n, sigma",
     [("cr", 32, 0.0), ("cg", 32, 0.0), ("cg", 32, 61.5), ("cg", 96, 57.25)],
     ids=["cr32", "cg32", "cg32-shifted", "cg96-half-shifted"],
@@ -645,8 +667,7 @@ def test_band_pack_holds_the_permuted_upper_triangle(family, n, sigma):
     assert len(ops.halves) == (2 if family == "cr" else 1)
     for target in ops.halves:
         band, w, size = target.band, target.band.width, target.dim
-        assert w <= eigsolve.BAND_CUTOFF
-        ab = _band_pack(target, band, sigma)
+        ab = _band_pack(target, sigma)
         assert ab.shape == (w + 1, size) and ab.flags.f_contiguous
         rows, j = np.nonzero(ab)
         i = rows - w + j
