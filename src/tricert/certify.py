@@ -290,7 +290,7 @@ def _reference_operators(n: int, family: str, bc: str) -> ReferenceMap:
     spaces before its first point.
     """
     ref = ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
-    return ref.with_halves((0, 1) if family == "cr" else (0,))
+    return ref.with_halves(((0,), (1,)) if family == "cr" else ((0,),))
 
 
 # Thread-count entries of the OpenBLAS builds in the NumPy and SciPy wheels

@@ -39,7 +39,7 @@ from .certify import (
     single_blas_thread,
 )
 from .eigsolve import EigensolveError, ground_rayleigh, solve_lowest, verify_enclosure
-from .fem import assemble, build_space
+from .fem import DiscreteOperators, ReferenceMap, assemble, build_space
 from .geometry import triangle_from_angle, triangle_from_vertex
 from .mesh import uniform_subdivide
 from .rounding import Interval
@@ -265,19 +265,27 @@ def _constants_triangle(args):
     return triangle_from_vertex(bx, by)
 
 
+def _whole_operators(n: int, family: str, triangle) -> DiscreteOperators:
+    """The edge-mean operators of the n-fold mesh of ``triangle``, mapped
+    from T_ref with the whole space as their one part, which, unlike a
+    mirror half, serves a triangle of any apex."""
+    space = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, "edge-mean")
+    return ReferenceMap.of(assemble(space)).with_halves(((0, 1),)).mapped(triangle)
+
+
 def cmd_constants(args) -> int:
     tri = _constants_triangle(args)
 
     # one BLAS thread, as in compute_point: the printed bits must not
     # depend on the machine's core count
     with single_blas_thread():
-        mesh_cr = uniform_subdivide(tri, args.cr_n)
-        ops_cr = assemble(build_space(mesh_cr, "cr", "edge-mean"))
+        ops_cr = _whole_operators(args.cr_n, "cr", tri)
+        h_cr = ops_cr.space.mesh.h
         enc_cr = solve_lowest(ops_cr, 2)
         enc_cr = [verify_enclosure(enc_cr[0], (enc_cr[1],)), enc_cr[1]]
-        ops_cg = assemble(build_space(uniform_subdivide(tri, args.cg_n), "cg", "edge-mean"))
-        cg = ground_rayleigh(ops_cg, corrected_lower(enc_cr[0], mesh_cr.h))
-    lam1 = eig_bracket(enc_cr, cg.rho, mesh_cr.h)[0]
+        ops_cg = _whole_operators(args.cg_n, "cg", tri)
+        cg = ground_rayleigh(ops_cg, corrected_lower(enc_cr[0], h_cr))
+    lam1 = eig_bracket(enc_cr, cg.rho, h_cr)[0]
 
     c_iv = Interval(1.0) / Interval(lam1.lower, lam1.upper).sqrt()
     print(f"triangle: apex ({tri.bx!r}, {tri.by!r}), diameter {tri.diameter!r}")

@@ -1,11 +1,10 @@
 """Generalized eigenvalue solves with certified a posteriori enclosures.
 
 The floating-point eigensolve is treated as a heuristic that produces a
-pair (rho, u).  Solver targets (a mirror half, or a whole space) of at
-most DENSE_CUTOFF unknowns go to dense LAPACK, which computes only the
-modes asked for; larger ones go to ARPACK shift-invert Lanczos.  The
-cutoff is the crossover measured between the two backends, not a
-memory limit.  Certification then rests only on
+pair (rho, u).  Solver targets (the parts of a space, below) of at most
+DENSE_CUTOFF unknowns go to dense LAPACK, which computes only the modes
+asked for; larger ones go to ARPACK shift-invert Lanczos.  The cutoff is
+the crossover measured between the two backends, not a memory limit.  Certification then rests only on
 
     min_k |lambda_k - rho| <= ||A u - rho M u||_{M^{-1}} / ||u||_M,
 
@@ -24,33 +23,28 @@ eigenvalue.  No system with M is solved; the only factorisations are
 the ones that drive the shift-invert Lanczos solver: of A on the
 nonconforming side, of A - sigma M on the conforming side.
 
-One rule splits the solves.  Operators that carry mirror-parity halves
-(:attr:`fem.DiscreteOperators.halves`) are solved in them: the
-nonconforming side in both halves, the conforming side in the symmetric
-half alone.  Every map that certify._reference_operators builds carries
-them, whatever its size, so every proof space is solved so; only
-operators assembled directly carry none and are solved whole.  The
+Every solve runs in parts (:attr:`fem.DiscreteOperators.halves`), which
+fem.ReferenceMap.with_halves builds: a mirror-parity half of T(theta),
+or the whole space spanned by both parity bases, which serves a triangle
+with no mirror (``tricert constants``).  The nonconforming side solves in
+parts that span the space, the proof in both halves; the conforming side
+in the first part alone, the proof in the symmetric half.  Operators
+that carry no parts, such as those assembled directly, are refused.  The
 computed vectors are lifted to the whole space and certified there,
-exactly as a whole-space vector would be, so the halves steer the solver
-as sigma does and never enter a bound.  A half is factorised by LAPACK's
-banded Cholesky in its band order (:class:`fem.BandOrder`), which
-fem.ReferenceMap.with_halves fixes once per reference space, however
-wide: on the uniform lattice a half's band holds about one lattice row.
-Against SuperLU (one BLAS thread, theta = 0.9, median of 15), the banded
-factor is 2.5 to 7 times faster on the quick and sweep halves (15 to 64
-wide) and solves as fast or faster; on the corner halves it factors 1.8
-times faster at width 114 (CG 192 edge-mean) and 5 to 20 % faster at 126
-to 143 (CR 128 and CG 288 Dirichlet), where it solves 11 to 26 % slower.
-So a warm edge-mean corner point took 0.066 to 0.086 s of CPU against
-0.094 to 0.116 s on SuperLU, lower in each of five alternating process
-pairs (median of 7 each), and a Dirichlet one 0.37 to 0.46 s against
-0.36 to 0.44 s.  SuperLU, with its own fill-reducing order, is kept for
-operators that carry no halves: a directly assembled space, whose
-triangle need have no mirror, and whose edge-mean slave basis Z couples
-every dof of a side, so that it has no narrow band.  Both expect A -
-sigma M positive definite, sigma below lambda_1: on any other matrix the
-banded Cholesky fails with a diagnosis, and SuperLU may fail alike or
-steer Lanczos to another mode.
+exactly as a whole-space vector would be, so the parts steer the solver
+as sigma does and never enter a bound.  Every part is factorised by
+LAPACK's banded Cholesky in its band order (:class:`fem.BandOrder`),
+which with_halves fixes once per reference space, however wide: on the
+uniform lattice a half's band holds about one lattice row, and the whole
+part's about two (112 wide on CR 64 edge-mean, 116 on CG 96 edge-mean).
+Measured against a general sparse LU (SuperLU, with its own
+fill-reducing order; one BLAS thread, theta = 0.9, median of 15), the
+banded factor is 2.5 to 7 times faster on the quick and sweep halves
+(15 to 64 wide), and a warm corner point (114 to 143 wide) takes as long
+or less: 0.066 to 0.086 s of CPU against 0.094 to 0.116 s on edge-mean,
+0.37 to 0.46 s against 0.36 to 0.44 s on Dirichlet.  The factor expects
+A - sigma M positive definite, sigma below lambda_1: on any other matrix
+it fails with a diagnosis.
 
 The rounding term sets delta.  Each Lanczos run stops at ARPACK's
 relative tolerance LANCZOS_TOL = 1e-12, not at machine precision, and
@@ -83,16 +77,17 @@ On the nonconforming side (:func:`solve_lowest`), which INDEX each
 enclosed eigenvalue has is the one trusted, uncertified step: enclosures
 are labeled by the solver's ordering, and the Kato-Temple gap refinement
 in :func:`verify_enclosure` is exact modulo that labeling.  Every
-Lanczos run starts from v0 = ones.  On a whole space of T(theta) that
-vector is mirror-symmetric, so in exact arithmetic its Krylov space holds
-no antisymmetric mode: one enters only through rounding, after ARPACK
-restarts (on CR 64 Dirichlet at theta = 1.0 the first cycle's third mode
-is lambda_4, the second cycle's the antisymmetric lambda_3).  The split
-solve runs each half from its own v0 = ones, so each half's modes are
-reached without rounding, and the ordering is that of the union of the
-two halves' spectra, which is the whole spectrum.  Every proof space is
-solved so; only directly assembled operators (``tricert constants``)
-still start a whole space from v0 = ones.
+Lanczos run starts from v0 = ones in its part's coordinates.  Ones in a
+space's reduced coordinates would be mirror-symmetric on T(theta), so in
+exact arithmetic its Krylov space would hold no antisymmetric mode: one
+would enter only through rounding, after ARPACK restarts (on CR 64
+Dirichlet at theta = 1.0 the first cycle's third mode is lambda_4, the
+second cycle's the antisymmetric lambda_3).  Each half runs from its own
+v0 = ones, so each half's modes are reached without rounding, and the
+ordering is that of the union of the two halves' spectra, which is the
+whole spectrum.  In the whole part's coordinates ones has a component in
+each parity basis, so there too the Krylov space holds the modes of both
+halves from the start.
 """
 
 from __future__ import annotations
@@ -110,9 +105,9 @@ from .rounding import Interval, dn, up
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Largest solver target sent to dense LAPACK: the crossover measured on
-# halves, run as the proof runs them (CR: both halves, three modes with
-# HALF_NCV vectors; CG: the symmetric half, one mode shifted to 0.99
+# Largest part sent to dense LAPACK: the crossover measured on the
+# proof's halves, run as the proof runs them (CR: both halves, three modes
+# with HALF_NCV vectors; CG: the symmetric half, one mode shifted to 0.99
 # lambda_1, GROUND_NCV vectors; each banded, as the proof bands it).  CPU
 # ms on one BLAS thread of a 2-vCPU VM, theta = 0.9, median of 15, dense /
 # Lanczos, by unknowns per half (a CR time covers both halves):
@@ -122,7 +117,8 @@ _EPS = float(np.finfo(np.float64).eps)
 #   CG edge-mean   98: 0.9 / 1.3   119: 1.7 / 1.7   167: 3.2 / 1.6
 # The CG crossover lies near 120 unknowns, the CR one near 180.  The cutoff
 # between them sends every quick-preset half to Lanczos (the smallest, CG
-# 32 Dirichlet's, has 240 unknowns).
+# 32 Dirichlet's, has 240 unknowns), and every whole part of ``tricert
+# constants`` at its default meshes (thousands of unknowns).
 DENSE_CUTOFF = 150
 
 # Lanczos vectors for the shifted ground solve of ground_rayleigh.  Factor
@@ -314,7 +310,11 @@ def _band_pack(half: Half, sigma: float) -> np.ndarray:
 
 class _BandCholesky:
     """LAPACK banded Cholesky factor of A - sigma M (:func:`_band_pack`),
-    solving in the unknowns' own order, as a SuperLU factor does."""
+    solving in the unknowns' own order.
+
+    A - sigma M is symmetric positive definite for sigma below the lowest
+    eigenvalue, where Cholesky needs no pivoting; above it the
+    factorisation fails with an EigensolveError."""
 
     def __init__(self, half: Half, sigma: float):
         self._band = half.band
@@ -333,59 +333,34 @@ class _BandCholesky:
         return x[self._band.rank]
 
 
-def _shift_invert_factor(target: DiscreteOperators | Half, sigma: float):
-    """A factor of A - ``sigma`` M whose ``solve`` drives shift-invert
-    Lanczos: banded Cholesky in its band order for a half, SuperLU with its
-    own fill-reducing order for a whole space.
-
-    A - sigma M is symmetric positive definite for sigma below the lowest
-    eigenvalue, so both are stable there: Cholesky needs no pivoting, and
-    SuperLU takes a symmetric fill-reducing ordering with diagonal pivots.
-    Above it the Cholesky factorisation fails, and SuperLU may fail or steer
-    Lanczos to another mode; every failure is an EigensolveError.
-    """
-    if isinstance(target, Half):
-        return _BandCholesky(target, sigma)
-    shifted = target.A - sigma * target.M if sigma else target.A
-    try:
-        return spla.splu(
-            shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise EigensolveError(f"shift-invert factorisation failed: {exc}") from exc
-
-
-def _lowest_modes(
-    target: DiscreteOperators | Half, k: int, sigma: float = 0.0, ncv: int | None = None
-) -> np.ndarray:
-    """The floating-point backend: the ``k`` lowest eigenvectors of
-    ``target``, a half or a whole space, as columns in ascending order of
+def _lowest_modes(half: Half, k: int, sigma: float = 0.0, ncv: int | None = None) -> np.ndarray:
+    """The floating-point backend: the ``k`` lowest eigenvectors of the
+    part ``half``, as columns in its coordinates, in ascending order of
     their eigenvalues.
 
     Dense LAPACK runs up to DENSE_CUTOFF unknowns (the measured
     crossover) or when more than dim modes are asked for, and the
-    shift-invert Lanczos solver otherwise, on A - ``sigma`` M factorised
-    by :func:`_shift_invert_factor` with ``ncv`` Lanczos vectors
-    (ARPACK's default when None), stopping at LANCZOS_TOL.  Dense LAPACK
-    yields at most dim modes and Lanczos at most dim - 1, so fewer than
-    ``k`` may come back.  Nothing returned is certified; every failure of
-    either backend is an EigensolveError.
+    shift-invert Lanczos solver otherwise, from v0 = ones, on A -
+    ``sigma`` M factorised by :class:`_BandCholesky` with ``ncv``
+    Lanczos vectors (ARPACK's default when None), stopping at
+    LANCZOS_TOL.  Dense LAPACK yields at most dim modes and Lanczos at
+    most dim - 1, so fewer than ``k`` may come back.  Nothing returned
+    is certified; every failure of either backend is an EigensolveError.
     """
-    n = target.dim
+    n = half.dim
     if n <= DENSE_CUTOFF or k > n:
         try:
             vals, vecs = scipy.linalg.eigh(
-                target.A.toarray(), target.M.toarray(), subset_by_index=[0, min(k, n) - 1]
+                half.A.toarray(), half.M.toarray(), subset_by_index=[0, min(k, n) - 1]
             )
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(f"dense generalized eigensolve failed: {exc}") from exc
     else:
-        factor = _shift_invert_factor(target, sigma)
+        factor = _BandCholesky(half, sigma)
         opinv = spla.LinearOperator((n, n), matvec=factor.solve, dtype=np.float64)
         try:
             vals, vecs = spla.eigsh(
-                target.A, k=min(k, n - 1), M=target.M, sigma=sigma, which="LM",
+                half.A, k=min(k, n - 1), M=half.M, sigma=sigma, which="LM",
                 v0=np.ones(n), ncv=ncv, tol=LANCZOS_TOL, OPinv=opinv,
             )
         except spla.ArpackError as exc:
@@ -398,14 +373,14 @@ def _lowest_modes(
 
 
 def _split_modes(halves: Sequence[Half], k: int) -> np.ndarray:
-    """The ``k`` lowest modes of the union of the halves' spectra, as
+    """The ``k`` lowest modes of the union of the parts' spectra, as
     columns in the space's reduced coordinates, in ascending order of
     their Ritz values.
 
-    Each half's backend run (as in :func:`_lowest_modes`) computes ``k``
-    modes, so the union holds the ``k`` lowest of the whole pencil,
-    which is the direct sum of the halves.  Nothing returned is
-    certified.
+    Each part's backend run (:func:`_lowest_modes`) computes ``k``
+    modes, so where the parts span the space the union holds the ``k``
+    lowest of the whole pencil, which is their direct sum.  Nothing
+    returned is certified.
     """
     ritz, lifted = [], []
     for half in halves:
@@ -421,12 +396,13 @@ def _split_modes(halves: Sequence[Half], k: int) -> np.ndarray:
 def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]:
     """Certified enclosures for the ``count`` lowest modes.
 
-    The backend is chosen as in :func:`_lowest_modes`; certification is
-    identical either way.  ``count`` + 1 modes are computed, the last
-    one a guard for the ordering, where the space has that many.  When
-    ``ops`` carries both mirror-parity halves, the modes are computed in
-    each half by :func:`_split_modes`, otherwise in the whole space, and
-    certified on ``ops``, as any other vector would be.
+    ``count`` + 1 modes are computed, the last one a guard for the
+    ordering, where the space has that many, in the parts ``ops``
+    carries by :func:`_split_modes`, and certified on ``ops``, as any
+    other vector would be; the backend is chosen as in
+    :func:`_lowest_modes`, and certification is identical either way.
+    The parts must span the space: operators with no parts, or with
+    parts whose dimensions do not sum to the space's, raise ValueError.
 
     Raises EigensolveError on solver non-convergence; never silently
     substitutes approximate results.
@@ -436,10 +412,9 @@ def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]
     n = ops.dim
     if count > n:
         raise ValueError(f"requested {count} modes from a {n}-dimensional space")
-    if len(ops.halves) == 2:
-        vecs = _split_modes(ops.halves, count + 1)
-    else:
-        vecs = _lowest_modes(ops, count + 1)
+    if sum(half.dim for half in ops.halves) != n:
+        raise ValueError(f"the operators' parts do not span their {n}-dimensional space")
+    vecs = _split_modes(ops.halves, count + 1)
     return [_certify(ops, _normalize(ops.M, vecs[:, i]), i + 1) for i in range(count)]
 
 
@@ -451,20 +426,19 @@ def ground_rayleigh(ops: DiscreteOperators, below: float) -> RayleighBound:
     ``below`` with GROUND_NCV vectors: just below the wanted eigenvalue
     the ground mode is far better separated than at 0, so ARPACK
     converges in a handful of factor solves.  The dense backend (chosen
-    as in :func:`solve_lowest`) ignores the shift.  When ``ops`` carries
-    mirror-parity halves, the mode is computed in the first and lifted.
-    Only the quadratic forms u^T A u and u^T M u are certified, on
-    ``ops``: neither a residual bound nor an index is needed for lambda_1
-    <= R(u), so the bound holds whatever ``below`` and the half are; a
-    shift at or above the ground eigenvalue, or a half that lacks the
-    ground mode, can only return a larger R(u) or end in an
-    EigensolveError.
+    as in :func:`_lowest_modes`) ignores the shift.  The mode is computed
+    in the first part ``ops`` carries and lifted; operators with no parts
+    raise ValueError.  Only the quadratic forms u^T A u and u^T M u are
+    certified, on ``ops``: neither a residual bound nor an index is
+    needed for lambda_1 <= R(u), so the bound holds whatever ``below``
+    and the part are; a shift at or above the ground eigenvalue, or a
+    part that lacks the ground mode, can only return a larger R(u) or
+    end in an EigensolveError.
     """
     if not ops.halves:
-        u = _lowest_modes(ops, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
-    else:
-        half = ops.halves[0]
-        u = half.C @ _lowest_modes(half, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
+        raise ValueError("the operators carry no part to solve in")
+    half = ops.halves[0]
+    u = half.C @ _lowest_modes(half, 1, sigma=below, ncv=GROUND_NCV)[:, 0]
     return _rayleigh(ops, _normalize(ops.M, u))
 
 

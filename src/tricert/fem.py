@@ -38,16 +38,19 @@ Every T(theta) is isosceles, its sides from the origin both of length
 1, and the lattice swap (i, j) -> (j, i) of T_ref (:func:`mirror`) is its
 reflection.  Each space is the direct sum of its mirror-symmetric and
 antisymmetric halves (:func:`parity_bases`), and on T(theta) the pencil
-(A, M) splits with it; :meth:`ReferenceMap.with_halves` keeps a half's
-reference grams, which map by the same identities.  An edge-mean space
-keeps its slave basis Z, but its halves are spanned by local differences
-along each parent side, which keep a half's pencil as sparse as the
-lattice, where Z couples every dof of a side.
+(A, M) splits with it.  :meth:`ReferenceMap.with_halves` keeps the
+reference grams of parts of the space, each spanned by the bases of one
+or both parities, which map by the same identities: a half serves
+T(theta), and the whole space, spanned by both bases side by side, any
+triangle, since the bases are combinatorial bases of the lattice's
+spaces.  An edge-mean space keeps its slave basis Z, but its parts are
+spanned by local differences along each parent side, which keep a part's
+pencil as sparse as the lattice, where Z couples every dof of a side.
 
 The sparsity pattern of A and M does not depend on the apex either, so a
-symmetric ordering of a half's unknowns that packs its pencil into a
+symmetric ordering of a part's unknowns that packs its pencil into a
 narrow band (:class:`BandOrder`) is computed once, on its reference
-operators, and serves every angle.
+operators, and serves every apex.
 """
 
 from __future__ import annotations
@@ -386,12 +389,12 @@ class BandOrder:
 class DiscreteOperators:
     """Reduced stiffness/mass family for one space.
 
-    A is the full gradient-gram (stiffness), M the mass matrix, and
-    Kxx, Kxy, Kyy the partial-derivative grams, so A = Kxx + Kyy holds
-    as an assembly identity.  Kxy is stored as assembled (row index
+    A is the stiffness Kxx + Kyy, M the mass matrix, and Kxx, Kxy, Kyy
+    the partial-derivative grams.  Kxy is stored as assembled (row index
     differentiates in x, column in y); only its quadratic form is used.
-    ``halves`` are mirror-parity halves (:class:`Half`) for the solvers
-    to work in; mapped operators carry them, assembled ones none.
+    ``halves`` are the parts (:class:`Half`) the solvers work in; mapped
+    operators carry them, and assembled ones, which carry none, the
+    solvers refuse.
     """
 
     space: FemSpace
@@ -423,12 +426,14 @@ class DiscreteOperators:
 
 @dataclass(frozen=True)
 class Half:
-    """One mirror-parity half of a space's pencil on T(theta).
+    """One part of a space's pencil: a mirror-parity half on T(theta), or
+    the whole space, spanned by both parity bases, on any triangle.
 
-    A and M act on half coordinates, and C (:func:`parity_bases`) lifts
-    them to the space's reduced coordinates: A = C^T A_space C, and
-    likewise M.  ``band`` is an order that packs A and M into a narrow
-    band, for the solvers to factorise in, and ``slots`` holds its
+    A and M act on part coordinates, and C (the bases of
+    :func:`parity_bases` of the part's parities, side by side) lifts them
+    to the space's reduced coordinates: A = C^T A_space C, and likewise
+    M.  ``band`` is an order that packs A and M into a narrow band, for
+    the solvers to factorise in, and ``slots`` holds its
     :meth:`BandOrder.slots` of A and of M.  Both are fixed on the
     reference patterns A and M are stored on: A keeps an entry that
     vanishes at this apex as an explicit zero, which changes no product.
@@ -456,7 +461,7 @@ class ReferenceMap:
     has no entry.  The reference A and grams are not kept as matrices:
     the map reads none of them, and the cache of one map per reference
     space would hold them for the life of the process.  ``halves`` holds
-    a (map, basis) pair for each half the map carries, and a half's map
+    a (map, basis) pair for each part the map carries, and a part's map
     holds in ``band`` and ``slots`` those its mapped :class:`Half` carries
     (:meth:`with_halves`).
     """
@@ -509,18 +514,24 @@ class ReferenceMap:
         union.indptr.flags.writeable = union.indices.flags.writeable = False
         return cls(space, M, union.indptr, union.indices, xx, xy, xy + yx, yy)
 
-    def with_halves(self, parities: tuple[int, ...]) -> "ReferenceMap":
-        """This map carrying the symmetric (parity 0) or antisymmetric (1)
-        half of each of ``parities``, in that order: C^T K C for every
-        reference gram K, with the half's basis C, less its cancellation
-        residue (:func:`_congruent`).  Each half's map gets its band order
-        (:meth:`band_order`) and that order's slots of its A and M
-        patterns, once for every angle.
+    def with_halves(self, parts: tuple[tuple[int, ...], ...]) -> "ReferenceMap":
+        """This map carrying one part for each of ``parts``, in that order,
+        each a group of parities: the symmetric (0) or antisymmetric (1)
+        half, or with (0, 1) the whole space.  A part is spanned by the
+        bases of its parities side by side, C = [C+ C-] for the whole
+        space, and its map holds C^T K C for every reference gram K, less
+        its cancellation residue (:func:`_congruent`).  Each part's map
+        gets its band order (:meth:`band_order`) and that order's slots of
+        its A and M patterns, once for every angle.
+
+        The parity bases are bases of the lattice's spaces, which need no
+        mirror, so the whole part serves any triangle; a half serves only
+        T(theta), where the pencil splits (:meth:`mapped`).
         """
         bases = parity_bases(self.space)
         grams = [self.M, *(self._csr(v) for v in (self.xx, self.xy, self.yy))]
         halves = []
-        for C in (bases[p] for p in parities):
+        for C in (sp.hstack([bases[p] for p in part], format="csr") for part in parts):
             half = ReferenceMap._of_grams(self.space, *_congruent(grams, C))
             band = half.band_order()
             slots = band.slots(half.indptr, half.indices), band.slots(half.M.indptr, half.M.indices)
@@ -536,17 +547,19 @@ class ReferenceMap:
 
     def mapped(self, triangle: TriangleShape) -> DiscreteOperators:
         """The operators on ``triangle``, by the reference-map identities of
-        the module docstring, with each half this map carries mapped alike
+        the module docstring, with each part this map carries mapped alike
         (A and M only, A on its map's whole pattern), each carrying the
         band order and slots of its map.
 
         The returned space holds the mesh of ``triangle``: the reference
-        mesh with its triangle swapped.  A map with halves needs a
-        T(theta), apex on the unit circle: only there does the mirror map
-        the triangle onto itself.
+        mesh with its triangle swapped.  A map with a part that leaves out
+        a parity needs a T(theta), apex on the unit circle: only there
+        does the mirror map the triangle onto itself, so that the pencil
+        splits into its halves.
         """
         bx, by = triangle.bx, triangle.by
-        if self.halves and abs(bx * bx + by * by - 1.0) > 1e-12:
+        split = any(C.shape[1] < self.dim for _, C in self.halves)
+        if split and abs(bx * bx + by * by - 1.0) > 1e-12:
             raise ValueError(f"apex ({bx}, {by}) is off the unit circle; the mirror needs T(theta)")
         space = replace(self.space, mesh=replace(self.space.mesh, triangle=triangle))
         stiff, kyy = self._stiffness(bx, by)
@@ -669,15 +682,11 @@ def assemble(space: FemSpace) -> DiscreteOperators:
 
     # one local array at a time, so that only one is alive with its
     # triplet expansion: this sets the memory peak of the assembly
-    def gram(spec, a, b):
-        loc = w * np.einsum(spec, a, b)
+    def gram(a, b):
+        loc = w * np.einsum("ek,el->ekl", a, b)
         return build(loc if space.family == "cg" else 4.0 * loc)
 
+    Kxx, Kyy = gram(gx, gx), gram(gy, gy)
     return DiscreteOperators(
-        space,
-        A=gram("eki,eli->ekl", grads, grads),
-        M=build(mass_loc),
-        Kxx=gram("ek,el->ekl", gx, gx),
-        Kxy=gram("ek,el->ekl", gx, gy),
-        Kyy=gram("ek,el->ekl", gy, gy),
+        space, A=Kxx + Kyy, M=build(mass_loc), Kxx=Kxx, Kxy=gram(gx, gy), Kyy=Kyy
     )

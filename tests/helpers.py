@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import tricert
 from tricert.eigsolve import ground_rayleigh, solve_lowest
-from tricert.fem import assemble, build_space
-from tricert.geometry import triangle_from_angle
+from tricert.fem import ReferenceMap, assemble, build_space
+from tricert.geometry import triangle_from_angle, triangle_from_vertex
 from tricert.mesh import uniform_subdivide
 
 EQ = math.pi / 3
@@ -217,10 +218,38 @@ def side_differences_by_loops(sides, S: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, len(filed)))
 
 
+@lru_cache(maxsize=32)
+def whole_map(n: int, family: str, bc: str) -> ReferenceMap:
+    """The reference map of the n-fold space with the whole space as its
+    one part, which maps to a triangle of any apex."""
+    space = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, bc)
+    return ReferenceMap.of(assemble(space)).with_halves(((0, 1),))
+
+
 @lru_cache(maxsize=128)
 def operators(theta: float, n: int, family: str, bc: str):
-    tri = triangle_from_angle(theta)
-    return assemble(build_space(uniform_subdivide(tri, n), family, bc))
+    """The operators of T(theta), solved in their whole part: the banded
+    path every proof solve takes."""
+    return whole_map(n, family, bc).mapped(triangle_from_angle(theta))
+
+
+def assemble_on_angle(theta: float, n: int, family: str, bc: str):
+    """The operators assembled directly on T(theta), which carry no part."""
+    return assemble(build_space(uniform_subdivide(triangle_from_angle(theta), n), family, bc))
+
+
+def superlu_eigenvalues(ops, k: int) -> np.ndarray:
+    """The ``k`` lowest eigenvalues of the pencil (A, M) of ``ops``,
+    ascending, by shift-invert Lanczos on a SuperLU factor of the whole
+    space's A: an oracle for spaces too large for a dense solve,
+    independent of the parts and band orders the solvers use."""
+    lu = spla.splu(ops.A.tocsc())
+    opinv = spla.LinearOperator(ops.A.shape, matvec=lu.solve, dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(ops.dim)
+    vals = spla.eigsh(
+        ops.A, k=k, M=ops.M, sigma=0.0, OPinv=opinv, v0=v0, return_eigenvectors=False
+    )
+    return np.sort(vals)
 
 
 @lru_cache(maxsize=128)

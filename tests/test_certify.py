@@ -6,7 +6,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,12 +257,12 @@ class TestPointData:
         # splitting only steers the solver; every number is certified on
         # the whole operators, so the point data agree to rounding, and the
         # conforming side solves one half.  The whole-space reference is the
-        # same maps without their halves
+        # same maps with the whole space as their one part
         real_reference = certify._reference_operators
         with monkeypatch.context() as patch:
             patch.setattr(
                 certify, "_reference_operators",
-                lambda *key: replace(real_reference(*key), halves=()),
+                lambda *key: real_reference(*key).with_halves(((0, 1),)),
             )
             whole = compute_point(problem, theta, cg_n=28, cr_n=16)
         eigsh_dims = []

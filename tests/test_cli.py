@@ -10,13 +10,18 @@ import json
 import math
 import re
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import needs_two_cores, stdout_per_blas_threads
+from helpers import needs_two_cores, stdout_per_blas_threads, superlu_eigenvalues
 from tricert import cli
+from tricert.bounds import corrected_lower
 from tricert.cli import SWEEP_COLUMNS, main
 from tricert.certify import CSV_COLUMNS, paper_schedule
+from tricert.fem import assemble, build_space
+from tricert.geometry import triangle_from_vertex
+from tricert.mesh import uniform_subdivide
 
 EQ = math.pi / 3
 
@@ -224,6 +229,28 @@ def test_constants_scales_with_diameter(capsys):
     lo2, hi2 = c_interval(out2)
     mid1, mid2 = (lo1 + hi1) / 2, (lo2 + hi2) / 2
     assert math.isclose(mid1 / mid2, math.sqrt(2.0), rel_tol=1e-3)
+
+
+def test_constants_general_triangle_meets_the_superlu_oracle(capsys):
+    # a triangle with no mirror is solved in its whole part, mapped from
+    # T_ref; the oracle is a SuperLU solve of the spaces assembled on the
+    # triangle itself at the default meshes.  The printed bracket holds
+    # the oracle's (the corrected CR lambda_1 and the CG lambda_1) and is
+    # wider only by the certified widths, about 1e-8
+    code, out, _ = run_cli(capsys, "constants", "--bx", "0.37", "--by", "0.71")
+    assert code == 0
+    m = re.search(r"lambda1:\s+\[([^,]+), ([^\]]+)\]", out)
+    lo, hi = float(m.group(1)), float(m.group(2))
+    tri = triangle_from_vertex(0.37, 0.71)
+    cr, cg = (
+        assemble(build_space(uniform_subdivide(tri, n), family, "edge-mean"))
+        for n, family in ((64, "cr"), (96, "cg"))
+    )
+    (lam_cr,) = superlu_eigenvalues(cr, 1)
+    want_lo = corrected_lower(SimpleNamespace(k=1, lower=lam_cr), cr.space.mesh.h)
+    (want_hi,) = superlu_eigenvalues(cg, 1)
+    assert want_lo * (1.0 - 1e-7) <= lo <= want_lo
+    assert want_hi <= hi <= want_hi * (1.0 + 1e-7)
 
 
 @needs_two_cores

@@ -4,7 +4,8 @@ Main honesty property: every enclosure must contain the corresponding
 eigenvalue of the dense generalized solve (the oracle), whatever mesh,
 family or constraint produced the matrices.  Then determinism, the
 dense/sparse agreement, the solves split into mirror-parity halves, and
-the gap refinement.
+the gap refinement.  Every solve runs in the parts the operators carry:
+helpers.operators maps each space with the whole space as its one part.
 """
 
 import math
@@ -17,7 +18,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EQ, operators
+from helpers import EQ, assemble_on_angle, operators, superlu_eigenvalues
 from tricert.certify import _reference_operators
 from tricert import eigsolve
 from tricert.bounds import corrected_lower
@@ -131,19 +132,8 @@ def test_count_validation(monkeypatch):
         assert len(solve_lowest(ops, dim)) == dim
 
 
-def test_singular_shift_invert_factor_is_diagnosed():
-    ops = operators(EQ, 39, "cg", "dirichlet")
-    assert ops.dim > 600  # the sparse backend
-    A = ops.A.tolil()
-    A[0, :] = 0.0
-    A[:, 0] = 0.0
-    with pytest.raises(EigensolveError, match="factorisation"):
-        solve_lowest(replace(ops, A=A.tocsr()), 2)
-
-
 def test_singular_banded_factor_is_diagnosed():
-    # the banded twin: a zero pivot in a banded half ends its Cholesky
-    # factorisation
+    # a zero pivot in a banded half ends its Cholesky factorisation
     ops = _reference_operators(32, "cr", "dirichlet").mapped(triangle_from_angle(EQ))
     half = ops.halves[0]
     assert half.dim > DENSE_CUTOFF
@@ -338,9 +328,8 @@ def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
 
 
 def _count_factor_solves(monkeypatch) -> list:
-    """Record every solve with a shift-invert factor made from now on, by
-    either backend (SuperLU or banded Cholesky), as the index of the
-    factor, in the order the factors were made."""
+    """Record every solve with a banded Cholesky factor made from now on,
+    as the index of the factor, in the order the factors were made."""
     solves = []
     made = [0]
 
@@ -354,11 +343,10 @@ def _count_factor_solves(monkeypatch) -> list:
             solves.append(self._k)
             return self._lu.solve(b)
 
-    for owner, name in ((eigsolve.spla, "splu"), (eigsolve, "_BandCholesky")):
-        real = getattr(owner, name)
-        monkeypatch.setattr(
-            owner, name, lambda *args, real=real, **kwargs: Counted(real(*args, **kwargs))
-        )
+    real = eigsolve._BandCholesky
+    monkeypatch.setattr(
+        eigsolve, "_BandCholesky", lambda *args, **kwargs: Counted(real(*args, **kwargs))
+    )
     return solves
 
 
@@ -386,35 +374,28 @@ def test_shifted_ground_solve_agrees_in_few_factor_solves(monkeypatch, bc, theta
 
 
 @pytest.mark.parametrize(
-    "where, bc, backend",
+    "where, bc, part",
     [
-        pytest.param(where, bc, backend, id=f"{where}-{bc}{suffix}")
-        for backend, suffix in (("superlu", ""), ("banded", "-banded"))
+        pytest.param(where, bc, part, id=f"{where}-{bc}{suffix}")
+        for part, suffix in (("whole", ""), ("half", "-banded"))
         for bc in ("dirichlet", "edge-mean")
         for where in ("between-1-2", "above-2")
     ],
 )
-def test_shift_above_lambda1_never_lowers_the_bound(where, bc, backend):
-    # a shift at or above the ground eigenvalue (a wrong CR index) steers
-    # Lanczos elsewhere; the Rayleigh bound may only grow, or the solve
-    # ends in a diagnosed error.  A - sigma M is then indefinite on the
-    # symmetric half, which holds the ground mode, so the banded Cholesky
-    # factorisation of that half always fails
+def test_shift_above_lambda1_never_lowers_the_bound(where, bc, part):
+    # a shift at or above the ground eigenvalue (a wrong CR index) must
+    # not lower the Rayleigh bound.  A - sigma M is then indefinite on the
+    # whole part and on the symmetric half, both of which hold the ground
+    # mode, so the banded Cholesky factorisation of either always fails
     ops = operators(0.9, 32, "cg", bc)
     assert ops.dim > DENSE_CUTOFF
     lam1, lam2, lam3 = dense_eigs(ops, 3)
     sigma = 0.5 * (lam1 + lam2) if where == "between-1-2" else 0.5 * (lam2 + lam3)
-    if backend == "banded":
+    if part == "half":
         ops = _reference_operators(32, "cg", bc).mapped(triangle_from_angle(0.9))
-        assert ops.halves[0].dim > DENSE_CUTOFF
-        with pytest.raises(EigensolveError, match="factorisation"):
-            ground_rayleigh(ops, sigma)
-        return
-    try:
-        g = ground_rayleigh(ops, sigma)
-    except EigensolveError:
-        return
-    assert lam1 <= g.rho.hi
+    assert ops.halves[0].dim > DENSE_CUTOFF
+    with pytest.raises(EigensolveError, match="factorisation"):
+        ground_rayleigh(ops, sigma)
 
 
 @pytest.mark.parametrize(
@@ -424,25 +405,26 @@ def test_shift_above_lambda1_never_lowers_the_bound(where, bc, backend):
 )
 def test_cr_solve_stops_at_the_lanczos_tolerance(monkeypatch, n, bc, theta):
     # converging past LANCZOS_TOL costs restart cycles that move no
-    # certified number (test_residual_floor_does_not_need_a_tighter_tolerance);
-    # at ARPACK's machine-precision default these solves take 36 to 51
-    ops = operators(theta, n, "cr", bc)
-    assert ops.dim > DENSE_CUTOFF
+    # certified number (test_residual_floor_does_not_need_a_tighter_tolerance).
+    # Each half of the proof's solve stops in one cycle of 24 factor
+    # solves; at ARPACK's machine-precision default a Dirichlet
+    # antisymmetric half takes 42.  (Run whole at fl(pi/3), the double
+    # lambda_2 = lambda_3 takes 42 at either tolerance.)
+    ops = _reference_operators(n, "cr", bc).mapped(triangle_from_angle(theta))
+    assert min(h.dim for h in ops.halves) > DENSE_CUTOFF
     solves = _count_factor_solves(monkeypatch)
     solve_lowest(ops, 2)
-    assert 0 < len(solves) <= 25
+    assert sorted(set(solves)) == [0, 1]  # one factor per half
+    assert all(solves.count(k) <= 25 for k in (0, 1))
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
 @pytest.mark.parametrize("theta", [0.3, 0.8, 1.04, EQ], ids=["0.3", "0.8", "1.04", "fl(pi/3)"])
 def test_cr_modes_carry_the_index_of_the_dense_oracle(bc, theta):
     # the index of each CR enclosure is the solver's ordering, the one
-    # trusted step.  Lanczos starts from v0 = ones, which is exactly
-    # mirror-symmetric on the Dirichlet meshes (the triangle is isosceles
-    # and the mesh shares its mirror), so in exact arithmetic the Krylov
-    # space holds no antisymmetric mode.  For theta < pi/3 the lowest
-    # antisymmetric mode lies above lambda_2 (it is lambda_3 at 0.8 and
-    # 1.04), so only the uncertified guard relies on rounding to appear
+    # trusted step.  Lanczos starts from v0 = ones in the whole part's
+    # coordinates, which has a component in each parity basis, so its
+    # Krylov space holds modes of both halves from the start
     ops = operators(theta, 32, "cr", bc)
     assert ops.dim > DENSE_CUTOFF
     e1, e2 = solve_lowest(ops, 2)
@@ -492,8 +474,8 @@ def test_residual_floor_does_not_need_a_tighter_tolerance(monkeypatch, bc):
 # mirror-parity halves -------------------------------------------------------
 
 
-def mapped_with_halves(theta, n, family, bc, parities=(0, 1)):
-    ref = _reference_operators(n, family, bc).with_halves(parities)
+def mapped_with_halves(theta, n, family, bc, parts=((0,), (1,))):
+    ref = _reference_operators(n, family, bc).with_halves(parts)
     return ref.mapped(triangle_from_angle(theta))
 
 
@@ -516,10 +498,11 @@ def _record_backend_dims(monkeypatch) -> list:
 def test_split_enclosures_contain_dense_oracle(theta, n, family, bc):
     # the halves only steer the solver: each enclosure is certified on the
     # whole operators and must hold the whole pencil's eigenvalue of its
-    # index, on half spaces small enough for either backend
+    # index, on half spaces small enough for either backend, and agree
+    # with the solve in the whole part
     ops = mapped_with_halves(theta, n, family, bc)
     oracle = dense_eigs(ops, 3)
-    whole = solve_lowest(replace(ops, halves=()), 3)
+    whole = solve_lowest(operators(theta, n, family, bc), 3)
     split = solve_lowest(ops, 3)
     for i, (w, enc, lam) in enumerate(zip(whole, split, oracle)):
         assert enc.k == i + 1
@@ -534,7 +517,7 @@ def test_split_ground_rayleigh_uses_one_half(monkeypatch, bc, theta):
     # other half only raises the Rayleigh bound, never below lambda_1
     ops = mapped_with_halves(theta, 24, "cg", bc)
     lam1 = dense_eigs(ops, 1)[0]
-    whole = ground_rayleigh(replace(ops, halves=()), 0.9 * lam1)
+    whole = ground_rayleigh(operators(theta, 24, "cg", bc), 0.9 * lam1)
     dims = _record_backend_dims(monkeypatch)
     ground = ground_rayleigh(ops, 0.9 * lam1)  # the first half, the symmetric one
     other = ground_rayleigh(replace(ops, halves=ops.halves[1:]), 0.9 * lam1)
@@ -544,13 +527,13 @@ def test_split_ground_rayleigh_uses_one_half(monkeypatch, bc, theta):
 
 
 def test_split_solve_finds_the_antisymmetric_mode_in_one_cycle(monkeypatch):
-    # v0 = ones is mirror-symmetric, so a whole-space run on CR 64
-    # Dirichlet at theta = 1.0 meets the antisymmetric lambda_3 = 128.3
-    # only through rounding, after a second ARPACK restart cycle (36
-    # factor solves against 21; before that cycle its third mode is
-    # lambda_4 = 215.3).  Each half holds its own modes from the start, so
-    # the split's third candidate is lambda_3 of a random-start oracle,
-    # and each half's run converges in one cycle
+    # ones in the space's reduced coordinates is mirror-symmetric, so a
+    # run from it on CR 64 Dirichlet at theta = 1.0 meets the
+    # antisymmetric lambda_3 = 128.3 only through rounding, after a second
+    # ARPACK restart cycle (36 factor solves against 21; before that cycle
+    # its third mode is lambda_4 = 215.3).  Each half holds its own modes
+    # from the start, so the split's third candidate is lambda_3 of a
+    # random-start oracle, and each half's run converges in one cycle
     ops = _reference_operators(64, "cr", "dirichlet").mapped(triangle_from_angle(1.0))
     assert len(ops.halves) == 2
     v0 = np.random.default_rng(2).standard_normal(ops.dim)
@@ -566,27 +549,27 @@ def test_split_solve_finds_the_antisymmetric_mode_in_one_cycle(monkeypatch):
 
 @pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
 @pytest.mark.parametrize("theta", [0.3, 0.9, EQ], ids=["0.3", "0.9", "fl(pi/3)"])
-def test_one_half_is_solved_whole(monkeypatch, bc, theta):
-    # a conforming map carries the symmetric half alone, which lacks the
-    # antisymmetric modes: solve_lowest solves the whole space instead
-    ops = mapped_with_halves(theta, 24, "cg", bc, parities=(0,))
+def test_operators_without_spanning_parts_are_refused(monkeypatch, bc, theta):
+    # a conforming proof map carries the symmetric half alone, which lacks
+    # the antisymmetric modes, and assembled operators carry no part: a
+    # solve of either is a usage error, diagnosed before any backend runs
+    half = mapped_with_halves(theta, 24, "cg", bc, parts=((0,),))
+    assembled = assemble_on_angle(theta, 24, "cg", bc)
     dims = _record_backend_dims(monkeypatch)
-    encs = solve_lowest(ops, 3)
-    assert dims == [ops.dim]
-    for i, (enc, lam) in enumerate(zip(encs, dense_eigs(ops, 3))):
-        assert enc.k == i + 1
-        assert enc.lower <= lam <= enc.upper
+    for ops in (half, assembled):
+        with pytest.raises(ValueError, match="do not span"):
+            solve_lowest(ops, 2)
+    with pytest.raises(ValueError, match="no part"):
+        ground_rayleigh(assembled, 0.0)
+    assert dims == []
 
 
 # banded Cholesky -------------------------------------------------------------
 
 
-def proof_and_superlu_operators(theta, n, family, bc):
-    """The operators of T(theta) as _reference_operators maps them, and the
-    same operators without their halves, solved whole on SuperLU: the
-    reference."""
-    proof = _reference_operators(n, family, bc).mapped(triangle_from_angle(theta))
-    return proof, replace(proof, halves=())
+def proof_operators(theta, n, family, bc):
+    """The operators of T(theta) as _reference_operators maps them."""
+    return _reference_operators(n, family, bc).mapped(triangle_from_angle(theta))
 
 
 @pytest.mark.parametrize(
@@ -609,20 +592,20 @@ def proof_and_superlu_operators(theta, n, family, bc):
 def test_banded_solves_contain_the_dense_oracle(theta, family, n, bc):
     # the band order only steers the solver: the CR enclosures and the
     # shifted CG Rayleigh bound are certified on the whole operators, hold
-    # the dense oracle, and agree with SuperLU's solve of the same space
-    proof, superlu = proof_and_superlu_operators(theta, n, family, bc)
+    # the dense oracle, and agree with the solve in the whole part
+    proof, whole = proof_operators(theta, n, family, bc), operators(theta, n, family, bc)
     assert all(h.dim > DENSE_CUTOFF for h in proof.halves)
     vals = scipy.linalg.eigh(
         proof.A.toarray(), proof.M.toarray(), eigvals_only=True, subset_by_index=[0, 1]
     )
     if family == "cr":
-        banded, reference = solve_lowest(proof, 2), solve_lowest(superlu, 2)
+        banded, reference = solve_lowest(proof, 2), solve_lowest(whole, 2)
         for enc, ref, lam in zip(banded, reference, vals):
             assert enc.lower <= lam <= enc.upper
             assert math.isclose(enc.rayleigh, ref.rayleigh, rel_tol=1e-10)
     else:
         below = 0.99 * vals[0]
-        banded, reference = ground_rayleigh(proof, below), ground_rayleigh(superlu, below)
+        banded, reference = ground_rayleigh(proof, below), ground_rayleigh(whole, below)
         assert vals[0] <= banded.rho.hi
         assert math.isclose(banded.rho.hi, reference.rho.hi, rel_tol=1e-10)
 
@@ -640,19 +623,20 @@ def test_banded_solves_contain_the_dense_oracle(theta, family, n, bc):
 def test_wide_banded_solves_agree_with_superlu(theta, family, n, bc, widths):
     # halves wider than every sweep half, as the corner halves are, are
     # banded all the same.  Their spaces (7k to 9k unknowns) are too large
-    # for a dense oracle, so the whole-space SuperLU solve is the reference:
-    # each CR enclosure of the two solves holds the same eigenvalue, so
-    # they meet, and the shifted CG Rayleigh bounds agree
-    proof, superlu = proof_and_superlu_operators(theta, n, family, bc)
+    # for a dense oracle, so the reference is a SuperLU solve of the whole
+    # space: each CR enclosure holds its eigenvalue, and so does the
+    # certified Rayleigh interval of the shifted CG solve
+    proof = proof_operators(theta, n, family, bc)
     assert tuple(h.band.width for h in proof.halves) == widths
     if family == "cr":
-        for enc, ref in zip(solve_lowest(proof, 2), solve_lowest(superlu, 2)):
-            assert max(enc.lower, ref.lower) <= min(enc.upper, ref.upper)
-            assert math.isclose(enc.rayleigh, ref.rayleigh, rel_tol=1e-10)
+        for enc, lam in zip(solve_lowest(proof, 2), superlu_eigenvalues(proof, 2)):
+            assert enc.lower <= lam <= enc.upper
+            assert math.isclose(enc.rayleigh, lam, rel_tol=1e-10)
     else:
-        below = 0.99 * ground_rayleigh(superlu, 0.0).rho.lo
-        banded, reference = ground_rayleigh(proof, below), ground_rayleigh(superlu, below)
-        assert math.isclose(banded.rho.hi, reference.rho.hi, rel_tol=1e-10)
+        (lam1,) = superlu_eigenvalues(proof, 1)
+        rho = ground_rayleigh(proof, 0.99 * lam1).rho
+        assert rho.lo <= lam1 <= rho.hi
+        assert math.isclose(rho.mid, lam1, rel_tol=1e-10)
 
 
 @pytest.mark.parametrize(

@@ -398,8 +398,8 @@ def test_edge_mean_halves_hold_no_cancellation_residue(n, family, theta):
     # in exact arithmetic must not be stored as residue of a few ulps.  (At
     # fl(pi/3) some entries of a half's A vanish by the symmetry of the
     # equilateral triangle, on any basis, so that angle is left out.)
-    parities = (0, 1) if family == "cr" else (0,)
-    ops = reference_map(n, family, "edge-mean").with_halves(parities).mapped(
+    parts = ((0,), (1,)) if family == "cr" else ((0,),)
+    ops = reference_map(n, family, "edge-mean").with_halves(parts).mapped(
         triangle_from_angle(theta)
     )
     for h in ops.halves:
@@ -407,19 +407,29 @@ def test_edge_mean_halves_hold_no_cancellation_residue(n, family, theta):
             assert np.all(np.abs(K.data) >= 1e-12 * np.abs(K.data).max())
 
 
-@pytest.mark.parametrize("theta", [0.3, 0.9, EQ], ids=["0.3", "0.9", "fl(pi/3)"])
+@pytest.mark.parametrize(
+    "tri",
+    [triangle_from_angle(t) for t in (0.3, 0.9, EQ)]
+    + [triangle_from_vertex(0.37, 0.71), triangle_from_vertex(0.5, 0.5)],
+    ids=["0.3", "0.9", "fl(pi/3)", "apex=(0.37,0.71)", "apex=(0.5,0.5)"],
+)
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("family, bc", PAIRS)
-def test_half_spectra_unite_to_the_whole_spectrum(family, bc, n, theta):
-    whole = reference_map(n, family, bc).with_halves((0, 1)).mapped(triangle_from_angle(theta))
+def test_half_spectra_unite_to_the_whole_spectrum(family, bc, n, tri):
+    # on T(theta) the two halves, and on a triangle with no mirror the
+    # whole part, spanned by both parity bases: either way the parts'
+    # spectra unite to that of the space assembled on the triangle itself
+    on_circle = math.isclose(math.hypot(tri.bx, tri.by), 1.0)
+    parts = ((0,), (1,)) if on_circle else ((0, 1),)
+    halves = reference_map(n, family, bc).with_halves(parts).mapped(tri).halves
+    whole = assemble(build_space(uniform_subdivide(tri, n), family, bc))
     want = scipy.linalg.eigh(whole.A.toarray(), whole.M.toarray(), eigvals_only=True)
-    halves = whole.halves
     got = np.sort(np.concatenate([
         scipy.linalg.eigh(h.A.toarray(), h.M.toarray(), eigvals_only=True) for h in halves
     ]))
     assert np.all(np.abs(got - want) <= 1e-10 * want)
     for h in halves:
-        # each half is the congruence of the whole pencil by its basis
+        # each part is the congruence of the whole pencil by its basis
         for name in ("A", "M"):
             full = getattr(whole, name)
             direct = (h.C.T @ full @ h.C).toarray()
@@ -427,9 +437,15 @@ def test_half_spectra_unite_to_the_whole_spectrum(family, bc, n, theta):
 
 
 def test_halves_need_the_apex_on_the_unit_circle():
-    ref = reference_map(6, "cr", "dirichlet").with_halves((0,))
-    with pytest.raises(ValueError, match="unit circle"):
-        ref.mapped(triangle_from_vertex(0.3, 0.8))
+    # a half splits the pencil of T(theta) alone; the whole part, which
+    # leaves out no parity, maps to any apex
+    tri = triangle_from_vertex(0.3, 0.8)
+    for parts in (((0,),), ((0,), (1,))):
+        with pytest.raises(ValueError, match="unit circle"):
+            reference_map(6, "cr", "dirichlet").with_halves(parts).mapped(tri)
+    ops = reference_map(6, "cr", "dirichlet").with_halves(((0, 1),)).mapped(tri)
+    (whole,) = ops.halves
+    assert whole.dim == whole.C.shape[1] == ops.dim
 
 
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.9, 1.0, EQ], ids=["0.05", "0.3", "0.9", "1.0", "fl(pi/3)"])
