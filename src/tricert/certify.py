@@ -258,8 +258,8 @@ def _reference_operators(n: int, family: str, bc: str) -> ReferenceMap:
     Each entry is the :class:`ReferenceMap` of one space, with the
     mirror-parity halves it is solved in, whatever its size: both for a
     CR space, the symmetric one for a CG space (:mod:`eigsolve`).
-    :meth:`ReferenceMap.with_halves` gives each half the band order in
-    which every solve of it factorises A - sigma M by banded Cholesky,
+    :meth:`ReferenceMap.with_halves` stores each half in the band order
+    in which every solve of it factorises A - sigma M by banded Cholesky,
     so that order is fixed here, once per space.  Eight entries hold the
     two sweep spaces and the two corner spaces of each problem, so a
     process that proves both problems (or runs both quick proofs, six
@@ -371,15 +371,15 @@ def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData
     h_cr = ops_cr.space.mesh.h
     del ops_cr
 
-    ops_cg = _reference_operators(cg_n, "cg", bc).mapped(tri)
-    cg = ground_rayleigh(ops_cg, corrected_lower(enc_cr[0], h_cr))
+    ref_cg = _reference_operators(cg_n, "cg", bc)
+    cg = ground_rayleigh(ref_cg.mapped(tri), corrected_lower(enc_cr[0], h_cr))
 
     lam1, lam2 = bracket(enc_cr, cg.rho, h_cr)
 
+    # the grams are mapped only now, so they stay out of the memory peak
+    # of the conforming solve
     u = cg.vector
-    xx = quad_form_interval(ops_cg.Kxx, u)
-    xy = quad_form_interval(ops_cg.Kxy, u)
-    yy = quad_form_interval(ops_cg.Kyy, u)
+    xx, xy, yy = (quad_form_interval(K, u) for K in ref_cg.grams(tri))
     mm = cg.mass_form
     return PointData(
         theta, cg_n, cr_n, lam1, lam2,

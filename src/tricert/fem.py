@@ -50,7 +50,8 @@ pencil as sparse as the lattice, where Z couples every dof of a side.
 The sparsity pattern of A and M does not depend on the apex either, so a
 symmetric ordering of a part's unknowns that packs its pencil into a
 narrow band (:class:`BandOrder`) is computed once, on its reference
-operators, and serves every apex.
+operators, and serves every apex: each part is stored in that order, so
+every operator mapped from it is banded as it stands.
 """
 
 from __future__ import annotations
@@ -315,11 +316,10 @@ def _nearest_own(along: np.ndarray, involved: np.ndarray, c: int) -> int:
 @dataclass(frozen=True)
 class BandOrder:
     """A symmetric ordering of a space's unknowns: unknown ``perm[k]`` is
-    the k-th, ``rank`` is the inverse permutation, and every entry (i, j)
-    of the pattern it was made for has |rank[i] - rank[j]| <= ``width``."""
+    the k-th, and every entry of the pattern it was made for lies at most
+    ``width`` off the diagonal in this order."""
 
     perm: np.ndarray
-    rank: np.ndarray
     width: int
 
     @classmethod
@@ -359,30 +359,43 @@ class BandOrder:
             if best is None or width < best[1]:
                 best = order, width
         order, width = best
-        perm = order[::-1].astype(np.int64)
-        rank = np.empty(n, dtype=np.int64)
-        rank[perm] = np.arange(n)
-        return cls(perm, rank, width)
+        return cls(order[::-1].astype(np.int64), width)
 
-    def slots(self, indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(keep, pos): where a matrix stored on the CSR pattern
-        (``indptr``, ``indices``) lies in LAPACK's upper band storage in
-        this order.  Its stored entries ``data[keep]`` make up its permuted
-        upper triangle, and go to the flat positions ``pos`` of a (w + 1,
-        n) array in column-major order, w the width: entry (i, j), i <= j,
-        of the permuted matrix at [w + i - j, j].
-        """
-        n, w = indptr.size - 1, self.width
-        j = self.rank[indices]
-        d = j - self.rank[np.repeat(np.arange(n), np.diff(indptr))]
-        # an entry outside the band would overwrite another's position
-        if d.max(initial=0) > w:
-            raise ValueError(f"pattern exceeds its band order's width {w}")
-        keep = np.flatnonzero(d >= 0)
-        # the cache holds the slots of every reference space: int32 halves
-        # them (5.5 to 2.7 MB for the corner spaces) and holds every
-        # position of a band below 16 GB
-        return keep.astype(np.int32), (w - d + (w + 1) * j)[keep].astype(np.int32)
+
+def _band_slots(
+    indptr: np.ndarray, indices: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, pos): where a matrix stored on the CSR pattern (``indptr``,
+    ``indices``), in band order and at most ``width`` wide, lies in
+    LAPACK's upper band storage.  Its stored entries ``data[keep]`` make
+    up its upper triangle, and go to the flat positions ``pos`` of a
+    (width + 1, n) array in column-major order: entry (i, j), i <= j, at
+    [width + i - j, j].
+    """
+    n, w = indptr.size - 1, width
+    j = indices.astype(np.int64)
+    d = j - np.repeat(np.arange(n), np.diff(indptr))
+    # an entry outside the band would overwrite another's position
+    if d.max(initial=0) > w:
+        raise ValueError(f"pattern exceeds its band width {w}")
+    keep = np.flatnonzero(d >= 0)
+    # the cache holds the slots of every reference space: int32 halves
+    # them (5.5 to 2.7 MB for the corner spaces) and holds every
+    # position of a band below 16 GB
+    return keep.astype(np.int32), (w - d + (w + 1) * j)[keep].astype(np.int32)
+
+
+def _permuted(indptr: np.ndarray, indices: np.ndarray, perm: np.ndarray):
+    """(indptr, indices, take): the canonical CSR pattern of a square
+    matrix stored on (``indptr``, ``indices``) with its rows and columns
+    taken in the order ``perm``.  Its stored entry t is the original's
+    entry ``take[t]``, so ``data[take]`` are its values.
+    """
+    n = indptr.size - 1
+    # each entry carries its position, plus one so that none is zero
+    ids = sp.csr_matrix((np.arange(1, indices.size + 1), indices, indptr), (n, n))[perm][:, perm]
+    ids.sort_indices()
+    return ids.indptr, ids.indices, ids.data - 1
 
 
 @dataclass(frozen=True)
@@ -392,6 +405,8 @@ class DiscreteOperators:
     A is the stiffness Kxx + Kyy, M the mass matrix, and Kxx, Kxy, Kyy
     the partial-derivative grams.  Kxy is stored as assembled (row index
     differentiates in x, column in y); only its quadratic form is used.
+    Assembled operators carry the grams; mapped ones leave them out
+    (:meth:`ReferenceMap.grams` maps them where they are read).
     ``halves`` are the parts (:class:`Half`) the solvers work in; mapped
     operators carry them, and assembled ones, which carry none, the
     solvers refuse.
@@ -400,9 +415,9 @@ class DiscreteOperators:
     space: FemSpace
     A: sp.csr_matrix
     M: sp.csr_matrix
-    Kxx: sp.csr_matrix
-    Kxy: sp.csr_matrix
-    Kyy: sp.csr_matrix
+    Kxx: sp.csr_matrix | None = None
+    Kxy: sp.csr_matrix | None = None
+    Kyy: sp.csr_matrix | None = None
     halves: tuple[Half, ...] = ()
 
     @property
@@ -432,17 +447,19 @@ class Half:
     A and M act on part coordinates, and C (the bases of
     :func:`parity_bases` of the part's parities, side by side) lifts them
     to the space's reduced coordinates: A = C^T A_space C, and likewise
-    M.  ``band`` is an order that packs A and M into a narrow band, for
-    the solvers to factorise in, and ``slots`` holds its
-    :meth:`BandOrder.slots` of A and of M.  Both are fixed on the
-    reference patterns A and M are stored on: A keeps an entry that
-    vanishes at this apex as an explicit zero, which changes no product.
+    M.  The coordinates are in the band order of the part's map
+    (:meth:`ReferenceMap.with_halves`), so no entry of A or M lies more
+    than ``width`` off the diagonal, and ``slots`` holds the
+    :func:`_band_slots` of A and of M, where the solvers pack A - sigma M
+    for its banded Cholesky factor.  Both are fixed on the reference
+    patterns A and M are stored on: A keeps an entry that vanishes at
+    this apex as an explicit zero, which changes no product.
     """
 
     A: sp.csr_matrix
     M: sp.csr_matrix
     C: sp.csr_matrix
-    band: BandOrder
+    width: int
     slots: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     @property
@@ -461,9 +478,10 @@ class ReferenceMap:
     has no entry.  The reference A and grams are not kept as matrices:
     the map reads none of them, and the cache of one map per reference
     space would hold them for the life of the process.  ``halves`` holds
-    a (map, basis) pair for each part the map carries, and a part's map
-    holds in ``band`` and ``slots`` those its mapped :class:`Half` carries
-    (:meth:`with_halves`).
+    a (map, basis) pair for each part the map carries.  A part's map is
+    stored in the order ``band``, which takes its k-th unknown from column
+    ``band.perm[k]`` of the parity bases, and holds in ``slots`` the band
+    positions its mapped :class:`Half` carries (:meth:`with_halves`).
     """
 
     space: FemSpace
@@ -520,9 +538,11 @@ class ReferenceMap:
         half, or with (0, 1) the whole space.  A part is spanned by the
         bases of its parities side by side, C = [C+ C-] for the whole
         space, and its map holds C^T K C for every reference gram K, less
-        its cancellation residue (:func:`_congruent`).  Each part's map
-        gets its band order (:meth:`band_order`) and that order's slots of
-        its A and M patterns, once for every angle.
+        its cancellation residue (:func:`_congruent`).  Each part is then
+        stored in its band order (:meth:`band_order`): its grams, its M
+        and the columns of C are permuted once for every angle, and its
+        map gets the band slots of its A and M patterns, so that no solve
+        permutes a vector or a matrix.
 
         The parity bases are bases of the lattice's spaces, which need no
         mirror, so the whole part serves any triangle; a half serves only
@@ -534,9 +554,22 @@ class ReferenceMap:
         for C in (sp.hstack([bases[p] for p in part], format="csr") for part in parts):
             half = ReferenceMap._of_grams(self.space, *_congruent(grams, C))
             band = half.band_order()
-            slots = band.slots(half.indptr, half.indices), band.slots(half.M.indptr, half.M.indices)
-            halves.append((replace(half, band=band, slots=slots), C))
+            halves.append((half._in_order(band), C[:, band.perm]))
         return replace(self, halves=tuple(halves))
+
+    def _in_order(self, band: BandOrder) -> "ReferenceMap":
+        """This map with its unknowns in the order ``band``, and the band
+        slots of its A and M patterns."""
+        indptr, indices, take = _permuted(self.indptr, self.indices, band.perm)
+        indptr.flags.writeable = indices.flags.writeable = False
+        m_indptr, m_indices, m_take = _permuted(self.M.indptr, self.M.indices, band.perm)
+        M = sp.csr_matrix((self.M.data[m_take], m_indices, m_indptr), self.M.shape)
+        slots = (
+            _band_slots(indptr, indices, band.width),
+            _band_slots(m_indptr, m_indices, band.width),
+        )
+        values = {name: getattr(self, name)[take] for name in ("xx", "xy", "xy_sym", "yy")}
+        return replace(self, M=M, indptr=indptr, indices=indices, band=band, slots=slots, **values)
 
     def band_order(self) -> BandOrder:
         """The band order (:meth:`BandOrder.of`) of the pattern of A and M,
@@ -546,10 +579,12 @@ class ReferenceMap:
         return BandOrder.of((union + abs(self.M)).tocsr())
 
     def mapped(self, triangle: TriangleShape) -> DiscreteOperators:
-        """The operators on ``triangle``, by the reference-map identities of
-        the module docstring, with each part this map carries mapped alike
-        (A and M only, A on its map's whole pattern), each carrying the
-        band order and slots of its map.
+        """The operators A and M on ``triangle``, by the reference-map
+        identities of the module docstring, with each part this map
+        carries mapped alike (A on its map's whole pattern), each carrying
+        the band width and slots of its map.  The grams, which only a
+        point's derivative functional reads, are left out: :meth:`grams`
+        maps them.
 
         The returned space holds the mesh of ``triangle``: the reference
         mesh with its triangle swapped.  A map with a part that leaves out
@@ -562,37 +597,44 @@ class ReferenceMap:
         if split and abs(bx * bx + by * by - 1.0) > 1e-12:
             raise ValueError(f"apex ({bx}, {by}) is off the unit circle; the mirror needs T(theta)")
         space = replace(self.space, mesh=replace(self.space.mesh, triangle=triangle))
-        stiff, kyy = self._stiffness(bx, by)
         return DiscreteOperators(
             space,
-            A=self._csr(stiff),
+            A=self._csr(self._stiffness(bx, by)),
             M=by * self.M,
-            Kxx=self._csr(by * self.xx),
-            Kxy=self._csr(self.xy - bx * self.xx),
-            Kyy=self._csr(kyy),
             halves=tuple(
                 Half(
-                    sp.csr_matrix((ref._stiffness(bx, by)[0], ref.indices, ref.indptr), ref.M.shape),
-                    by * ref.M, C, ref.band, ref.slots,
+                    sp.csr_matrix((ref._stiffness(bx, by), ref.indices, ref.indptr), ref.M.shape),
+                    by * ref.M, C, ref.band.width, ref.slots,
                 )
                 for ref, C in self.halves
             ),
         )
 
-    def _stiffness(self, bx: float, by: float) -> tuple[np.ndarray, np.ndarray]:
-        """The values of A and Kyy on the union pattern."""
+    def grams(self, triangle: TriangleShape) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """Kxx, Kxy and Kyy on ``triangle``, by the identities of the module
+        docstring, as :func:`assemble` would store them."""
+        bx, by = triangle.bx, triangle.by
+        return (
+            self._csr(by * self.xx), self._csr(self.xy - bx * self.xx), self._csr(self._kyy(bx, by))
+        )
+
+    def _kyy(self, bx: float, by: float) -> np.ndarray:
+        """The values of Kyy on the union pattern."""
         # Kyy of the module docstring entry by entry, evaluated in place to
         # spare temporaries of the pattern's size; scipy divides a sparse
         # matrix by a scalar as a product with its reciprocal, so "* (1 /
         # by)" keeps every stored value equal to the sparse-matrix form
         kyy = (bx * bx) * self.xx
-        stiff = np.multiply(self.xy_sym, bx)
-        kyy -= stiff
+        kyy -= np.multiply(self.xy_sym, bx)
         kyy += self.yy
         kyy *= 1.0 / by
-        np.multiply(self.xx, by, out=stiff)
-        stiff += kyy
-        return stiff, kyy
+        return kyy
+
+    def _stiffness(self, bx: float, by: float) -> np.ndarray:
+        """The values of A = Kxx + Kyy on the union pattern."""
+        stiff = self._kyy(bx, by)
+        stiff += np.multiply(self.xx, by)
+        return stiff
 
     def _csr(self, vals: np.ndarray) -> sp.csr_matrix:
         """The matrix with ``vals`` on the union pattern, exact zeros dropped

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import os
 import subprocess
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -228,9 +229,11 @@ def whole_map(n: int, family: str, bc: str) -> ReferenceMap:
 
 @lru_cache(maxsize=128)
 def operators(theta: float, n: int, family: str, bc: str):
-    """The operators of T(theta), solved in their whole part: the banded
-    path every proof solve takes."""
-    return whole_map(n, family, bc).mapped(triangle_from_angle(theta))
+    """The operators of T(theta), with their grams, solved in their whole
+    part: the banded path every proof solve takes."""
+    ref, tri = whole_map(n, family, bc), triangle_from_angle(theta)
+    Kxx, Kxy, Kyy = ref.grams(tri)
+    return replace(ref.mapped(tri), Kxx=Kxx, Kxy=Kxy, Kyy=Kyy)
 
 
 def assemble_on_angle(theta: float, n: int, family: str, bc: str):

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import needs_two_cores, stdout_per_blas_threads
 from tricert import certify, eigsolve
@@ -35,6 +36,7 @@ from tricert.certify import (
     schedule_from_file,
     simplicity_check,
 )
+from tricert.fem import BandOrder, parity_bases
 
 EQ = math.pi / 3
 LAM1_EQ_DIRICHLET = 16.0 * math.pi**2 / 3.0
@@ -227,7 +229,7 @@ class TestPointData:
         assert len(calls) == 2
 
     def test_conforming_side_solves_one_mode_uncertified_by_residual(self, monkeypatch):
-        # every half above DENSE_CUTOFF, so each goes to shift-invert Lanczos:
+        # every half above DENSE_CUTOFF, so each goes to Lanczos:
         # both CR halves with two modes plus a guard, the CG symmetric half
         # with the ground mode alone; the residual is certified on the whole
         # CR space
@@ -240,9 +242,9 @@ class TestPointData:
             eigsh_k.append((A.shape[0], k))
             return real_eigsh(A, k, **kwargs)
 
-        def recording_bound(ops, u, rho):
+        def recording_bound(ops, u, rho, *magnitudes):
             residual_dims.append(u.size)
-            return real_bound(ops, u, rho)
+            return real_bound(ops, u, rho, *magnitudes)
 
         monkeypatch.setattr(eigsolve.spla, "eigsh", recording_eigsh)
         monkeypatch.setattr(eigsolve, "residual_bound", recording_bound)
@@ -291,6 +293,33 @@ class TestPointData:
             for w, s in zip(getattr(whole, name), getattr(split, name)):
                 assert abs(w - s) <= 1e-9 * scale
 
+    def test_each_magnitude_is_formed_once_per_point(self, monkeypatch):
+        # the CR solve forms |A| and |M| once for the Rayleigh quotients and
+        # residual bounds of both its modes (eight bounds), and the CG side
+        # forms |A|, |M|, |Kxx|, |Kxy| and |Kyy| once each; the certified
+        # numbers are those of forming each for every bound
+        formed = []
+        real_abs = eigsolve._abs
+
+        def counting(K):
+            formed.append(K.shape[0])
+            return real_abs(K)
+
+        real_residual, real_form = eigsolve.residual_bound, eigsolve.quad_form_interval
+        with monkeypatch.context() as patch:
+            # every bound forms its own magnitudes
+            patch.setattr(
+                eigsolve, "residual_bound", lambda ops, u, rho, _=None: real_residual(ops, u, rho)
+            )
+            patch.setattr(eigsolve, "quad_form_interval", lambda K, u, _=None: real_form(K, u))
+            per_bound = compute_point("dirichlet", 0.9, cg_n=28, cr_n=16)
+        monkeypatch.setattr(eigsolve, "_abs", counting)
+        once = compute_point("dirichlet", 0.9, cg_n=28, cr_n=16)
+        cr_dim = certify._reference_operators(16, "cr", "dirichlet").dim
+        cg_dim = certify._reference_operators(28, "cg", "dirichlet").dim
+        assert formed == [cr_dim] * 2 + [cg_dim] * 5
+        assert once == per_bound
+
     def test_every_reference_map_carries_its_halves(self):
         # no proof space is solved whole, whatever its size: every map
         # carries both non-empty halves of a CR space and the symmetric half
@@ -318,20 +347,31 @@ class TestPointData:
 
     def test_every_half_carries_the_band_order_of_its_pattern(self):
         # every half of the quick, sweep and corner spaces, however wide,
-        # carries the band order that BandOrder.of gives for the pattern of
-        # its A and M, and the mapped half carries it with its slots, so
-        # each of its solves factorises by banded Cholesky.  The widest are
-        # the published corner halves
+        # is stored in the band order that BandOrder.of gives for the
+        # pattern of its A and M in the order of its parity basis: its
+        # pattern, M and the columns of C are permuted once, and the mapped
+        # half carries the width with the slots, so each of its solves
+        # factorises by banded Cholesky with no permutation.  The widest
+        # are the published corner halves
         tri = certify.triangle_from_angle(0.9)
         widths = {}
         for problem in ("dirichlet", "cr-constant"):
             for kind, n, family in _proof_spaces(problem):
                 ref = certify._reference_operators(n, family, certify._BC[problem])
-                for parity, ((half, _), mapped) in enumerate(zip(ref.halves, ref.mapped(tri).halves)):
-                    order = half.band_order()
-                    assert np.array_equal(half.band.perm, order.perm)
-                    assert half.band.width == order.width
-                    assert mapped.band is half.band and mapped.slots is half.slots
+                bases = parity_bases(ref.space)
+                mapped_halves = ref.mapped(tri).halves
+                for parity, ((half, C), mapped) in enumerate(zip(ref.halves, mapped_halves)):
+                    m, band = half.dim, half.band
+                    pattern = (np.ones(half.indices.size), half.indices, half.indptr)
+                    stored = (sp.csr_matrix(pattern, (m, m)) + abs(half.M)).tocsr()
+                    rank = np.argsort(band.perm)
+                    unordered = stored[rank][:, rank].tocsr().sorted_indices()
+                    order = BandOrder.of(unordered)
+                    assert np.array_equal(band.perm, order.perm) and band.width == order.width
+                    rows = np.repeat(np.arange(m), np.diff(stored.indptr))
+                    assert np.abs(rows - stored.indices).max() == band.width
+                    assert (C != bases[parity][:, band.perm]).nnz == 0
+                    assert mapped.width == band.width and mapped.slots is half.slots
                     widths[problem, kind, family, n, parity] = order.width
         corner = {key: w for key, w in widths.items() if key[1] == "corner"}
         assert corner == {
@@ -463,11 +503,15 @@ class TestStep3:
 
 
 def _second_mode_as_ground(monkeypatch):
-    """Make the backend answer every one-mode request with mode 2."""
+    """Make the backend answer every one-mode request with mode 2, and
+    pass every other request through as made."""
     real = eigsolve._lowest_modes
 
-    def second_mode(ops, k, **shift):
-        return real(ops, k) if k != 1 else real(ops, 2)[:, 1:]
+    def second_mode(ops, k, **kwargs):
+        if k != 1:
+            return real(ops, k, **kwargs)
+        vals, vecs = real(ops, 2)
+        return vals[1:], vecs[:, 1:]
 
     monkeypatch.setattr(eigsolve, "_lowest_modes", second_mode)
 

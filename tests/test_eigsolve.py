@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import EQ, assemble_on_angle, operators, superlu_eigenvalues
-from tricert.certify import _reference_operators
+from tricert.certify import _reference_operators, compute_point
 from tricert import eigsolve
 from tricert.bounds import corrected_lower
 from tricert.geometry import triangle_from_angle
@@ -28,6 +28,7 @@ from tricert.eigsolve import (
     EigensolveError,
     _band_pack,
     _certify,
+    _magnitudes,
     ground_rayleigh,
     quad_form_interval,
     residual_bound,
@@ -86,7 +87,7 @@ def test_dense_and_sparse_backends_agree(monkeypatch):
             ("cr", "edge-mean"),
         )
     ]
-    below, above = (16, "cg", "edge-mean"), (19, "cg", "dirichlet")
+    below, above = (12, "cg", "edge-mean"), (15, "cg", "dirichlet")
     assert operators(EQ, *below).dim <= DENSE_CUTOFF < operators(EQ, *above).dim
     for n, family, bc in cases + [below, above]:
         ops = operators(EQ, n, family, bc)
@@ -123,7 +124,7 @@ def test_count_validation(monkeypatch):
         solve_lowest(ops, 0)
     with pytest.raises(ValueError):
         solve_lowest(ops, 5)  # only one dof available
-    # shift-invert Lanczos yields at most dim - 1 modes, so a full-spectrum
+    # Lanczos yields at most dim - 1 modes, so a full-spectrum
     # request goes to the dense backend even above the cutoff
     monkeypatch.setattr("tricert.eigsolve.DENSE_CUTOFF", 0)
     for n, bc, dim in ((4, "dirichlet", 3), (5, "dirichlet", 6), (4, "edge-mean", 12)):
@@ -217,7 +218,7 @@ def test_unnormalized_vector_enclosure_contains_eigenvalue():
     ops = operators(EQ, 8, "cg", "dirichlet")
     vals, vecs = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
     u = 1e-6 * (vecs[:, 0] + 1e-3 * vecs[:, 1])
-    enc = _certify(ops, u, 1)
+    enc = _certify(ops, u, 1, _magnitudes(ops))
     assert enc.lower <= vals[0] <= enc.upper
 
 
@@ -310,52 +311,83 @@ def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
         return real_eigh(*args, subset_by_index=subset_by_index, **kwargs)
 
     def recording_eigsh(A, k, **kwargs):
-        requested.append(("sparse", k, kwargs["sigma"], kwargs["ncv"]))
+        requested.append(("sparse", k, kwargs["ncv"]))
         return real_eigsh(A, k, **kwargs)
+
+    real_factor = eigsolve._BandCholesky
+
+    def recording_factor(half, sigma):
+        requested.append(("factor", sigma))
+        return real_factor(half, sigma)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("residual certification on the conforming side")
 
     monkeypatch.setattr(eigsolve.scipy.linalg, "eigh", recording_eigh)
     monkeypatch.setattr(eigsolve.spla, "eigsh", recording_eigsh)
+    monkeypatch.setattr(eigsolve, "_BandCholesky", recording_factor)
     monkeypatch.setattr(eigsolve, "residual_bound", forbidden)
     monkeypatch.setattr(eigsolve, "verify_enclosure", forbidden)
     below = 0.9 * lam1
     g = ground_rayleigh(ops, below)
-    want = ("dense", [0, 0]) if method == "dense" else ("sparse", 1, below, eigsolve.GROUND_NCV)
-    assert requested == [want]
+    if method == "dense":
+        assert requested == [("dense", [0, 0])]
+    else:  # A - below M is factorised, and Lanczos runs on its operator
+        assert requested == [("factor", below), ("sparse", 1, eigsolve.GROUND_NCV)]
     assert lam1 <= g.rho.hi
 
 
-def _count_factor_solves(monkeypatch) -> list:
-    """Record every solve with a banded Cholesky factor made from now on,
-    as the index of the factor, in the order the factors were made."""
-    solves = []
+def _count_operator_applications(monkeypatch) -> list:
+    """Record every application of a Lanczos operator U^{-T} M U^{-1}
+    made from now on, as the index of its factor U, in the order the
+    factors were made.  Each is one step of ARPACK's reverse
+    communication."""
+    applied = []
     made = [0]
+    real = eigsolve._BandCholesky
 
-    class Counted:
-        def __init__(self, lu):
-            self._lu = lu
+    class Counted(real):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             self._k = made[0]
             made[0] += 1
 
-        def solve(self, b):
-            solves.append(self._k)
-            return self._lu.solve(b)
+        def matvec(self, y):
+            applied.append(self._k)
+            return super().matvec(y)
 
-    real = eigsolve._BandCholesky
-    monkeypatch.setattr(
-        eigsolve, "_BandCholesky", lambda *args, **kwargs: Counted(real(*args, **kwargs))
-    )
-    return solves
+    monkeypatch.setattr(eigsolve, "_BandCholesky", Counted)
+    return applied
+
+
+@pytest.mark.parametrize("problem", ["dirichlet", "cr-constant"])
+def test_every_lanczos_run_is_in_standard_form(monkeypatch, problem):
+    # every Lanczos run of a point solve is ARPACK's standard mode on the
+    # symmetric operator U^{-T} M U^{-1} of its part's Cholesky factor: it
+    # gets no mass matrix, shift or inverse operator, so each of ARPACK's
+    # reverse-communication steps is one application of that operator
+    calls = []
+    real = eigsolve.spla.eigsh
+
+    def recording(A, k, **kwargs):
+        calls.append((A, set(kwargs)))
+        return real(A, k, **kwargs)
+
+    monkeypatch.setattr(eigsolve.spla, "eigsh", recording)
+    compute_point(problem, 0.9, cg_n=32, cr_n=32)  # the quick sizes: every half runs Lanczos
+    assert len(calls) == 3  # both CR halves, the CG half
+    for A, kwargs in calls:
+        assert isinstance(A, scipy.sparse.linalg.LinearOperator)
+        assert not kwargs & {"M", "sigma", "OPinv", "Minv", "mode"}
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
 @pytest.mark.parametrize("theta", [0.1, 0.9, EQ], ids=["0.1", "0.9", "fl(pi/3)"])
 def test_shifted_ground_solve_agrees_in_few_factor_solves(monkeypatch, bc, theta):
     # shifted to the corrected CR bound, as compute_point does, the
-    # conforming solve at CG 96 / CR 64 needs a handful of factor solves
-    # instead of ARPACK's default 21 and returns the same Rayleigh bound.
+    # conforming solve at CG 96 / CR 64 needs a handful of operator
+    # applications (5 to 8) instead of ARPACK's default 21 and returns the
+    # same Rayleigh bound.
     # The agreement is limited by the float Rayleigh quotient, not by the
     # shift: on the thin edge-mean triangle (theta = 0.1) its terms cancel,
     # and two unshifted solves that differ only in ncv already give rho.hi
@@ -366,7 +398,7 @@ def test_shifted_ground_solve_agrees_in_few_factor_solves(monkeypatch, bc, theta
     ops = operators(theta, 96, "cg", bc)
     assert ops.dim > DENSE_CUTOFF
     plain = ground_rayleigh(ops, 0.0)
-    solves = _count_factor_solves(monkeypatch)
+    solves = _count_operator_applications(monkeypatch)
     shifted = ground_rayleigh(ops, below)
     assert below < plain.rho.lo
     assert math.isclose(shifted.rho.hi, plain.rho.hi, rel_tol=1e-11)
@@ -406,13 +438,13 @@ def test_shift_above_lambda1_never_lowers_the_bound(where, bc, part):
 def test_cr_solve_stops_at_the_lanczos_tolerance(monkeypatch, n, bc, theta):
     # converging past LANCZOS_TOL costs restart cycles that move no
     # certified number (test_residual_floor_does_not_need_a_tighter_tolerance).
-    # Each half of the proof's solve stops in one cycle of 24 factor
-    # solves; at ARPACK's machine-precision default a Dirichlet
+    # Each half of the proof's solve stops in one cycle of 24 operator
+    # applications; at ARPACK's machine-precision default a Dirichlet
     # antisymmetric half takes 42.  (Run whole at fl(pi/3), the double
-    # lambda_2 = lambda_3 takes 42 at either tolerance.)
+    # lambda_2 = lambda_3 takes 43 at either tolerance.)
     ops = _reference_operators(n, "cr", bc).mapped(triangle_from_angle(theta))
     assert min(h.dim for h in ops.halves) > DENSE_CUTOFF
-    solves = _count_factor_solves(monkeypatch)
+    solves = _count_operator_applications(monkeypatch)
     solve_lowest(ops, 2)
     assert sorted(set(solves)) == [0, 1]  # one factor per half
     assert all(solves.count(k) <= 25 for k in (0, 1))
@@ -422,9 +454,10 @@ def test_cr_solve_stops_at_the_lanczos_tolerance(monkeypatch, n, bc, theta):
 @pytest.mark.parametrize("theta", [0.3, 0.8, 1.04, EQ], ids=["0.3", "0.8", "1.04", "fl(pi/3)"])
 def test_cr_modes_carry_the_index_of_the_dense_oracle(bc, theta):
     # the index of each CR enclosure is the solver's ordering, the one
-    # trusted step.  Lanczos starts from v0 = ones in the whole part's
-    # coordinates, which has a component in each parity basis, so its
-    # Krylov space holds modes of both halves from the start
+    # trusted step.  Lanczos starts from y0 = ones in the whole part's
+    # coordinates, which has a component in each parity basis, and so has
+    # U^{-1} y0, so its Krylov space holds modes of both halves from the
+    # start
     ops = operators(theta, 32, "cr", bc)
     assert ops.dim > DENSE_CUTOFF
     e1, e2 = solve_lowest(ops, 2)
@@ -437,7 +470,7 @@ def test_cr_modes_carry_the_index_of_the_dense_oracle(bc, theta):
 @pytest.mark.parametrize("theta", [0.8, 1.04, EQ], ids=["0.8", "1.04", "fl(pi/3)"])
 def test_proof_maps_label_cr_modes_as_the_dense_oracle(bc, theta):
     # the proof's own quick-size maps are solved in their halves, each
-    # from its own v0 = ones, so no mode relies on rounding to appear: the
+    # from its own y0 = ones, so no mode relies on rounding to appear: the
     # enclosures labelled 1 and 2 hold dense lambda_1 and lambda_2.  At
     # fl(pi/3), lambda_2 ~ lambda_3 lie in different halves
     ops = _reference_operators(32, "cr", bc).mapped(triangle_from_angle(theta))
@@ -530,8 +563,9 @@ def test_split_solve_finds_the_antisymmetric_mode_in_one_cycle(monkeypatch):
     # ones in the space's reduced coordinates is mirror-symmetric, so a
     # run from it on CR 64 Dirichlet at theta = 1.0 meets the
     # antisymmetric lambda_3 = 128.3 only through rounding, after a second
-    # ARPACK restart cycle (36 factor solves against 21; before that cycle
-    # its third mode is lambda_4 = 215.3).  Each half holds its own modes
+    # ARPACK restart cycle (36 factor solves against 21 under generalised
+    # shift-invert; before that cycle its third mode is lambda_4 = 215.3).
+    # Each half holds its own modes
     # from the start, so the split's third candidate is lambda_3 of a
     # random-start oracle, and each half's run converges in one cycle
     ops = _reference_operators(64, "cr", "dirichlet").mapped(triangle_from_angle(1.0))
@@ -539,7 +573,7 @@ def test_split_solve_finds_the_antisymmetric_mode_in_one_cycle(monkeypatch):
     v0 = np.random.default_rng(2).standard_normal(ops.dim)
     oracle = np.sort(scipy.sparse.linalg.eigsh(ops.A, k=4, M=ops.M, sigma=0.0, v0=v0)[0])
     assert 128.0 < oracle[2] < 129.0 < 215.0 < oracle[3] < 216.0
-    solves = _count_factor_solves(monkeypatch)
+    solves = _count_operator_applications(monkeypatch)
     vecs = eigsolve._split_modes(ops.halves, 3)
     ritz = [float(v @ (ops.A @ v)) / float(v @ (ops.M @ v)) for v in vecs.T]
     assert np.allclose(ritz, oracle[:3], rtol=1e-10)
@@ -627,7 +661,7 @@ def test_wide_banded_solves_agree_with_superlu(theta, family, n, bc, widths):
     # space: each CR enclosure holds its eigenvalue, and so does the
     # certified Rayleigh interval of the shifted CG solve
     proof = proof_operators(theta, n, family, bc)
-    assert tuple(h.band.width for h in proof.halves) == widths
+    assert tuple(h.width for h in proof.halves) == widths
     if family == "cr":
         for enc, lam in zip(solve_lowest(proof, 2), superlu_eigenvalues(proof, 2)):
             assert enc.lower <= lam <= enc.upper
@@ -645,12 +679,13 @@ def test_wide_banded_solves_agree_with_superlu(theta, family, n, bc, widths):
     ids=["cr32", "cg32", "cg32-shifted", "cg96-half-shifted"],
 )
 def test_band_pack_holds_the_permuted_upper_triangle(family, n, sigma):
-    # LAPACK upper band storage: entry (i, j), i <= j, of the permuted
-    # matrix at [w + i - j, j]; the rest of the array is zero
+    # LAPACK upper band storage: entry (i, j), i <= j, of the matrix, which
+    # each half stores permuted into its band order, at [w + i - j, j]; the
+    # rest of the array is zero
     ops = _reference_operators(n, family, "dirichlet").mapped(triangle_from_angle(0.9))
     assert len(ops.halves) == (2 if family == "cr" else 1)
     for target in ops.halves:
-        band, w, size = target.band, target.band.width, target.dim
+        w, size = target.width, target.dim
         ab = _band_pack(target, sigma)
         assert ab.shape == (w + 1, size) and ab.flags.f_contiguous
         rows, j = np.nonzero(ab)
@@ -658,7 +693,7 @@ def test_band_pack_holds_the_permuted_upper_triangle(family, n, sigma):
         assert i.min() >= 0  # nothing in the unused corner of the array
         unpacked = scipy.sparse.csr_matrix((ab[rows, j], (i, j)), shape=(size, size))
         shifted = target.A - sigma * target.M if sigma else target.A
-        want = scipy.sparse.triu(shifted[band.perm][:, band.perm], format="csr")
+        want = scipy.sparse.triu(shifted, format="csr")
         want.eliminate_zeros()
         assert unpacked.nnz == want.nnz
         assert (unpacked != want).nnz == 0
