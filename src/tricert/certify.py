@@ -27,8 +27,15 @@ lambda_1 strictly decreasing on J, i.e. the equilateral triangle is the
 strict minimizer (equivalently, the interpolation-constant maximizer).
 
 Everything reported in a Certificate is backed by outward-rounded
-arithmetic on certified enclosures; the per-interval ledger makes each
-logical step auditable without rerunning the code.
+arithmetic on certified enclosures.  The per-interval ledger records
+what each step concluded on each subinterval: the extended lambda_1
+lower and lambda_2 lower ends (with the point's lambda_1 upper end) on
+a step-2 row, the extended brackets and the derivative range and Err
+envelope on a step-3 row.  It does not record what those were computed
+from: the point brackets before extension, and the gram triples and
+masses of the J nodes (only the corner's triple is kept).  Re-checking
+a row therefore needs the point data, which today means rerunning the
+point solves.
 """
 
 from __future__ import annotations
@@ -251,21 +258,26 @@ class PointData:
 _T_REF = triangle_from_vertex(0.0, 1.0)
 
 
-@functools.lru_cache(maxsize=8)
-def _reference_operators(n: int, family: str, bc: str) -> ReferenceMap:
-    """Operators on the n-fold mesh of T_ref, built once per process.
+@functools.lru_cache(maxsize=10)
+def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceMap:
+    """Operators on the n-fold mesh of T_ref, built once per process and
+    part layout.
 
-    Each entry is the :class:`ReferenceMap` of one space, with the
-    mirror-parity halves it is solved in, whatever its size: both for a
-    CR space, the symmetric one for a CG space (:mod:`eigsolve`).
-    :meth:`ReferenceMap.with_halves` stores each half in the band order
+    Each entry is the :class:`ReferenceMap` of one space with the parts
+    it is solved in.  By default (``parts`` None) these are the
+    mirror-parity halves of a proof space, whatever its size: both for a
+    CR space, the symmetric one for a CG space (:mod:`eigsolve`);
+    ``tricert constants`` asks for ``((0, 1),)``, the whole space as one
+    part, which maps to a triangle of any apex.
+    :meth:`ReferenceMap.with_halves` stores each part in the band order
     in which every solve of it factorises A - sigma M by banded Cholesky,
-    so that order is fixed here, once per space.  Eight entries hold the
-    two sweep spaces and the two corner spaces of each problem, so a
-    process that proves both problems (or runs both quick proofs, six
-    spaces) builds each space once; with four, every proof of the pair
-    would evict the other's spaces and rebuild its own.  Every caller
-    shares the cached arrays, so they are only read
+    so that order is fixed here, once per space.  Ten entries hold the
+    two sweep spaces and the two corner spaces of each problem, and the
+    two whole spaces of one ``constants`` mesh pair, so a process that
+    proves both problems (or runs both quick proofs, six spaces) and
+    bounds a constant builds each space once; with four, every proof of
+    the pair would evict the other's spaces and rebuild its own.  Every
+    caller shares the cached arrays, so they are only read
     (:meth:`ReferenceMap.mapped` builds new ones).  Mesh, space and
     assembly are built through this module's names, so wrapping them
     here sees every build.
@@ -289,8 +301,10 @@ def _reference_operators(n: int, family: str, bc: str) -> ReferenceMap:
     A sweep worker of :func:`compute_points` at jobs > 1 builds both its
     spaces before its first point.
     """
+    if parts is None:
+        parts = ((0,), (1,)) if family == "cr" else ((0,),)
     ref = ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
-    return ref.with_halves(((0,), (1,)) if family == "cr" else ((0,),))
+    return ref.with_halves(parts)
 
 
 # Thread-count entries of the OpenBLAS builds in the NumPy and SciPy wheels
@@ -352,18 +366,18 @@ def single_blas_thread():
 
 
 @single_blas_thread()
-def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData:
-    """Solve both discrete problems at one angle and certify the brackets.
+def certified_solve(tri, ref_cr: ReferenceMap, ref_cg: ReferenceMap):
+    """The certified lambda_1 and lambda_2 brackets (:class:`EigBracket`)
+    of ``tri`` from the CR space of ``ref_cr`` and the conforming space
+    of ``ref_cg``, with the conforming :class:`RayleighBound` behind the
+    upper end of lambda_1.
 
-    The mapped operators carry the mirror-parity halves of their space
-    (:func:`_reference_operators`), which only steer the solver; every
-    enclosure and Rayleigh bound is certified on the whole operators.
+    Both maps are mapped to ``tri``; their parts only steer the solver,
+    and every enclosure and Rayleigh bound is certified on the whole
+    operators.  The proof's point solve and ``tricert constants`` both
+    run this, the latter on whole-part maps of a triangle of any apex.
     """
-    _check_problem(problem)
-    bc = _BC[problem]
-    tri = triangle_from_angle(theta)
-
-    ops_cr = _reference_operators(cr_n, "cr", bc).mapped(tri)
+    ops_cr = ref_cr.mapped(tri)
     enc_cr = solve_lowest(ops_cr, 2)
     enc_cr = [verify_enclosure(enc_cr[0], (enc_cr[1],)), enc_cr[1]]
     # the bracket needs only the CR mesh size; releasing the CR operators
@@ -371,20 +385,29 @@ def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData
     h_cr = ops_cr.space.mesh.h
     del ops_cr
 
-    ref_cg = _reference_operators(cg_n, "cg", bc)
     cg = ground_rayleigh(ref_cg.mapped(tri), corrected_lower(enc_cr[0], h_cr))
-
     lam1, lam2 = bracket(enc_cr, cg.rho, h_cr)
+    return lam1, lam2, cg
+
+
+@single_blas_thread()
+def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData:
+    """Solve both discrete problems at one angle and certify the brackets
+    (:func:`certified_solve`), on the mirror-parity halves of the cached
+    reference spaces (:func:`_reference_operators`), with the gram forms
+    of the conforming ground vector.
+    """
+    _check_problem(problem)
+    bc = _BC[problem]
+    tri = triangle_from_angle(theta)
+    ref_cr = _reference_operators(cr_n, "cr", bc)
+    ref_cg = _reference_operators(cg_n, "cg", bc)
+    lam1, lam2, cg = certified_solve(tri, ref_cr, ref_cg)
 
     # the grams are mapped only now, so they stay out of the memory peak
     # of the conforming solve
-    u = cg.vector
-    xx, xy, yy = (quad_form_interval(K, u) for K in ref_cg.grams(tri))
-    mm = cg.mass_form
-    return PointData(
-        theta, cg_n, cr_n, lam1, lam2,
-        (xx.lo, xx.hi), (xy.lo, xy.hi), (yy.lo, yy.hi), (mm.lo, mm.hi),
-    )
+    forms = [quad_form_interval(K, cg.vector) for K in ref_cg.grams(tri)] + [cg.mass_form]
+    return PointData(theta, cg_n, cr_n, lam1, lam2, *((f.lo, f.hi) for f in forms))
 
 
 def _point_worker(task: tuple[int, str, float, int, int]):

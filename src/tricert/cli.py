@@ -27,21 +27,25 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .bounds import BracketError, bracket as eig_bracket, corrected_lower
+# bench/run.py's tracer wraps eig_bracket, solve_lowest, verify_enclosure,
+# assemble, build_space and uniform_subdivide on this module, so they stay
+# importable from it, though unused here
+from .bounds import BracketError, bracket as eig_bracket  # noqa: F401
 from .certify import (
     CertifyError,
+    _reference_operators,
+    certified_solve,
     compute_points,
     paper_config,
     paper_schedule,
     quick_config,
     run_proof,
     schedule_from_file,
-    single_blas_thread,
 )
-from .eigsolve import EigensolveError, ground_rayleigh, solve_lowest, verify_enclosure
-from .fem import DiscreteOperators, ReferenceMap, assemble, build_space
+from .eigsolve import EigensolveError, solve_lowest, verify_enclosure  # noqa: F401
+from .fem import assemble, build_space  # noqa: F401
 from .geometry import triangle_from_angle, triangle_from_vertex
-from .mesh import uniform_subdivide
+from .mesh import uniform_subdivide  # noqa: F401
 from .rounding import Interval
 
 SWEEP_COLUMNS = ("theta", "lambda1_lo", "lambda1_hi")
@@ -265,27 +269,15 @@ def _constants_triangle(args):
     return triangle_from_vertex(bx, by)
 
 
-def _whole_operators(n: int, family: str, triangle) -> DiscreteOperators:
-    """The edge-mean operators of the n-fold mesh of ``triangle``, mapped
-    from T_ref with the whole space as their one part, which, unlike a
-    mirror half, serves a triangle of any apex."""
-    space = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, "edge-mean")
-    return ReferenceMap.of(assemble(space)).with_halves(((0, 1),)).mapped(triangle)
-
-
 def cmd_constants(args) -> int:
     tri = _constants_triangle(args)
-
-    # one BLAS thread, as in compute_point: the printed bits must not
-    # depend on the machine's core count
-    with single_blas_thread():
-        ops_cr = _whole_operators(args.cr_n, "cr", tri)
-        h_cr = ops_cr.space.mesh.h
-        enc_cr = solve_lowest(ops_cr, 2)
-        enc_cr = [verify_enclosure(enc_cr[0], (enc_cr[1],)), enc_cr[1]]
-        ops_cg = _whole_operators(args.cg_n, "cg", tri)
-        cg = ground_rayleigh(ops_cg, corrected_lower(enc_cr[0], h_cr))
-    lam1 = eig_bracket(enc_cr, cg.rho, h_cr)[0]
+    # the proof's point solve, on the edge-mean spaces with the whole
+    # space as their one part, which serves a triangle of any apex
+    lam1, _, _ = certified_solve(
+        tri,
+        _reference_operators(args.cr_n, "cr", "edge-mean", ((0, 1),)),
+        _reference_operators(args.cg_n, "cg", "edge-mean", ((0, 1),)),
+    )
 
     c_iv = Interval(1.0) / Interval(lam1.lower, lam1.upper).sqrt()
     print(f"triangle: apex ({tri.bx!r}, {tri.by!r}), diameter {tri.diameter!r}")
@@ -302,14 +294,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (CertifyError, EigensolveError, BracketError) as exc:
+        # only reachable from sweep/constants; prove folds these into
+        # the certificate verdict.  First, as BracketError is a ValueError
+        print(f"numerical abort: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (CertifyError, EigensolveError, BracketError) as exc:
-        # only reachable from sweep/constants; prove folds these into
-        # the certificate verdict
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

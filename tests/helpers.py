@@ -16,9 +16,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import tricert
+from tricert.certify import _reference_operators
 from tricert.eigsolve import ground_rayleigh, solve_lowest
 from tricert.fem import ReferenceMap, assemble, build_space
-from tricert.geometry import triangle_from_angle, triangle_from_vertex
+from tricert.geometry import triangle_from_angle
 from tricert.mesh import uniform_subdivide
 
 EQ = math.pi / 3
@@ -222,9 +223,10 @@ def side_differences_by_loops(sides, S: sp.csr_matrix) -> sp.csr_matrix:
 @lru_cache(maxsize=32)
 def whole_map(n: int, family: str, bc: str) -> ReferenceMap:
     """The reference map of the n-fold space with the whole space as its
-    one part, which maps to a triangle of any apex."""
-    space = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, bc)
-    return ReferenceMap.of(assemble(space)).with_halves(((0, 1),))
+    one part, which maps to a triangle of any apex: built as
+    ``tricert constants`` builds it, but cached here, so that the test
+    spaces do not evict the proof's from the shared cache."""
+    return _reference_operators.__wrapped__(n, family, bc, ((0, 1),))
 
 
 @lru_cache(maxsize=128)

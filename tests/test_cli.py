@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import needs_two_cores, stdout_per_blas_threads, superlu_eigenvalues
-from tricert import cli
-from tricert.bounds import corrected_lower
+from tricert import certify, cli
+from tricert.bounds import BracketError, corrected_lower
 from tricert.cli import SWEEP_COLUMNS, main
 from tricert.certify import CSV_COLUMNS, paper_schedule
 from tricert.fem import assemble, build_space
@@ -276,6 +276,37 @@ def test_constants_argument_validation(capsys):
         code, _, err = run_cli(capsys, "constants", *extra)
         assert code == 2, extra
         assert "configuration error" in err
+
+
+def test_constants_numerical_failure_exits_one(capsys, monkeypatch):
+    # BracketError is a ValueError, yet an inverted bracket in the point
+    # solve is a numerical abort, not a configuration error
+    def inverted(*args):
+        raise BracketError("inverted bracket")
+
+    monkeypatch.setattr(certify, "bracket", inverted)
+    code, _, err = run_cli(capsys, "constants", "--theta", "1.0", "--cg-n", "8", "--cr-n", "4")
+    assert code == 1
+    assert "numerical abort" in err and "configuration error" not in err
+
+
+def test_constants_builds_each_space_once_per_process(capsys, monkeypatch):
+    # constants maps the proof's cached reference spaces, with the whole
+    # space as their one part, so a second run on the same meshes builds
+    # neither the CR nor the CG space again
+    built = []
+    real_subdivide = certify.uniform_subdivide
+
+    def counting(tri, n):
+        built.append(n)
+        return real_subdivide(tri, n)
+
+    monkeypatch.setattr(certify, "uniform_subdivide", counting)
+    certify._reference_operators.cache_clear()
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, "constants", "--theta", "1.0", "--cg-n", "8", "--cr-n", "4")
+        assert code == 0
+    assert sorted(built) == [4, 8]
 
 
 # prove -----------------------------------------------------------------------
