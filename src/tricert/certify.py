@@ -258,7 +258,7 @@ class PointData:
 _T_REF = triangle_from_vertex(0.0, 1.0)
 
 
-@functools.lru_cache(maxsize=10)
+@functools.lru_cache(maxsize=8)
 def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceMap:
     """Operators on the n-fold mesh of T_ref, built once per process and
     part layout.
@@ -267,17 +267,18 @@ def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceM
     it is solved in.  By default (``parts`` None) these are the
     mirror-parity halves of a proof space, whatever its size: both for a
     CR space, the symmetric one for a CG space (:mod:`eigsolve`);
-    ``tricert constants`` asks for ``((0, 1),)``, the whole space as one
-    part, which maps to a triangle of any apex.
+    :func:`edge_mean_lambda1` asks for ``((0, 1),)``, the whole space as
+    one part, which maps to a triangle of any apex.
     :meth:`ReferenceMap.with_halves` stores each part in the band order
     in which every solve of it factorises A - sigma M by banded Cholesky,
-    so that order is fixed here, once per space.  Ten entries hold the
-    two sweep spaces and the two corner spaces of each problem, and the
-    two whole spaces of one ``constants`` mesh pair, so a process that
-    proves both problems (or runs both quick proofs, six spaces) and
-    bounds a constant builds each space once; with four, every proof of
-    the pair would evict the other's spaces and rebuild its own.  Every
-    caller shares the cached arrays, so they are only read
+    so that order is fixed here, once per space.  Eight entries hold the
+    two sweep spaces and the two corner spaces of each problem, so a
+    process that proves both problems (or runs both quick proofs, six
+    spaces) builds each space once; with four, every proof of the pair
+    would evict the other's spaces and rebuild its own.  The two
+    whole-part entries of ``tricert constants`` live in a process of
+    their own, as the command line runs one subcommand per process.
+    Every caller shares the cached arrays, so they are only read
     (:meth:`ReferenceMap.mapped` builds new ones).  Mesh, space and
     assembly are built through this module's names, so wrapping them
     here sees every build.
@@ -365,19 +366,22 @@ def single_blas_thread():
             set_(n)
 
 
-@single_blas_thread()
-def certified_solve(tri, ref_cr: ReferenceMap, ref_cg: ReferenceMap):
+def certified_solve(tri, bc: str, cg_n: int, cr_n: int, *parts):
     """The certified lambda_1 and lambda_2 brackets (:class:`EigBracket`)
-    of ``tri`` from the CR space of ``ref_cr`` and the conforming space
-    of ``ref_cg``, with the conforming :class:`RayleighBound` behind the
-    upper end of lambda_1.
+    of ``tri`` from the CR space of the ``cr_n``-fold mesh and the
+    conforming space of the ``cg_n``-fold one, with the conforming
+    :class:`RayleighBound` behind the upper end of lambda_1.
 
-    Both maps are mapped to ``tri``; their parts only steer the solver,
-    and every enclosure and Rayleigh bound is certified on the whole
-    operators.  The proof's point solve and ``tricert constants`` both
-    run this, the latter on whole-part maps of a triangle of any apex.
+    Both spaces are mapped from the cached reference spaces
+    (:func:`_reference_operators`), with the part layout in ``parts`` if
+    one is given.  It is passed on only then, because the cache keys a
+    call by its arguments as written: passing the default halves
+    explicitly would key them apart from every other caller's and build
+    each proof space twice.  The parts only
+    steer the solver; every enclosure and Rayleigh bound is certified on
+    the whole operators.  Callers run it under :func:`single_blas_thread`.
     """
-    ops_cr = ref_cr.mapped(tri)
+    ops_cr = _reference_operators(cr_n, "cr", bc, *parts).mapped(tri)
     enc_cr = solve_lowest(ops_cr, 2)
     enc_cr = [verify_enclosure(enc_cr[0], (enc_cr[1],)), enc_cr[1]]
     # the bracket needs only the CR mesh size; releasing the CR operators
@@ -385,7 +389,8 @@ def certified_solve(tri, ref_cr: ReferenceMap, ref_cg: ReferenceMap):
     h_cr = ops_cr.space.mesh.h
     del ops_cr
 
-    cg = ground_rayleigh(ref_cg.mapped(tri), corrected_lower(enc_cr[0], h_cr))
+    ops_cg = _reference_operators(cg_n, "cg", bc, *parts).mapped(tri)
+    cg = ground_rayleigh(ops_cg, corrected_lower(enc_cr[0], h_cr))
     lam1, lam2 = bracket(enc_cr, cg.rho, h_cr)
     return lam1, lam2, cg
 
@@ -394,20 +399,31 @@ def certified_solve(tri, ref_cr: ReferenceMap, ref_cg: ReferenceMap):
 def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData:
     """Solve both discrete problems at one angle and certify the brackets
     (:func:`certified_solve`), on the mirror-parity halves of the cached
-    reference spaces (:func:`_reference_operators`), with the gram forms
-    of the conforming ground vector.
+    reference spaces, with the gram forms of the conforming ground vector.
     """
     _check_problem(problem)
     bc = _BC[problem]
     tri = triangle_from_angle(theta)
-    ref_cr = _reference_operators(cr_n, "cr", bc)
-    ref_cg = _reference_operators(cg_n, "cg", bc)
-    lam1, lam2, cg = certified_solve(tri, ref_cr, ref_cg)
+    lam1, lam2, cg = certified_solve(tri, bc, cg_n, cr_n)
 
     # the grams are mapped only now, so they stay out of the memory peak
     # of the conforming solve
-    forms = [quad_form_interval(K, cg.vector) for K in ref_cg.grams(tri)] + [cg.mass_form]
-    return PointData(theta, cg_n, cr_n, lam1, lam2, *((f.lo, f.hi) for f in forms))
+    u = cg.vector
+    grams = _reference_operators(cg_n, "cg", bc).grams(tri)
+    xx, xy, yy = (quad_form_interval(K, u) for K in grams)
+    mm = cg.mass_form
+    return PointData(
+        theta, cg_n, cr_n, lam1, lam2,
+        (xx.lo, xx.hi), (xy.lo, xy.hi), (yy.lo, yy.hi), (mm.lo, mm.hi),
+    )
+
+
+@single_blas_thread()
+def edge_mean_lambda1(tri, cg_n: int, cr_n: int) -> EigBracket:
+    """The certified lambda_1 bracket of the edge-mean problem on ``tri``,
+    a triangle of any apex (``tricert constants``): :func:`certified_solve`
+    on the whole spaces as their one part."""
+    return certified_solve(tri, "edge-mean", cg_n, cr_n, ((0, 1),))[0]
 
 
 def _point_worker(task: tuple[int, str, float, int, int]):

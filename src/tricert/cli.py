@@ -33,9 +33,8 @@ from pathlib import Path
 from .bounds import BracketError, bracket as eig_bracket  # noqa: F401
 from .certify import (
     CertifyError,
-    _reference_operators,
-    certified_solve,
     compute_points,
+    edge_mean_lambda1,
     paper_config,
     paper_schedule,
     quick_config,
@@ -271,14 +270,7 @@ def _constants_triangle(args):
 
 def cmd_constants(args) -> int:
     tri = _constants_triangle(args)
-    # the proof's point solve, on the edge-mean spaces with the whole
-    # space as their one part, which serves a triangle of any apex
-    lam1, _, _ = certified_solve(
-        tri,
-        _reference_operators(args.cr_n, "cr", "edge-mean", ((0, 1),)),
-        _reference_operators(args.cg_n, "cg", "edge-mean", ((0, 1),)),
-    )
-
+    lam1 = edge_mean_lambda1(tri, args.cg_n, args.cr_n)
     c_iv = Interval(1.0) / Interval(lam1.lower, lam1.upper).sqrt()
     print(f"triangle: apex ({tri.bx!r}, {tri.by!r}), diameter {tri.diameter!r}")
     print(f"lambda1:  [{lam1.lower!r}, {lam1.upper!r}]")
