@@ -299,8 +299,9 @@ def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceM
         CG 192                    587 -> 299
         CG 288    622 -> 352
 
-    A sweep worker of :func:`compute_points` at jobs > 1 builds both its
-    spaces before its first point.
+    At jobs > 1, :func:`compute_points` builds both spaces of its points
+    here, in the calling process, before it forks its pool, so that no
+    worker builds one.
     """
     if parts is None:
         parts = ((0,), (1,)) if family == "cr" else ((0,),)
@@ -344,6 +345,23 @@ def _openblas_controls() -> tuple:
     return tuple(controls)
 
 
+def _one_blas_thread() -> list:
+    """Set every controlled OpenBLAS to one thread, and return the (set,
+    count) pairs of those that had another count.
+
+    A count that is 1 already is not set: OpenBLAS shuts its thread pool
+    down before a fork, and starts it again at the next count set, in
+    parent and child alike, and the new threads spin for a while before
+    they sleep: 0.13 s of CPU for the two OpenBLAS libraries of NumPy and
+    SciPy, which on two cores took 0.06 to 0.1 s from the next point
+    solve of a forked pool worker.
+    """
+    changed = [(set_, n) for get, set_ in _openblas_controls() if (n := get()) != 1]
+    for set_, _ in changed:
+        set_(1)
+    return changed
+
+
 @contextlib.contextmanager
 def single_blas_thread():
     """Run the body with one thread in every controlled OpenBLAS, then
@@ -355,14 +373,11 @@ def single_blas_thread():
     The counts are process-wide: threads of one process that enter this
     concurrently may restore each other's counts early.
     """
-    controls = _openblas_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
+    changed = _one_blas_thread()
     try:
         yield
     finally:
-        for (_, set_), n in zip(controls, saved):
+        for set_, n in changed:
             set_(n)
 
 
@@ -434,13 +449,45 @@ def _point_worker(task: tuple[int, str, float, int, int]):
         raise CertifyError(f"point solve failed at theta={theta!r}: {exc}") from exc
 
 
+def _build_reference_spaces(task: tuple[int, str, float, int, int]) -> None:
+    """Build the two reference spaces of the point ``task`` in this
+    process, with the part layout every point solve asks for.
+
+    The conforming space comes first: its build has the larger memory
+    transient, which then runs while the cache holds less.  Traced, the
+    edge-mean sweep spaces (CG 96, CR 64) peak at 12.2 MB in this order
+    and at 14.6 MB in the other, 9.3 MB of which stay cached.  An
+    unknown problem or a space that cannot be built is reported by the
+    point itself, solved here, as it is at jobs=1, whichever space
+    failed: :func:`certified_solve` builds the CR space first.
+    """
+    _, problem, _, cg_n, cr_n = task
+    try:
+        _reference_operators(cg_n, "cg", _BC[problem])
+        _reference_operators(cr_n, "cr", _BC[problem])
+    except (KeyError, ValueError):
+        _point_worker(task)
+        raise
+
+
 def compute_points(
     problem: str, thetas, cg_n: int, cr_n: int, jobs: int = 1
 ) -> dict[float, PointData]:
     """Certified point data for every angle, optionally in parallel.
 
-    Results are merged by task index, so the mapping does not depend on
-    completion order or on the worker count.
+    At jobs > 1 the reference spaces of the points are built in this
+    process before the pool starts (:func:`_build_reference_spaces`).
+    Its workers are forked, the start method of the process pool on
+    Linux up to Python 3.13, so each inherits the spaces and builds
+    none; under another start method each worker builds them again in
+    its first point.  This process sets its BLAS to one thread first
+    (:func:`_one_blas_thread`) and keeps it there: the forked workers
+    inherit that count and set none, and setting the caller's count back
+    after the pool would restart OpenBLAS's threads, whose spin took the
+    CPU of whatever ran next (a setup probe of the benchmark, or the
+    corner solve of :func:`run_proof`).  Results are merged by task
+    index, so the mapping does not depend on completion order or on the
+    worker count.
     """
     if min(cg_n, cr_n, jobs) < 1:
         raise ValueError(f"cg_n, cr_n and jobs must be >= 1, got {cg_n}, {cr_n}, {jobs}")
@@ -448,6 +495,8 @@ def compute_points(
     tasks = [(i, problem, t, cg_n, cr_n) for i, t in enumerate(uniq)]
     out: dict[float, PointData] = {}
     if jobs > 1 and len(tasks) > 1:
+        _one_blas_thread()
+        _build_reference_spaces(tasks[0])
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for idx, pd in pool.map(_point_worker, tasks, chunksize=4):
                 out[uniq[idx]] = pd

@@ -467,8 +467,58 @@ class Half:
         return self.A.shape[0]
 
 
+class _StiffnessValues:
+    """The values of Kyy and A on a triangle, by the identities of the
+    module docstring, from reference values ``xx``, ``xy_sym`` and ``yy``
+    on one union pattern."""
+
+    def _kyy(self, bx: float, by: float) -> np.ndarray:
+        """The values of Kyy on the union pattern."""
+        # Kyy of the module docstring entry by entry, evaluated in place to
+        # spare temporaries of the pattern's size; scipy divides a sparse
+        # matrix by a scalar as a product with its reciprocal, so "* (1 /
+        # by)" keeps every stored value equal to the sparse-matrix form
+        kyy = (bx * bx) * self.xx
+        kyy -= np.multiply(self.xy_sym, bx)
+        kyy += self.yy
+        kyy *= 1.0 / by
+        return kyy
+
+    def _stiffness(self, bx: float, by: float) -> np.ndarray:
+        """The values of A = Kxx + Kyy on the union pattern."""
+        stiff = self._kyy(bx, by)
+        stiff += np.multiply(self.xx, by)
+        return stiff
+
+
 @dataclass(frozen=True)
-class ReferenceMap:
+class PartMap(_StiffnessValues):
+    """The map of one part of a space (:meth:`ReferenceMap.with_halves`),
+    holding only what :meth:`ReferenceMap.mapped` reads of it: its M, and
+    Kxx, Kxy + Kxy^T and Kyy as values on the union pattern (``indptr``,
+    ``indices``) of its grams, all in the order ``band``, which takes its
+    k-th unknown from column ``band.perm[k]`` of the parity bases, with
+    the band positions ``slots`` of its A and M patterns that its mapped
+    :class:`Half` carries.  A part's grams are never mapped, so Kxy is
+    not kept.
+    """
+
+    M: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    xx: np.ndarray
+    xy_sym: np.ndarray
+    yy: np.ndarray
+    band: BandOrder
+    slots: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def dim(self) -> int:
+        return self.M.shape[0]
+
+
+@dataclass(frozen=True)
+class ReferenceMap(_StiffnessValues):
     """Operators assembled on T_ref, kept in the form that carries them to
     any triangle entry by entry.
 
@@ -478,10 +528,8 @@ class ReferenceMap:
     has no entry.  The reference A and grams are not kept as matrices:
     the map reads none of them, and the cache of one map per reference
     space would hold them for the life of the process.  ``halves`` holds
-    a (map, basis) pair for each part the map carries.  A part's map is
-    stored in the order ``band``, which takes its k-th unknown from column
-    ``band.perm[k]`` of the parity bases, and holds in ``slots`` the band
-    positions its mapped :class:`Half` carries (:meth:`with_halves`).
+    a (:class:`PartMap`, basis) pair for each part the map carries
+    (:meth:`with_halves`).
     """
 
     space: FemSpace
@@ -492,9 +540,7 @@ class ReferenceMap:
     xy: np.ndarray
     xy_sym: np.ndarray
     yy: np.ndarray
-    halves: tuple[tuple["ReferenceMap", sp.csr_matrix], ...] = ()
-    band: BandOrder | None = None
-    slots: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    halves: tuple[tuple[PartMap, sp.csr_matrix], ...] = ()
 
     @property
     def dim(self) -> int:
@@ -557,9 +603,9 @@ class ReferenceMap:
             halves.append((half._in_order(band), C[:, band.perm]))
         return replace(self, halves=tuple(halves))
 
-    def _in_order(self, band: BandOrder) -> "ReferenceMap":
-        """This map with its unknowns in the order ``band``, and the band
-        slots of its A and M patterns."""
+    def _in_order(self, band: BandOrder) -> PartMap:
+        """The part map of this map with its unknowns in the order
+        ``band``, and the band slots of its A and M patterns."""
         indptr, indices, take = _permuted(self.indptr, self.indices, band.perm)
         indptr.flags.writeable = indices.flags.writeable = False
         m_indptr, m_indices, m_take = _permuted(self.M.indptr, self.M.indices, band.perm)
@@ -568,8 +614,9 @@ class ReferenceMap:
             _band_slots(indptr, indices, band.width),
             _band_slots(m_indptr, m_indices, band.width),
         )
-        values = {name: getattr(self, name)[take] for name in ("xx", "xy", "xy_sym", "yy")}
-        return replace(self, M=M, indptr=indptr, indices=indices, band=band, slots=slots, **values)
+        return PartMap(
+            M, indptr, indices, self.xx[take], self.xy_sym[take], self.yy[take], band, slots
+        )
 
     def band_order(self) -> BandOrder:
         """The band order (:meth:`BandOrder.of`) of the pattern of A and M,
@@ -617,24 +664,6 @@ class ReferenceMap:
         return (
             self._csr(by * self.xx), self._csr(self.xy - bx * self.xx), self._csr(self._kyy(bx, by))
         )
-
-    def _kyy(self, bx: float, by: float) -> np.ndarray:
-        """The values of Kyy on the union pattern."""
-        # Kyy of the module docstring entry by entry, evaluated in place to
-        # spare temporaries of the pattern's size; scipy divides a sparse
-        # matrix by a scalar as a product with its reciprocal, so "* (1 /
-        # by)" keeps every stored value equal to the sparse-matrix form
-        kyy = (bx * bx) * self.xx
-        kyy -= np.multiply(self.xy_sym, bx)
-        kyy += self.yy
-        kyy *= 1.0 / by
-        return kyy
-
-    def _stiffness(self, bx: float, by: float) -> np.ndarray:
-        """The values of A = Kxx + Kyy on the union pattern."""
-        stiff = self._kyy(bx, by)
-        stiff += np.multiply(self.xx, by)
-        return stiff
 
     def _csr(self, vals: np.ndarray) -> sp.csr_matrix:
         """The matrix with ``vals`` on the union pattern, exact zeros dropped

@@ -5,6 +5,8 @@ suite; everything here uses coarse meshes or the quick preset."""
 import csv
 import json
 import math
+import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -390,6 +392,64 @@ class TestPointData:
         parallel = compute_points("cr-constant", thetas, 12, 8, jobs=2)
         assert serial == parallel  # bitwise: same dataclasses, same floats
 
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="pool workers inherit the caller's spaces only when forked",
+    )
+    def test_pool_workers_build_nothing_and_set_no_blas_count(self, monkeypatch, tmp_path):
+        # both reference spaces are built in the calling process before
+        # the pool forks, with one BLAS thread, so every worker inherits
+        # the spaces and that count and sets none: each build and each
+        # count set logs the process it ran in, through wrappers the
+        # workers inherit too
+        log = tmp_path / "log"
+
+        def logged(what, call):
+            def wrapped(*args):
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {what} {args[-1]}\n")
+                return call(*args)
+            return wrapped
+
+        controls = certify._openblas_controls()
+        monkeypatch.setattr(certify, "uniform_subdivide", logged("build", certify.uniform_subdivide))
+        monkeypatch.setattr(
+            certify, "_openblas_controls",
+            lambda: tuple((get, logged("set", set_)) for get, set_ in controls),
+        )
+        certify._reference_operators.cache_clear()
+        before = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        try:
+            compute_points("cr-constant", [0.4, 0.7, 1.0, EQ], 12, 8, jobs=2)
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        finally:
+            for (_, set_), n in zip(controls, before):
+                set_(n)
+        # the counts set to 1 here, which this process keeps, then the
+        # conforming space, then the CR space, both here
+        here = os.getpid()
+        assert log.read_text().splitlines() == (
+            [f"{here} set 1"] * len(controls) + [f"{here} build 12", f"{here} build 8"]
+        )
+        info = certify._reference_operators.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+    def test_unknown_problem_fails_alike_at_every_jobs(self):
+        # the spaces built before the pool starts are keyed by the
+        # problem's boundary condition; an unknown problem still fails as
+        # the first point reports it at jobs=1
+        messages = set()
+        for jobs in (1, 2):
+            with pytest.raises(CertifyError) as e:
+                compute_points("neumann", [0.4, 0.7], 12, 8, jobs=jobs)
+            messages.add(str(e.value))
+        assert messages == {
+            "point solve failed at theta=0.4: problem must be one of "
+            "('dirichlet', 'cr-constant'), got 'neumann'"
+        }
+
 
 class TestBlasThreads:
     def test_thread_counts_restored(self, monkeypatch):
@@ -415,6 +475,39 @@ class TestBlasThreads:
             with pytest.raises(ValueError):
                 compute_point("no-such-problem", 0.8, cg_n=12, cr_n=8)
             assert [get() for get, _ in controls] == callers
+        finally:
+            for (_, set_), n in zip(controls, before):
+                set_(n)
+
+    def test_count_of_one_is_not_set(self, monkeypatch):
+        # after a fork OpenBLAS restarts its thread pool at the next count
+        # set, so a count that is 1 already, as a pool worker inherits it,
+        # is left alone
+        controls = certify._openblas_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control found in this process")
+        sets = []
+
+        def recording(set_):
+            def wrapped(n):
+                sets.append(n)
+                set_(n)
+            return wrapped
+
+        monkeypatch.setattr(
+            certify, "_openblas_controls",
+            lambda: tuple((get, recording(set_)) for get, set_ in controls),
+        )
+        before = [get() for get, _ in controls]
+        try:
+            for _, set_ in controls:
+                set_(1)
+            compute_point("dirichlet", 0.8, cg_n=12, cr_n=8)
+            assert sets == []
+            for _, set_ in controls:
+                set_(2)
+            compute_point("dirichlet", 0.8, cg_n=12, cr_n=8)
+            assert sets == [1] * len(controls) + [2] * len(controls)
         finally:
             for (_, set_), n in zip(controls, before):
                 set_(n)

@@ -142,6 +142,36 @@ def test_sweep_failed_point_solve_is_numerical_abort(capsys):
     assert err.startswith("numerical abort") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cg_n, cr_n", [(8, 1), (1, 8), (1, 1)], ids=["cr", "cg", "both"])
+@pytest.mark.parametrize("command", ["sweep", "prove"])
+def test_failures_do_not_depend_on_jobs(capsys, tmp_path, command, cg_n, cr_n):
+    # a space that cannot be built fails its first point alike at every
+    # job count, whichever space it is: at jobs=2 the spaces are built
+    # before the pool starts, the conforming one first, and the point
+    # solve builds the CR space first
+    runs = []
+    for jobs in (1, 2):
+        if command == "sweep":
+            argv = ["sweep", "--problem", "cr-constant", "--theta", "0.5,0.6"]
+        else:
+            argv = ["prove", "--problem", "cr-constant", "--quick", "--out", str(tmp_path / str(jobs))]
+        code, out, err = run_cli(
+            capsys, *argv, "--cg-n", str(cg_n), "--cr-n", str(cr_n), "--jobs", str(jobs)
+        )
+        runs.append((code, out.replace(str(tmp_path / str(jobs)), "DIR"), err))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 1
+    assert f"{'cr' if cr_n == 1 else 'cg'}/edge-mean needs n >= 2" in err
+    if command == "sweep":
+        assert err.startswith("numerical abort: point solve failed at theta=0.5: ")
+    else:
+        assert err.startswith("failure [abort]: point solve failed at theta=")
+        assert (tmp_path / "1" / "certificate.json").read_bytes() == (
+            tmp_path / "2" / "certificate.json"
+        ).read_bytes()
+
+
 def test_constants_takes_no_jobs_or_out(capsys):
     for flag, value in (("--jobs", "2"), ("--out", "somewhere")):
         with pytest.raises(SystemExit) as e:

@@ -574,11 +574,35 @@ def test_split_solve_finds_the_antisymmetric_mode_in_one_cycle(monkeypatch):
     oracle = np.sort(scipy.sparse.linalg.eigsh(ops.A, k=4, M=ops.M, sigma=0.0, v0=v0)[0])
     assert 128.0 < oracle[2] < 129.0 < 215.0 < oracle[3] < 216.0
     solves = _count_operator_applications(monkeypatch)
-    vecs = eigsolve._split_modes(ops.halves, 3)
+    vecs = eigsolve._split_modes(ops.halves, 3, 3)
     ritz = [float(v @ (ops.A @ v)) / float(v @ (ops.M @ v)) for v in vecs.T]
     assert np.allclose(ritz, oracle[:3], rtol=1e-10)
     assert sorted(set(solves)) == [0, 1]  # one factor per half
     assert all(solves.count(k) <= 25 for k in (0, 1))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+def test_solve_lowest_back_transforms_only_the_certified_modes(monkeypatch, bc):
+    # solve_lowest(ops, 2) computes three modes in each half, the third a
+    # guard, and back-transforms x = U^{-1} y only for the two lowest of
+    # each half, the only ones that can be among the two lowest of the
+    # space; each column is back-transformed and lifted on its own, so the
+    # two taken are the same bits as with every mode back-transformed
+    ops = _reference_operators(32, "cr", bc).mapped(triangle_from_angle(1.0))
+    assert len(ops.halves) == 2 and min(h.dim for h in ops.halves) > eigsolve.DENSE_CUTOFF
+    every = eigsolve._split_modes(ops.halves, 3, 3)
+    columns = []
+    real_back = eigsolve._BandCholesky.back
+
+    def counted(self, ys):
+        columns.append(ys.shape[1])
+        return real_back(self, ys)
+
+    monkeypatch.setattr(eigsolve._BandCholesky, "back", counted)
+    assert np.array_equal(eigsolve._split_modes(ops.halves, 3, 2), every[:, :2])
+    columns.clear()
+    solve_lowest(ops, 2)
+    assert columns == [2, 2]
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
