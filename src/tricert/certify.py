@@ -46,6 +46,7 @@ import ctypes
 import functools
 import json
 import math
+import multiprocessing
 import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
@@ -392,9 +393,11 @@ def certified_solve(tri, bc: str, cg_n: int, cr_n: int, *parts):
     one is given.  It is passed on only then, because the cache keys a
     call by its arguments as written: passing the default halves
     explicitly would key them apart from every other caller's and build
-    each proof space twice.  The parts only
-    steer the solver; every enclosure and Rayleigh bound is certified on
-    the whole operators.  Callers run it under :func:`single_blas_thread`.
+    each proof space twice.  The parts steer the solver, every enclosure
+    and Rayleigh bound is certified on the whole operators, and the CR
+    parts past the first are certified to hold no eigenvalue below
+    lambda_2's lower end (:func:`solve_lowest`).  Callers run it under
+    :func:`single_blas_thread`.
     """
     ops_cr = _reference_operators(cr_n, "cr", bc, *parts).mapped(tri)
     enc_cr = solve_lowest(ops_cr, 2)
@@ -414,17 +417,21 @@ def certified_solve(tri, bc: str, cg_n: int, cr_n: int, *parts):
 def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData:
     """Solve both discrete problems at one angle and certify the brackets
     (:func:`certified_solve`), on the mirror-parity halves of the cached
-    reference spaces, with the gram forms of the conforming ground vector.
+    reference spaces up to pi/3 and on the whole spaces beyond, with the
+    gram forms of the conforming ground vector.
     """
     _check_problem(problem)
     bc = _BC[problem]
     tri = triangle_from_angle(theta)
-    lam1, lam2, cg = certified_solve(tri, bc, cg_n, cr_n)
+    # the symmetric half holds lambda_2 on (0, pi/3], every angle of the
+    # proofs (eigsolve); beyond, as at pi/2, the space is solved whole
+    parts = () if theta <= math.pi / 3 else (((0, 1),),)
+    lam1, lam2, cg = certified_solve(tri, bc, cg_n, cr_n, *parts)
 
     # the grams are mapped only now, so they stay out of the memory peak
     # of the conforming solve
     u = cg.vector
-    grams = _reference_operators(cg_n, "cg", bc).grams(tri)
+    grams = _reference_operators(cg_n, "cg", bc, *parts).grams(tri)
     xx, xy, yy = (quad_form_interval(K, u) for K in grams)
     mm = cg.mass_form
     return PointData(
@@ -470,6 +477,16 @@ def _build_reference_spaces(task: tuple[int, str, float, int, int]) -> None:
         raise
 
 
+def _pool_context():
+    """The fork context where the platform has one, else the default:
+    forked workers inherit the spaces this process built.  Python 3.14
+    makes forkserver the default on Linux, under which each worker would
+    build both spaces again."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
+
+
 def compute_points(
     problem: str, thetas, cg_n: int, cr_n: int, jobs: int = 1
 ) -> dict[float, PointData]:
@@ -477,17 +494,16 @@ def compute_points(
 
     At jobs > 1 the reference spaces of the points are built in this
     process before the pool starts (:func:`_build_reference_spaces`).
-    Its workers are forked, the start method of the process pool on
-    Linux up to Python 3.13, so each inherits the spaces and builds
-    none; under another start method each worker builds them again in
-    its first point.  This process sets its BLAS to one thread first
-    (:func:`_one_blas_thread`) and keeps it there: the forked workers
-    inherit that count and set none, and setting the caller's count back
-    after the pool would restart OpenBLAS's threads, whose spin took the
-    CPU of whatever ran next (a setup probe of the benchmark, or the
-    corner solve of :func:`run_proof`).  Results are merged by task
-    index, so the mapping does not depend on completion order or on the
-    worker count.
+    Its workers are forked (:func:`_pool_context`), so each inherits the
+    spaces and builds none; on a platform that cannot fork, each worker
+    builds them again in its first point.  This process sets its BLAS to
+    one thread first (:func:`_one_blas_thread`) and keeps it there: the
+    forked workers inherit that count and set none, and setting the
+    caller's count back after the pool would restart OpenBLAS's threads,
+    whose spin took the CPU of whatever ran next (a setup probe of the
+    benchmark, or the corner solve of :func:`run_proof`).  Results are
+    merged by task index, so the mapping does not depend on completion
+    order or on the worker count.
     """
     if min(cg_n, cr_n, jobs) < 1:
         raise ValueError(f"cg_n, cr_n and jobs must be >= 1, got {cg_n}, {cr_n}, {jobs}")
@@ -497,7 +513,7 @@ def compute_points(
     if jobs > 1 and len(tasks) > 1:
         _one_blas_thread()
         _build_reference_spaces(tasks[0])
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=_pool_context()) as pool:
             for idx, pd in pool.map(_point_worker, tasks, chunksize=4):
                 out[uniq[idx]] = pd
     else:

@@ -28,13 +28,15 @@ of A - sigma M on the conforming side.
 Every solve runs in parts (:attr:`fem.DiscreteOperators.halves`), which
 fem.ReferenceMap.with_halves builds: a mirror-parity half of T(theta),
 or the whole space spanned by both parity bases, which serves a triangle
-with no mirror (``tricert constants``).  The nonconforming side solves in
-parts that span the space, the proof in both halves; the conforming side
-in the first part alone, the proof in the symmetric half.  Operators
-that carry no parts, such as those assembled directly, are refused.  The
-computed vectors are lifted to the whole space and certified there,
-exactly as a whole-space vector would be, so the parts steer the solver
-as sigma does and never enter a bound.  Every part is factorised by
+with no mirror (``tricert constants``).  Both sides solve in the first
+part alone, the proof in the symmetric half; the nonconforming side
+takes parts that span the space, and certifies every further part, the
+antisymmetric half, by one factorisation, without solving it (below).
+Operators that carry no parts, such as those assembled directly, are
+refused.  The computed vectors are lifted to the whole space and
+certified there, exactly as a whole-space vector would be, so the parts
+steer the solver as sigma does and enter no bound but that of the
+further parts.  Every part is factorised by
 LAPACK's banded Cholesky in its band order (:class:`fem.BandOrder`),
 which with_halves fixes once per reference space, however wide, and
 stores the part in, so that no solve permutes a vector or a matrix: on
@@ -98,29 +100,68 @@ uniform mesh of T(theta) is acute (angles theta and (pi - theta)/2), so
 the P1 Dirichlet stiffness is an M-matrix and, by Perron-Frobenius, the
 ground mode positive; on edge-mean spaces it was measured symmetric.
 
-On the nonconforming side (:func:`solve_lowest`), which INDEX each
-enclosed eigenvalue has is the one trusted, uncertified step: enclosures
-are labeled by the solver's ordering, and the Kato-Temple gap refinement
-in :func:`verify_enclosure` is exact modulo that labeling.  Every
-Lanczos run starts from y0 = ones, in the coordinates of its standard
-form, which are its part's band-ordered coordinates transformed by U:
-the pencil's start is x0 = U^{-1} ones.  Ones in a space's reduced
+On the nonconforming side (:func:`solve_lowest`) the one trusted,
+uncertified step is the order of the modes within the first part, the
+symmetric half of a proof space: enclosures are labeled by the solver's
+ordering there, and the Kato-Temple gap refinement in
+:func:`verify_enclosure` is exact modulo that labeling.  Every Lanczos
+run starts from y0 = ones, in the coordinates of its standard form,
+which are its part's band-ordered coordinates transformed by U: the
+pencil's start is x0 = U^{-1} ones.  Ones in a space's reduced
 coordinates would be mirror-symmetric on T(theta), so in exact
 arithmetic its Krylov space would hold no antisymmetric mode: one would
 enter only through rounding, after ARPACK restarts (on CR 64 Dirichlet
 at theta = 1.0 the first cycle's third mode is lambda_4, the second
-cycle's the antisymmetric lambda_3).  Each half holds one parity and
-runs from its own y0 = ones, so each half's modes are reached without
-rounding, and the ordering is that of the union of the two halves'
-spectra, which is the whole spectrum.  In the whole part's coordinates
-ones has a component in each parity basis, and on T(theta), where A -
-sigma M couples none of one basis to the other, so has U^{-1} ones: there
-too the Krylov space holds the modes of both halves from the start.
+cycle's the antisymmetric lambda_3).  The symmetric half runs from its
+own y0 = ones, so its modes are reached without rounding.  In the whole
+part's coordinates ones has a component in each parity basis, and on
+T(theta), where A - sigma M couples none of one basis to the other, so
+has U^{-1} ones: there the Krylov space holds the modes of both halves
+from the start.
+
+The other parts are certified by inertia, not solved.  With C = [C_1
+... C_p] the parts' bases side by side, which span the space, the pencil
+(A, M) has as many eigenvalues below a floor l as C^T (A - l M) C has
+negative eigenvalues (Sylvester's law of inertia).  The diagonal blocks
+of that matrix are H_i = C_i^T (A - l M) C_i; the rest, F, couples the
+parts, and vanishes in exact arithmetic on T(theta), whose mirror maps
+A and M to themselves, so that it holds only rounding and the excess
+bx^2 + by^2 - 1 of the float apex.  By Weyl's inequality no eigenvalue
+of C^T (A - l M) C lies more than ||F||_2 below the matching one of the
+block diagonal.  So if H_i - ||F||_2 I is positive definite for every
+part i > 1, the pencil has no more eigenvalues below l than H_1 -
+||F||_2 I has negative ones, and by the first part's order, the trusted
+step, that is count - 1: the first part has count - 1 eigenvalues below
+the count-th enclosure, and keeps them with its matrix lowered by the
+rounding-sized ||F||_2 I, which an exact pencil would make zero.  Then
+lambda_count >= l.  Each H_i - ||F||_2 I is certified positive definite
+by LAPACK's banded Cholesky
+factorisation of the part's packed A - l M less tau I, for an a-priori
+tau (Rump, "Verification of positive definiteness", BIT 46, 2006): if
+the factorisation runs to completion the packed matrix exceeds -tau_c I
+for the factorisation's rounding tau_c (Demmel, LAPACK Working Note 14),
+and tau also covers the part's packing and mapping rounding, the entries
+its build dropped, and ||F||_2 (:func:`_floor_shift`,
+:class:`fem.Half`).  The floor l is the count-th enclosure's lower end,
+or, where the part's lowest eigenvalue lies too close above it for the
+test, 2 tau / m below it, m the mass density of the first part's mode
+(:func:`_floor`), and the enclosure's lower end becomes l, so
+:func:`verify_enclosure` and the brackets read the certified floor.
+The proofs ask for count = 2, and lambda_2 lies in the symmetric half
+at every angle of (0, pi/3] measured: at CR 64 over all 370 + 420
+reference angles of the benchmark, on a 60-angle grid over (0, pi/3),
+and on the quick and corner meshes, the antisymmetric half's lowest
+eigenvalue never falls below the symmetric half's second, and ties it,
+within 1.4e-13 relative, only at fl(pi/3), where lambda_2 = lambda_3 is
+double.  The test passes at the enclosure's lower end at every such
+angle but fl(pi/3); there the floor drops below it by 0 (Dirichlet CR
+32, 64, 128) and 2.7e-8, 4.6e-7 and 9.1e-6 of lambda_2 (edge-mean CR
+32, 64, 128), all under 1e-5.  Above pi/3 lambda_2 can be antisymmetric,
+as at pi/2, where the test fails with an EigensolveError.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,12 +170,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import DiscreteOperators, Half
-from .rounding import Interval, dn, up
-
-_EPS = float(np.finfo(np.float64).eps)
+from .rounding import EPS as _EPS, Interval, dn, gamma, up
 
 # Largest part sent to dense LAPACK: the crossover measured on the
-# proof's halves, run as the proof runs them (CR: both halves, three modes
+# proof's halves, run as the proof ran them before it certified the CR
+# antisymmetric half unsolved (CR: both halves, three modes
 # with HALF_NCV vectors; CG: the symmetric half, one mode shifted to 0.99
 # lambda_1, GROUND_NCV vectors; each banded, as the proof bands it).  CPU
 # ms on one BLAS thread of a 2-vCPU VM, theta = 0.9, median of 25, dense /
@@ -145,7 +185,7 @@ _EPS = float(np.finfo(np.float64).eps)
 #   CG edge-mean   54: 0.2 / 0.3   62: 0.3 / 0.3   70: 0.3 / 0.3   88: 0.4 / 0.3
 # The CG crossover lies near 65 unknowns, the CR one near 100; under
 # generalised shift-invert they lay near 120 and 180, and the cutoff was
-# 150.  The cutoff between them sends every quick-preset half to Lanczos
+# 150.  The cutoff between them sends every solved quick-preset half to Lanczos
 # (the smallest, CG 32 Dirichlet's, has 240 unknowns), and every whole
 # part of ``tricert constants`` at its default meshes (thousands of
 # unknowns).
@@ -164,19 +204,19 @@ DENSE_CUTOFF = 90
 # 8 at theta = 0.1 and 9 to 33 at the four breakpoints below it.
 GROUND_NCV = 3
 
-# Lanczos vectors for each half's run in _split_modes.  Operator
-# applications per half run (symmetric/antisymmetric) on CR 32, 64 and
-# 128, both constraints, at theta in {0.3, 0.5, 0.8, 1.0, fl(pi/3)}: at
-# ARPACK's default of 20, 21 each, but 36 for the Dirichlet antisymmetric
-# half at every such angle and size (a second restart cycle); at 23, 24
-# for every half.  The thin angles 0.05 and 0.1, which hold the first
-# step-2 breakpoints of both paper schedules, restart either way: at
-# least one half of each such split takes 37 to 69 at 20 and 42 to 63 at
-# 23.  Summed over every eighth breakpoint and every 25th J node of both
-# paper schedules at CR 64, 23 takes 1,603 applications against 1,851
-# (Dirichlet) and 2,198 against 1,938 (edge-mean), in 0.73 and 0.89 s of
-# CPU against 0.80 and 0.79 s (median of 7): a tie, as it was under
-# generalised shift-invert.
+# Lanczos vectors for the first part's run in solve_lowest, the symmetric
+# half of a CR proof space.  Operator applications of that run on CR 32,
+# 64 and 128, both constraints, at theta in {0.3, 0.5, 0.8, 1.0,
+# fl(pi/3)}: 21 at ARPACK's default of 20, 24 at 23.  The thin Dirichlet
+# angles restart: at theta = 0.05 38 to 53 at 20 and 43 at 23, at 0.1 37
+# at 20 and 24 to 42 at 23; edge-mean takes 21 and 24 there too.  Summed
+# over every eighth breakpoint and every 25th J node of both paper
+# schedules at CR 64, 20 takes 684 applications against 782 (Dirichlet)
+# and 945 against 1,080 (edge-mean), in 0.195 and 0.297 s of CPU against
+# 0.224 and 0.331 s (one BLAS thread, mean of 3).  23 was chosen when
+# both halves were solved, for the Dirichlet antisymmetric half, which
+# took a second restart cycle at 20 (36 applications); it stays, as 20
+# would move every lambda_1 enclosure in its last digits.
 HALF_NCV = 23
 
 # ARPACK's relative stopping tolerance for every Lanczos run.  The
@@ -222,10 +262,9 @@ class EigenEnclosure:
 
 
 def _gamma(k: int) -> float:
-    ke = k * _EPS
-    if ke >= 0.5:
+    if k * _EPS >= 0.5:
         raise EigensolveError("dimension too large for running-error bounds")
-    return ke / (1.0 - ke)
+    return gamma(k)
 
 
 def _max_row_nnz(K: sp.csr_matrix) -> int:
@@ -452,43 +491,92 @@ def _lowest_modes(
     return vals, vecs
 
 
-def _split_modes(halves: Sequence[Half], k: int, count: int) -> np.ndarray:
-    """The ``count`` lowest of the ``k`` lowest modes of the union of the
-    parts' spectra, as columns in the space's reduced coordinates, in
-    ascending order of their computed eigenvalues.
+def _floor(ops: DiscreteOperators, lower: float, density: float) -> float:
+    """A floor, ``lower`` or just below it, that every part of ``ops``
+    but the first is certified to exceed: A - floor M is positive
+    definite on each, beyond the coupling between the parts (module
+    docstring).
 
-    Each part's backend run (:func:`_lowest_modes`) computes ``k``
-    modes, so where the parts span the space the union holds the ``k``
-    lowest of the whole pencil, which is their direct sum.  A part's
-    j-th mode has j modes of the union below it, so only its ``count``
-    lowest can be taken, and only those are back-transformed and
-    lifted, before the next part runs: choosing across the parts first
-    would keep every part's factor alive until the last part had run,
-    which took 2,500 to 3,100 fresh page faults per CR 128 corner
-    solve, and 5 to 15 % of its time.  Nothing returned is certified.
+    A part is tested by a banded Cholesky factorisation of its packed A
+    - floor M less tau I, tau a priori (:func:`_floor_shift`), first at
+    ``lower`` itself, which passes wherever the part's lowest eigenvalue
+    lies well above it, as at every angle of the proofs below fl(pi/3).
+    Where that fails, as at fl(pi/3), where lambda_2 = lambda_3 is double
+    across the halves, the floor drops 2 tau / ``density`` below
+    ``lower``, ``density`` being the mass per unit 2-norm x^T M x / x^T x
+    of the first part's mode that ``lower`` encloses: were a part's
+    lowest eigenvalue at ``lower``, with that mass density, A - floor M
+    would exceed the shift tau by tau again, the most the
+    factorisation's own rounding can take.  A part that fails there too
+    raises an EigensolveError naming it.
     """
-    vals, lifted = [], []
-    for half in halves:
-        lam, vecs = _lowest_modes(half, k, ncv=HALF_NCV, vectors=count)
-        vals.append(lam[:count])
-        lifted.append(half.C @ vecs)
-    order = np.argsort(np.concatenate(vals), kind="stable")[:count]
-    return np.hstack(lifted)[:, order]
+    if not (np.isfinite(density) and density > 0.0 and lower > 0.0):
+        raise EigensolveError(f"no floor below {lower!r} at mass density {density!r}")
+    # every bound below holds for any floor in [0, lower]
+    coupling = max(up(h.coupling[0] + lower * h.coupling[1]) for h in ops.halves)
+    further = [(half, _floor_shift(half, lower, coupling)) for half in ops.halves[1:]]
+    below = dn(lower - up(2.0 * max(tau for _, tau in further) / density, 2), 2)
+    for floor in (lower, max(below, 0.0)):
+        failed = [i for i, (half, tau) in enumerate(further, 1) if not _definite(half, floor, tau)]
+        if not failed:
+            return floor
+    raise EigensolveError(
+        f"part {failed[0]} is not certified above the floor {floor!r} below {lower!r}: "
+        "its banded Cholesky factorisation failed (the part may hold an eigenvalue below "
+        "the floor)"
+    )
+
+
+def _definite(half: Half, floor: float, tau: float) -> bool:
+    """Whether LAPACK's banded Cholesky factorises the packed A - floor M
+    of ``half`` less ``tau`` I."""
+    ab = _band_pack(half, floor)
+    ab[half.width] -= tau
+    return scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)[1] == 0
+
+
+def _floor_shift(half: Half, bound: float, coupling: float) -> float:
+    """The shift tau of :func:`_floor` for ``half`` at any floor of
+    magnitude at most ``bound`` (and not negative), given a bound
+    ``coupling`` on the 2-norm of the coupling between the parts.
+
+    tau covers, in 2-norm: the banded Cholesky factorisation's rounding,
+    gamma_{w+2} / (1 - gamma_{w+2}) (2w + 1) max_i b_ii for a band of
+    width w and the diagonal b of the factorised matrix (Demmel, LAPACK
+    Working Note 14, 1989; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Theorem 10.5: each entry of U^T U is an inner
+    product of at most w + 1 terms); the part's residue
+    (:class:`fem.Half`), which holds its packing, its mapping and what
+    the build dropped; the coupling; and the rounding of subtracting tau
+    from the diagonal.  The diagonal of A - floor M is at most that of
+    A, as the floor is not negative.
+    """
+    w = half.width
+    diag = up(float(half.A.diagonal().max()) * (1.0 + 2.0 * _EPS))
+    g = _gamma(w + 2)
+    cholesky = up(g / (1.0 - g) * (2 * w + 1) * diag, 4)
+    residue = up(half.residue[0] + bound * half.residue[1])
+    return up((cholesky + residue + coupling + _EPS * diag) / (1.0 - _EPS), 4)
 
 
 def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]:
     """Certified enclosures for the ``count`` lowest modes.
 
-    ``count`` + 1 modes are computed in each part ``ops`` carries, the
-    last one a guard for the ordering, where the part has that many, and
-    the ``count`` lowest of them (:func:`_split_modes`) are certified on
-    ``ops``, as any other vector would be; the backend is chosen as in
+    ``count`` + 1 modes are computed in the first part ``ops`` carries
+    (the symmetric half of a CR proof space, or the whole space), the
+    last one a guard for the ordering, with HALF_NCV Lanczos vectors, and
+    its ``count`` lowest are lifted and certified on ``ops``, as any
+    other vector would be; the backend is chosen as in
     :func:`_lowest_modes`, and certification is identical either way.
-    The parts must span the space: operators with no parts, or with
-    parts whose dimensions do not sum to the space's, raise ValueError.
+    Every further part is solved by no eigensolver: :func:`_floor`
+    certifies it above a floor just below the count-th enclosure, whose
+    lower end becomes that floor (module docstring).  The parts must span
+    the space: operators with no parts, or with parts whose dimensions
+    do not sum to the space's, raise ValueError, and so does a first
+    part with fewer than ``count`` modes.
 
-    Raises EigensolveError on solver non-convergence; never silently
-    substitutes approximate results.
+    Raises EigensolveError on solver non-convergence or a further part
+    that fails its test; never silently substitutes approximate results.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -497,11 +585,20 @@ def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]
         raise ValueError(f"requested {count} modes from a {n}-dimensional space")
     if sum(half.dim for half in ops.halves) != n:
         raise ValueError(f"the operators' parts do not span their {n}-dimensional space")
-    vecs = _split_modes(ops.halves, count + 1, count)
+    first = ops.halves[0]
+    if count > first.dim:
+        raise ValueError(f"requested {count} modes from a {first.dim}-dimensional first part")
+    _, vecs = _lowest_modes(first, count + 1, ncv=HALF_NCV, vectors=count)
     magnitudes = _magnitudes(ops)
-    return [
-        _certify(ops, _normalize(ops.M, vecs[:, i]), i + 1, magnitudes) for i in range(count)
+    encs = [
+        _certify(ops, _normalize(ops.M, first.C @ vecs[:, i]), i + 1, magnitudes)
+        for i in range(count)
     ]
+    if len(ops.halves) > 1:
+        v = vecs[:, count - 1]
+        floor = _floor(ops, encs[-1].lower, float(v @ (first.M @ v)) / float(v @ v))
+        encs[-1] = replace(encs[-1], lower=floor)
+    return encs
 
 
 def ground_rayleigh(ops: DiscreteOperators, below: float) -> RayleighBound:

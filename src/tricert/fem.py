@@ -64,9 +64,16 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .geometry import TriangleShape
 from .mesh import Mesh
-from .rounding import dn
+from .rounding import EPS, dn, gamma, up
 
 _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
+
+# Relative rounding, against the magnitudes of their terms, of a part's
+# entries between its reference grams and the band :mod:`eigsolve` packs
+# A - sigma M of it in: two maps to a triangle, the whole space's and the
+# part's, of at most 7 roundings an entry (:class:`_StiffnessValues`), the
+# sum Kxy + Kxy^T (1) and the packing (2), with room
+_MAP_GAMMA = gamma(24)
 
 FAMILIES = ("cg", "cr")
 BCS = ("dirichlet", "edge-mean")
@@ -454,6 +461,15 @@ class Half:
     for its banded Cholesky factor.  Both are fixed on the reference
     patterns A and M are stored on: A keeps an entry that vanishes at
     this apex as an explicit zero, which changes no product.
+
+    ``residue`` and ``coupling`` are (stiffness, mass) pairs (a, m) of
+    certified bounds, each read as a + |sigma| m at a shift sigma, on the
+    2-norms of what the stored part lacks of the whole operators: C^T (A
+    - sigma M) C of the space's A and M less the packed A - sigma M of
+    the part (the rounding of the congruence, of both maps and of the
+    packing, and the entries :func:`_congruent` dropped), and the part's
+    row block of C_all^T (A - sigma M) C_all off the diagonal blocks of
+    the parts, zero where the map has one part (:meth:`PartMap.bounds`).
     """
 
     A: sp.csr_matrix
@@ -461,6 +477,8 @@ class Half:
     C: sp.csr_matrix
     width: int
     slots: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    residue: tuple[float, float]
+    coupling: tuple[float, float]
 
     @property
     def dim(self) -> int:
@@ -501,6 +519,18 @@ class PartMap(_StiffnessValues):
     the band positions ``slots`` of its A and M patterns that its mapped
     :class:`Half` carries.  A part's grams are never mapped, so Kxy is
     not kept.
+
+    ``residue`` and ``coupling`` hold certified bounds on the reference
+    grams behind the :class:`Half` bounds of the same names, which
+    :meth:`bounds` maps to a triangle.  residue[g] bounds the 2-norm of
+    C^T K C less the stored part gram, plus :data:`_MAP_GAMMA` times the
+    magnitudes |C^T| |K| |C| of its terms, for K in (Kxx, Kxy + Kxy^T,
+    Kyy, M).  coupling[g] bounds the infinity norm of the part's row
+    block of C^T K C_rest over every other part, the mapping's rounding
+    included, for K in (Kxx, Kxy + Kxy^T, Kxx + Kyy, M): the mirror of
+    T(theta) swaps Kxx and Kyy on T_ref and keeps Kxx + Kyy (the
+    stiffness of T_ref), Kxy + Kxy^T and M, so only rounding and the
+    excess bx^2 + by^2 - 1 of the float apex couple the halves.
     """
 
     M: sp.csr_matrix
@@ -511,10 +541,32 @@ class PartMap(_StiffnessValues):
     yy: np.ndarray
     band: BandOrder
     slots: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    residue: tuple[float, float, float, float]
+    coupling: tuple[float, float, float, float]
 
     @property
     def dim(self) -> int:
         return self.M.shape[0]
+
+    def bounds(self, bx: float, by: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The (residue, coupling) of the :class:`Half` this part maps to
+        on the triangle of apex (``bx``, ``by``), where the stiffness maps
+        as ((bx^2 + by^2) Kxx - bx (Kxy + Kxy^T) + Kyy) / by and the mass
+        as by M.  In the coupling (bx^2 + by^2) Kxx + Kyy is (Kxx + Kyy) +
+        kappa Kxx, with |kappa| = |bx^2 + by^2 - 1| bounded here over the
+        rounding of its float value."""
+        kappa = up(abs(bx * bx + by * by - 1.0) + 4.0 * EPS)
+        return (
+            _on_triangle(self.residue, 1.0 + kappa, bx, by),
+            _on_triangle(self.coupling, kappa, bx, by),
+        )
+
+
+def _on_triangle(v, first: float, bx: float, by: float) -> tuple[float, float]:
+    """The (stiffness, mass) bounds (``first`` v[0] + |bx| v[1] + v[2]) /
+    by and by v[3], rounded up over their few operations."""
+    grow = 1.0 + 16.0 * EPS
+    return up((first * v[0] + abs(bx) * v[1] + v[2]) / by * grow), up(by * v[3] * grow)
 
 
 @dataclass(frozen=True)
@@ -596,16 +648,58 @@ class ReferenceMap(_StiffnessValues):
         """
         bases = parity_bases(self.space)
         grams = [self.M, *(self._csr(v) for v in (self.xx, self.xy, self.yy))]
+        Cs = [sp.hstack([bases[p] for p in part], format="csr") for part in parts]
         halves = []
-        for C in (sp.hstack([bases[p] for p in part], format="csr") for part in parts):
-            half = ReferenceMap._of_grams(self.space, *_congruent(grams, C))
+        for C, coupling in zip(Cs, self._couplings(Cs)):
+            kept, (m, xx, xy, yy) = _congruent(grams, C)
+            half = ReferenceMap._of_grams(self.space, *kept)
             band = half.band_order()
-            halves.append((half._in_order(band), C[:, band.perm]))
+            # Kxy + Kxy^T lacks what Kxy lacks and what its transpose does
+            residue = tuple(
+                up(r + _MAP_GAMMA * g) for r, g in (xx, (2 * xy[0], 2 * xy[1]), yy, m)
+            )
+            halves.append((half._in_order(band, residue, coupling), C[:, band.perm]))
         return replace(self, halves=tuple(halves))
 
-    def _in_order(self, band: BandOrder) -> PartMap:
+    def _couplings(self, Cs: list[sp.csr_matrix]) -> list[tuple[float, float, float, float]]:
+        """The :attr:`PartMap.coupling` of each part spanned by ``Cs``.
+
+        Each pair of parts (p, q) forms P = C_p^T K C_q and the magnitudes
+        B = |C_p^T| |K| |C_q| of its terms once: the row sums of |P| +
+        (gamma_k + _MAP_GAMMA) B count for part p and its column sums for
+        part q, with gamma_k the rounding of the products and _MAP_GAMMA
+        that of the whole space's map.  Kxx alone enters at kappa =
+        |bx^2 + by^2 - 1|, far below its own rounding, so it carries only
+        the products'.
+        """
+        if len(Cs) < 2:
+            return [(0.0, 0.0, 0.0, 0.0)] * len(Cs)
+        X, XYs, Z = (self._csr(v) for v in (self.xx, self.xy_sym, self.yy))
+        # Kxx + Kyy is summed once in floating point; the magnitudes |Kxx| +
+        # |Kyy| of its terms cover that rounding too
+        terms = [
+            (X, abs(X), 0.0),
+            (XYs, abs(XYs), _MAP_GAMMA),
+            (self._csr(self.xx + self.yy), abs(X) + abs(Z), _MAP_GAMMA),
+            (self.M, abs(self.M), _MAP_GAMMA),
+        ]
+        sums = [np.zeros((len(terms), C.shape[1])) for C in Cs]
+        for p in range(len(Cs)):
+            Ct = Cs[p].T.tocsr()
+            for q in range(p + 1, len(Cs)):
+                C = Cs[q]
+                k = _max_col_nnz(Cs[p]) + _max_col_nnz(C) + 1
+                for g, (K, abs_K, rounding) in enumerate(terms):
+                    entry = abs(Ct @ K @ C) + (gamma(k) + rounding) * (abs(Ct) @ abs_K @ abs(C))
+                    sums[p][g] += np.asarray(entry.sum(axis=1)).ravel()
+                    sums[q][g] += np.asarray(entry.sum(axis=0)).ravel()
+        grow = 1.0 + gamma(self.dim + 2)
+        return [tuple(up(float(row.max(initial=0.0)) * grow) for row in rows) for rows in sums]
+
+    def _in_order(self, band: BandOrder, residue, coupling) -> PartMap:
         """The part map of this map with its unknowns in the order
-        ``band``, and the band slots of its A and M patterns."""
+        ``band``, the band slots of its A and M patterns, and the given
+        bounds (:class:`PartMap`)."""
         indptr, indices, take = _permuted(self.indptr, self.indices, band.perm)
         indptr.flags.writeable = indices.flags.writeable = False
         m_indptr, m_indices, m_take = _permuted(self.M.indptr, self.M.indices, band.perm)
@@ -615,7 +709,8 @@ class ReferenceMap(_StiffnessValues):
             _band_slots(m_indptr, m_indices, band.width),
         )
         return PartMap(
-            M, indptr, indices, self.xx[take], self.xy_sym[take], self.yy[take], band, slots
+            M, indptr, indices, self.xx[take], self.xy_sym[take], self.yy[take], band, slots,
+            residue, coupling,
         )
 
     def band_order(self) -> BandOrder:
@@ -651,7 +746,7 @@ class ReferenceMap(_StiffnessValues):
             halves=tuple(
                 Half(
                     sp.csr_matrix((ref._stiffness(bx, by), ref.indices, ref.indptr), ref.M.shape),
-                    by * ref.M, C, ref.band.width, ref.slots,
+                    by * ref.M, C, ref.band.width, ref.slots, *ref.bounds(bx, by),
                 )
                 for ref, C in self.halves
             ),
@@ -681,9 +776,12 @@ def _kept(K: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((K.data[keep], K.indices[keep], kept[K.indptr]), shape=K.shape)
 
 
-def _congruent(grams: list[sp.csr_matrix], C: sp.csr_matrix) -> list[sp.csr_matrix]:
+def _congruent(
+    grams: list[sp.csr_matrix], C: sp.csr_matrix
+) -> tuple[list[sp.csr_matrix], list[tuple[float, float]]]:
     """C^T K C in canonical CSR form, less its cancellation residue, for
-    each K of ``grams``.
+    each K of ``grams``, with a pair (residue, magnitude) of bounds for
+    each.
 
     Where the columns of C combine entries of K that are equal in exact
     arithmetic but were rounded apart in assembly, an entry that vanishes
@@ -692,20 +790,42 @@ def _congruent(grams: list[sp.csr_matrix], C: sp.csr_matrix) -> list[sp.csr_matr
     60 eps on CG 192, while every other entry is at least 2 % of that sum.
     Entries below sqrt(eps) of it are dropped, so that a half's pattern is
     that of its exact pencil.
+
+    magnitude is ||B||_inf + ||B||_1 of the magnitudes B = |C^T| |K| |C|
+    of the terms, and residue the same norms of |dropped| + gamma_k B,
+    which majorises the exact C^T K C less the stored matrix entry by
+    entry, each entry being rounded over two sparse products of at most
+    k / 2 terms each.  The sum of the two norms bounds the 2-norm of the
+    symmetric matrix :mod:`eigsolve` packs from the upper triangle.
     """
     Ct = C.T.tocsr()
     abs_Ct, abs_C = abs(Ct), abs(C)
-    congruent = []
+    k = 2 * _max_col_nnz(C) + 2
+    congruent, bounds = [], []
     for K in grams:
         H = Ct @ K @ C
         H.sort_indices()
         # the sum of the magnitudes of the terms of each entry of H: the
         # pattern of this product holds that of H
-        bound = abs_Ct @ abs(K) @ abs_C
-        bound.sort_indices()
-        bound = bound.multiply(sp.csr_matrix((np.ones(H.nnz), H.indices, H.indptr), H.shape))
-        congruent.append(_kept(H, np.abs(H.data) > _SQRT_EPS * bound.data))
-    return congruent
+        terms = abs_Ct @ abs(K) @ abs_C
+        terms.sort_indices()
+        bound = terms.multiply(sp.csr_matrix((np.ones(H.nnz), H.indices, H.indptr), H.shape))
+        keep = np.abs(H.data) > _SQRT_EPS * bound.data
+        congruent.append(_kept(H, keep))
+        magnitude = _norm_sum(terms)
+        bounds.append((up(_norm_sum(_kept(H, ~keep)) + gamma(k) * magnitude), magnitude))
+    return congruent, bounds
+
+
+def _max_col_nnz(C: sp.csr_matrix) -> int:
+    return int(np.bincount(C.indices, minlength=C.shape[1]).max(initial=0))
+
+
+def _norm_sum(K: sp.csr_matrix) -> float:
+    """||K||_inf + ||K||_1, rounded up over the sums of its entries."""
+    a = abs(K)
+    sums = sum(float(np.asarray(a.sum(axis=ax)).max(initial=0.0)) for ax in (0, 1))
+    return up(sums * (1.0 + gamma(max(K.shape) + 2)))
 
 
 def assemble(space: FemSpace) -> DiscreteOperators:

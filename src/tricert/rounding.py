@@ -18,6 +18,9 @@ import math
 
 _INF = math.inf
 
+# machine epsilon, twice the unit roundoff: every gamma below is conservative
+EPS = 2.0**-52
+
 
 def up(x: float, steps: int = 1) -> float:
     for _ in range(steps):
@@ -29,6 +32,13 @@ def dn(x: float, steps: int = 1) -> float:
     for _ in range(steps):
         x = math.nextafter(x, -_INF)
     return x
+
+
+def gamma(k: int) -> float:
+    """gamma_k = k EPS / (1 - k EPS), which bounds the relative error of
+    k rounded operations; k EPS must stay below 1/2."""
+    ke = k * EPS
+    return ke / (1.0 - ke)
 
 
 class Interval:

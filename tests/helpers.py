@@ -16,6 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import tricert
+from tricert import eigsolve
 from tricert.certify import _reference_operators
 from tricert.eigsolve import ground_rayleigh, solve_lowest
 from tricert.fem import ReferenceMap, assemble, build_space
@@ -255,6 +256,26 @@ def superlu_eigenvalues(ops, k: int) -> np.ndarray:
         ops.A, k=k, M=ops.M, sigma=0.0, OPinv=opinv, v0=v0, return_eigenvectors=False
     )
     return np.sort(vals)
+
+
+def two_half_solve(ops, count: int = 2):
+    """The CR solve as it ran with both mirror halves solved: ``count`` + 1
+    modes computed in each half of ``ops``, the ``count`` lowest of their
+    union, ordered by computed eigenvalue, certified on the whole
+    operators.  An oracle for the one-run solve, whose lambda_1 must
+    match it bit for bit."""
+    vals, lifted = [], []
+    for half in ops.halves:
+        lam, vecs = eigsolve._lowest_modes(half, count + 1, ncv=eigsolve.HALF_NCV, vectors=count)
+        vals.append(lam[:count])
+        lifted.append(half.C @ vecs)
+    order = np.argsort(np.concatenate(vals), kind="stable")[:count]
+    vecs = np.hstack(lifted)[:, order]
+    magnitudes = eigsolve._magnitudes(ops)
+    return [
+        eigsolve._certify(ops, eigsolve._normalize(ops.M, vecs[:, i]), i + 1, magnitudes)
+        for i in range(count)
+    ]
 
 
 @lru_cache(maxsize=128)

@@ -3,8 +3,9 @@
 Main honesty property: every enclosure must contain the corresponding
 eigenvalue of the dense generalized solve (the oracle), whatever mesh,
 family or constraint produced the matrices.  Then determinism, the
-dense/sparse agreement, the solves split into mirror-parity halves, and
-the gap refinement.  Every solve runs in the parts the operators carry:
+dense/sparse agreement, the solves split into mirror-parity halves, the
+floor that certifies a CR antisymmetric half unsolved, and the gap
+refinement.  Every solve runs in the parts the operators carry:
 helpers.operators maps each space with the whole space as its one part.
 """
 
@@ -18,7 +19,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EQ, assemble_on_angle, operators, superlu_eigenvalues
+from helpers import EQ, assemble_on_angle, operators, superlu_eigenvalues, two_half_solve
 from tricert.certify import _reference_operators, compute_point
 from tricert import eigsolve
 from tricert.bounds import corrected_lower
@@ -360,6 +361,20 @@ def _count_operator_applications(monkeypatch) -> list:
     return applied
 
 
+def _count_factorisations(monkeypatch) -> list:
+    """Record the order of every banded Cholesky factorisation made from
+    now on."""
+    orders = []
+    real = eigsolve.scipy.linalg.lapack.dpbtrf
+
+    def counted(ab, *args, **kwargs):
+        orders.append(ab.shape[1])
+        return real(ab, *args, **kwargs)
+
+    monkeypatch.setattr(eigsolve.scipy.linalg.lapack, "dpbtrf", counted)
+    return orders
+
+
 @pytest.mark.parametrize("problem", ["dirichlet", "cr-constant"])
 def test_every_lanczos_run_is_in_standard_form(monkeypatch, problem):
     # every Lanczos run of a point solve is ARPACK's standard mode on the
@@ -374,8 +389,8 @@ def test_every_lanczos_run_is_in_standard_form(monkeypatch, problem):
         return real(A, k, **kwargs)
 
     monkeypatch.setattr(eigsolve.spla, "eigsh", recording)
-    compute_point(problem, 0.9, cg_n=32, cr_n=32)  # the quick sizes: every half runs Lanczos
-    assert len(calls) == 3  # both CR halves, the CG half
+    compute_point(problem, 0.9, cg_n=32, cr_n=32)  # the quick sizes: every solved half runs Lanczos
+    assert len(calls) == 2  # the CR symmetric half, the CG half
     for A, kwargs in calls:
         assert isinstance(A, scipy.sparse.linalg.LinearOperator)
         assert not kwargs & {"M", "sigma", "OPinv", "Minv", "mode"}
@@ -438,16 +453,18 @@ def test_shift_above_lambda1_never_lowers_the_bound(where, bc, part):
 def test_cr_solve_stops_at_the_lanczos_tolerance(monkeypatch, n, bc, theta):
     # converging past LANCZOS_TOL costs restart cycles that move no
     # certified number (test_residual_floor_does_not_need_a_tighter_tolerance).
-    # Each half of the proof's solve stops in one cycle of 24 operator
-    # applications; at ARPACK's machine-precision default a Dirichlet
-    # antisymmetric half takes 42.  (Run whole at fl(pi/3), the double
-    # lambda_2 = lambda_3 takes 43 at either tolerance.)
+    # The proof's solve runs Lanczos in the symmetric half alone, which
+    # stops in one cycle of 24 operator applications; the antisymmetric
+    # half is factorised once, at the floor, and applies no operator.
+    # (Run whole at fl(pi/3), the double lambda_2 = lambda_3 takes 43 at
+    # either tolerance.)
     ops = _reference_operators(n, "cr", bc).mapped(triangle_from_angle(theta))
     assert min(h.dim for h in ops.halves) > DENSE_CUTOFF
     solves = _count_operator_applications(monkeypatch)
+    factorised = _count_factorisations(monkeypatch)
     solve_lowest(ops, 2)
-    assert sorted(set(solves)) == [0, 1]  # one factor per half
-    assert all(solves.count(k) <= 25 for k in (0, 1))
+    assert set(solves) == {0} and len(solves) <= 25  # one Lanczos run
+    assert factorised == [ops.halves[0].dim, ops.halves[1].dim]
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
@@ -532,11 +549,13 @@ def test_split_enclosures_contain_dense_oracle(theta, n, family, bc):
     # the halves only steer the solver: each enclosure is certified on the
     # whole operators and must hold the whole pencil's eigenvalue of its
     # index, on half spaces small enough for either backend, and agree
-    # with the solve in the whole part
+    # with the solve in the whole part.  Two modes, as the proof asks for:
+    # at theta = 1.0 and fl(pi/3) lambda_3 is antisymmetric, and only the
+    # symmetric half is solved
     ops = mapped_with_halves(theta, n, family, bc)
-    oracle = dense_eigs(ops, 3)
-    whole = solve_lowest(operators(theta, n, family, bc), 3)
-    split = solve_lowest(ops, 3)
+    oracle = dense_eigs(ops, 2)
+    whole = solve_lowest(operators(theta, n, family, bc), 2)
+    split = solve_lowest(ops, 2)
     for i, (w, enc, lam) in enumerate(zip(whole, split, oracle)):
         assert enc.k == i + 1
         assert enc.lower <= lam <= enc.upper
@@ -559,38 +578,80 @@ def test_split_ground_rayleigh_uses_one_half(monkeypatch, bc, theta):
     assert lam1 <= ground.rho.hi < other.rho.lo
 
 
-def test_split_solve_finds_the_antisymmetric_mode_in_one_cycle(monkeypatch):
-    # ones in the space's reduced coordinates is mirror-symmetric, so a
-    # run from it on CR 64 Dirichlet at theta = 1.0 meets the
-    # antisymmetric lambda_3 = 128.3 only through rounding, after a second
-    # ARPACK restart cycle (36 factor solves against 21 under generalised
-    # shift-invert; before that cycle its third mode is lambda_4 = 215.3).
-    # Each half holds its own modes
-    # from the start, so the split's third candidate is lambda_3 of a
-    # random-start oracle, and each half's run converges in one cycle
+def test_split_solve_runs_lanczos_in_the_symmetric_half_only(monkeypatch):
+    # on CR 64 Dirichlet at theta = 1.0 the antisymmetric lambda_3 = 128.3
+    # lies above lambda_2, as at every angle of the proofs, so only the
+    # symmetric half is solved, in one cycle of at most 25 operator
+    # applications, and the antisymmetric half is certified above the
+    # floor below lambda_2 by one factorisation, which applies no
+    # operator.  The enclosures hold lambda_1 and lambda_2 of a
+    # random-start oracle
     ops = _reference_operators(64, "cr", "dirichlet").mapped(triangle_from_angle(1.0))
     assert len(ops.halves) == 2
     v0 = np.random.default_rng(2).standard_normal(ops.dim)
     oracle = np.sort(scipy.sparse.linalg.eigsh(ops.A, k=4, M=ops.M, sigma=0.0, v0=v0)[0])
     assert 128.0 < oracle[2] < 129.0 < 215.0 < oracle[3] < 216.0
     solves = _count_operator_applications(monkeypatch)
-    vecs = eigsolve._split_modes(ops.halves, 3, 3)
-    ritz = [float(v @ (ops.A @ v)) / float(v @ (ops.M @ v)) for v in vecs.T]
-    assert np.allclose(ritz, oracle[:3], rtol=1e-10)
-    assert sorted(set(solves)) == [0, 1]  # one factor per half
-    assert all(solves.count(k) <= 25 for k in (0, 1))
+    factorised = _count_factorisations(monkeypatch)
+    e1, e2 = solve_lowest(ops, 2)
+    assert oracle[0] in e1 and oracle[1] in e2
+    assert e2.upper < oracle[2]
+    assert set(solves) == {0} and len(solves) <= 25
+    assert factorised == [ops.halves[0].dim, ops.halves[1].dim]
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_floor_certifies_at_the_corner(bc, n):
+    # at fl(pi/3) lambda_2 = lambda_3 is double, one mode in each half, the
+    # tightest case for the floor: the antisymmetric half still certifies
+    # above it, and lambda_2's lower end, the floor, lies below the
+    # oracle's lambda_2 by no more than the documented 1e-5 relative
+    # (module docstring: 9.1e-6 below the enclosure on CR 128 edge-mean,
+    # at most 4.6e-7 on every proof mesh)
+    ops = _reference_operators(n, "cr", bc).mapped(triangle_from_angle(EQ))
+    e1, e2 = solve_lowest(ops, 2)
+    lam1, lam2 = superlu_eigenvalues(ops, 2)
+    assert lam1 in e1
+    assert e2.lower <= lam2 <= e2.upper
+    assert lam2 - e2.lower <= 1e-5 * lam2
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("theta", [0.3, 0.9, 1.04, EQ], ids=["0.3", "0.9", "1.04", "fl(pi/3)"])
+def test_lambda1_matches_the_two_half_solve_bit_for_bit(bc, n, theta):
+    # lambda_1 comes from the same symmetric-half run as when both halves
+    # were solved, and lambda_2's floor moves its Kato-Temple refinement
+    # by far less than an ulp: its enclosure is the same floats
+    ops = _reference_operators(n, "cr", bc).mapped(triangle_from_angle(theta))
+    e1, e2 = solve_lowest(ops, 2)
+    o1, o2 = two_half_solve(ops)
+    one, two = verify_enclosure(e1, (e2,)), verify_enclosure(o1, (o2,))
+    assert (one.lower, one.upper) == (two.lower, two.upper)
+    assert np.array_equal(e1.vector, o1.vector)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+def test_further_part_below_the_floor_is_diagnosed(bc):
+    # swapped, the solved part is the antisymmetric half, and the
+    # symmetric half, which holds lambda_1, lies below the floor
+    ops = _reference_operators(32, "cr", bc).mapped(triangle_from_angle(0.9))
+    swapped = replace(ops, halves=ops.halves[::-1])
+    with pytest.raises(EigensolveError, match="part 1 is not certified above the floor"):
+        solve_lowest(swapped, 2)
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
 def test_solve_lowest_back_transforms_only_the_certified_modes(monkeypatch, bc):
-    # solve_lowest(ops, 2) computes three modes in each half, the third a
-    # guard, and back-transforms x = U^{-1} y only for the two lowest of
-    # each half, the only ones that can be among the two lowest of the
-    # space; each column is back-transformed and lifted on its own, so the
-    # two taken are the same bits as with every mode back-transformed
+    # solve_lowest(ops, 2) computes three modes in the symmetric half, the
+    # third a guard, and back-transforms x = U^{-1} y only for the two it
+    # certifies; each column is back-transformed on its own, so the two
+    # are the same bits as with every mode back-transformed
     ops = _reference_operators(32, "cr", bc).mapped(triangle_from_angle(1.0))
+    first = ops.halves[0]
     assert len(ops.halves) == 2 and min(h.dim for h in ops.halves) > eigsolve.DENSE_CUTOFF
-    every = eigsolve._split_modes(ops.halves, 3, 3)
+    _, every = eigsolve._lowest_modes(first, 3, ncv=eigsolve.HALF_NCV)
     columns = []
     real_back = eigsolve._BandCholesky.back
 
@@ -599,10 +660,11 @@ def test_solve_lowest_back_transforms_only_the_certified_modes(monkeypatch, bc):
         return real_back(self, ys)
 
     monkeypatch.setattr(eigsolve._BandCholesky, "back", counted)
-    assert np.array_equal(eigsolve._split_modes(ops.halves, 3, 2), every[:, :2])
+    _, two = eigsolve._lowest_modes(first, 3, ncv=eigsolve.HALF_NCV, vectors=2)
+    assert np.array_equal(two, every[:, :2])
     columns.clear()
     solve_lowest(ops, 2)
-    assert columns == [2, 2]
+    assert columns == [2]
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
