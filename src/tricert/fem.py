@@ -686,11 +686,12 @@ class ReferenceMap(_StiffnessValues):
         sums = [np.zeros((len(terms), C.shape[1])) for C in Cs]
         for p in range(len(Cs)):
             Ct = Cs[p].T.tocsr()
+            abs_Ct = abs(Ct)
             for q in range(p + 1, len(Cs)):
-                C = Cs[q]
+                C, abs_C = Cs[q], abs(Cs[q])
                 k = _max_col_nnz(Cs[p]) + _max_col_nnz(C) + 1
                 for g, (K, abs_K, rounding) in enumerate(terms):
-                    entry = abs(Ct @ K @ C) + (gamma(k) + rounding) * (abs(Ct) @ abs_K @ abs(C))
+                    entry = abs(Ct @ K @ C) + (gamma(k) + rounding) * (abs_Ct @ abs_K @ abs_C)
                     sums[p][g] += np.asarray(entry.sum(axis=1)).ravel()
                     sums[q][g] += np.asarray(entry.sum(axis=0)).ravel()
         grow = 1.0 + gamma(self.dim + 2)
