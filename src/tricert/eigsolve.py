@@ -119,45 +119,47 @@ T(theta), where A - sigma M couples none of one basis to the other, so
 has U^{-1} ones: there the Krylov space holds the modes of both halves
 from the start.
 
-The other parts are certified by inertia, not solved.  With C = [C_1
-... C_p] the parts' bases side by side, which span the space, the pencil
-(A, M) has as many eigenvalues below a floor l as C^T (A - l M) C has
+The other parts are certified by inertia, not solved.  With C = [C_1 ...
+C_p] the parts' bases side by side, which span the space, the pencil (A,
+M) has as many eigenvalues below a floor l as C^T (A - l M) C has
 negative eigenvalues (Sylvester's law of inertia).  The diagonal blocks
 of that matrix are H_i = C_i^T (A - l M) C_i; the rest, F, couples the
-parts, and vanishes in exact arithmetic on T(theta), whose mirror maps
-A and M to themselves, so that it holds only rounding and the excess
-bx^2 + by^2 - 1 of the float apex.  By Weyl's inequality no eigenvalue
-of C^T (A - l M) C lies more than ||F||_2 below the matching one of the
-block diagonal.  So if H_i - ||F||_2 I is positive definite for every
-part i > 1, the pencil has no more eigenvalues below l than H_1 -
-||F||_2 I has negative ones, and by the first part's order, the trusted
-step, that is count - 1: the first part has count - 1 eigenvalues below
-the count-th enclosure, and keeps them with its matrix lowered by the
+parts, and vanishes in exact arithmetic on T(theta), whose mirror maps A
+and M to themselves, so that it holds only rounding and the excess bx^2
++ by^2 - 1 of the float apex.  By Weyl's inequality no eigenvalue of C^T
+(A - l M) C lies more than ||F||_2 below the matching one of the block
+diagonal.  So if H_i - ||F||_2 I is positive definite for every part i >
+1, the pencil has no more eigenvalues below l than H_1 - ||F||_2 I has
+negative ones.  By the first part's order, the trusted step, those are
+at most count - 1: the first part has no more than count - 1 eigenvalues
+below the count-th enclosure, also with its matrix lowered by the
 rounding-sized ||F||_2 I, which an exact pencil would make zero.  Then
 lambda_count >= l.  Each H_i - ||F||_2 I is certified positive definite
-by LAPACK's banded Cholesky
-factorisation of the part's packed A - l M less tau I, for an a-priori
-tau (Rump, "Verification of positive definiteness", BIT 46, 2006): if
-the factorisation runs to completion the packed matrix exceeds -tau_c I
-for the factorisation's rounding tau_c (Demmel, LAPACK Working Note 14),
-and tau also covers the part's packing and mapping rounding, the entries
-its build dropped, and ||F||_2 (:func:`_floor_shift`,
-:class:`fem.Half`).  The floor l is the count-th enclosure's lower end,
-or, where the part's lowest eigenvalue lies too close above it for the
-test, 2 tau / m below it, m the mass density of the first part's mode
-(:func:`_floor`), and the enclosure's lower end becomes l, so
-:func:`verify_enclosure` and the brackets read the certified floor.
-The proofs ask for count = 2, and lambda_2 lies in the symmetric half
-at every angle of (0, pi/3] measured: at CR 64 over all 370 + 420
-reference angles of the benchmark, on a 60-angle grid over (0, pi/3),
-and on the quick and corner meshes, the antisymmetric half's lowest
-eigenvalue never falls below the symmetric half's second, and ties it,
-within 1.4e-13 relative, only at fl(pi/3), where lambda_2 = lambda_3 is
-double.  The test passes at the enclosure's lower end at every such
-angle but fl(pi/3); there the floor drops below it by 0 (Dirichlet CR
-32, 64, 128) and 2.7e-8, 4.6e-7 and 9.1e-6 of lambda_2 (edge-mean CR
-32, 64, 128), all under 1e-5.  Above pi/3 lambda_2 can be antisymmetric,
-as at pi/2, where the test fails with an EigensolveError.
+by LAPACK's banded Cholesky factorisation of the part's packed A - l M
+less tau I, for an a-priori tau (Rump, "Verification of positive
+definiteness", BIT 46, 2006): if the factorisation runs to completion
+the packed matrix exceeds -tau_c I for the factorisation's rounding
+tau_c (Demmel, LAPACK Working Note 14), and tau also covers the part's
+packing and mapping rounding, the entries its build dropped, and ||F||_2
+(:func:`_floor_shift`, :class:`fem.Half`).  The floor l is the count-th
+enclosure's lower end, or, where the part's lowest eigenvalue lies too
+close above it for the test, 2 tau / m below it, m the mass density of
+the first part's mode (:func:`_floor`), and the enclosure's lower end
+becomes l, so :func:`verify_enclosure` and the brackets read the
+certified floor.
+
+The proofs ask for count = 2, and lambda_2 lies in the symmetric half at
+every angle of (0, pi/3] measured: at CR 64 over all 370 + 420 reference
+angles of the benchmark, on a 60-angle grid over (0, pi/3), and on the
+quick and corner meshes, the antisymmetric half's lowest eigenvalue
+never falls below the symmetric half's second, and ties it, within
+1.4e-13 relative, only at fl(pi/3), where lambda_2 = lambda_3 is double.
+The test passes at the enclosure's lower end at every point of the quick
+and paper-config proofs of both problems but fl(pi/3); there the floor
+drops below it by 0 (Dirichlet CR 32, 64, 128) and 2.7e-8, 4.6e-7 and
+9.1e-6 of lambda_2 (edge-mean CR 32, 64, 128), all under 1e-5.  Above
+pi/3 lambda_2 can be antisymmetric, as at pi/2, where the test fails
+with an EigensolveError.
 """
 
 from __future__ import annotations
