@@ -486,8 +486,9 @@ def test_cr_modes_carry_the_index_of_the_dense_oracle(bc, theta):
 @pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
 @pytest.mark.parametrize("theta", [0.8, 1.04, EQ], ids=["0.8", "1.04", "fl(pi/3)"])
 def test_proof_maps_label_cr_modes_as_the_dense_oracle(bc, theta):
-    # the proof's own quick-size maps are solved in their halves, each
-    # from its own y0 = ones, so no mode relies on rounding to appear: the
+    # the proof's own quick-size maps are solved in their symmetric half,
+    # from its own y0 = ones, so no mode relies on rounding to appear, and
+    # the antisymmetric half is certified above lambda_2's floor: the
     # enclosures labelled 1 and 2 hold dense lambda_1 and lambda_2.  At
     # fl(pi/3), lambda_2 ~ lambda_3 lie in different halves
     ops = _reference_operators(32, "cr", bc).mapped(triangle_from_angle(theta))
