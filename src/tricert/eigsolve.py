@@ -1,12 +1,13 @@
 """Generalized eigenvalue solves with certified a posteriori enclosures.
 
 The floating-point eigensolve is treated as a heuristic that produces a
-pair (rho, u).  Solver targets (the parts of a space, below) of at most
-DENSE_CUTOFF unknowns go to dense LAPACK, which computes only the modes
-asked for; larger ones go to ARPACK's Lanczos solver, shift-inverted and
-symmetrised by a Cholesky factor (below).  The cutoff is the crossover
-measured between the two backends, not a memory limit.  Certification
-then rests only on
+pair (rho, u).  Every solver target (a part of a space, below) goes to
+ARPACK's Lanczos solver, shift-inverted and symmetrised by a Cholesky
+factor (below), unless it asks for as many modes as the part has
+unknowns, which Lanczos cannot give: then dense LAPACK returns the
+part's whole spectrum.  A second backend would add no certified digit,
+so the choice follows from the request alone.  Certification then rests
+only on
 
     min_k |lambda_k - rho| <= ||A u - rho M u||_{M^{-1}} / ||u||_M,
 
@@ -174,25 +175,6 @@ import scipy.sparse.linalg as spla
 from .fem import DiscreteOperators, Half
 from .rounding import EPS as _EPS, Interval, dn, gamma, up
 
-# Largest part sent to dense LAPACK: the crossover measured on the
-# proof's halves, run as the proof ran them before it certified the CR
-# antisymmetric half unsolved (CR: both halves, three modes
-# with HALF_NCV vectors; CG: the symmetric half, one mode shifted to 0.99
-# lambda_1, GROUND_NCV vectors; each banded, as the proof bands it).  CPU
-# ms on one BLAS thread of a 2-vCPU VM, theta = 0.9, median of 25, dense /
-# Lanczos, by unknowns per half (a CR time covers both halves):
-#   CR Dirichlet   85/80: 1.0 / 1.4   102/96: 1.4 / 1.5   120/114: 1.8 / 1.5
-#   CR edge-mean   83/79: 1.1 / 1.5   100/95: 1.4 / 1.4   118/113: 1.8 / 1.4
-#   CG Dirichlet   56: 0.2 / 0.2   64: 0.2 / 0.2   72: 0.3 / 0.2   90: 0.5 / 0.3
-#   CG edge-mean   54: 0.2 / 0.3   62: 0.3 / 0.3   70: 0.3 / 0.3   88: 0.4 / 0.3
-# The CG crossover lies near 65 unknowns, the CR one near 100; under
-# generalised shift-invert they lay near 120 and 180, and the cutoff was
-# 150.  The cutoff between them sends every solved quick-preset half to Lanczos
-# (the smallest, CG 32 Dirichlet's, has 240 unknowns), and every whole
-# part of ``tricert constants`` at its default meshes (thousands of
-# unknowns).
-DENSE_CUTOFF = 90
-
 # Lanczos vectors for the shifted ground solve of ground_rayleigh.
 # Operator applications summed over every fourth point of both paper
 # schedules (step-2 breakpoints and J nodes) at CG 96, shifted to the
@@ -217,8 +199,14 @@ GROUND_NCV = 3
 # and 945 against 1,080 (edge-mean), in 0.195 and 0.297 s of CPU against
 # 0.224 and 0.331 s (one BLAS thread, mean of 3).  23 was chosen when
 # both halves were solved, for the Dirichlet antisymmetric half, which
-# took a second restart cycle at 20 (36 applications); it stays, as 20
-# would move every lambda_1 enclosure in its last digits.
+# took a second restart cycle at 20 (36 applications).  It stays for
+# lambda_2: at 20 the run stops short of the residual floor the module
+# docstring measures, and on CR 64 Dirichlet at theta = 0.9 lambda_2's
+# delta comes out 4.44e-10, against 3.95e-10 at tolerance 0, 12 % above
+# it and beyond the 10 % that
+# test_residual_floor_does_not_need_a_tighter_tolerance allows; at 23 the
+# two agree.  20 would also move every lambda_1 enclosure in its last
+# digits.
 HALF_NCV = 23
 
 # ARPACK's relative stopping tolerance for every Lanczos run.  The
@@ -454,26 +442,23 @@ def _lowest_modes(
     part ``half``, ascending, and the eigenvectors of the lowest
     ``vectors`` of them (all when None), as columns in its coordinates.
 
-    Dense LAPACK runs up to DENSE_CUTOFF unknowns (the measured
-    crossover) or when more than dim modes are asked for.  Otherwise A -
-    ``sigma`` M = U^T U is factorised by :class:`_BandCholesky`, and
-    Lanczos runs in ARPACK's standard mode on the symmetric operator
+    A - ``sigma`` M = U^T U is factorised by :class:`_BandCholesky`,
+    and Lanczos runs in ARPACK's standard mode on the symmetric operator
     U^{-T} M U^{-1}, from y0 = ones, with ``ncv`` Lanczos vectors
-    (ARPACK's default when None), stopping at LANCZOS_TOL.  Its
-    eigenvalues are mu = 1 / (lambda - sigma), the largest for the
-    lambda nearest above sigma, and its eigenvectors y = U x, so lambda
-    = sigma + 1 / mu and x = U^{-1} y, one triangular band solve for
-    each eigenvector returned.  Dense LAPACK yields at most dim
-    modes and Lanczos at most dim - 1, so fewer than ``k`` may come back.
-    Nothing returned is certified; every failure of either backend is an
-    EigensolveError.
+    (ARPACK's default when None; SciPy caps either at dim), stopping at
+    LANCZOS_TOL.  Its eigenvalues are mu = 1 / (lambda - sigma), the
+    largest for the lambda nearest above sigma, and its eigenvectors y =
+    U x, so lambda = sigma + 1 / mu and x = U^{-1} y, one triangular
+    band solve for each eigenvector returned.  Lanczos yields at most
+    dim - 1 modes, so a request for ``k`` >= dim goes to dense LAPACK,
+    which ignores ``sigma`` and returns all dim modes, fewer than ``k``
+    when ``k`` > dim.  Nothing returned is certified; every failure of
+    either backend is an EigensolveError.
     """
     n = half.dim
-    if n <= DENSE_CUTOFF or k > n:
+    if k >= n:
         try:
-            vals, vecs = scipy.linalg.eigh(
-                half.A.toarray(), half.M.toarray(), subset_by_index=[0, min(k, n) - 1]
-            )
+            vals, vecs = scipy.linalg.eigh(half.A.toarray(), half.M.toarray())
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(f"dense generalized eigensolve failed: {exc}") from exc
         vecs = vecs[:, :vectors]
@@ -481,9 +466,7 @@ def _lowest_modes(
         factor = _BandCholesky(half, sigma)
         op = spla.LinearOperator((n, n), matvec=factor.matvec, dtype=np.float64)
         try:
-            mu, ys = spla.eigsh(
-                op, k=min(k, n - 1), which="LM", v0=np.ones(n), ncv=ncv, tol=LANCZOS_TOL
-            )
+            mu, ys = spla.eigsh(op, k=k, which="LM", v0=np.ones(n), ncv=ncv, tol=LANCZOS_TOL)
         except spla.ArpackError as exc:
             raise EigensolveError(f"ARPACK failed: {exc}") from exc
         order = np.argsort(mu)[::-1]
@@ -610,12 +593,13 @@ def ground_rayleigh(ops: DiscreteOperators, below: float) -> RayleighBound:
     such as the corrected CR bound.  Lanczos runs shifted to sigma =
     ``below`` with GROUND_NCV vectors: just below the wanted eigenvalue
     the ground mode is far better separated than at 0, so ARPACK
-    converges in a handful of operator applications.  The dense backend
-    (chosen as in :func:`_lowest_modes`) ignores the shift.  The mode is
-    computed in the first part ``ops`` carries and lifted; operators with
-    no parts raise ValueError.  Only the quadratic forms u^T A u and u^T
-    M u are certified, on ``ops``: neither a residual bound nor an index
-    is needed for lambda_1 <= R(u), so the bound holds whatever ``below``
+    converges in a handful of operator applications.  A part of one
+    unknown is solved by dense LAPACK instead, which ignores the shift
+    (:func:`_lowest_modes`).  The mode is computed in the first part
+    ``ops`` carries and lifted; operators with no parts raise
+    ValueError.  Only the quadratic forms u^T A u and u^T M u are
+    certified, on ``ops``: neither a residual bound nor an index is
+    needed for lambda_1 <= R(u), so the bound holds whatever ``below``
     and the part are; a shift at or above the ground eigenvalue, or a
     part that lacks the ground mode, can only return a larger R(u) or
     end in an EigensolveError.

@@ -16,9 +16,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from helpers import gram_triple, lowest_two, map_derivative_gram, operators, shear
 
-from tricert import eigsolve
 from tricert.bounds import F_of, err_bound, eta
 from tricert.certify import compute_point, paper_config
 from tricert.eigsolve import solve_lowest
@@ -148,9 +148,9 @@ def test_criterion_5_simplicity_evidence(cr_run):
     assert simp["lambda1_upper"] < simp["lambda2_lower"]
 
 
-def test_criterion_6_property_bullets(monkeypatch):
-    # dense vs sparse backends agree on coarse meshes, and on one mesh each
-    # side of the cutoff (150 and 153 unknowns)
+def test_criterion_6_property_bullets():
+    # the Lanczos modes of solve_lowest agree with the dense oracle of the
+    # whole pencil, on coarse meshes and on two larger ones
     for n, family, bc in (
         (5, "cg", "edge-mean"), (6, "cg", "dirichlet"),
         (5, "cr", "dirichlet"), (6, "cr", "edge-mean"),
@@ -158,12 +158,9 @@ def test_criterion_6_property_bullets(monkeypatch):
     ):
         ops = operators(0.9, n, family, bc)
         k = min(3, ops.A.shape[0] - 2)
-        monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", ops.dim)
-        dense = solve_lowest(ops, k)
-        monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", 0)
-        sparse = solve_lowest(ops, k)
-        for d, s in zip(dense, sparse):
-            assert abs(d.rayleigh - s.rayleigh) <= 1e-10 * abs(d.rayleigh)
+        dense = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray(), eigvals_only=True)[:k]
+        for enc, lam in zip(solve_lowest(ops, k), dense):
+            assert abs(enc.rayleigh - lam) <= 1e-10 * abs(lam)
 
     # stiffness splits into the two partial-derivative grams
     rng = np.random.default_rng(7)

@@ -232,13 +232,12 @@ class TestPointData:
         assert len(calls) == 2
 
     def test_conforming_side_solves_one_mode_uncertified_by_residual(self, monkeypatch):
-        # every half above DENSE_CUTOFF, so each solved half goes to
-        # Lanczos: the CR symmetric half with two modes plus a guard, the
-        # CG symmetric half with the ground mode alone (the CR antisymmetric
-        # half is certified above a floor, unsolved); the residual is
-        # certified on the whole CR space
+        # each solved half goes to Lanczos, as every part with more
+        # unknowns than modes asked for: the CR symmetric half with two
+        # modes plus a guard, the CG symmetric half with the ground mode
+        # alone (the CR antisymmetric half is certified above a floor,
+        # unsolved); the residual is certified on the whole CR space
         cg_half, cr_halves, cr_dim = 182, (184, 176), 360
-        assert min(cg_half, *cr_halves) > eigsolve.DENSE_CUTOFF
         eigsh_k, residual_dims = [], []
         real_eigsh, real_bound = eigsolve.spla.eigsh, eigsolve.residual_bound
 
@@ -330,7 +329,6 @@ class TestPointData:
         # carries both non-empty halves of a CR space and the symmetric half
         # of a CG space, down to the smallest meshes build_space accepts
         # (one size smaller has no unknowns, or no slave for a side mean).
-        # Every quick-preset half lies above DENSE_CUTOFF, so none goes dense
         smallest = {"dirichlet": {"cg": 3, "cr": 2}, "cr-constant": {"cg": 2, "cr": 2}}
         for problem in ("dirichlet", "cr-constant"):
             bc = certify._BC[problem]
@@ -344,8 +342,6 @@ class TestPointData:
                 assert min(dims) > 0
                 if family == "cr":
                     assert sum(dims) == ref.dim
-                if kind == "quick":
-                    assert min(dims) > eigsolve.DENSE_CUTOFF
             for family, n in smallest[problem].items():
                 with pytest.raises(ValueError):
                     certify._reference_operators(n - 1, family, bc)

@@ -3,10 +3,12 @@
 Main honesty property: every enclosure must contain the corresponding
 eigenvalue of the dense generalized solve (the oracle), whatever mesh,
 family or constraint produced the matrices.  Then determinism, the
-dense/sparse agreement, the solves split into mirror-parity halves, the
-floor that certifies a CR antisymmetric half unsolved, and the gap
-refinement.  Every solve runs in the parts the operators carry:
-helpers.operators maps each space with the whole space as its one part.
+agreement of the Lanczos modes with the dense oracle, the solves split
+into mirror-parity halves, the floor that certifies a CR antisymmetric
+half unsolved, and the gap refinement.  Every solve runs in the parts
+the operators carry: helpers.operators maps each space with the whole
+space as its one part.  Dense LAPACK serves only requests for as many
+modes as a part has unknowns; every other part runs Lanczos.
 """
 
 import math
@@ -25,7 +27,6 @@ from tricert import eigsolve
 from tricert.bounds import corrected_lower
 from tricert.geometry import triangle_from_angle
 from tricert.eigsolve import (
-    DENSE_CUTOFF,
     EigensolveError,
     _band_pack,
     _certify,
@@ -75,9 +76,9 @@ def test_enclosures_contain_dense_oracle(theta, n, family, bc, count):
         assert enc.width <= 1e-6 * max(1.0, abs(lam))
 
 
-def test_dense_and_sparse_backends_agree(monkeypatch):
-    # each backend forced by moving the cutoff, on coarse meshes and on
-    # one mesh each side of the cutoff where the choice switches
+def test_dense_and_sparse_backends_agree():
+    # the Lanczos modes of solve_lowest agree with the dense oracle of the
+    # whole pencil, on coarse meshes and on two larger ones
     cases = [
         (n, family, bc)
         for n in (4, 5, 6)
@@ -88,26 +89,20 @@ def test_dense_and_sparse_backends_agree(monkeypatch):
             ("cr", "edge-mean"),
         )
     ]
-    below, above = (12, "cg", "edge-mean"), (15, "cg", "dirichlet")
-    assert operators(EQ, *below).dim <= DENSE_CUTOFF < operators(EQ, *above).dim
-    for n, family, bc in cases + [below, above]:
+    for n, family, bc in cases + [(12, "cg", "edge-mean"), (15, "cg", "dirichlet")]:
         ops = operators(EQ, n, family, bc)
         k = min(3, ops.dim - 2)
         if k < 1:
             continue
-        monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", ops.dim)
-        d = solve_lowest(ops, k)
-        monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", 0)
-        s = solve_lowest(ops, k)
-        for a, b in zip(d, s):
-            rel = abs(a.rayleigh - b.rayleigh) / abs(a.rayleigh)
-            assert rel <= 1e-10
+        for enc, lam in zip(solve_lowest(ops, k), dense_eigs(ops, k)):
+            assert abs(enc.rayleigh - lam) <= 1e-10 * abs(lam)
 
 
 @pytest.mark.parametrize("bc, dim", [("dirichlet", 465), ("edge-mean", 558)])
 def test_quick_spaces_use_shift_invert(monkeypatch, bc, dim):
-    # the conforming CG 32 spaces of the quick proof lie above the measured
-    # crossover, so no dense generalized solve may run on them
+    # the conforming CG 32 spaces of the quick proof have far more
+    # unknowns than modes asked for, so no dense generalized solve may run
+    # on them
     ops = operators(0.9, 32, "cg", bc)
     assert ops.dim == dim
 
@@ -119,26 +114,61 @@ def test_quick_spaces_use_shift_invert(monkeypatch, bc, dim):
     assert e1.upper < e2.lower
 
 
-def test_count_validation(monkeypatch):
+def test_count_validation():
     ops = operators(EQ, 3, "cg", "dirichlet")
     with pytest.raises(ValueError):
         solve_lowest(ops, 0)
     with pytest.raises(ValueError):
         solve_lowest(ops, 5)  # only one dof available
-    # Lanczos yields at most dim - 1 modes, so a full-spectrum
-    # request goes to the dense backend even above the cutoff
-    monkeypatch.setattr("tricert.eigsolve.DENSE_CUTOFF", 0)
+    # Lanczos yields at most dim - 1 modes, so a full-spectrum request
+    # goes to the dense backend
     for n, bc, dim in ((4, "dirichlet", 3), (5, "dirichlet", 6), (4, "edge-mean", 12)):
         ops = operators(EQ, n, "cg", bc)
         assert ops.dim == dim
-        assert len(solve_lowest(ops, dim)) == dim
+        encs = solve_lowest(ops, dim)
+        assert len(encs) == dim
+        for enc, lam in zip(encs, dense_eigs(ops, dim)):
+            assert lam in enc
+
+
+@pytest.mark.parametrize(
+    "family, bc, n",
+    [
+        (family, bc, n)
+        for family, bc in (
+            ("cg", "dirichlet"), ("cg", "edge-mean"), ("cr", "dirichlet"), ("cr", "edge-mean")
+        )
+        for n in range(4, 9)
+        # CG 4 Dirichlet has 3 unknowns, so two modes and a guard are all
+        # of them: a request only dense LAPACK serves (test_count_validation)
+        if (family, bc, n) != ("cg", "dirichlet", 4)
+    ],
+)
+@pytest.mark.parametrize("layout", ["whole", "halves"])
+def test_lanczos_solves_every_part_larger_than_its_request(monkeypatch, family, bc, n, layout):
+    # dense LAPACK runs only where Lanczos cannot, on a part with no more
+    # unknowns than modes asked for: the smallest spaces, solved whole or
+    # in their mirror halves, still go to Lanczos and hold the dense oracle
+    if layout == "whole":
+        ops = operators(0.9, n, family, bc)
+    else:
+        ops = mapped_with_halves(0.9, n, family, bc)
+        assert len(ops.halves) == 2
+    lam1, lam2 = dense_eigs(ops, 2)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr("tricert.eigsolve.scipy.linalg.eigh", no_dense)
+    e1, e2 = solve_lowest(ops, 2)
+    assert lam1 in e1 and lam2 in e2
+    assert lam1 <= ground_rayleigh(ops, 0.0).rho.hi
 
 
 def test_singular_banded_factor_is_diagnosed():
     # a zero pivot in a banded half ends its Cholesky factorisation
     ops = _reference_operators(32, "cr", "dirichlet").mapped(triangle_from_angle(EQ))
     half = ops.halves[0]
-    assert half.dim > DENSE_CUTOFF
     # zeroed in place: a half's A stays on the pattern its band slots index
     A = half.A.copy()
     rows = np.repeat(np.arange(half.dim), np.diff(A.indptr))
@@ -151,20 +181,26 @@ def test_singular_banded_factor_is_diagnosed():
 @pytest.mark.parametrize("method", ["dense", "sparse"])
 def test_every_backend_failure_is_diagnosed(monkeypatch, method):
     # a failure of either backend, not only ARPACK's non-convergence, is an
-    # EigensolveError, which the proof turns into a diagnosed verdict
-    ops = operators(0.9, 12, "cg", "edge-mean")
-    monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", ops.dim if method == "dense" else 0)
+    # EigensolveError, which the proof turns into a diagnosed verdict.
+    # Only the backend under test fails: the one unknown of CG 3 Dirichlet
+    # is a part no larger than any request, which only dense LAPACK
+    # serves, and CG 12 edge-mean goes to Lanczos
+    if method == "dense":
+        ops, count = operators(EQ, 3, "cg", "dirichlet"), 1
 
-    def failing_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("leading minor not positive definite")
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
 
-    def failing_eigsh(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackError(-9999)
+        monkeypatch.setattr(eigsolve.scipy.linalg, "eigh", failing_eigh)
+    else:
+        ops, count = operators(0.9, 12, "cg", "edge-mean"), 2
 
-    monkeypatch.setattr(eigsolve.scipy.linalg, "eigh", failing_eigh)
-    monkeypatch.setattr(eigsolve.spla, "eigsh", failing_eigsh)
+        def failing_eigsh(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(eigsolve.spla, "eigsh", failing_eigsh)
     with pytest.raises(EigensolveError):
-        solve_lowest(ops, 2)
+        solve_lowest(ops, count)
     with pytest.raises(EigensolveError):
         ground_rayleigh(ops, 0.0)
 
@@ -299,17 +335,20 @@ def test_ground_rayleigh_bounds_lambda1_from_above(theta, n, family, bc):
 
 @pytest.mark.parametrize("method", ["dense", "sparse"])
 def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
-    # one mode, no guard, and neither a residual bound nor a gap refinement;
-    # the cutoff moves so that the backend under test is picked
-    ops = operators(0.9, 12, "cg", "edge-mean")
-    monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", ops.dim if method == "dense" else 0)
+    # one mode, no guard, and neither a residual bound nor a gap
+    # refinement; the one-unknown CG 3 Dirichlet part goes to dense LAPACK,
+    # which returns its whole spectrum, CG 12 edge-mean to Lanczos
+    if method == "dense":
+        ops = operators(EQ, 3, "cg", "dirichlet")
+    else:
+        ops = operators(0.9, 12, "cg", "edge-mean")
     lam1 = dense_eigs(ops, 1)[0]
     requested = []
     real_eigh, real_eigsh = eigsolve.scipy.linalg.eigh, eigsolve.spla.eigsh
 
-    def recording_eigh(*args, subset_by_index, **kwargs):
-        requested.append(("dense", list(subset_by_index)))
-        return real_eigh(*args, subset_by_index=subset_by_index, **kwargs)
+    def recording_eigh(*args, **kwargs):
+        requested.append(("dense", kwargs))
+        return real_eigh(*args, **kwargs)
 
     def recording_eigsh(A, k, **kwargs):
         requested.append(("sparse", k, kwargs["ncv"]))
@@ -332,7 +371,7 @@ def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
     below = 0.9 * lam1
     g = ground_rayleigh(ops, below)
     if method == "dense":
-        assert requested == [("dense", [0, 0])]
+        assert requested == [("dense", {})]
     else:  # A - below M is factorised, and Lanczos runs on its operator
         assert requested == [("factor", below), ("sparse", 1, eigsolve.GROUND_NCV)]
     assert lam1 <= g.rho.hi
@@ -411,7 +450,6 @@ def test_shifted_ground_solve_agrees_in_few_factor_solves(monkeypatch, bc, theta
     e1, e2 = solve_lowest(cr, 2)
     below = corrected_lower(verify_enclosure(e1, (e2,)), cr.space.mesh.h)
     ops = operators(theta, 96, "cg", bc)
-    assert ops.dim > DENSE_CUTOFF
     plain = ground_rayleigh(ops, 0.0)
     solves = _count_operator_applications(monkeypatch)
     shifted = ground_rayleigh(ops, below)
@@ -435,12 +473,10 @@ def test_shift_above_lambda1_never_lowers_the_bound(where, bc, part):
     # whole part and on the symmetric half, both of which hold the ground
     # mode, so the banded Cholesky factorisation of either always fails
     ops = operators(0.9, 32, "cg", bc)
-    assert ops.dim > DENSE_CUTOFF
     lam1, lam2, lam3 = dense_eigs(ops, 3)
     sigma = 0.5 * (lam1 + lam2) if where == "between-1-2" else 0.5 * (lam2 + lam3)
     if part == "half":
         ops = _reference_operators(32, "cg", bc).mapped(triangle_from_angle(0.9))
-    assert ops.halves[0].dim > DENSE_CUTOFF
     with pytest.raises(EigensolveError, match="factorisation"):
         ground_rayleigh(ops, sigma)
 
@@ -459,7 +495,6 @@ def test_cr_solve_stops_at_the_lanczos_tolerance(monkeypatch, n, bc, theta):
     # (Run whole at fl(pi/3), the double lambda_2 = lambda_3 takes 43 at
     # either tolerance.)
     ops = _reference_operators(n, "cr", bc).mapped(triangle_from_angle(theta))
-    assert min(h.dim for h in ops.halves) > DENSE_CUTOFF
     solves = _count_operator_applications(monkeypatch)
     factorised = _count_factorisations(monkeypatch)
     solve_lowest(ops, 2)
@@ -476,7 +511,6 @@ def test_cr_modes_carry_the_index_of_the_dense_oracle(bc, theta):
     # U^{-1} y0, so its Krylov space holds modes of both halves from the
     # start
     ops = operators(theta, 32, "cr", bc)
-    assert ops.dim > DENSE_CUTOFF
     e1, e2 = solve_lowest(ops, 2)
     lam1, lam2 = dense_eigs(ops, 2)
     assert lam1 in e1
@@ -492,7 +526,7 @@ def test_proof_maps_label_cr_modes_as_the_dense_oracle(bc, theta):
     # enclosures labelled 1 and 2 hold dense lambda_1 and lambda_2.  At
     # fl(pi/3), lambda_2 ~ lambda_3 lie in different halves
     ops = _reference_operators(32, "cr", bc).mapped(triangle_from_angle(theta))
-    assert len(ops.halves) == 2 and min(h.dim for h in ops.halves) > DENSE_CUTOFF
+    assert len(ops.halves) == 2
     e1, e2 = solve_lowest(ops, 2)
     lam1, lam2 = scipy.linalg.eigh(
         ops.A.toarray(), ops.M.toarray(), eigvals_only=True, subset_by_index=[0, 1]
@@ -549,7 +583,7 @@ def _record_backend_dims(monkeypatch) -> list:
 def test_split_enclosures_contain_dense_oracle(theta, n, family, bc):
     # the halves only steer the solver: each enclosure is certified on the
     # whole operators and must hold the whole pencil's eigenvalue of its
-    # index, on half spaces small enough for either backend, and agree
+    # index, on spaces small enough for a dense oracle, and agree
     # with the solve in the whole part.  Two modes, as the proof asks for:
     # at theta = 1.0 and fl(pi/3) lambda_3 is antisymmetric, and only the
     # symmetric half is solved
@@ -651,7 +685,7 @@ def test_solve_lowest_back_transforms_only_the_certified_modes(monkeypatch, bc):
     # are the same bits as with every mode back-transformed
     ops = _reference_operators(32, "cr", bc).mapped(triangle_from_angle(1.0))
     first = ops.halves[0]
-    assert len(ops.halves) == 2 and min(h.dim for h in ops.halves) > eigsolve.DENSE_CUTOFF
+    assert len(ops.halves) == 2
     _, every = eigsolve._lowest_modes(first, 3, ncv=eigsolve.HALF_NCV)
     columns = []
     real_back = eigsolve._BandCholesky.back
@@ -715,7 +749,6 @@ def test_banded_solves_contain_the_dense_oracle(theta, family, n, bc):
     # shifted CG Rayleigh bound are certified on the whole operators, hold
     # the dense oracle, and agree with the solve in the whole part
     proof, whole = proof_operators(theta, n, family, bc), operators(theta, n, family, bc)
-    assert all(h.dim > DENSE_CUTOFF for h in proof.halves)
     vals = scipy.linalg.eigh(
         proof.A.toarray(), proof.M.toarray(), eigvals_only=True, subset_by_index=[0, 1]
     )
