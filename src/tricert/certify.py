@@ -66,10 +66,13 @@ from .bounds import (
     err_bound,
     eta_range,
 )
-from .eigsolve import (
+# bench/run.py's tracer wraps quad_form_interval on this module, so it
+# stays importable from it, though unused here
+from .eigsolve import (  # noqa: F401
     EigensolveError,
-    ground_rayleigh,
+    ground_mode,
     quad_form_interval,
+    rayleigh_bound,
     solve_lowest,
     verify_enclosure,
 )
@@ -279,8 +282,9 @@ def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceM
     would evict the other's spaces and rebuild its own.  The two
     whole-part entries of ``tricert constants`` live in a process of
     their own, as the command line runs one subcommand per process.
-    Every caller shares the cached arrays, so they are only read
-    (:meth:`ReferenceMap.mapped` builds new ones).  Mesh, space and
+    Every caller shares the cached arrays, so they are only read: a
+    mapped matrix shares their index arrays and holds values of its own
+    (:meth:`ReferenceMap.mapped`).  Mesh, space and
     assembly are built through this module's names, so wrapping them
     here sees every build.
 
@@ -386,7 +390,8 @@ def certified_solve(tri, bc: str, cg_n: int, cr_n: int, *parts):
     """The certified lambda_1 and lambda_2 brackets (:class:`EigBracket`)
     of ``tri`` from the CR space of the ``cr_n``-fold mesh and the
     conforming space of the ``cg_n``-fold one, with the conforming
-    :class:`RayleighBound` behind the upper end of lambda_1.
+    :class:`RayleighBound` behind the upper end of lambda_1, which
+    carries the gram forms of its vector too.
 
     Both spaces are mapped from the cached reference spaces
     (:func:`_reference_operators`), with the part layout in ``parts`` if
@@ -407,8 +412,12 @@ def certified_solve(tri, bc: str, cg_n: int, cr_n: int, *parts):
     h_cr = ops_cr.space.mesh.h
     del ops_cr
 
-    ops_cg = _reference_operators(cg_n, "cg", bc, *parts).mapped(tri)
-    cg = ground_rayleigh(ops_cg, corrected_lower(enc_cr[0], h_cr))
+    # the conforming mode is solved in the first part alone, and the whole
+    # operators are mapped only then, with the grams in the same pass, so
+    # that none of them adds to the memory peak of the solve
+    ref_cg = _reference_operators(cg_n, "cg", bc, *parts)
+    u = ground_mode(ref_cg.parts(tri)[0], corrected_lower(enc_cr[0], h_cr))
+    cg = rayleigh_bound(ref_cg.grams(tri), u)
     lam1, lam2 = bracket(enc_cr, cg.rho, h_cr)
     return lam1, lam2, cg
 
@@ -427,12 +436,7 @@ def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData
     # proofs (eigsolve); beyond, as at pi/2, the space is solved whole
     parts = () if theta <= math.pi / 3 else (((0, 1),),)
     lam1, lam2, cg = certified_solve(tri, bc, cg_n, cr_n, *parts)
-
-    # the grams are mapped only now, so they stay out of the memory peak
-    # of the conforming solve
-    u = cg.vector
-    grams = _reference_operators(cg_n, "cg", bc, *parts).grams(tri)
-    xx, xy, yy = (quad_form_interval(K, u) for K in grams)
+    xx, xy, yy = cg.grams
     mm = cg.mass_form
     return PointData(
         theta, cg_n, cr_n, lam1, lam2,

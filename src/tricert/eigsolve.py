@@ -26,6 +26,17 @@ eigenvalue.  No system with M is solved; the only factorisations are
 the ones that drive the Lanczos solver: of A on the nonconforming side,
 of A - sigma M on the conforming side.
 
+Each certified vector u is multiplied once by each of A, M, |A| and |M|,
+after the product with M that normalises it: that one product pass
+(:func:`_product_pass`) gives both quadratic forms of its Rayleigh
+interval and the residual and majorant of its residual bound, five
+products a mode where bounds that each made their own would make nine.
+|A|, |M| and the largest row counts that the rounding factors gamma
+read are formed once per solve, and the magnitudes share the index
+arrays of A and M, which share those of the cached reference map
+(:meth:`fem.ReferenceMap.mapped`).  Every certified number is the float
+the separate bounds compute, bit for bit.
+
 Every solve runs in parts (:attr:`fem.DiscreteOperators.halves`), which
 fem.ReferenceMap.with_halves builds: a mirror-parity half of T(theta),
 or the whole space spanned by both parity bases, which serves a triangle
@@ -89,7 +100,7 @@ with M, would shrink delta by under 3 % on the nonconforming side (9 %
 on the conforming one).
 
 The conforming side needs none of this.  Its one certified number is
-the Rayleigh quotient R(u) of :func:`ground_rayleigh`, and lambda_1 <=
+the Rayleigh quotient R(u) of :func:`rayleigh_bound`, and lambda_1 <=
 R(u) holds for every u != 0, so that side computes a single mode, with
 no guard mode and no residual bound, and its bound does not depend on
 which mode the solver returned.  Its Lanczos run is shifted to a
@@ -172,10 +183,10 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import DiscreteOperators, Half
+from .fem import DiscreteOperators, Half, on_pattern
 from .rounding import EPS as _EPS, Interval, dn, gamma, up
 
-# Lanczos vectors for the shifted ground solve of ground_rayleigh.
+# Lanczos vectors for the shifted ground solve of ground_mode.
 # Operator applications summed over every fourth point of both paper
 # schedules (step-2 breakpoints and J nodes) at CG 96, shifted to the
 # corrected CR bound, stopping at LANCZOS_TOL, by ncv (ARPACK's default of
@@ -258,13 +269,24 @@ def _gamma(k: int) -> float:
 
 
 def _max_row_nnz(K: sp.csr_matrix) -> int:
+    """The largest number of entries K stores in a row."""
     return int(np.max(np.diff(K.indptr))) if K.shape[0] else 0
 
 
 def _abs(K: sp.csr_matrix) -> sp.csr_matrix:
-    out = K.copy()
-    out.data = np.abs(out.data)
-    return out
+    """|K| entrywise, on the index arrays of K."""
+    return on_pattern(K, np.abs(K.data))
+
+
+def _form(
+    u: np.ndarray, abs_u: np.ndarray, Ku: np.ndarray, abs_Ku: np.ndarray, rows: int
+) -> Interval:
+    """Enclosure of u^T K u from the products K u and |K| |u|, for K of
+    at most ``rows`` stored entries a row (:func:`quad_form_interval`)."""
+    val = float(u @ Ku)
+    maj = float(abs_u @ abs_Ku)
+    err = _gamma(rows + u.size + 2) * up(maj, 4)
+    return Interval(dn(val - err, 4), up(val + err, 4))
 
 
 def quad_form_interval(
@@ -272,25 +294,65 @@ def quad_form_interval(
 ) -> Interval:
     """Enclosure of u^T K u including accumulated rounding error.
 
-    ``abs_K`` is |K| entrywise, formed here when not given: a caller
-    that bounds several forms of one K forms it once.
+    The float value u^T (K u) is widened by gamma(m + n + 2) times the
+    majorant |u|^T |K| |u| of its terms, m the largest row count of K
+    and n the length of u.  ``abs_K`` is |K| entrywise, formed here when
+    not given.  This is the form of one operator from its two products;
+    the Rayleigh intervals of :func:`solve_lowest` and
+    :func:`rayleigh_bound` take the same two products of A and of M from
+    the one product pass of their vector (:class:`_Products`), which the
+    residual bound reads too, and compute the same floats.
     """
+    abs_u = np.abs(u)
     if abs_K is None:
         abs_K = _abs(K)
-    Ku = K @ u
-    val = float(u @ Ku)
-    maj = float(np.abs(u) @ (abs_K @ np.abs(u)))
-    err = _gamma(_max_row_nnz(K) + u.size + 2) * up(maj, 4)
-    return Interval(dn(val - err, 4), up(val + err, 4))
+    return _form(u, abs_u, K @ u, abs_K @ abs_u, _max_row_nnz(K))
 
 
-_Magnitudes = tuple[sp.csr_matrix, sp.csr_matrix]
+@dataclass(frozen=True)
+class _Products:
+    """The products of one vector u with the whole operators A and M, each
+    formed once (:func:`_product_pass`), with the largest row counts of A
+    and M, which the rounding factors gamma read: its Rayleigh interval
+    and its residual bound both read them."""
+
+    u: np.ndarray
+    abs_u: np.ndarray
+    Au: np.ndarray
+    Mu: np.ndarray
+    abs_Au: np.ndarray
+    abs_Mu: np.ndarray
+    rows_A: int
+    rows_M: int
+
+    def rayleigh(self) -> "RayleighBound":
+        """The certified Rayleigh quotient of u (:func:`quad_form_interval`
+        of A and of M)."""
+        num = _form(self.u, self.abs_u, self.Au, self.abs_Au, self.rows_A)
+        den = _form(self.u, self.abs_u, self.Mu, self.abs_Mu, self.rows_M)
+        if den.lo <= 0.0:
+            raise EigensolveError("mass quadratic form not certifiably positive")
+        return RayleighBound(num / den, den, self.u)
 
 
-def _magnitudes(ops: DiscreteOperators) -> _Magnitudes:
-    """|A| and |M| of ``ops`` entrywise, which every bound on its modes
-    reads: formed once per solve, not once per bound."""
-    return _abs(ops.A), _abs(ops.M)
+def _product_pass(ops: DiscreteOperators, vectors: list[np.ndarray]) -> list[_Products]:
+    """The one product pass of each of ``vectors``: A u, M u, |A| |u| and
+    |M| |u|.  |A| and |M| are formed once for all the vectors, on the index
+    arrays of A and M, and one after the other, so that no more than one
+    magnitude is held at a time; the row counts are taken once."""
+    A, M = ops.A, ops.M
+    abs_us = [np.abs(u) for u in vectors]
+    abs_A = _abs(A)
+    abs_Aus = [abs_A @ a for a in abs_us]
+    del abs_A
+    abs_M = _abs(M)
+    abs_Mus = [abs_M @ a for a in abs_us]
+    del abs_M
+    rows_A, rows_M = _max_row_nnz(A), _max_row_nnz(M)
+    return [
+        _Products(u, a, A @ u, M @ u, abs_Au, abs_Mu, rows_A, rows_M)
+        for u, a, abs_Au, abs_Mu in zip(vectors, abs_us, abs_Aus, abs_Mus)
+    ]
 
 
 def _norm2_upper(x: np.ndarray) -> float:
@@ -298,7 +360,7 @@ def _norm2_upper(x: np.ndarray) -> float:
 
 
 def residual_bound(
-    ops: DiscreteOperators, u: np.ndarray, rho: float, magnitudes: _Magnitudes | None = None
+    ops: DiscreteOperators, u: np.ndarray, rho: float, products: _Products | None = None
 ) -> float:
     """Certified upper bound on ||A u - rho M u||_{M^{-1}}.
 
@@ -313,19 +375,14 @@ def residual_bound(
     the matrix-vector products in absolute value, times gamma of the
     largest row count, so it exceeds the residual of a converged pair by
     one to three orders of magnitude and sets the bound (module
-    docstring).  ``magnitudes`` are |A| and |M| of ``ops``
-    (:func:`_magnitudes`), formed here when not given.
+    docstring).  ``products`` are the products of u with the operators
+    of ``ops`` (:func:`_product_pass`), which the Rayleigh interval of u
+    reads too; the pass is made here when they are not given.
     """
-    A, M = ops.A, ops.M
-    abs_A, abs_M = magnitudes or _magnitudes(ops)
-    Au = A @ u
-    Mu = M @ u
-    r = Au - rho * Mu
-
-    au_abs = abs_A @ np.abs(u)
-    mu_abs = abs_M @ np.abs(u)
-    m = max(_max_row_nnz(A), _max_row_nnz(M))
-    delta_elem = _gamma(m + 3) * (au_abs + abs(rho) * mu_abs + np.abs(r))
+    p = products if products is not None else _product_pass(ops, [u])[0]
+    r = p.Au - rho * p.Mu
+    m = max(p.rows_A, p.rows_M)
+    delta_elem = _gamma(m + 3) * (p.abs_Au + abs(rho) * p.abs_Mu + np.abs(r))
 
     sqrt_mu = dn(float(np.sqrt(ops.mass_min_eig_lower())), 2)
     return up(up(_norm2_upper(r) + _norm2_upper(delta_elem), 2) / sqrt_mu, 4)
@@ -337,29 +394,23 @@ class RayleighBound:
 
     lambda_1 <= rho.hi holds for any nonzero vector, whichever mode the
     solver returned, so rho.hi is a certified upper bound on lambda_1.
+    ``grams`` holds the certified forms of Kxx, Kxy and Kyy of the
+    vector where its operators carried them (:func:`rayleigh_bound`).
     """
 
     rho: Interval
     mass_form: Interval
     vector: np.ndarray
+    grams: tuple[Interval, Interval, Interval] | None = None
 
 
-def _rayleigh(ops: DiscreteOperators, u: np.ndarray, magnitudes: _Magnitudes) -> RayleighBound:
-    num = quad_form_interval(ops.A, u, magnitudes[0])
-    den = quad_form_interval(ops.M, u, magnitudes[1])
-    if den.lo <= 0.0:
-        raise EigensolveError("mass quadratic form not certifiably positive")
-    return RayleighBound(num / den, den, u)
-
-
-def _certify(
-    ops: DiscreteOperators, u: np.ndarray, k: int, magnitudes: _Magnitudes
-) -> EigenEnclosure:
-    ray = _rayleigh(ops, u, magnitudes)
+def _certify(ops: DiscreteOperators, products: _Products, k: int) -> EigenEnclosure:
+    ray = products.rayleigh()
     rho, mass = ray.rho, ray.mass_form
     # delta bounds ||r||_{M^{-1}} / ||u||_M, so divide by a certified lower
     # bound on ||u||_M; u need not be normalised
-    bound = residual_bound(ops, u, rho.mid, magnitudes)
+    u = products.u
+    bound = residual_bound(ops, u, rho.mid, products)
     delta = up(bound / dn(float(np.sqrt(mass.lo)), 2), 2)
     # enclosure around the Rayleigh interval; the residual was taken at its
     # midpoint, so widen by the interval radius as well
@@ -574,11 +625,8 @@ def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]
     if count > first.dim:
         raise ValueError(f"requested {count} modes from a {first.dim}-dimensional first part")
     _, vecs = _lowest_modes(first, count + 1, ncv=HALF_NCV, vectors=count)
-    magnitudes = _magnitudes(ops)
-    encs = [
-        _certify(ops, _normalize(ops.M, first.C @ vecs[:, i]), i + 1, magnitudes)
-        for i in range(count)
-    ]
+    us = [_normalize(ops.M, first.C @ vecs[:, i]) for i in range(count)]
+    encs = [_certify(ops, p, k) for k, p in enumerate(_product_pass(ops, us), 1)]
     if len(ops.halves) > 1:
         v = vecs[:, count - 1]
         floor = _floor(ops, encs[-1].lower, float(v @ (first.M @ v)) / float(v @ v))
@@ -586,8 +634,8 @@ def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]
     return encs
 
 
-def ground_rayleigh(ops: DiscreteOperators, below: float) -> RayleighBound:
-    """Certified Rayleigh upper bound on lambda_1 from one computed mode.
+def ground_mode(half: Half, below: float) -> np.ndarray:
+    """The ground mode of the part ``half``, lifted to the space.
 
     ``below`` is a lower bound on the lowest eigenvalue of the pencil,
     such as the corrected CR bound.  Lanczos runs shifted to sigma =
@@ -595,21 +643,30 @@ def ground_rayleigh(ops: DiscreteOperators, below: float) -> RayleighBound:
     the ground mode is far better separated than at 0, so ARPACK
     converges in a handful of operator applications.  A part of one
     unknown is solved by dense LAPACK instead, which ignores the shift
-    (:func:`_lowest_modes`).  The mode is computed in the first part
-    ``ops`` carries and lifted; operators with no parts raise
-    ValueError.  Only the quadratic forms u^T A u and u^T M u are
-    certified, on ``ops``: neither a residual bound nor an index is
-    needed for lambda_1 <= R(u), so the bound holds whatever ``below``
-    and the part are; a shift at or above the ground eigenvalue, or a
-    part that lacks the ground mode, can only return a larger R(u) or
-    end in an EigensolveError.
+    (:func:`_lowest_modes`).  Nothing is certified here: neither a
+    residual bound nor an index is needed for lambda_1 <= R(u)
+    (:func:`rayleigh_bound`), so a shift at or above the ground
+    eigenvalue, or a part that lacks the ground mode, can only give a
+    larger R(u) or end in an EigensolveError.
     """
-    if not ops.halves:
-        raise ValueError("the operators carry no part to solve in")
-    half = ops.halves[0]
     _, vecs = _lowest_modes(half, 1, sigma=below, ncv=GROUND_NCV)
-    u = half.C @ vecs[:, 0]
-    return _rayleigh(ops, _normalize(ops.M, u), _magnitudes(ops))
+    return half.C @ vecs[:, 0]
+
+
+def rayleigh_bound(ops: DiscreteOperators, u: np.ndarray) -> RayleighBound:
+    """The certified Rayleigh quotient R(u) >= lambda_1 of the vector u,
+    normalised first, on the whole operators ``ops``.
+
+    Only the quadratic forms u^T A u and u^T M u are certified, from one
+    product pass of u (:class:`_Products`).  Where ``ops`` carries the
+    grams (:meth:`fem.ReferenceMap.grams`), their forms are certified
+    too, each by :func:`quad_form_interval`, and returned with R(u).
+    """
+    u = _normalize(ops.M, u)
+    ray = _product_pass(ops, [u])[0].rayleigh()
+    if ops.Kxx is None:
+        return ray
+    return replace(ray, grams=tuple(quad_form_interval(K, u) for K in (ops.Kxx, ops.Kxy, ops.Kyy)))
 
 
 def verify_enclosure(

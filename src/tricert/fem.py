@@ -56,6 +56,8 @@ every operator mapped from it is banded as it stands.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -413,7 +415,8 @@ class DiscreteOperators:
     the partial-derivative grams.  Kxy is stored as assembled (row index
     differentiates in x, column in y); only its quadratic form is used.
     Assembled operators carry the grams; mapped ones leave them out
-    (:meth:`ReferenceMap.grams` maps them where they are read).
+    (:meth:`ReferenceMap.grams` maps them, with A and M, where they are
+    read).
     ``halves`` are the parts (:class:`Half`) the solvers work in; mapped
     operators carry them, and assembled ones, which carry none, the
     solvers refuse.
@@ -508,11 +511,18 @@ class _StiffnessValues:
         stiff += np.multiply(self.xx, by)
         return stiff
 
+    @functools.cached_property
+    def _pattern(self) -> sp.csr_matrix:
+        """A matrix on the union pattern, which every matrix mapped on it
+        copies (:func:`on_pattern`)."""
+        n = self.indptr.size - 1
+        return sp.csr_matrix((self.xx, self.indices, self.indptr), shape=(n, n))
+
 
 @dataclass(frozen=True)
 class PartMap(_StiffnessValues):
     """The map of one part of a space (:meth:`ReferenceMap.with_halves`),
-    holding only what :meth:`ReferenceMap.mapped` reads of it: its M, and
+    holding only what :meth:`ReferenceMap.parts` reads of it: its M, and
     Kxx, Kxy + Kxy^T and Kyy as values on the union pattern (``indptr``,
     ``indices``) of its grams, all in the order ``band``, which takes its
     k-th unknown from column ``band.perm[k]`` of the parity bases, with
@@ -601,7 +611,9 @@ class ReferenceMap(_StiffnessValues):
     @classmethod
     def of(cls, ops: DiscreteOperators) -> "ReferenceMap":
         """The map of ``ops``, whose grams must be in canonical CSR form,
-        as :func:`assemble` leaves them."""
+        as :func:`assemble` leaves them.  The map keeps ``ops.M`` and makes
+        its index arrays read-only, as every mass matrix mapped from it
+        shares them."""
         ref = ops.space.mesh.triangle
         if (ref.bx, ref.by) != (0.0, 1.0):
             raise ValueError(
@@ -626,8 +638,9 @@ class ReferenceMap(_StiffnessValues):
             return vals
 
         xx, xy, yx, yy = (scatter(g, K) for g, K in enumerate(grams))
-        # shared by every mapped matrix that stores the whole pattern
-        union.indptr.flags.writeable = union.indices.flags.writeable = False
+        # shared by every mapped matrix that stores the whole pattern, or M's
+        for index in (union.indptr, union.indices, M.indptr, M.indices):
+            index.flags.writeable = False
         return cls(space, M, union.indptr, union.indices, xx, xy, xy + yx, yy)
 
     def with_halves(self, parts: tuple[tuple[int, ...], ...]) -> "ReferenceMap":
@@ -644,7 +657,7 @@ class ReferenceMap(_StiffnessValues):
 
         The parity bases are bases of the lattice's spaces, which need no
         mirror, so the whole part serves any triangle; a half serves only
-        T(theta), where the pencil splits (:meth:`mapped`).
+        T(theta), where the pencil splits (:meth:`parts`).
         """
         bases = parity_bases(self.space)
         grams = [self.M, *(self._csr(v) for v in (self.xx, self.xy, self.yy))]
@@ -702,8 +715,10 @@ class ReferenceMap(_StiffnessValues):
         ``band``, the band slots of its A and M patterns, and the given
         bounds (:class:`PartMap`)."""
         indptr, indices, take = _permuted(self.indptr, self.indices, band.perm)
-        indptr.flags.writeable = indices.flags.writeable = False
         m_indptr, m_indices, m_take = _permuted(self.M.indptr, self.M.indices, band.perm)
+        # shared by the matrices of every mapped half
+        for index in (indptr, indices, m_indptr, m_indices):
+            index.flags.writeable = False
         M = sp.csr_matrix((self.M.data[m_take], m_indices, m_indptr), self.M.shape)
         slots = (
             _band_slots(indptr, indices, band.width),
@@ -723,58 +738,118 @@ class ReferenceMap(_StiffnessValues):
 
     def mapped(self, triangle: TriangleShape) -> DiscreteOperators:
         """The operators A and M on ``triangle``, by the reference-map
-        identities of the module docstring, with each part this map
-        carries mapped alike (A on its map's whole pattern), each carrying
-        the band width and slots of its map.  The grams, which only a
-        point's derivative functional reads, are left out: :meth:`grams`
-        maps them.
+        identities of the module docstring, with the parts this map
+        carries (:meth:`parts`).  The grams, which only a point's
+        derivative functional reads, are left out: :meth:`grams` maps them.
+
+        Every matrix a map returns is stored on the index arrays of the
+        reference pattern it is mapped from, which it shares with the map
+        and never writes (:func:`on_pattern`): only a matrix with an entry
+        that vanishes on ``triangle`` gets arrays of its own
+        (:meth:`_csr`).  So a point allocates its values alone.
 
         The returned space holds the mesh of ``triangle``: the reference
-        mesh with its triangle swapped.  A map with a part that leaves out
-        a parity needs a T(theta), apex on the unit circle: only there
-        does the mirror map the triangle onto itself, so that the pencil
-        splits into its halves.
+        mesh with its triangle swapped.
+        """
+        bx, by = triangle.bx, triangle.by
+        return DiscreteOperators(
+            self._space_on(triangle),
+            A=self._csr(self._stiffness(bx, by)),
+            M=_scaled(self.M, by),
+            halves=self.parts(triangle),
+        )
+
+    def parts(self, triangle: TriangleShape) -> tuple[Half, ...]:
+        """Each part this map carries, mapped to ``triangle`` as the whole
+        space is (A on its map's whole pattern), with the band width and
+        slots of its map.
+
+        A map with a part that leaves out a parity needs a T(theta), apex
+        on the unit circle: only there does the mirror map the triangle
+        onto itself, so that the pencil splits into its halves.
         """
         bx, by = triangle.bx, triangle.by
         split = any(C.shape[1] < self.dim for _, C in self.halves)
         if split and abs(bx * bx + by * by - 1.0) > 1e-12:
             raise ValueError(f"apex ({bx}, {by}) is off the unit circle; the mirror needs T(theta)")
-        space = replace(self.space, mesh=replace(self.space.mesh, triangle=triangle))
-        return DiscreteOperators(
-            space,
-            A=self._csr(self._stiffness(bx, by)),
-            M=by * self.M,
-            halves=tuple(
-                Half(
-                    sp.csr_matrix((ref._stiffness(bx, by), ref.indices, ref.indptr), ref.M.shape),
-                    by * ref.M, C, ref.band.width, ref.slots, *ref.bounds(bx, by),
-                )
-                for ref, C in self.halves
-            ),
+        return tuple(
+            Half(
+                on_pattern(ref._pattern, ref._stiffness(bx, by)),
+                _scaled(ref.M, by), C, ref.band.width, ref.slots, *ref.bounds(bx, by),
+            )
+            for ref, C in self.halves
         )
 
-    def grams(self, triangle: TriangleShape) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """Kxx, Kxy and Kyy on ``triangle``, by the identities of the module
-        docstring, as :func:`assemble` would store them."""
+    def grams(self, triangle: TriangleShape) -> DiscreteOperators:
+        """The whole operators on ``triangle`` with their grams Kxx, Kxy
+        and Kyy, by the identities of the module docstring, as
+        :func:`assemble` would store them, and no part: one pass over the
+        map, in which A is the sum of the values of Kxx and Kyy, gives
+        all five, on the map's patterns as :meth:`mapped` stores A and M.
+        """
         bx, by = triangle.bx, triangle.by
-        return (
-            self._csr(by * self.xx), self._csr(self.xy - bx * self.xx), self._csr(self._kyy(bx, by))
+        # one operator at a time, Kxy = Kxy_ref - bx Kxx_ref in place, and
+        # each value array released once used, so that few are alive at
+        # once: at CG 192 edge-mean, where one holds 2.4 MB, mapping all
+        # five together took a point's memory peak above the solve's
+        kxy = bx * self.xx
+        Kxy = self._csr(np.subtract(self.xy, kxy, out=kxy))
+        del kxy
+        kxx = by * self.xx
+        Kxx = self._csr(kxx)
+        kyy = self._kyy(bx, by)
+        Kyy = self._csr(kyy)
+        stiff = kyy + kxx
+        del kxx, kyy
+        A = self._csr(stiff)
+        del stiff
+        return DiscreteOperators(
+            self._space_on(triangle), A=A, M=_scaled(self.M, by), Kxx=Kxx, Kxy=Kxy, Kyy=Kyy
         )
+
+    def _space_on(self, triangle: TriangleShape) -> FemSpace:
+        """The space of this map on the mesh of ``triangle``."""
+        return replace(self.space, mesh=replace(self.space.mesh, triangle=triangle))
 
     def _csr(self, vals: np.ndarray) -> sp.csr_matrix:
         """The matrix with ``vals`` on the union pattern, exact zeros dropped
-        as the sparse algebra drops them."""
-        n = self.indptr.size - 1
-        return _kept(sp.csr_matrix((vals, self.indices, self.indptr), shape=(n, n)), vals != 0.0)
+        as the sparse algebra drops them: it shares the pattern's index
+        arrays unless it has such a zero."""
+        return _kept(on_pattern(self._pattern, vals), vals != 0.0)
+
+
+def on_pattern(K: sp.csr_matrix, values: np.ndarray) -> sp.csr_matrix:
+    """The matrix with ``values`` on the pattern of K, whose index arrays
+    it shares.
+
+    It is a shallow copy of K with its values replaced, which skips the
+    constructor's check of a pattern that was checked when K was made:
+    3 us a matrix against 16 us on a CG 32 edge-mean space (2-vCPU VM),
+    where a product with the matrix takes 6 us, and a point maps or
+    forms about twenty."""
+    out = copy.copy(K)
+    out.data = values
+    return out
+
+
+def _scaled(K: sp.csr_matrix, c: float) -> sp.csr_matrix:
+    """c K, as the sparse algebra forms it, on the index arrays of K."""
+    return on_pattern(K, K.data * c)
 
 
 def _kept(K: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
-    """K with only its entries where ``keep`` holds, in their order."""
+    """K with only its entries where ``keep`` holds, in their order: a
+    copy of K (:func:`on_pattern`) with its arrays cut, since a subset of
+    a checked pattern, in order, needs no check.  It took 30 to 65 us
+    less a matrix than the constructor on the CG 32 grams (cold caches,
+    2-vCPU VM)."""
     if keep.all():
         return K
     kept = np.zeros(keep.size + 1, dtype=K.indptr.dtype)
     np.cumsum(keep, out=kept[1:])
-    return sp.csr_matrix((K.data[keep], K.indices[keep], kept[K.indptr]), shape=K.shape)
+    out = on_pattern(K, K.data[keep])
+    out.indices, out.indptr = K.indices[keep], kept[K.indptr]
+    return out
 
 
 def _congruent(

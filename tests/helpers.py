@@ -16,12 +16,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import tricert
-from tricert import eigsolve
-from tricert.certify import _reference_operators
-from tricert.eigsolve import ground_rayleigh, solve_lowest
+from tricert import certify, eigsolve
+from tricert.bounds import bracket, corrected_lower
+from tricert.certify import PointData, _reference_operators
+from tricert.eigsolve import EigenEnclosure, EigensolveError, RayleighBound, solve_lowest
 from tricert.fem import ReferenceMap, assemble, build_space
 from tricert.geometry import triangle_from_angle
 from tricert.mesh import uniform_subdivide
+from tricert.rounding import Interval, dn, gamma, up
 
 EQ = math.pi / 3
 
@@ -235,8 +237,8 @@ def operators(theta: float, n: int, family: str, bc: str):
     """The operators of T(theta), with their grams, solved in their whole
     part: the banded path every proof solve takes."""
     ref, tri = whole_map(n, family, bc), triangle_from_angle(theta)
-    Kxx, Kxy, Kyy = ref.grams(tri)
-    return replace(ref.mapped(tri), Kxx=Kxx, Kxy=Kxy, Kyy=Kyy)
+    grams = ref.grams(tri)
+    return replace(ref.mapped(tri), Kxx=grams.Kxx, Kxy=grams.Kxy, Kyy=grams.Kyy)
 
 
 def assemble_on_angle(theta: float, n: int, family: str, bc: str):
@@ -271,16 +273,137 @@ def two_half_solve(ops, count: int = 2):
         lifted.append(half.C @ vecs)
     order = np.argsort(np.concatenate(vals), kind="stable")[:count]
     vecs = np.hstack(lifted)[:, order]
-    magnitudes = eigsolve._magnitudes(ops)
-    return [
-        eigsolve._certify(ops, eigsolve._normalize(ops.M, vecs[:, i]), i + 1, magnitudes)
+    us = [eigsolve._normalize(ops.M, vecs[:, i]) for i in range(count)]
+    return [eigsolve._certify(ops, p, k) for k, p in enumerate(eigsolve._product_pass(ops, us), 1)]
+
+
+# The certification with each bound forming its own products: copied
+# magnitudes, the quadratic forms and the residual bound each multiplying
+# by A, M, |A| and |M| again, the conforming side certified on the mapped
+# whole operators and its grams taken from ReferenceMap.grams after that.
+# An oracle for the one product pass of eigsolve, whose every certified
+# bit must match it.
+
+
+def _magnitude_copy(K: sp.csr_matrix) -> sp.csr_matrix:
+    out = K.copy()
+    out.data = np.abs(out.data)
+    return out
+
+
+def quad_form_by_itself(K, u, abs_K=None) -> Interval:
+    """Enclosure of u^T K u, with |K| formed here when not given."""
+    if abs_K is None:
+        abs_K = _magnitude_copy(K)
+    Ku = K @ u
+    val = float(u @ Ku)
+    maj = float(np.abs(u) @ (abs_K @ np.abs(u)))
+    err = gamma(int(np.max(np.diff(K.indptr))) + u.size + 2) * up(maj, 4)
+    return Interval(dn(val - err, 4), up(val + err, 4))
+
+
+def residual_by_itself(ops, u, rho, magnitudes) -> float:
+    """The certified bound on ||A u - rho M u||_{M^-1}, from its own products."""
+    A, M = ops.A, ops.M
+    abs_A, abs_M = magnitudes
+    Au = A @ u
+    Mu = M @ u
+    r = Au - rho * Mu
+    au_abs = abs_A @ np.abs(u)
+    mu_abs = abs_M @ np.abs(u)
+    m = max(int(np.max(np.diff(A.indptr))), int(np.max(np.diff(M.indptr))))
+    delta_elem = gamma(m + 3) * (au_abs + abs(rho) * mu_abs + np.abs(r))
+    sqrt_mu = dn(float(np.sqrt(ops.mass_min_eig_lower())), 2)
+    norm2 = [up(float(np.linalg.norm(x)) * (1.0 + gamma(x.size + 2)), 4) for x in (r, delta_elem)]
+    return up(up(norm2[0] + norm2[1], 2) / sqrt_mu, 4)
+
+
+def _rayleigh_by_itself(ops, u, magnitudes) -> tuple[Interval, Interval]:
+    num = quad_form_by_itself(ops.A, u, magnitudes[0])
+    den = quad_form_by_itself(ops.M, u, magnitudes[1])
+    if den.lo <= 0.0:
+        raise EigensolveError("mass quadratic form not certifiably positive")
+    return num / den, den
+
+
+def _certify_by_itself(ops, u, k, magnitudes) -> EigenEnclosure:
+    rho, mass = _rayleigh_by_itself(ops, u, magnitudes)
+    delta = up(residual_by_itself(ops, u, rho.mid, magnitudes) / dn(float(np.sqrt(mass.lo)), 2), 2)
+    rad = up(delta + 0.5 * rho.width, 4)
+    lower, upper = dn(rho.mid - rad, 4), up(rho.mid + rad, 4)
+    if k == 1:
+        upper = min(upper, up(rho.hi, 4))
+    return EigenEnclosure(k, lower, upper, rho, delta, u)
+
+
+def solve_by_bound(ops, count: int = 2) -> list[EigenEnclosure]:
+    """solve_lowest with each bound forming its own products."""
+    first = ops.halves[0]
+    _, vecs = eigsolve._lowest_modes(first, count + 1, ncv=eigsolve.HALF_NCV, vectors=count)
+    magnitudes = _magnitude_copy(ops.A), _magnitude_copy(ops.M)
+    encs = [
+        _certify_by_itself(ops, eigsolve._normalize(ops.M, first.C @ vecs[:, i]), i + 1, magnitudes)
         for i in range(count)
     ]
+    if len(ops.halves) > 1:
+        v = vecs[:, count - 1]
+        floor = eigsolve._floor(ops, encs[-1].lower, float(v @ (first.M @ v)) / float(v @ v))
+        encs[-1] = replace(encs[-1], lower=floor)
+    return encs
+
+
+def _certified_solve_by_bound(tri, bc, cg_n, cr_n, *parts):
+    """certify.certified_solve with each bound forming its own products:
+    the brackets, the conforming vector and its Rayleigh quotient and mass."""
+    ops_cr = _reference_operators(cr_n, "cr", bc, *parts).mapped(tri)
+    enc = solve_by_bound(ops_cr, 2)
+    enc = [eigsolve.verify_enclosure(enc[0], (enc[1],)), enc[1]]
+    h_cr = ops_cr.space.mesh.h
+    ops_cg = _reference_operators(cg_n, "cg", bc, *parts).mapped(tri)
+    half = ops_cg.halves[0]
+    _, vecs = eigsolve._lowest_modes(
+        half, 1, sigma=corrected_lower(enc[0], h_cr), ncv=eigsolve.GROUND_NCV
+    )
+    u = eigsolve._normalize(ops_cg.M, half.C @ vecs[:, 0])
+    magnitudes = _magnitude_copy(ops_cg.A), _magnitude_copy(ops_cg.M)
+    rho, mass = _rayleigh_by_itself(ops_cg, u, magnitudes)
+    lam1, lam2 = bracket(enc, rho, h_cr)
+    return lam1, lam2, u, mass
+
+
+def point_by_bound(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData:
+    """certify.compute_point with each bound forming its own products."""
+    bc = certify._BC[problem]
+    tri = triangle_from_angle(theta)
+    parts = () if theta <= EQ else (((0, 1),),)
+    with certify.single_blas_thread():
+        lam1, lam2, u, mm = _certified_solve_by_bound(tri, bc, cg_n, cr_n, *parts)
+        grams = _reference_operators(cg_n, "cg", bc, *parts).grams(tri)
+        xx, xy, yy = (quad_form_by_itself(K, u) for K in (grams.Kxx, grams.Kxy, grams.Kyy))
+    return PointData(
+        theta, cg_n, cr_n, lam1, lam2,
+        (xx.lo, xx.hi), (xy.lo, xy.hi), (yy.lo, yy.hi), (mm.lo, mm.hi),
+    )
+
+
+def edge_mean_lambda1_by_bound(tri, cg_n: int, cr_n: int):
+    """certify.edge_mean_lambda1 with each bound forming its own products."""
+    with certify.single_blas_thread():
+        return _certified_solve_by_bound(tri, "edge-mean", cg_n, cr_n, ((0, 1),))[0]
 
 
 @lru_cache(maxsize=128)
 def lowest_two(theta: float, n: int, family: str, bc: str):
     return tuple(solve_lowest(operators(theta, n, family, bc), 2))
+
+
+def ground_rayleigh(ops, below: float) -> RayleighBound:
+    """The certified Rayleigh bound on lambda_1 of the ground mode of the
+    first part of ``ops``, shifted to ``below``, as a point certifies its
+    conforming side; operators with no parts raise ValueError."""
+    if not ops.halves:
+        raise ValueError("the operators carry no part to solve in")
+    return eigsolve.rayleigh_bound(ops, eigsolve.ground_mode(ops.halves[0], below))
 
 
 @lru_cache(maxsize=128)

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import needs_two_cores, stdout_per_blas_threads
+from helpers import (
+    edge_mean_lambda1_by_bound,
+    needs_two_cores,
+    point_by_bound,
+    stdout_per_blas_threads,
+)
 from tricert import certify, eigsolve
 from tricert.certify import (
     CSV_COLUMNS,
@@ -323,6 +328,75 @@ class TestPointData:
         cg_dim = certify._reference_operators(28, "cg", "dirichlet").dim
         assert formed == [cr_dim] * 2 + [cg_dim] * 5
         assert once == per_bound
+
+    @pytest.mark.parametrize(
+        "theta", [0.0209, 0.3, 0.9, 1.04, EQ], ids=["0.0209", "0.3", "0.9", "1.04", "fl(pi/3)"]
+    )
+    @pytest.mark.parametrize("cg_n, cr_n", [(12, 8), (32, 32)], ids=["12-8", "32-32"])
+    @pytest.mark.parametrize("problem", ["dirichlet", "cr-constant"])
+    def test_one_product_pass_certifies_the_bits_of_separate_bounds(
+        self, problem, cg_n, cr_n, theta
+    ):
+        # one pass of A u, M u, |A| |u| and |M| |u| per vector feeds both
+        # its Rayleigh interval and its residual bound, and the conforming
+        # grams come from the map that gives A: every certified number must
+        # be the one that bounds forming their own products give (helpers)
+        got = compute_point(problem, theta, cg_n, cr_n)
+        assert repr(got) == repr(point_by_bound(problem, theta, cg_n, cr_n))
+
+    @pytest.mark.parametrize("problem", ["dirichlet", "cr-constant"])
+    def test_one_product_pass_matches_separate_bounds_on_the_sweep_meshes(self, problem):
+        got = compute_point(problem, 0.9, 96, 64)
+        assert repr(got) == repr(point_by_bound(problem, 0.9, 96, 64))
+
+    def test_whole_part_bracket_matches_separate_bounds(self):
+        # the whole space as one part, on a triangle with no mirror
+        tri = certify.triangle_from_vertex(0.37, 0.71)
+        got = certify.edge_mean_lambda1(tri, 24, 16)
+        assert repr(got) == repr(edge_mean_lambda1_by_bound(tri, 24, 16))
+
+    def test_a_certified_mode_forms_each_product_once(self, monkeypatch):
+        # a certified CR mode multiplies the whole operators five times: to
+        # normalise it, then A u, M u, |A| |u| and |M| |u| once, for both its
+        # Rayleigh interval and its residual bound; the largest row counts
+        # that the rounding factors read are taken once per solve
+        ops = certify._reference_operators(16, "cr", "dirichlet").mapped(
+            certify.triangle_from_angle(0.9)
+        )
+        products, row_counts = [], []
+        real_matmul, real_rows = sp.csr_matrix.__matmul__, eigsolve._max_row_nnz
+
+        def counting_matmul(K, x):
+            if K.shape == (ops.dim, ops.dim):
+                products.append(K.nnz)
+            return real_matmul(K, x)
+
+        def counting_rows(K):
+            row_counts.append(K.nnz)
+            return real_rows(K)
+
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting_matmul)
+        monkeypatch.setattr(eigsolve, "_max_row_nnz", counting_rows)
+        encs = eigsolve.solve_lowest(ops, 2)
+        assert len(products) == 5 * len(encs)
+        assert len(row_counts) == 2
+
+    @pytest.mark.parametrize("family", ["cr", "cg"])
+    def test_mapped_operators_and_magnitudes_share_the_reference_patterns(self, family):
+        # a point allocates values alone: the whole operators, their
+        # magnitudes and the parts' matrices keep the index arrays of the
+        # cached map they are mapped from (no entry vanishes at theta = 0.9)
+        ref = certify._reference_operators(16, family, "dirichlet")
+        ops = ref.mapped(certify.triangle_from_angle(0.9))
+        shared = [
+            (ops.A, ref), (eigsolve._abs(ops.A), ref),
+            (ops.M, ref.M), (eigsolve._abs(ops.M), ref.M),
+        ]
+        for (part, _), half in zip(ref.halves, ops.halves):
+            shared += [(half.A, part), (half.M, part.M)]
+        for K, pattern in shared:
+            assert np.shares_memory(K.indices, pattern.indices)
+            assert np.shares_memory(K.indptr, pattern.indptr)
 
     def test_every_reference_map_carries_its_halves(self):
         # no proof space is solved whole, whatever its size: every map

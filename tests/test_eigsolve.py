@@ -21,7 +21,14 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EQ, assemble_on_angle, operators, superlu_eigenvalues, two_half_solve
+from helpers import (
+    EQ,
+    assemble_on_angle,
+    ground_rayleigh,
+    operators,
+    superlu_eigenvalues,
+    two_half_solve,
+)
 from tricert.certify import _reference_operators, compute_point
 from tricert import eigsolve
 from tricert.bounds import corrected_lower
@@ -30,8 +37,7 @@ from tricert.eigsolve import (
     EigensolveError,
     _band_pack,
     _certify,
-    _magnitudes,
-    ground_rayleigh,
+    _product_pass,
     quad_form_interval,
     residual_bound,
     solve_lowest,
@@ -255,7 +261,7 @@ def test_unnormalized_vector_enclosure_contains_eigenvalue():
     ops = operators(EQ, 8, "cg", "dirichlet")
     vals, vecs = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
     u = 1e-6 * (vecs[:, 0] + 1e-3 * vecs[:, 1])
-    enc = _certify(ops, u, 1, _magnitudes(ops))
+    enc = _certify(ops, _product_pass(ops, [u])[0], 1)
     assert enc.lower <= vals[0] <= enc.upper
 
 
