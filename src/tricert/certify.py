@@ -48,6 +48,7 @@ import json
 import math
 import multiprocessing
 import platform
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
 
@@ -76,7 +77,7 @@ from .eigsolve import (  # noqa: F401
     solve_lowest,
     verify_enclosure,
 )
-from .fem import ReferenceMap, assemble, build_space
+from .fem import INVARIANT, ReferenceMap, assemble, build_space
 from .geometry import perturbation_factor_bounds, triangle_from_angle, triangle_from_vertex
 from .mesh import uniform_subdivide
 from .rounding import Interval, cos_interval, cot_interval, dn, sin_interval, up
@@ -261,6 +262,17 @@ class PointData:
 
 _T_REF = triangle_from_vertex(0.0, 1.0)
 
+# Part layouts (ReferenceMap.with_halves) besides the default mirror
+# halves: the whole space as one part, and the conforming part invariant
+# under the symmetry group of the equilateral triangle
+_WHOLE = ((0, 1),)
+_INVARIANT = ((INVARIANT,),)
+
+# The reference map of each space that some entry of the cache holds, under
+# any part layout, for as long as one does: another layout of the space
+# takes its parts from that map, with no second assembly
+_LIVE_MAPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
 
 @functools.lru_cache(maxsize=8)
 def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceMap:
@@ -270,18 +282,27 @@ def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceM
     Each entry is the :class:`ReferenceMap` of one space with the parts
     it is solved in.  By default (``parts`` None) these are the
     mirror-parity halves of a proof space, whatever its size: both for a
-    CR space, the symmetric one for a CG space (:mod:`eigsolve`);
-    :func:`edge_mean_lambda1` asks for ``((0, 1),)``, the whole space as
-    one part, which maps to a triangle of any apex.
+    CR space, the symmetric one for a CG space (:mod:`eigsolve`).  A
+    point at fl(pi/3) asks for the CG space with its part invariant under
+    the equilateral triangle's symmetry group, ``((INVARIANT,),)``, and
+    :func:`edge_mean_lambda1` for ``((0, 1),)``, the whole space as one
+    part, which maps to a triangle of any apex.
     :meth:`ReferenceMap.with_halves` stores each part in the band order
     in which every solve of it factorises A - sigma M by banded Cholesky,
-    so that order is fixed here, once per space.  Eight entries hold the
-    two sweep spaces and the two corner spaces of each problem, so a
-    process that proves both problems (or runs both quick proofs, six
-    spaces) builds each space once; with four, every proof of the pair
-    would evict the other's spaces and rebuild its own.  The two
-    whole-part entries of ``tricert constants`` live in a process of
-    their own, as the command line runs one subcommand per process.
+    so that order is fixed here, once per space and layout.  A space is
+    assembled once while the cache holds it in any layout: a second
+    layout takes its parts from that map (``_LIVE_MAPS``), whose arrays
+    both entries then share.
+
+    A proof asks for five entries: the two sweep spaces, the CG one also
+    in the invariant layout for the last J node at fl(pi/3), and the two
+    corner spaces, whose CG space is asked for in the invariant layout
+    alone.  The quick proofs share their CR 32 space between sweep and
+    corner, so both quick proofs need eight entries, and a process that
+    runs both builds each space once.  Both paper-config proofs would need
+    ten, but the command line runs one proof per process, and so do the
+    acceptance tests; there no entry is evicted.  The two whole-part
+    entries of ``tricert constants`` live in a process of their own too.
     Every caller shares the cached arrays, so they are only read: a
     mapped matrix shares their index arrays and holds values of its own
     (:meth:`ReferenceMap.mapped`).  Mesh, space and
@@ -304,14 +325,52 @@ def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceM
         CG 192                    587 -> 299
         CG 288    622 -> 352
 
-    At jobs > 1, :func:`compute_points` builds both spaces of its points
-    here, in the calling process, before it forks its pool, so that no
-    worker builds one.
+    The corner CG spaces, asked for in the invariant layout alone, build
+    in 176 ms (CG 288 Dirichlet) and 159 ms (CG 192 edge-mean), against
+    201 and 198 ms with the symmetric half (median of 5 fresh processes
+    each, run together, apart from the table's).
+
+    At jobs > 1, :func:`compute_points` builds every map its points ask
+    for here, in the calling process, before it forks its pool, so that
+    no worker builds one.
     """
     if parts is None:
         parts = ((0,), (1,)) if family == "cr" else ((0,),)
-    ref = ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
-    return ref.with_halves(parts)
+    ref = _LIVE_MAPS.get((n, family, bc))
+    if ref is None:
+        ref = ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
+    ref = ref.with_halves(parts)
+    _LIVE_MAPS[n, family, bc] = ref
+    return ref
+
+
+def _reference(n: int, family: str, bc: str, parts) -> ReferenceMap:
+    """The cached reference map (:func:`_reference_operators`) with the
+    part layout ``parts``, or the default one where ``parts`` is None.
+
+    A layout is passed on to the cache only when one is given, because
+    the cache keys a call by its arguments as written: spelling out the
+    default halves would key them apart from every other caller's and
+    build each proof space twice.
+    """
+    if parts is None:
+        return _reference_operators(n, family, bc)
+    return _reference_operators(n, family, bc, parts)
+
+
+def _layouts(theta: float) -> tuple:
+    """The part layouts (CR, CG) of the point solve at ``theta``, None
+    for the default mirror halves.
+
+    The symmetric half holds lambda_2 on (0, pi/3], every angle of the
+    proofs (eigsolve); beyond, as at pi/2, both spaces are solved whole.
+    At fl(pi/3), the equilateral corner, the conforming ground mode is
+    solved in the part invariant under the triangle's whole symmetry
+    group, a third of the symmetric half (eigsolve).
+    """
+    if theta > math.pi / 3:
+        return _WHOLE, _WHOLE
+    return None, _INVARIANT if theta == math.pi / 3 else None
 
 
 # Thread-count entries of the OpenBLAS builds in the NumPy and SciPy wheels
@@ -386,25 +445,22 @@ def single_blas_thread():
             set_(n)
 
 
-def certified_solve(tri, bc: str, cg_n: int, cr_n: int, *parts):
+def certified_solve(tri, bc: str, cg_n: int, cr_n: int, cr_parts=None, cg_parts=None):
     """The certified lambda_1 and lambda_2 brackets (:class:`EigBracket`)
     of ``tri`` from the CR space of the ``cr_n``-fold mesh and the
     conforming space of the ``cg_n``-fold one, with the conforming
     :class:`RayleighBound` behind the upper end of lambda_1, which
     carries the gram forms of its vector too.
 
-    Both spaces are mapped from the cached reference spaces
-    (:func:`_reference_operators`), with the part layout in ``parts`` if
-    one is given.  It is passed on only then, because the cache keys a
-    call by its arguments as written: passing the default halves
-    explicitly would key them apart from every other caller's and build
-    each proof space twice.  The parts steer the solver, every enclosure
+    Both spaces are mapped from the cached reference spaces, with the
+    part layouts ``cr_parts`` and ``cg_parts``, None for the default
+    (:func:`_reference`).  The parts steer the solver, every enclosure
     and Rayleigh bound is certified on the whole operators, and the CR
     parts past the first are certified to hold no eigenvalue below
     lambda_2's lower end (:func:`solve_lowest`).  Callers run it under
     :func:`single_blas_thread`.
     """
-    ops_cr = _reference_operators(cr_n, "cr", bc, *parts).mapped(tri)
+    ops_cr = _reference(cr_n, "cr", bc, cr_parts).mapped(tri)
     enc_cr = solve_lowest(ops_cr, 2)
     enc_cr = [verify_enclosure(enc_cr[0], (enc_cr[1],)), enc_cr[1]]
     # the bracket needs only the CR mesh size; releasing the CR operators
@@ -415,7 +471,7 @@ def certified_solve(tri, bc: str, cg_n: int, cr_n: int, *parts):
     # the conforming mode is solved in the first part alone, and the whole
     # operators are mapped only then, with the grams in the same pass, so
     # that none of them adds to the memory peak of the solve
-    ref_cg = _reference_operators(cg_n, "cg", bc, *parts)
+    ref_cg = _reference(cg_n, "cg", bc, cg_parts)
     u = ground_mode(ref_cg.parts(tri)[0], corrected_lower(enc_cr[0], h_cr))
     cg = rayleigh_bound(ref_cg.grams(tri), u)
     lam1, lam2 = bracket(enc_cr, cg.rho, h_cr)
@@ -425,17 +481,13 @@ def certified_solve(tri, bc: str, cg_n: int, cr_n: int, *parts):
 @single_blas_thread()
 def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData:
     """Solve both discrete problems at one angle and certify the brackets
-    (:func:`certified_solve`), on the mirror-parity halves of the cached
-    reference spaces up to pi/3 and on the whole spaces beyond, with the
-    gram forms of the conforming ground vector.
+    (:func:`certified_solve`), in the parts of the cached reference
+    spaces that :func:`_layouts` picks for ``theta``, with the gram forms
+    of the conforming ground vector.
     """
     _check_problem(problem)
-    bc = _BC[problem]
     tri = triangle_from_angle(theta)
-    # the symmetric half holds lambda_2 on (0, pi/3], every angle of the
-    # proofs (eigsolve); beyond, as at pi/2, the space is solved whole
-    parts = () if theta <= math.pi / 3 else (((0, 1),),)
-    lam1, lam2, cg = certified_solve(tri, bc, cg_n, cr_n, *parts)
+    lam1, lam2, cg = certified_solve(tri, _BC[problem], cg_n, cr_n, *_layouts(theta))
     xx, xy, yy = cg.grams
     mm = cg.mass_form
     return PointData(
@@ -449,7 +501,7 @@ def edge_mean_lambda1(tri, cg_n: int, cr_n: int) -> EigBracket:
     """The certified lambda_1 bracket of the edge-mean problem on ``tri``,
     a triangle of any apex (``tricert constants``): :func:`certified_solve`
     on the whole spaces as their one part."""
-    return certified_solve(tri, "edge-mean", cg_n, cr_n, ((0, 1),))[0]
+    return certified_solve(tri, "edge-mean", cg_n, cr_n, _WHOLE, _WHOLE)[0]
 
 
 def _point_worker(task: tuple[int, str, float, int, int]):
@@ -460,25 +512,33 @@ def _point_worker(task: tuple[int, str, float, int, int]):
         raise CertifyError(f"point solve failed at theta={theta!r}: {exc}") from exc
 
 
-def _build_reference_spaces(task: tuple[int, str, float, int, int]) -> None:
-    """Build the two reference spaces of the point ``task`` in this
-    process, with the part layout every point solve asks for.
+def _build_reference_spaces(tasks: list[tuple[int, str, float, int, int]]) -> None:
+    """Build the reference maps of the points ``tasks`` in this process,
+    in every part layout their solves ask for (:func:`_layouts`): the
+    mirror halves, and the invariant conforming part where fl(pi/3) is
+    among them.
 
-    The conforming space comes first: its build has the larger memory
-    transient, which then runs while the cache holds less.  Traced, the
-    edge-mean sweep spaces (CG 96, CR 64) peak at 12.2 MB in this order
-    and at 14.6 MB in the other, 9.3 MB of which stay cached.  An
-    unknown problem or a space that cannot be built is reported by the
-    point itself, solved here, as it is at jobs=1, whichever space
-    failed: :func:`certified_solve` builds the CR space first.
+    For each layout the conforming map comes first: its build has the
+    larger memory transient, which then runs while the cache holds less.
+    Traced, the edge-mean sweep spaces (CG 96, CR 64) peak at 12.2 MB in
+    this order and at 14.6 MB in the other, 9.3 MB of which stay cached.
+    A second layout of a space is taken from its first map, with no
+    second assembly (:func:`_reference_operators`).  An unknown problem or
+    a map that cannot be built is reported by the first point that asks
+    for it, solved here, as it is at jobs=1, whichever space failed:
+    :func:`certified_solve` builds the CR space first.
     """
-    _, problem, _, cg_n, cr_n = task
-    try:
-        _reference_operators(cg_n, "cg", _BC[problem])
-        _reference_operators(cr_n, "cr", _BC[problem])
-    except (KeyError, ValueError):
-        _point_worker(task)
-        raise
+    first = {}
+    for task in tasks:
+        first.setdefault(_layouts(task[2]), task)
+    for (cr_parts, cg_parts), task in first.items():
+        _, problem, _, cg_n, cr_n = task
+        try:
+            _reference(cg_n, "cg", _BC[problem], cg_parts)
+            _reference(cr_n, "cr", _BC[problem], cr_parts)
+        except (KeyError, ValueError):
+            _point_worker(task)
+            raise
 
 
 def _pool_context():
@@ -496,10 +556,10 @@ def compute_points(
 ) -> dict[float, PointData]:
     """Certified point data for every angle, optionally in parallel.
 
-    At jobs > 1 the reference spaces of the points are built in this
+    At jobs > 1 the reference maps of the points are built in this
     process before the pool starts (:func:`_build_reference_spaces`).
     Its workers are forked (:func:`_pool_context`), so each inherits the
-    spaces and builds none; on a platform that cannot fork, each worker
+    maps and builds none; on a platform that cannot fork, each worker
     builds them again in its first point.  This process sets its BLAS to
     one thread first (:func:`_one_blas_thread`) and keeps it there: the
     forked workers inherit that count and set none, and setting the
@@ -516,7 +576,7 @@ def compute_points(
     out: dict[float, PointData] = {}
     if jobs > 1 and len(tasks) > 1:
         _one_blas_thread()
-        _build_reference_spaces(tasks[0])
+        _build_reference_spaces(tasks)
         with ProcessPoolExecutor(max_workers=jobs, mp_context=_pool_context()) as pool:
             for idx, pd in pool.map(_point_worker, tasks, chunksize=4):
                 out[uniq[idx]] = pd

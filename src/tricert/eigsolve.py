@@ -39,9 +39,11 @@ the separate bounds compute, bit for bit.
 
 Every solve runs in parts (:attr:`fem.DiscreteOperators.halves`), which
 fem.ReferenceMap.with_halves builds: a mirror-parity half of T(theta),
-or the whole space spanned by both parity bases, which serves a triangle
-with no mirror (``tricert constants``).  Both sides solve in the first
-part alone, the proof in the symmetric half; the nonconforming side
+the part of T(pi/3) invariant under its whole symmetry group, or the
+whole space spanned by both parity bases, which serves a triangle with
+no mirror (``tricert constants``).  Both sides solve in the first part
+alone, the proof in the symmetric half, and the conforming side at
+fl(pi/3) in the invariant part; the nonconforming side
 takes parts that span the space, and certifies every further part, the
 antisymmetric half, by one factorisation, without solving it (below).
 Operators that carry no parts, such as those assembled directly, are
@@ -111,6 +113,19 @@ lambda_1.  So does the symmetric half, which holds the ground mode: the
 uniform mesh of T(theta) is acute (angles theta and (pi - theta)/2), so
 the P1 Dirichlet stiffness is an M-matrix and, by Perron-Frobenius, the
 ground mode positive; on edge-mean spaces it was measured symmetric.
+At fl(pi/3) the part invariant under the rotation as well holds it: on
+the equilateral triangle the simple ground mode spans a one-dimensional
+representation of the symmetry group D3 (the mirror and the rotation),
+and being mirror-symmetric it spans the trivial one (Pinsky, SIAM J.
+Math. Anal. 11, 1980; solving in the subspace a symmetry group fixes is
+Bossavit's reduction, Comput. Methods Appl. Mech. Engrg. 56, 1986).  The
+float triangle of fl(pi/3) is equilateral only to rounding, but the part
+steers the solver as the halves do, and R(u) is certified on the whole
+operators.  At the corner meshes that part has a third of the symmetric
+half's unknowns and half its band width (CG 288 Dirichlet: 6,912
+unknowns 72 wide against 20,592 and 143; CG 192 edge-mean: 3,168 and 65
+against 9,407 and 114), and its band factor takes 4.0 MB against 23.7 MB
+and 1.7 against 8.7 MB.
 
 On the nonconforming side (:func:`solve_lowest`) the one trusted,
 uncertified step is the order of the modes within the first part, the
@@ -192,8 +207,11 @@ from .rounding import EPS as _EPS, Interval, dn, gamma, up
 # corrected CR bound, stopping at LANCZOS_TOL, by ncv (ARPACK's default of
 # 20 at sigma = 0 makes 4189):  3: 1030,  4: 1023,  5: 1215,  6: 1411,
 # 8: 1803.  4 saves 7 of them over those 199 points, but costs one more at
-# the Dirichlet corner (CG 288: 4 at 3, 5 at 4; edge-mean CG 192: 5 at
-# either), the costliest solve of a proof, so 3 stays.  Every paper
+# the Dirichlet corner, the costliest solve of a proof, so 3 stays.  The
+# corner solves in the part invariant under the triangle's symmetry group
+# and takes as many as the symmetric half did: CG 288 Dirichlet 4 at 3, 5
+# at 4; edge-mean CG 192 5 at either; at fl(pi/3) on CG 64 and 96, 4 or 5
+# at 3 and 5 at 4.  Every paper
 # breakpoint at CG 96 takes 5 or 6 from theta = 0.3 up, and 5 on
 # edge-mean down to 0.0209; only the thinnest Dirichlet angles need more,
 # 8 at theta = 0.1 and 9 to 33 at the four breakpoints below it.

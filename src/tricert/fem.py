@@ -47,6 +47,15 @@ spaces.  An edge-mean space keeps its slave basis Z, but its parts are
 spanned by local differences along each parent side, which keep a part's
 pencil as sparse as the lattice, where Z couples every dof of a side.
 
+T(pi/3), the equilateral triangle, has a larger symmetry group: the
+lattice rotation (i, j) -> (n - i - j, i) (:func:`rotation`) is its
+rotation by 120 degrees, and with the mirror it generates the dihedral
+group D3 of six elements.  The part of a space invariant under the whole
+group (:func:`invariant_basis`, part code :data:`INVARIANT`) is spanned
+by one column per orbit of the group, about a third of the symmetric
+half; on it the three edge-mean constraints are one.  A map with that
+part serves T(pi/3) alone.
+
 The sparsity pattern of A and M does not depend on the apex either, so a
 symmetric ordering of a part's unknowns that packs its pencil into a
 narrow band (:class:`BandOrder`) is computed once, on its reference
@@ -79,6 +88,12 @@ _MAP_GAMMA = gamma(24)
 
 FAMILIES = ("cg", "cr")
 BCS = ("dirichlet", "edge-mean")
+
+# The code of the part invariant under the whole symmetry group of the
+# equilateral triangle (:func:`invariant_basis`), beside the parities 0
+# and 1 of the mirror halves, in the part layouts of
+# :meth:`ReferenceMap.with_halves`
+INVARIANT = 2
 
 
 @dataclass(frozen=True)
@@ -198,12 +213,33 @@ def mirror(space: FemSpace) -> np.ndarray:
     uniform mesh, each space and each constraint onto itself and leaves
     the mapped A and M invariant.
     """
+    return _lattice_permutation(space, lambda i, j, n: (j, i))
+
+
+def rotation(space: FemSpace) -> np.ndarray:
+    """The lattice rotation (i, j) -> (n - i - j, i) of T_ref, as the
+    permutation of the full dofs of ``space`` (:func:`mirror`).
+
+    It cycles the vertices (0,0) -> (1,0) -> (0,1) -> (0,0) and the sides
+    0 -> 1 -> 2 -> 0, each in its order along the side or reversed.  On
+    T(pi/3), the equilateral triangle, it is the rotation by 120 degrees
+    about the centre, an isometry, so it too maps the mesh, each space
+    and each constraint onto itself and leaves A and M invariant.
+    """
+    return _lattice_permutation(space, lambda i, j, n: (n - i - j, i))
+
+
+def _lattice_permutation(space: FemSpace, image) -> np.ndarray:
+    """The map (i, j) -> ``image(i, j, n)`` of the lattice of T_ref onto
+    itself, which maps the uniform mesh onto itself, as the permutation
+    of the full dofs of ``space``: it maps dof k to dof p[k]."""
     mesh = space.mesh
     i = mesh.lattice[:, 0].astype(np.int64)
     j = mesh.lattice[:, 1].astype(np.int64)
     # ascending, since the lattice is row-lexicographic in (j, i)
     keys = j * (mesh.n + 1) + i
-    nodes = np.searchsorted(keys, i * (mesh.n + 1) + j)
+    image_i, image_j = image(i, j, mesh.n)
+    nodes = np.searchsorted(keys, image_j * (mesh.n + 1) + image_i)
     if space.family == "cg":
         return nodes
     a, b = nodes[mesh.edges[:, 0]], nodes[mesh.edges[:, 1]]
@@ -218,19 +254,62 @@ def parity_bases(space: FemSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     coordinates.
 
     An orbit of the mirror p spans e_k + e_p(k) (symmetric; e_k alone
-    where p(k) = k) and e_k - e_p(k) (antisymmetric).  The Dirichlet dofs
-    are a union of orbits, so each Dirichlet half is spanned by its
-    orbits.  Under the mirror the edge-mean constraint of side 2 is that
-    of side 0, and that of side 1 is itself, so on symmetric vectors sides
-    0 and 2 give one constraint and side 1 another, while on antisymmetric
-    ones side 1 holds by itself and side 2 follows from side 0.  Each
-    edge-mean half is spanned by local differences of its orbits along
-    each side (:func:`_side_differences`), not through the space's slave
-    basis Z, whose side means couple every dof of a side.  Every column
+    where p(k) = k) and e_k - e_p(k) (antisymmetric) (:func:`_orbit_basis`).
+    Under the mirror the edge-mean constraint of side 2 is that of side
+    0, and that of side 1 is itself, so on symmetric vectors sides 0 and 2
+    give one constraint and side 1 another, while on antisymmetric ones
+    side 1 holds by itself and side 2 follows from side 0.  Every column
     lifts to a vector that meets all three constraints, so the two halves
     split the space and, for the mapped operators of T(theta), its pencil.
     """
-    p = mirror(space)
+    return _symmetry_bases(space, (0, 1))
+
+
+def invariant_basis(space: FemSpace) -> sp.csr_matrix:
+    """Basis of the part of ``space`` invariant under the mirror and the
+    rotation, the whole symmetry group of the equilateral triangle, as a
+    map from part coordinates to the space's reduced coordinates.
+
+    An orbit of the group spans the sum of its e_k (:func:`_orbit_basis`).
+    The rotation cycles the three sides, so on invariant vectors the
+    three edge-mean constraints are one, that of side 0.
+    """
+    return _symmetry_bases(space, (INVARIANT,))[0]
+
+
+def _symmetry_bases(space: FemSpace, codes) -> tuple[sp.csr_matrix, ...]:
+    """The basis of each part code of ``codes``: the mirror-symmetric (0)
+    and antisymmetric (1) halves and the :data:`INVARIANT` part."""
+    n = space.full_dim
+    identity, p = np.arange(n), mirror(space)
+    bases = []
+    for code in codes:
+        if code == INVARIANT:
+            r = rotation(space)
+            group = (identity, r, r[r], p, p[r], p[r[r]])
+            bases.append(_orbit_basis(space, group, (1.0,) * 6, (0,)))
+        else:
+            sign, sides = ((1.0, (0, 1)), (-1.0, (0,)))[code]
+            bases.append(_orbit_basis(space, (identity, p), (1.0, sign), sides))
+    return tuple(bases)
+
+
+def _orbit_basis(space: FemSpace, group, signs, sides) -> sp.csr_matrix:
+    """Basis, in the reduced coordinates of ``space``, of the vectors that
+    each element g of ``group`` maps to signs[g] times themselves, the
+    group given by the images of every full dof under each element, and
+    ``signs`` a character of it (+-1 each); ``sides`` lists the edge-mean
+    constraints that remain distinct on such vectors.
+
+    Each orbit of dofs spans the sum over the group of signs[g] e_g(k),
+    for k its smallest dof, scaled so that each entry is +-1; where the
+    sum cancels, on an orbit that an element of sign -1 fixes, it spans
+    nothing.  The Dirichlet dofs are a union of orbits, so each Dirichlet
+    part is spanned by its orbits.  Each edge-mean part is spanned by
+    local differences of its orbits along each remaining side
+    (:func:`_side_differences`), not through the space's slave basis Z,
+    whose side means couple every dof of a side.
+    """
     n = space.full_dim
     if space.free is not None:
         kept = np.zeros(n, dtype=bool)
@@ -240,22 +319,21 @@ def parity_bases(space: FemSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         kept = np.ones(n, dtype=bool)
         constraints = _edge_mean_constraints(space.mesh, space.family)
         reduced = _masters(constraints, n)
-    bases = []
-    for sign, sides in ((1.0, (0, 1)), (-1.0, (0,))):
-        # one column per orbit of kept dofs, led by its smaller dof; a dof
-        # the mirror fixes has no antisymmetric part
-        lead = np.flatnonzero(kept & (np.arange(n) <= p))
-        if sign < 0.0:
-            lead = lead[p[lead] != lead]
-        pair = np.flatnonzero(p[lead] != lead)
-        rows = np.concatenate([lead, p[lead[pair]]])
-        cols = np.concatenate([np.arange(lead.size), pair])
-        vals = np.concatenate([np.ones(lead.size), np.full(pair.size, sign)])
-        S = sp.csr_matrix((vals, (rows, cols)), shape=(n, lead.size))
-        if space.Z is not None:
-            S = S @ _side_differences([constraints[s][:2] for s in sides], S)
-        bases.append(S.tocsr()[reduced])
-    return bases[0], bases[1]
+    images = np.stack(group)
+    # one column per orbit of kept dofs, led by its smallest dof
+    lead = np.flatnonzero(kept & (images.min(axis=0) == np.arange(n)))
+    cols = np.tile(np.arange(lead.size), len(group))
+    S = sp.csr_matrix(
+        (np.repeat(signs, lead.size), (images[:, lead].ravel(), cols)), shape=(n, lead.size)
+    )
+    S.data = np.sign(S.data)
+    S.eliminate_zeros()
+    spans = S.getnnz(axis=0) > 0
+    if not spans.all():
+        S = S[:, spans]
+    if space.Z is not None:
+        S = S @ _side_differences([constraints[s][:2] for s in sides], S)
+    return S.tocsr()[reduced]
 
 
 def _side_differences(sides: list[tuple[np.ndarray, np.ndarray]], S: sp.csr_matrix) -> sp.csr_matrix:
@@ -451,13 +529,14 @@ class DiscreteOperators:
 
 @dataclass(frozen=True)
 class Half:
-    """One part of a space's pencil: a mirror-parity half on T(theta), or
-    the whole space, spanned by both parity bases, on any triangle.
+    """One part of a space's pencil: a mirror-parity half on T(theta), the
+    part invariant under the symmetry group of T(pi/3), or the whole
+    space, spanned by both parity bases, on any triangle.
 
-    A and M act on part coordinates, and C (the bases of
-    :func:`parity_bases` of the part's parities, side by side) lifts them
-    to the space's reduced coordinates: A = C^T A_space C, and likewise
-    M.  The coordinates are in the band order of the part's map
+    A and M act on part coordinates, and C (the bases of the part's
+    codes, :func:`parity_bases` or :func:`invariant_basis`, side by
+    side) lifts them to the space's reduced coordinates: A = C^T A_space
+    C, and likewise M.  The coordinates are in the band order of the part's map
     (:meth:`ReferenceMap.with_halves`), so no entry of A or M lies more
     than ``width`` off the diagonal, and ``slots`` holds the
     :func:`_band_slots` of A and of M, where the solvers pack A - sigma M
@@ -590,8 +669,8 @@ class ReferenceMap(_StiffnessValues):
     has no entry.  The reference A and grams are not kept as matrices:
     the map reads none of them, and the cache of one map per reference
     space would hold them for the life of the process.  ``halves`` holds
-    a (:class:`PartMap`, basis) pair for each part the map carries
-    (:meth:`with_halves`).
+    a (:class:`PartMap`, basis) pair for each part the map carries, and
+    ``layout`` the part codes of each (:meth:`with_halves`).
     """
 
     space: FemSpace
@@ -603,6 +682,7 @@ class ReferenceMap(_StiffnessValues):
     xy_sym: np.ndarray
     yy: np.ndarray
     halves: tuple[tuple[PartMap, sp.csr_matrix], ...] = ()
+    layout: tuple[tuple[int, ...], ...] = ()
 
     @property
     def dim(self) -> int:
@@ -645,10 +725,12 @@ class ReferenceMap(_StiffnessValues):
 
     def with_halves(self, parts: tuple[tuple[int, ...], ...]) -> "ReferenceMap":
         """This map carrying one part for each of ``parts``, in that order,
-        each a group of parities: the symmetric (0) or antisymmetric (1)
-        half, or with (0, 1) the whole space.  A part is spanned by the
-        bases of its parities side by side, C = [C+ C-] for the whole
-        space, and its map holds C^T K C for every reference gram K, less
+        each a group of part codes: the symmetric (0) or antisymmetric (1)
+        half, with (0, 1) the whole space, or the part invariant under
+        the equilateral triangle's symmetry group (:data:`INVARIANT`).  A
+        part is spanned by the bases of its codes side by side, C = [C+
+        C-] for the whole space, and its map holds C^T K C for every
+        reference gram K, less
         its cancellation residue (:func:`_congruent`).  Each part is then
         stored in its band order (:meth:`band_order`): its grams, its M
         and the columns of C are permuted once for every angle, and its
@@ -657,14 +739,23 @@ class ReferenceMap(_StiffnessValues):
 
         The parity bases are bases of the lattice's spaces, which need no
         mirror, so the whole part serves any triangle; a half serves only
-        T(theta), where the pencil splits (:meth:`parts`).
+        T(theta), where the pencil splits, and the invariant part only
+        T(pi/3) (:meth:`parts`).  The map keeps ``parts`` as its layout.
         """
-        bases = parity_bases(self.space)
-        grams = [self.M, *(self._csr(v) for v in (self.xx, self.xy, self.yy))]
-        Cs = [sp.hstack([bases[p] for p in part], format="csr") for part in parts]
+        codes = sorted({code for part in parts for code in part})
+        bases = dict(zip(codes, _symmetry_bases(self.space, codes)))
+        def grams():
+            # one whole-space gram at a time, so that a build's memory peak
+            # holds one of them, not all three: the builds in the caller of
+            # a process pool set its resident peak, which its workers inherit
+            yield self.M
+            for v in (self.xx, self.xy, self.yy):
+                yield self._csr(v)
+
+        Cs = [sp.hstack([bases[code] for code in part], format="csr") for part in parts]
         halves = []
         for C, coupling in zip(Cs, self._couplings(Cs)):
-            kept, (m, xx, xy, yy) = _congruent(grams, C)
+            kept, (m, xx, xy, yy) = _congruent(grams(), C)
             half = ReferenceMap._of_grams(self.space, *kept)
             band = half.band_order()
             # Kxy + Kxy^T lacks what Kxy lacks and what its transpose does
@@ -672,7 +763,7 @@ class ReferenceMap(_StiffnessValues):
                 up(r + _MAP_GAMMA * g) for r, g in (xx, (2 * xy[0], 2 * xy[1]), yy, m)
             )
             halves.append((half._in_order(band, residue, coupling), C[:, band.perm]))
-        return replace(self, halves=tuple(halves))
+        return replace(self, halves=tuple(halves), layout=tuple(parts))
 
     def _couplings(self, Cs: list[sp.csr_matrix]) -> list[tuple[float, float, float, float]]:
         """The :attr:`PartMap.coupling` of each part spanned by ``Cs``.
@@ -766,12 +857,16 @@ class ReferenceMap(_StiffnessValues):
 
         A map with a part that leaves out a parity needs a T(theta), apex
         on the unit circle: only there does the mirror map the triangle
-        onto itself, so that the pencil splits into its halves.
+        onto itself, so that the pencil splits into its halves.  A map
+        with the invariant part needs T(pi/3), apex (1/2, sqrt(3)/2), the
+        one triangle the rotation maps onto itself.
         """
         bx, by = triangle.bx, triangle.by
         split = any(C.shape[1] < self.dim for _, C in self.halves)
         if split and abs(bx * bx + by * by - 1.0) > 1e-12:
             raise ValueError(f"apex ({bx}, {by}) is off the unit circle; the mirror needs T(theta)")
+        if any(INVARIANT in part for part in self.layout) and abs(bx - 0.5) > 1e-12:
+            raise ValueError(f"apex ({bx}, {by}) is not equilateral; the rotation needs T(pi/3)")
         return tuple(
             Half(
                 on_pattern(ref._pattern, ref._stiffness(bx, by)),

@@ -18,10 +18,10 @@ import scipy.sparse.linalg as spla
 import tricert
 from tricert import certify, eigsolve
 from tricert.bounds import bracket, corrected_lower
-from tricert.certify import PointData, _reference_operators
+from tricert.certify import PointData
 from tricert.eigsolve import EigenEnclosure, EigensolveError, RayleighBound, solve_lowest
-from tricert.fem import ReferenceMap, assemble, build_space
-from tricert.geometry import triangle_from_angle
+from tricert.fem import INVARIANT, ReferenceMap, assemble, build_space
+from tricert.geometry import triangle_from_angle, triangle_from_vertex
 from tricert.mesh import uniform_subdivide
 from tricert.rounding import Interval, dn, gamma, up
 
@@ -226,10 +226,12 @@ def side_differences_by_loops(sides, S: sp.csr_matrix) -> sp.csr_matrix:
 @lru_cache(maxsize=32)
 def whole_map(n: int, family: str, bc: str) -> ReferenceMap:
     """The reference map of the n-fold space with the whole space as its
-    one part, which maps to a triangle of any apex: built as
-    ``tricert constants`` builds it, but cached here, so that the test
-    spaces do not evict the proof's from the shared cache."""
-    return _reference_operators.__wrapped__(n, family, bc, ((0, 1),))
+    one part, which maps to a triangle of any apex, as ``tricert
+    constants`` maps it, but built and cached here, so that the test
+    spaces neither evict the proof's from the shared cache nor serve as
+    the maps its later builds take their parts from."""
+    space = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, bc)
+    return ReferenceMap.of(assemble(space)).with_halves(((0, 1),))
 
 
 @lru_cache(maxsize=128)
@@ -352,14 +354,14 @@ def solve_by_bound(ops, count: int = 2) -> list[EigenEnclosure]:
     return encs
 
 
-def _certified_solve_by_bound(tri, bc, cg_n, cr_n, *parts):
+def _certified_solve_by_bound(tri, bc, cg_n, cr_n, cr_parts=None, cg_parts=None):
     """certify.certified_solve with each bound forming its own products:
     the brackets, the conforming vector and its Rayleigh quotient and mass."""
-    ops_cr = _reference_operators(cr_n, "cr", bc, *parts).mapped(tri)
+    ops_cr = certify._reference(cr_n, "cr", bc, cr_parts).mapped(tri)
     enc = solve_by_bound(ops_cr, 2)
     enc = [eigsolve.verify_enclosure(enc[0], (enc[1],)), enc[1]]
     h_cr = ops_cr.space.mesh.h
-    ops_cg = _reference_operators(cg_n, "cg", bc, *parts).mapped(tri)
+    ops_cg = certify._reference(cg_n, "cg", bc, cg_parts).mapped(tri)
     half = ops_cg.halves[0]
     _, vecs = eigsolve._lowest_modes(
         half, 1, sigma=corrected_lower(enc[0], h_cr), ncv=eigsolve.GROUND_NCV
@@ -375,10 +377,16 @@ def point_by_bound(problem: str, theta: float, cg_n: int, cr_n: int) -> PointDat
     """certify.compute_point with each bound forming its own products."""
     bc = certify._BC[problem]
     tri = triangle_from_angle(theta)
-    parts = () if theta <= EQ else (((0, 1),),)
+    # the parts compute_point solves in: the whole spaces beyond pi/3, and
+    # at fl(pi/3) the conforming part invariant under the symmetry group
+    whole = ((0, 1),)
+    if theta > EQ:
+        cr_parts, cg_parts = whole, whole
+    else:
+        cr_parts, cg_parts = None, ((INVARIANT,),) if theta == EQ else None
     with certify.single_blas_thread():
-        lam1, lam2, u, mm = _certified_solve_by_bound(tri, bc, cg_n, cr_n, *parts)
-        grams = _reference_operators(cg_n, "cg", bc, *parts).grams(tri)
+        lam1, lam2, u, mm = _certified_solve_by_bound(tri, bc, cg_n, cr_n, cr_parts, cg_parts)
+        grams = certify._reference(cg_n, "cg", bc, cg_parts).grams(tri)
         xx, xy, yy = (quad_form_by_itself(K, u) for K in (grams.Kxx, grams.Kxy, grams.Kyy))
     return PointData(
         theta, cg_n, cr_n, lam1, lam2,
@@ -389,7 +397,7 @@ def point_by_bound(problem: str, theta: float, cg_n: int, cr_n: int) -> PointDat
 def edge_mean_lambda1_by_bound(tri, cg_n: int, cr_n: int):
     """certify.edge_mean_lambda1 with each bound forming its own products."""
     with certify.single_blas_thread():
-        return _certified_solve_by_bound(tri, "edge-mean", cg_n, cr_n, ((0, 1),))[0]
+        return _certified_solve_by_bound(tri, "edge-mean", cg_n, cr_n, ((0, 1),), ((0, 1),))[0]
 
 
 @lru_cache(maxsize=128)

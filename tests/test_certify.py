@@ -44,7 +44,7 @@ from tricert.certify import (
     schedule_from_file,
     simplicity_check,
 )
-from tricert.fem import BandOrder, parity_bases
+from tricert.fem import INVARIANT, BandOrder, parity_bases
 
 EQ = math.pi / 3
 LAM1_EQ_DIRICHLET = 16.0 * math.pi**2 / 3.0
@@ -268,9 +268,10 @@ class TestPointData:
         # the whole operators, so the point data agree to rounding, but for
         # lambda_2's lower end, which the split solve lowers to the floor
         # it certifies the antisymmetric half above (up to 2e-9 relative
-        # at CR 16), and each side solves its symmetric half alone.  The
-        # whole-space reference is the same maps with the whole space as
-        # their one part
+        # at CR 16), and each side solves its symmetric half alone, except
+        # the conforming side at fl(pi/3), which solves the part invariant
+        # under the whole symmetry group.  The whole-space reference is the
+        # same maps with the whole space as their one part
         real_reference = certify._reference_operators
         with monkeypatch.context() as patch:
             patch.setattr(
@@ -289,7 +290,8 @@ class TestPointData:
         split = compute_point(problem, theta, cg_n=28, cr_n=16)
         tri = certify.triangle_from_angle(theta)
         cr = certify._reference_operators(16, "cr", certify._BC[problem]).mapped(tri)
-        cg = certify._reference_operators(28, "cg", certify._BC[problem]).mapped(tri)
+        cg_parts = ((INVARIANT,),) if theta == EQ else None
+        cg = certify._reference(28, "cg", certify._BC[problem], cg_parts).mapped(tri)
         assert len(cr.halves) == 2 and len(cg.halves) == 1
         assert eigsh_dims == [(cr.halves[0].dim, 3), (cg.halves[0].dim, 1)]
         for name in ("lam1", "lam2"):
@@ -301,6 +303,32 @@ class TestPointData:
             scale = abs(whole.gram_xx[1]) + abs(whole.gram_yy[1])
             for w, s in zip(getattr(whole, name), getattr(split, name)):
                 assert abs(w - s) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("problem", ["dirichlet", "cr-constant"])
+    @pytest.mark.parametrize("cg_n, cr_n", [(28, 16), (3, 2)])
+    def test_equilateral_conforming_factor_is_the_invariant_part(
+        self, monkeypatch, problem, cg_n, cr_n
+    ):
+        # at fl(pi/3) the conforming side factorises the part invariant
+        # under the triangle's symmetry group, and nothing larger; at CG 3
+        # Dirichlet that part has one unknown and goes to dense LAPACK
+        factored = []
+        real = eigsolve._BandCholesky
+
+        class Recording(real):
+            def __init__(self, half, sigma):
+                factored.append((half.C.shape[0], half.dim))
+                super().__init__(half, sigma)
+
+        monkeypatch.setattr(eigsolve, "_BandCholesky", Recording)
+        pd = compute_point(problem, EQ, cg_n, cr_n)
+        bc = certify._BC[problem]
+        ref = certify._reference(cg_n, "cg", bc, ((INVARIANT,),))
+        (part,) = ref.mapped(certify.triangle_from_angle(EQ)).halves
+        assert part.dim <= certify._reference_operators(cg_n, "cg", bc).halves[0][0].dim
+        conforming = [dim for space, dim in factored if space == ref.dim]
+        assert conforming == ([part.dim] if part.dim > 1 else [])
+        assert pd.lam1.lower < pd.lam1.upper
 
     def test_each_magnitude_is_formed_once_per_point(self, monkeypatch):
         # the CR solve forms |A| and |M| once for the Rayleigh quotients and
@@ -497,12 +525,22 @@ class TestPointData:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="pool workers inherit the caller's spaces only when forked",
     )
-    def test_pool_workers_build_nothing_and_set_no_blas_count(self, monkeypatch, tmp_path):
-        # both reference spaces are built in the calling process before
-        # the pool forks, with one BLAS thread, so every worker inherits
-        # the spaces and that count and sets none: each build and each
-        # count set logs the process it ran in, through wrappers the
-        # workers inherit too
+    @pytest.mark.parametrize(
+        "thetas, layouts",
+        [
+            ([0.4, 0.7, 1.0], [((0,),), ((0,), (1,))]),
+            ([0.4, 0.7, 1.0, EQ], [((0,),), ((0,), (1,)), ((INVARIANT,),)]),
+        ],
+        ids=["below-pi/3", "with-fl(pi/3)"],
+    )
+    def test_pool_workers_build_nothing_and_set_no_blas_count(
+        self, monkeypatch, tmp_path, thetas, layouts
+    ):
+        # every reference map the points ask for is built in the calling
+        # process before the pool forks, with one BLAS thread, so every
+        # worker inherits the maps and that count and sets none: each
+        # space's build, each part layout's build and each count set logs
+        # the process it ran in, through wrappers the workers inherit too
         log = tmp_path / "log"
 
         def logged(what, call):
@@ -515,6 +553,9 @@ class TestPointData:
         controls = certify._openblas_controls()
         monkeypatch.setattr(certify, "uniform_subdivide", logged("build", certify.uniform_subdivide))
         monkeypatch.setattr(
+            certify.ReferenceMap, "with_halves", logged("parts", certify.ReferenceMap.with_halves)
+        )
+        monkeypatch.setattr(
             certify, "_openblas_controls",
             lambda: tuple((get, logged("set", set_)) for get, set_ in controls),
         )
@@ -523,19 +564,24 @@ class TestPointData:
         for _, set_ in controls:
             set_(2)
         try:
-            compute_points("cr-constant", [0.4, 0.7, 1.0, EQ], 12, 8, jobs=2)
+            compute_points("cr-constant", thetas, 12, 8, jobs=2)
             assert [get() for get, _ in controls] == [1] * len(controls)
         finally:
             for (_, set_), n in zip(controls, before):
                 set_(n)
         # the counts set to 1 here, which this process keeps, then the
-        # conforming space, then the CR space, both here
+        # conforming space, then the CR space, then at fl(pi/3) the
+        # invariant conforming part, taken from the conforming space's map
+        # with no second build, all here
         here = os.getpid()
         assert log.read_text().splitlines() == (
-            [f"{here} set 1"] * len(controls) + [f"{here} build 12", f"{here} build 8"]
+            [f"{here} set 1"] * len(controls)
+            + [f"{here} build 12", f"{here} parts {layouts[0]}"]
+            + [f"{here} build 8"]
+            + [f"{here} parts {parts}" for parts in layouts[1:]]
         )
         info = certify._reference_operators.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        assert (info.misses, info.currsize) == (len(layouts), len(layouts))
 
     def test_unknown_problem_fails_alike_at_every_jobs(self):
         # the spaces built before the pool starts are keyed by the

@@ -32,6 +32,7 @@ from helpers import (
 from tricert.certify import _reference_operators, compute_point
 from tricert import eigsolve
 from tricert.bounds import corrected_lower
+from tricert.fem import INVARIANT
 from tricert.geometry import triangle_from_angle
 from tricert.eigsolve import (
     EigensolveError,
@@ -617,6 +618,23 @@ def test_split_ground_rayleigh_uses_one_half(monkeypatch, bc, theta):
     assert dims == [ops.halves[0].dim, ops.halves[1].dim]
     assert math.isclose(ground.rho.hi, whole.rho.hi, rel_tol=1e-10)
     assert lam1 <= ground.rho.hi < other.rho.lo
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 32])
+def test_invariant_ground_rayleigh_agrees_with_the_symmetric_half(bc, n):
+    # at fl(pi/3) the ground mode lies in the part invariant under the
+    # mirror and the rotation, a third of the symmetric half; solved there
+    # and certified on the same whole operators, it gives the half's
+    # Rayleigh bound to rounding, just above the dense lambda_1
+    tri = triangle_from_angle(EQ)
+    half = _reference_operators(n, "cg", bc).mapped(tri)
+    part = _reference_operators(n, "cg", bc, ((INVARIANT,),)).mapped(tri)
+    assert part.halves[0].dim < half.halves[0].dim
+    lam1 = dense_eigs(part, 1)[0]
+    got, want = (ground_rayleigh(ops, 0.9 * lam1).rho.hi for ops in (part, half))
+    assert math.isclose(got, want, rel_tol=1e-12)
+    assert lam1 <= got <= lam1 * (1.0 + 1e-10)
 
 
 def test_split_solve_runs_lanczos_in_the_symmetric_half_only(monkeypatch):

@@ -33,7 +33,15 @@ from helpers import (
 )
 from tricert.certify import _BC, _reference_operators, paper_config, quick_config
 from tricert import fem
-from tricert.fem import BandOrder, ReferenceMap, assemble, build_space, mirror, parity_bases
+from tricert.fem import (
+    BandOrder,
+    ReferenceMap,
+    assemble,
+    build_space,
+    invariant_basis,
+    mirror,
+    parity_bases,
+)
 from tricert.geometry import triangle_from_angle, triangle_from_vertex
 from tricert.mesh import uniform_subdivide
 
@@ -393,6 +401,80 @@ def test_edge_mean_cr_halves_together_span_the_space(n):
     sp_ = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), "cr", "edge-mean")
     lifted = sp_.Z @ scipy.sparse.hstack(parity_bases(sp_))
     assert np.linalg.matrix_rank(lifted.toarray()) == sp_.dof_count
+
+
+def lifted(sp_, C):
+    """The columns of C, in the reduced coordinates of ``sp_``, as
+    full-dof vectors."""
+    if sp_.Z is not None:
+        return (sp_.Z @ C).toarray()
+    full = np.zeros((sp_.full_dim, C.shape[1]))
+    full[sp_.free] = C.toarray()
+    return full
+
+
+def symmetry_group(sp_):
+    """The six full-dof permutations of the symmetry group of the
+    equilateral triangle, generated by the mirror and the rotation."""
+    p, r = mirror(sp_), fem.rotation(sp_)
+    return [np.arange(sp_.full_dim), r, r[r], p, p[r], p[r[r]]]
+
+
+# every space of n = 2 to 9 (a CG Dirichlet space needs n >= 3)
+SMALL_SPACES = [
+    (family, bc, n) for n in range(2, 10) for family, bc in PAIRS
+    if (family, bc, n) != ("cg", "dirichlet", 2)
+]
+
+
+@pytest.mark.parametrize("family, bc, n", SMALL_SPACES)
+def test_invariant_columns_are_fixed_by_mirror_and_rotation(family, bc, n):
+    sp_ = space(EQ, n, family, bc)
+    r = fem.rotation(sp_)
+    assert np.array_equal(np.sort(r), np.arange(sp_.full_dim))
+    assert np.array_equal(r[r[r]], np.arange(sp_.full_dim))  # of order three
+    assert not np.array_equal(r, np.arange(sp_.full_dim))
+    w = lifted(sp_, invariant_basis(sp_))
+    assert w.shape[1] > 0 and np.all(np.abs(w).sum(axis=0) > 0.0)
+    for perm in (mirror(sp_), r):
+        assert np.array_equal(w[perm], w)
+
+
+@pytest.mark.parametrize("n, family", EDGE_MEAN_MESHES)
+def test_edge_mean_invariant_part_meets_every_side_mean_exactly(n, family):
+    # on invariant vectors the three side means are one, that of side 0,
+    # which the columns meet by local differences; all three then hold
+    # with no rounding at all
+    sp_ = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, "edge-mean")
+    assert np.all((side_mean_matrix(sp_) @ (sp_.Z @ invariant_basis(sp_))).toarray() == 0.0)
+
+
+@pytest.mark.parametrize("family, bc, n", SMALL_SPACES)
+def test_invariant_columns_span_the_invariant_subspace(family, bc, n):
+    # the dense group projector P = (1/6) sum_g g maps the space onto its
+    # invariant subspace, whose dimension is therefore the rank of P on a
+    # basis of the space
+    sp_ = build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, bc)
+    P = np.zeros((sp_.full_dim, sp_.full_dim))
+    for g in symmetry_group(sp_):
+        P[g, np.arange(sp_.full_dim)] += 1.0 / 6.0
+    basis = lifted(sp_, scipy.sparse.identity(sp_.dof_count, format="csr"))
+    C = invariant_basis(sp_)
+    assert C.shape[1] == np.linalg.matrix_rank(P @ basis)
+    assert np.linalg.matrix_rank(C.toarray()) == C.shape[1]
+
+
+def test_invariant_part_needs_an_equilateral_apex():
+    # the rotation maps T(pi/3) alone onto itself, as the mirror maps only
+    # a T(theta), apex on the unit circle
+    ref = reference_map(6, "cg", "dirichlet").with_halves(((fem.INVARIANT,),))
+    for tri in (triangle_from_angle(1.0), triangle_from_angle(0.9)):
+        with pytest.raises(ValueError, match="not equilateral"):
+            ref.mapped(tri)
+    with pytest.raises(ValueError, match="unit circle"):
+        ref.mapped(triangle_from_vertex(0.5, 0.8))
+    (part,) = ref.mapped(triangle_from_angle(EQ)).halves
+    assert part.dim == invariant_basis(ref.space).shape[1]
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.9], ids=["0.3", "0.9"])
