@@ -70,6 +70,7 @@ from .bounds import (
 # bench/run.py's tracer wraps quad_form_interval on this module, so it
 # stays importable from it, though unused here
 from .eigsolve import (  # noqa: F401
+    EigenEnclosure,
     EigensolveError,
     ground_mode,
     quad_form_interval,
@@ -301,13 +302,13 @@ def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceM
     corner, so both quick proofs need eight entries, and a process that
     runs both builds each space once.  Both paper-config proofs would need
     ten, but the command line runs one proof per process, and so do the
-    acceptance tests; there no entry is evicted.  The two whole-part
-    entries of ``tricert constants`` live in a process of their own too.
+    acceptance tests; there no entry is evicted.  ``tricert constants``
+    builds its two whole-part maps outside the cache (:func:`_built`).
     Every caller shares the cached arrays, so they are only read: a
     mapped matrix shares their index arrays and holds values of its own
     (:meth:`ReferenceMap.mapped`).  Mesh, space and
-    assembly are built through this module's names, so wrapping them
-    here sees every build.
+    assembly are built through this module's names (:func:`_built`), so
+    wrapping them here sees every build.
 
     Every step of a build is array code.  A cold build in a fresh process
     took, in ms, with mesh numbering, slave elimination, side differences
@@ -338,10 +339,19 @@ def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceM
         parts = ((0,), (1,)) if family == "cr" else ((0,),)
     ref = _LIVE_MAPS.get((n, family, bc))
     if ref is None:
-        ref = ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
+        ref = _built(n, family, bc)
     ref = ref.with_halves(parts)
     _LIVE_MAPS[n, family, bc] = ref
     return ref
+
+
+def _built(n: int, family: str, bc: str, parts=None) -> ReferenceMap:
+    """The reference map of the n-fold space on T_ref, built here with no
+    cache, carrying ``parts`` where given (:meth:`ReferenceMap.with_halves`).
+    Mesh, space and assembly are built through this module's names, so
+    wrapping them here sees the build."""
+    ref = ReferenceMap.of(assemble(build_space(uniform_subdivide(_T_REF, n), family, bc)))
+    return ref if parts is None else ref.with_halves(parts)
 
 
 def _reference(n: int, family: str, bc: str, parts) -> ReferenceMap:
@@ -445,37 +455,56 @@ def single_blas_thread():
             set_(n)
 
 
-def certified_solve(tri, bc: str, cg_n: int, cr_n: int, cr_parts=None, cg_parts=None):
+def certified_solve(
+    tri, bc: str, cg_n: int, cr_n: int, cr_parts=None, cg_parts=None, reference=_reference
+):
     """The certified lambda_1 and lambda_2 brackets (:class:`EigBracket`)
-    of ``tri`` from the CR space of the ``cr_n``-fold mesh and the
-    conforming space of the ``cg_n``-fold one, with the conforming
-    :class:`RayleighBound` behind the upper end of lambda_1, which
-    carries the gram forms of its vector too.
+    of ``tri`` (T_c where it comes from :func:`triangle_from_angle`) from
+    the CR space of the ``cr_n``-fold mesh and the conforming space of the
+    ``cg_n``-fold one, with the conforming :class:`RayleighBound` behind
+    the upper end of lambda_1, which carries the gram forms of its vector.
 
-    Both spaces are mapped from the cached reference spaces, with the
-    part layouts ``cr_parts`` and ``cg_parts``, None for the default
-    (:func:`_reference`).  The parts steer the solver, every enclosure
-    and Rayleigh bound is certified on the whole operators, and the CR
-    parts past the first are certified to hold no eigenvalue below
-    lambda_2's lower end (:func:`solve_lowest`).  Callers run it under
-    :func:`single_blas_thread`.
+    Both spaces solve the pencil of ``tri`` on T_ref, whose eigenvalues
+    are mu = lambda s^2 (:meth:`ReferenceMap.mapped`).  The CR enclosures
+    are certified in mu, Kato-Temple included, and each end is then
+    divided by the enclosure of s^2 (1 - c^2 on T_c, by^2 elsewhere),
+    rounded outward; the conforming shift, the corrected CR lower end,
+    is multiplied by it, rounded down; R(u) is certified in lambda
+    directly (:func:`rayleigh_bound`); and the correction reads a
+    certified upper bound on the CR mesh size of ``tri``.
+
+    ``reference(n, family, bc, parts)`` gives each reference map with the
+    layout ``cr_parts`` or ``cg_parts`` (:func:`_reference` by default).
+    The parts steer the solver, every bound is certified on the whole
+    space, and the CR parts past the first are certified to hold no
+    eigenvalue below lambda_2's lower end (:func:`solve_lowest`).
+    Callers run it under :func:`single_blas_thread`.
     """
-    ops_cr = _reference(cr_n, "cr", bc, cr_parts).mapped(tri)
+    shear = tri.shear
+    ops_cr = reference(cr_n, "cr", bc, cr_parts).mapped(tri)
     enc_cr = solve_lowest(ops_cr, 2)
     enc_cr = [verify_enclosure(enc_cr[0], (enc_cr[1],)), enc_cr[1]]
-    # the bracket needs only the CR mesh size; releasing the CR operators
-    # keeps them out of the memory peak of the conforming solve
-    h_cr = ops_cr.space.mesh.h
-    del ops_cr
+    del ops_cr  # out of the memory peak of the conforming solve
+    enc_cr = [_in_lambda(e, shear.s2) for e in enc_cr]
+    h_cr = shear.mesh_size(cr_n)
 
-    # the conforming mode is solved in the first part alone, and the whole
-    # operators are mapped only then, with the grams in the same pass, so
-    # that none of them adds to the memory peak of the solve
-    ref_cg = _reference(cg_n, "cg", bc, cg_parts)
-    u = ground_mode(ref_cg.parts(tri)[0], corrected_lower(enc_cr[0], h_cr))
-    cg = rayleigh_bound(ref_cg.grams(tri), u)
+    ref_cg = reference(cg_n, "cg", bc, cg_parts)
+    sigma = (Interval(corrected_lower(enc_cr[0], h_cr)) * shear.s2).lo
+    u = ground_mode(ref_cg.parts(tri)[0], sigma)
+    cg = rayleigh_bound(ref_cg, shear, u)
     lam1, lam2 = bracket(enc_cr, cg.rho, h_cr)
     return lam1, lam2, cg
+
+
+def _in_lambda(enc: EigenEnclosure, s2: Interval) -> EigenEnclosure:
+    """``enc`` of mu = lambda s^2, s^2 in ``s2``, as an enclosure of lambda."""
+    return replace(
+        enc,
+        lower=(Interval(enc.lower) / s2).lo,
+        upper=(Interval(enc.upper) / s2).hi,
+        rho=enc.rho / s2,
+        residual_bound=up(enc.residual_bound / s2.lo),
+    )
 
 
 @single_blas_thread()
@@ -500,8 +529,10 @@ def compute_point(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData
 def edge_mean_lambda1(tri, cg_n: int, cr_n: int) -> EigBracket:
     """The certified lambda_1 bracket of the edge-mean problem on ``tri``,
     a triangle of any apex (``tricert constants``): :func:`certified_solve`
-    on the whole spaces as their one part."""
-    return certified_solve(tri, "edge-mean", cg_n, cr_n, _WHOLE, _WHOLE)[0]
+    on the whole spaces as their one part.  Their maps are built for this
+    one solve, outside the cache (:func:`_built`), so that each is
+    released once solved: the CR map before the conforming one is built."""
+    return certified_solve(tri, "edge-mean", cg_n, cr_n, _WHOLE, _WHOLE, reference=_built)[0]
 
 
 def _point_worker(task: tuple[int, str, float, int, int]):

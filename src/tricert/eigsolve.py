@@ -26,7 +26,7 @@ eigenvalue.  No system with M is solved; the only factorisations are
 the ones that drive the Lanczos solver: of A on the nonconforming side,
 of A - sigma M on the conforming side.
 
-Each certified vector u is multiplied once by each of A, M, |A| and |M|,
+Each certified CR vector u is multiplied once by each of A, M, |A| and |M|,
 after the product with M that normalises it: that one product pass
 (:func:`_product_pass`) gives both quadratic forms of its Rayleigh
 interval and the residual and majorant of its residual bound, five
@@ -101,11 +101,17 @@ cycle (LANCZOS_TOL) and changes the nonconforming delta by -0.4 % to
 with M, would shrink delta by under 3 % on the nonconforming side (9 %
 on the conforming one).
 
+Every solve runs on the pencil of a triangle on T_ref, (K0 - c S +
+kappa Kxx, M_ref) (:meth:`fem.ReferenceMap.mapped`): every enclosure,
+shift and floor here is in its eigenvalue mu = lambda s^2.
+
 The conforming side needs none of this.  Its one certified number is
 the Rayleigh quotient R(u) of :func:`rayleigh_bound`, and lambda_1 <=
 R(u) holds for every u != 0, so that side computes a single mode, with
 no guard mode and no residual bound, and its bound does not depend on
-which mode the solver returned.  Its Lanczos run is shifted to a
+which mode the solver returned.  R(u) is certified from the forms of u
+with the cached reference matrices, so no point maps a conforming
+operator.  Its Lanczos run is shifted to a
 certified lower bound sigma on lambda_1, where the ground mode is far
 better separated than at 0; sigma only steers the solver, so a wrong
 sigma costs solves or ends in a diagnosed error, never a bound below
@@ -121,7 +127,7 @@ Math. Anal. 11, 1980; solving in the subspace a symmetry group fixes is
 Bossavit's reduction, Comput. Methods Appl. Mech. Engrg. 56, 1986).  The
 float triangle of fl(pi/3) is equilateral only to rounding, but the part
 steers the solver as the halves do, and R(u) is certified on the whole
-operators.  At the corner meshes that part has a third of the symmetric
+space.  At the corner meshes that part has a third of the symmetric
 half's unknowns and half its band width (CG 288 Dirichlet: 6,912
 unknowns 72 wide against 20,592 and 143; CG 192 edge-mean: 3,168 and 65
 against 9,407 and 114), and its band factor takes 4.0 MB against 23.7 MB
@@ -149,31 +155,33 @@ from the start.
 The other parts are certified by inertia, not solved.  With C = [C_1 ...
 C_p] the parts' bases side by side, which span the space, the pencil (A,
 M) has as many eigenvalues below a floor l as C^T (A - l M) C has
-negative eigenvalues (Sylvester's law of inertia).  The diagonal blocks
-of that matrix are H_i = C_i^T (A - l M) C_i; the rest, F, couples the
-parts, and vanishes in exact arithmetic on T(theta), whose mirror maps A
-and M to themselves, so that it holds only rounding and the excess bx^2
-+ by^2 - 1 of the float apex.  By Weyl's inequality no eigenvalue of C^T
-(A - l M) C lies more than ||F||_2 below the matching one of the block
-diagonal.  So if H_i - ||F||_2 I is positive definite for every part i >
-1, the pencil has no more eigenvalues below l than H_1 - ||F||_2 I has
-negative ones.  By the first part's order, the trusted step, those are
-at most count - 1: the first part has no more than count - 1 eigenvalues
-below the count-th enclosure, also with its matrix lowered by the
-rounding-sized ||F||_2 I, which an exact pencil would make zero.  Then
-lambda_count >= l.  Each H_i - ||F||_2 I is certified positive definite
-by LAPACK's banded Cholesky factorisation of the part's packed A - l M
-less tau I, for an a-priori tau (Rump, "Verification of positive
-definiteness", BIT 46, 2006): if the factorisation runs to completion
-the packed matrix exceeds -tau_c I for the factorisation's rounding
-tau_c (Demmel, LAPACK Working Note 14), and tau also covers the part's
-packing and mapping rounding, the entries its build dropped, and ||F||_2
-(:func:`_floor_shift`, :class:`fem.Half`).  The floor l is the count-th
-enclosure's lower end, or, where the part's lowest eigenvalue lies too
-close above it for the test, 2 tau / m below it, m the mass density of
-the first part's mode (:func:`_floor`), and the enclosure's lower end
-becomes l, so :func:`verify_enclosure` and the brackets read the
-certified floor.
+negative eigenvalues (Sylvester's law of inertia).  Further parts arise
+only on a triangle on the unit circle, as the two mirror halves, where
+the stored pencil A = fl(K0 - fl(c S)) is formed entry by entry from the
+reference K0 and S.  The mirror maps those and M onto themselves, so it
+maps A onto itself whatever c, and C_1^T A C_2 and C_1^T M C_2 vanish
+exactly on the stored floats, not only to rounding (on edge-mean spaces
+also because the entries K0 = S are powers of two, which c scales
+alike; the tests check both in rational arithmetic on every proof CR
+space).  So C^T (A - l M) C is block diagonal, with blocks H_i = C_i^T
+(A - l M) C_i, and no coupling term enters Sylvester's law or Weyl's
+inequality: if H_i is positive definite for every i > 1, the pencil has
+no more eigenvalues below l than H_1 has negative ones.  By the first
+part's order, the trusted step, those are at most count - 1: the first
+part has no more than count - 1 eigenvalues below the count-th
+enclosure.  Then lambda_count >= l.  Each H_i is certified
+positive definite by LAPACK's banded Cholesky factorisation of the
+part's packed A - l M less tau I, for an a-priori tau (Rump,
+"Verification of positive definiteness", BIT 46, 2006): if the
+factorisation runs to completion the packed matrix exceeds -tau_c I for
+the factorisation's rounding tau_c (Demmel, LAPACK Working Note 14), and
+tau also covers, by Weyl's inequality, the part's packing and mapping
+rounding and the entries its build dropped (:func:`_floor_shift`).  The
+floor l is the count-th enclosure's lower end, or, where the part's
+lowest eigenvalue lies too close above it for the test, 2 tau / m below
+it, m the mass density of the first part's mode (:func:`_floor`), and
+the enclosure's lower end becomes l, so :func:`verify_enclosure` and the
+brackets read the certified floor.
 
 The proofs ask for count = 2, and lambda_2 lies in the symmetric half at
 every angle of (0, pi/3] measured: at CR 64 over all 370 + 420 reference
@@ -198,7 +206,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import DiscreteOperators, Half, on_pattern
+from .fem import DiscreteOperators, Half, ReferenceMap, on_pattern
+from .geometry import Shear
 from .rounding import EPS as _EPS, Interval, dn, gamma, up
 
 # Lanczos vectors for the shifted ground solve of ground_mode.
@@ -315,11 +324,11 @@ def quad_form_interval(
     The float value u^T (K u) is widened by gamma(m + n + 2) times the
     majorant |u|^T |K| |u| of its terms, m the largest row count of K
     and n the length of u.  ``abs_K`` is |K| entrywise, formed here when
-    not given.  This is the form of one operator from its two products;
-    the Rayleigh intervals of :func:`solve_lowest` and
-    :func:`rayleigh_bound` take the same two products of A and of M from
-    the one product pass of their vector (:class:`_Products`), which the
-    residual bound reads too, and compute the same floats.
+    not given.  :func:`rayleigh_bound` certifies each of its forms so; the
+    Rayleigh intervals of :func:`solve_lowest` take the same two products
+    of A and of M from the one product pass of their vector
+    (:class:`_Products`), which the residual bound reads too, and compute
+    the same floats.
     """
     abs_u = np.abs(u)
     if abs_K is None:
@@ -413,7 +422,7 @@ class RayleighBound:
     lambda_1 <= rho.hi holds for any nonzero vector, whichever mode the
     solver returned, so rho.hi is a certified upper bound on lambda_1.
     ``grams`` holds the certified forms of Kxx, Kxy and Kyy of the
-    vector where its operators carried them (:func:`rayleigh_bound`).
+    vector where :func:`rayleigh_bound` made it.
     """
 
     rho: Interval
@@ -548,8 +557,7 @@ def _lowest_modes(
 def _floor(ops: DiscreteOperators, lower: float, density: float) -> float:
     """A floor, ``lower`` or just below it, that every part of ``ops``
     but the first is certified to exceed: A - floor M is positive
-    definite on each, beyond the coupling between the parts (module
-    docstring).
+    definite on each (module docstring).
 
     A part is tested by a banded Cholesky factorisation of its packed A
     - floor M less tau I, tau a priori (:func:`_floor_shift`), first at
@@ -567,8 +575,7 @@ def _floor(ops: DiscreteOperators, lower: float, density: float) -> float:
     if not (np.isfinite(density) and density > 0.0 and lower > 0.0):
         raise EigensolveError(f"no floor below {lower!r} at mass density {density!r}")
     # every bound below holds for any floor in [0, lower]
-    coupling = max(up(h.coupling[0] + lower * h.coupling[1]) for h in ops.halves)
-    further = [(half, _floor_shift(half, lower, coupling)) for half in ops.halves[1:]]
+    further = [(half, _floor_shift(half, lower)) for half in ops.halves[1:]]
     below = dn(lower - up(2.0 * max(tau for _, tau in further) / density, 2), 2)
     for floor in (lower, max(below, 0.0)):
         failed = [i for i, (half, tau) in enumerate(further, 1) if not _definite(half, floor, tau)]
@@ -589,10 +596,9 @@ def _definite(half: Half, floor: float, tau: float) -> bool:
     return scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)[1] == 0
 
 
-def _floor_shift(half: Half, bound: float, coupling: float) -> float:
+def _floor_shift(half: Half, bound: float) -> float:
     """The shift tau of :func:`_floor` for ``half`` at any floor of
-    magnitude at most ``bound`` (and not negative), given a bound
-    ``coupling`` on the 2-norm of the coupling between the parts.
+    magnitude at most ``bound`` (and not negative).
 
     tau covers, in 2-norm: the banded Cholesky factorisation's rounding,
     gamma_{w+2} / (1 - gamma_{w+2}) (2w + 1) max_i b_ii for a band of
@@ -601,7 +607,7 @@ def _floor_shift(half: Half, bound: float, coupling: float) -> float:
     Algorithms, 2nd ed., Theorem 10.5: each entry of U^T U is an inner
     product of at most w + 1 terms); the part's residue
     (:class:`fem.Half`), which holds its packing, its mapping and what
-    the build dropped; the coupling; and the rounding of subtracting tau
+    the build dropped; and the rounding of subtracting tau
     from the diagonal.  The diagonal of A - floor M is at most that of
     A, as the floor is not negative.
     """
@@ -610,7 +616,7 @@ def _floor_shift(half: Half, bound: float, coupling: float) -> float:
     g = _gamma(w + 2)
     cholesky = up(g / (1.0 - g) * (2 * w + 1) * diag, 4)
     residue = up(half.residue[0] + bound * half.residue[1])
-    return up((cholesky + residue + coupling + _EPS * diag) / (1.0 - _EPS), 4)
+    return up((cholesky + residue + _EPS * diag) / (1.0 - _EPS), 4)
 
 
 def solve_lowest(ops: DiscreteOperators, count: int = 1) -> list[EigenEnclosure]:
@@ -671,20 +677,25 @@ def ground_mode(half: Half, below: float) -> np.ndarray:
     return half.C @ vecs[:, 0]
 
 
-def rayleigh_bound(ops: DiscreteOperators, u: np.ndarray) -> RayleighBound:
-    """The certified Rayleigh quotient R(u) >= lambda_1 of the vector u,
-    normalised first, on the whole operators ``ops``.
-
-    Only the quadratic forms u^T A u and u^T M u are certified, from one
-    product pass of u (:class:`_Products`).  Where ``ops`` carries the
-    grams (:meth:`fem.ReferenceMap.grams`), their forms are certified
-    too, each by :func:`quad_form_interval`, and returned with R(u).
-    """
-    u = _normalize(ops.M, u)
-    ray = _product_pass(ops, [u])[0].rayleigh()
-    if ops.Kxx is None:
-        return ray
-    return replace(ray, grams=tuple(quad_form_interval(K, u) for K in (ops.Kxx, ops.Kxy, ops.Kyy)))
+def rayleigh_bound(ref: ReferenceMap, shear: Shear, u: np.ndarray) -> RayleighBound:
+    """The certified Rayleigh quotient R(u) >= lambda_1 of u, normalised
+    in the reference M, on the triangle of ``shear``, with its mass and
+    gram forms there: the forms k, b, x and m of u with the reference K0,
+    S, Kxx and M of ``ref`` (:func:`quad_form_interval`), combined by the
+    identities of :mod:`fem` in interval arithmetic into R(u) = (k - c b +
+    kappa x) / (s^2 m), the mass s m and the grams s x (Kxx), b / 2 - c x
+    (Kxy) and (k - c b + (kappa - s^2) x) / s (Kyy).  So the bound counts
+    the rounding of the map, which no point forms."""
+    u = _normalize(ref.M, u)
+    k, b, x = (quad_form_interval(K, u) for K in ref.stiffness_grams())
+    m = quad_form_interval(ref.M, u)
+    if m.lo <= 0.0:
+        raise EigensolveError("mass quadratic form not certifiably positive")
+    c, s2 = Interval(shear.c), shear.s2
+    s = s2.sqrt()
+    stiff = k - c * b + shear.kappa * x
+    grams = (s * x, 0.5 * b - c * x, (stiff - s2 * x) / s)
+    return RayleighBound(stiff / (s2 * m), s * m, u, grams)
 
 
 def verify_enclosure(

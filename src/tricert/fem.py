@@ -14,38 +14,48 @@ Two boundary treatments are supported:
 All matrices are assembled from exact closed-form integrals of the
 polynomial integrands; no quadrature error enters.
 
-Every triangle with base (0,0)-(1,0) and apex (bx, by) is the image of
+Every triangle with base (0,0)-(1,0) and apex (c, s) is the image of
 the reference triangle T_ref = conv((0,0), (1,0), (0,1)) under
-J = [[1, bx], [0, by]], and the n-fold uniform mesh of T is the image of
-the n-fold mesh of T_ref node by node.  Basis functions therefore pull
-back to basis functions with the same numbering, the constraints
-(Dirichlet dofs, edge-mean weights) do not depend on the apex, and
-for u on T with pull-back U(X, Y) on T_ref, u_x = U_X,
-u_y = (U_Y - bx U_X) / by and dx dy = by dX dY give
+F(X, Y) = (X + c Y, s Y), and the n-fold uniform mesh of T is the image
+of the n-fold mesh of T_ref node by node.  Basis functions therefore
+pull back to basis functions with the same numbering, the constraints
+(Dirichlet dofs, edge-mean weights) do not depend on the apex, and for u
+on T with pull-back U(X, Y) on T_ref, u_x = U_X, u_y = (U_Y - c U_X) /
+s and dx dy = s dX dY give, with S = Kxy_ref + Kxy_ref^T,
 
-    Kxx = by Kxx_ref
-    Kxy = Kxy_ref - bx Kxx_ref
-    Kyy = (bx^2 Kxx_ref - bx (Kxy_ref + Kxy_ref^T) + Kyy_ref) / by
-    A   = Kxx + Kyy
-    M   = by M_ref
+    Kxx = s Kxx_ref
+    Kxy = Kxy_ref - c Kxx_ref
+    Kyy = (c^2 Kxx_ref - c S + Kyy_ref) / s
+    M   = s M_ref
 
 for the full operators, and for the reduced ones too, since reduction
 (a principal submatrix, or a congruence with Z) does not depend on the
-apex.  :class:`ReferenceMap` applies these identities, so one assembly
-per mesh size serves every angle.
+apex.  So with K0 = Kxx_ref + Kyy_ref and kappa = c^2 + s^2 - 1,
 
-Every T(theta) is isosceles, its sides from the origin both of length
-1, and the lattice swap (i, j) -> (j, i) of T_ref (:func:`mirror`) is its
-reflection.  Each space is the direct sum of its mirror-symmetric and
-antisymmetric halves (:func:`parity_bases`), and on T(theta) the pencil
-(A, M) splits with it.  :meth:`ReferenceMap.with_halves` keeps the
-reference grams of parts of the space, each spanned by the bases of one
-or both parities, which map by the same identities: a half serves
-T(theta), and the whole space, spanned by both bases side by side, any
-triangle, since the bases are combinatorial bases of the lattice's
-spaces.  An edge-mean space keeps its slave basis Z, but its parts are
-spanned by local differences along each parent side, which keep a part's
-pencil as sparse as the lattice, where Z couples every dof of a side.
+    s A = K0 - c S + kappa Kxx_ref,    M / s = M_ref,
+
+and A x = lambda M x exactly when (K0 - c S + kappa Kxx_ref) x = mu M_ref
+x with mu = lambda s^2: the linear transplantation of Laugesen and
+Siudeja (Comm. Anal. Geom. 19, 2011).  :class:`ReferenceMap` maps every
+space and part to this pencil, so one assembly per mesh size serves
+every triangle.  A point at theta certifies T_c, apex (c, sqrt(1 -
+c^2)) with c = fl(cos theta), on the unit circle exactly, where the
+pencil is K0 - c S, and s^2 = 1 - c^2 enters only the conversion lambda
+= mu / s^2, in interval arithmetic (:class:`geometry.Shear`).
+
+The lattice swap (i, j) -> (j, i) of T_ref (:func:`mirror`) exchanges X
+and Y, so it maps Kxx_ref and Kyy_ref onto each other and keeps K0, S
+and M_ref: it is the reflection of every isosceles T_c and maps its
+pencil onto itself.  Each space is the direct sum of its
+mirror-symmetric and antisymmetric halves (:func:`parity_bases`), and
+that pencil splits with it, exactly on its floats (:mod:`eigsolve`).
+:meth:`ReferenceMap.with_halves` keeps the reference grams of parts of
+the space, each spanned by the bases of one or both parities: a half
+serves a triangle on the unit circle, and the whole space, spanned by
+both bases side by side, any triangle.  An edge-mean
+space keeps its slave basis Z, but its parts are spanned by local
+differences along each parent side, which keep a part's pencil as sparse
+as the lattice, where Z couples every dof of a side.
 
 T(pi/3), the equilateral triangle, has a larger symmetry group: the
 lattice rotation (i, j) -> (n - i - j, i) (:func:`rotation`) is its
@@ -73,18 +83,18 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
-from .geometry import TriangleShape
+from .geometry import Shear, TriangleShape
 from .mesh import Mesh
 from .rounding import EPS, dn, gamma, up
 
 _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
 # Relative rounding, against the magnitudes of their terms, of a part's
-# entries between its reference grams and the band :mod:`eigsolve` packs
-# A - sigma M of it in: two maps to a triangle, the whole space's and the
-# part's, of at most 7 roundings an entry (:class:`_StiffnessValues`), the
-# sum Kxy + Kxy^T (1) and the packing (2), with room
-_MAP_GAMMA = gamma(24)
+# entries between its reference grams and the band eigsolve packs A -
+# sigma M of it in: two maps to a triangle, the whole space's and the
+# part's, of at most 4 roundings an entry (c S, its difference with K0,
+# kappa Kxx and its sum), and the packing (2), with room
+_MAP_GAMMA = gamma(12)
 
 FAMILIES = ("cg", "cr")
 BCS = ("dirichlet", "edge-mean")
@@ -489,15 +499,16 @@ def _permuted(indptr: np.ndarray, indices: np.ndarray, perm: np.ndarray):
 class DiscreteOperators:
     """Reduced stiffness/mass family for one space.
 
-    A is the stiffness Kxx + Kyy, M the mass matrix, and Kxx, Kxy, Kyy
-    the partial-derivative grams.  Kxy is stored as assembled (row index
+    Operators assembled on a triangle (:func:`assemble`) hold its
+    stiffness A = Kxx + Kyy, its mass matrix M and the partial-derivative
+    grams Kxx, Kxy and Kyy; Kxy is stored as assembled (row index
     differentiates in x, column in y); only its quadratic form is used.
-    Assembled operators carry the grams; mapped ones leave them out
-    (:meth:`ReferenceMap.grams` maps them, with A and M, where they are
-    read).
-    ``halves`` are the parts (:class:`Half`) the solvers work in; mapped
-    operators carry them, and assembled ones, which carry none, the
-    solvers refuse.
+    Operators mapped from a reference space (:meth:`ReferenceMap.mapped`)
+    hold the pencil of a triangle on T_ref, A = K0 - c S + kappa Kxx and
+    M the reference mass matrix, whose eigenvalues are mu = lambda s^2
+    (module docstring), on the reference space; they leave the grams out
+    and carry the parts (:class:`Half`) the solvers work in.  Assembled
+    operators, which carry none, the solvers refuse.
     """
 
     space: FemSpace
@@ -520,6 +531,8 @@ class DiscreteOperators:
         (min area)/12 resp. /3 times the identity.  Dirichlet reduction
         is a principal submatrix (interlacing) and the edge-mean basis
         has Z^T Z = I + W^T W >= I, so the bound survives reduction.
+        Mapped operators hold the reference M on the reference space, so
+        theirs is the bound of T_ref's mesh, fixed per mesh size.
         """
         tri = self.space.mesh.triangle
         n = self.space.mesh.n
@@ -529,9 +542,10 @@ class DiscreteOperators:
 
 @dataclass(frozen=True)
 class Half:
-    """One part of a space's pencil: a mirror-parity half on T(theta), the
-    part invariant under the symmetry group of T(pi/3), or the whole
-    space, spanned by both parity bases, on any triangle.
+    """One part of a space's pencil: a mirror-parity half of a triangle on
+    the unit circle, the part invariant under the symmetry group of
+    T(pi/3), or the whole space, spanned by both parity bases, on any
+    triangle.
 
     A and M act on part coordinates, and C (the bases of the part's
     codes, :func:`parity_bases` or :func:`invariant_basis`, side by
@@ -544,14 +558,11 @@ class Half:
     patterns A and M are stored on: A keeps an entry that vanishes at
     this apex as an explicit zero, which changes no product.
 
-    ``residue`` and ``coupling`` are (stiffness, mass) pairs (a, m) of
-    certified bounds, each read as a + |sigma| m at a shift sigma, on the
-    2-norms of what the stored part lacks of the whole operators: C^T (A
-    - sigma M) C of the space's A and M less the packed A - sigma M of
-    the part (the rounding of the congruence, of both maps and of the
-    packing, and the entries :func:`_congruent` dropped), and the part's
-    row block of C_all^T (A - sigma M) C_all off the diagonal blocks of
-    the parts, zero where the map has one part (:meth:`PartMap.bounds`).
+    ``residue`` is a (stiffness, mass) pair (a, m) of certified bounds,
+    read as a + |sigma| m at a shift sigma, on the 2-norm of what the
+    stored part lacks of C^T (A - sigma M) C of the space's A and M: the
+    rounding of the congruence, of both maps and of the packing, and the
+    entries :func:`_congruent` dropped (:meth:`PartMap.bounds`).
     """
 
     A: sp.csr_matrix
@@ -560,34 +571,25 @@ class Half:
     width: int
     slots: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     residue: tuple[float, float]
-    coupling: tuple[float, float]
 
     @property
     def dim(self) -> int:
         return self.A.shape[0]
 
 
-class _StiffnessValues:
-    """The values of Kyy and A on a triangle, by the identities of the
-    module docstring, from reference values ``xx``, ``xy_sym`` and ``yy``
-    on one union pattern."""
+class _PencilValues:
+    """The stiffness K0 - c S + kappa Kxx of a triangle's pencil, by the
+    identities of the module docstring, from reference values ``k0``,
+    ``xy_sym`` (S) and ``xx`` on one union pattern."""
 
-    def _kyy(self, bx: float, by: float) -> np.ndarray:
-        """The values of Kyy on the union pattern."""
-        # Kyy of the module docstring entry by entry, evaluated in place to
-        # spare temporaries of the pattern's size; scipy divides a sparse
-        # matrix by a scalar as a product with its reciprocal, so "* (1 /
-        # by)" keeps every stored value equal to the sparse-matrix form
-        kyy = (bx * bx) * self.xx
-        kyy -= np.multiply(self.xy_sym, bx)
-        kyy += self.yy
-        kyy *= 1.0 / by
-        return kyy
-
-    def _stiffness(self, bx: float, by: float) -> np.ndarray:
-        """The values of A = Kxx + Kyy on the union pattern."""
-        stiff = self._kyy(bx, by)
-        stiff += np.multiply(self.xx, by)
+    def _stiffness(self, c: float, kappa: float) -> np.ndarray:
+        """The values of K0 - c S + kappa Kxx on the union pattern, every
+        entry by the same operations, so that entries equal in K0, S and
+        Kxx are equal here too."""
+        stiff = np.multiply(self.xy_sym, -c)
+        stiff += self.k0
+        if kappa:
+            stiff += np.multiply(self.xx, kappa)
         return stiff
 
     @functools.cached_property
@@ -595,31 +597,23 @@ class _StiffnessValues:
         """A matrix on the union pattern, which every matrix mapped on it
         copies (:func:`on_pattern`)."""
         n = self.indptr.size - 1
-        return sp.csr_matrix((self.xx, self.indices, self.indptr), shape=(n, n))
+        return sp.csr_matrix((self.k0, self.indices, self.indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)
-class PartMap(_StiffnessValues):
-    """The map of one part of a space (:meth:`ReferenceMap.with_halves`),
-    holding only what :meth:`ReferenceMap.parts` reads of it: its M, and
-    Kxx, Kxy + Kxy^T and Kyy as values on the union pattern (``indptr``,
-    ``indices``) of its grams, all in the order ``band``, which takes its
-    k-th unknown from column ``band.perm[k]`` of the parity bases, with
-    the band positions ``slots`` of its A and M patterns that its mapped
-    :class:`Half` carries.  A part's grams are never mapped, so Kxy is
-    not kept.
+class PartMap(_PencilValues):
+    """The map of one part of a space (:meth:`ReferenceMap.with_halves`):
+    its M, and Kxx, S and K0 as values on the union pattern (``indptr``,
+    ``indices``) of their congruences, all in the order ``band``, which
+    takes its k-th unknown from column ``band.perm[k]`` of the parity
+    bases, with the band positions ``slots`` of its A and M patterns that
+    its mapped :class:`Half` carries.
 
-    ``residue`` and ``coupling`` hold certified bounds on the reference
-    grams behind the :class:`Half` bounds of the same names, which
-    :meth:`bounds` maps to a triangle.  residue[g] bounds the 2-norm of
-    C^T K C less the stored part gram, plus :data:`_MAP_GAMMA` times the
-    magnitudes |C^T| |K| |C| of its terms, for K in (Kxx, Kxy + Kxy^T,
-    Kyy, M).  coupling[g] bounds the infinity norm of the part's row
-    block of C^T K C_rest over every other part, the mapping's rounding
-    included, for K in (Kxx, Kxy + Kxy^T, Kxx + Kyy, M): the mirror of
-    T(theta) swaps Kxx and Kyy on T_ref and keeps Kxx + Kyy (the
-    stiffness of T_ref), Kxy + Kxy^T and M, so only rounding and the
-    excess bx^2 + by^2 - 1 of the float apex couple the halves.
+    ``residue`` holds certified bounds on the reference grams behind
+    :attr:`Half.residue`, which :meth:`bounds` maps to a triangle:
+    residue[g] bounds the 2-norm of C^T K C less the stored part gram,
+    plus :data:`_MAP_GAMMA` times the magnitudes |C^T| |K| |C| of its
+    terms, for K in (K0, S, Kxx, M).
     """
 
     M: sp.csr_matrix
@@ -627,49 +621,36 @@ class PartMap(_StiffnessValues):
     indices: np.ndarray
     xx: np.ndarray
     xy_sym: np.ndarray
-    yy: np.ndarray
+    k0: np.ndarray
     band: BandOrder
     slots: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     residue: tuple[float, float, float, float]
-    coupling: tuple[float, float, float, float]
 
     @property
     def dim(self) -> int:
         return self.M.shape[0]
 
-    def bounds(self, bx: float, by: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        """The (residue, coupling) of the :class:`Half` this part maps to
-        on the triangle of apex (``bx``, ``by``), where the stiffness maps
-        as ((bx^2 + by^2) Kxx - bx (Kxy + Kxy^T) + Kyy) / by and the mass
-        as by M.  In the coupling (bx^2 + by^2) Kxx + Kyy is (Kxx + Kyy) +
-        kappa Kxx, with |kappa| = |bx^2 + by^2 - 1| bounded here over the
-        rounding of its float value."""
-        kappa = up(abs(bx * bx + by * by - 1.0) + 4.0 * EPS)
-        return (
-            _on_triangle(self.residue, 1.0 + kappa, bx, by),
-            _on_triangle(self.coupling, kappa, bx, by),
-        )
-
-
-def _on_triangle(v, first: float, bx: float, by: float) -> tuple[float, float]:
-    """The (stiffness, mass) bounds (``first`` v[0] + |bx| v[1] + v[2]) /
-    by and by v[3], rounded up over their few operations."""
-    grow = 1.0 + 16.0 * EPS
-    return up((first * v[0] + abs(bx) * v[1] + v[2]) / by * grow), up(by * v[3] * grow)
+    def bounds(self, shear: Shear) -> tuple[float, float]:
+        """The residue of the :class:`Half` this part maps to on the
+        triangle of ``shear``: r_K0 + |c| r_S + |kappa| r_Kxx for the
+        stiffness, rounded up over its few operations, and r_M for the
+        mass, which is not mapped."""
+        r = self.residue
+        kappa = max(-shear.kappa.lo, shear.kappa.hi)
+        return up((r[0] + abs(shear.c) * r[1] + kappa * r[2]) * (1.0 + 8.0 * EPS)), r[3]
 
 
 @dataclass(frozen=True)
-class ReferenceMap(_StiffnessValues):
+class ReferenceMap(_PencilValues):
     """Operators assembled on T_ref, kept in the form that carries them to
     any triangle entry by entry.
 
-    xx, xy, xy_sym and yy hold Kxx, Kxy, Kxy + Kxy^T and Kyy as value
-    arrays on the union of the sparsity patterns of Kxx, Kxy, Kxy^T and
-    Kyy (``indptr``, ``indices``, canonical CSR order), 0 where a matrix
-    has no entry.  The reference A and grams are not kept as matrices:
-    the map reads none of them, and the cache of one map per reference
-    space would hold them for the life of the process.  ``halves`` holds
-    a (:class:`PartMap`, basis) pair for each part the map carries, and
+    xx, xy_sym and k0 hold Kxx, S = Kxy + Kxy^T and K0 = Kxx + Kyy as
+    value arrays on the union of the sparsity patterns of Kxx, Kxy, Kxy^T
+    and Kyy (``indptr``, ``indices``, canonical CSR order), 0 where a
+    matrix has no entry: with M they are all a triangle's pencil reads,
+    and no matrix of them is kept.  ``halves`` holds a
+    (:class:`PartMap`, basis) pair for each part the map carries, and
     ``layout`` the part codes of each (:meth:`with_halves`).
     """
 
@@ -678,9 +659,8 @@ class ReferenceMap(_StiffnessValues):
     indptr: np.ndarray
     indices: np.ndarray
     xx: np.ndarray
-    xy: np.ndarray
     xy_sym: np.ndarray
-    yy: np.ndarray
+    k0: np.ndarray
     halves: tuple[tuple[PartMap, sp.csr_matrix], ...] = ()
     layout: tuple[tuple[int, ...], ...] = ()
 
@@ -692,36 +672,16 @@ class ReferenceMap(_StiffnessValues):
     def of(cls, ops: DiscreteOperators) -> "ReferenceMap":
         """The map of ``ops``, whose grams must be in canonical CSR form,
         as :func:`assemble` leaves them.  The map keeps ``ops.M`` and makes
-        its index arrays read-only, as every mass matrix mapped from it
-        shares them."""
+        its index arrays read-only, as every mapped operator shares them."""
         ref = ops.space.mesh.triangle
         if (ref.bx, ref.by) != (0.0, 1.0):
             raise ValueError(
                 f"operators must be assembled on the reference triangle, apex ({ref.bx}, {ref.by})"
             )
-        return cls._of_grams(ops.space, ops.M, ops.Kxx, ops.Kxy, ops.Kyy)
-
-    @classmethod
-    def _of_grams(cls, space, M, Kxx, Kxy, Kyy) -> "ReferenceMap":
-        grams = (Kxx, Kxy, Kxy.T.tocsr(), Kyy)
-        # gram g marks its entries with bit g, so that the entries of the
-        # union that carry bit g are those of gram g, both in canonical order
-        union = sum(
-            sp.csr_matrix((np.full(K.nnz, 2.0**g), K.indices, K.indptr), K.shape)
-            for g, K in enumerate(grams)
-        )
-        carries = union.data.astype(np.int64)
-
-        def scatter(g, K):
-            vals = np.zeros(union.nnz)
-            vals[(carries & (1 << g)) != 0] = K.data
-            return vals
-
-        xx, xy, yx, yy = (scatter(g, K) for g, K in enumerate(grams))
-        # shared by every mapped matrix that stores the whole pattern, or M's
-        for index in (union.indptr, union.indices, M.indptr, M.indices):
+        indptr, indices, (xx, xy, yx, yy) = _union((ops.Kxx, ops.Kxy, ops.Kxy.T.tocsr(), ops.Kyy))
+        for index in (ops.M.indptr, ops.M.indices):
             index.flags.writeable = False
-        return cls(space, M, union.indptr, union.indices, xx, xy, xy + yx, yy)
+        return cls(ops.space, ops.M, indptr, indices, xx, xy + yx, xx + yy)
 
     def with_halves(self, parts: tuple[tuple[int, ...], ...]) -> "ReferenceMap":
         """This map carrying one part for each of ``parts``, in that order,
@@ -729,188 +689,149 @@ class ReferenceMap(_StiffnessValues):
         half, with (0, 1) the whole space, or the part invariant under
         the equilateral triangle's symmetry group (:data:`INVARIANT`).  A
         part is spanned by the bases of its codes side by side, C = [C+
-        C-] for the whole space, and its map holds C^T K C for every
-        reference gram K, less
-        its cancellation residue (:func:`_congruent`).  Each part is then
-        stored in its band order (:meth:`band_order`): its grams, its M
-        and the columns of C are permuted once for every angle, and its
-        map gets the band slots of its A and M patterns, so that no solve
-        permutes a vector or a matrix.
+        C-] for the whole space, and its map holds C^T K C for K in (M,
+        Kxx, S, K0), less its cancellation residue (:func:`_congruent`).
+        Each part is then stored in its band order (:func:`_band_order`):
+        its grams, its M and the columns of C are permuted once for every
+        angle, and its map gets the band slots of its A and M patterns, so
+        that no solve permutes a vector or a matrix.
 
         The parity bases are bases of the lattice's spaces, which need no
         mirror, so the whole part serves any triangle; a half serves only
-        T(theta), where the pencil splits, and the invariant part only
-        T(pi/3) (:meth:`parts`).  The map keeps ``parts`` as its layout.
+        a triangle on the unit circle, where the pencil splits, and the
+        invariant part only T(pi/3) (:meth:`parts`).  The map keeps
+        ``parts`` as its layout.
         """
         codes = sorted({code for part in parts for code in part})
         bases = dict(zip(codes, _symmetry_bases(self.space, codes)))
+
         def grams():
             # one whole-space gram at a time, so that a build's memory peak
             # holds one of them, not all three: the builds in the caller of
             # a process pool set its resident peak, which its workers inherit
             yield self.M
-            for v in (self.xx, self.xy, self.yy):
+            for v in (self.xx, self.xy_sym, self.k0):
                 yield self._csr(v)
 
-        Cs = [sp.hstack([bases[code] for code in part], format="csr") for part in parts]
         halves = []
-        for C, coupling in zip(Cs, self._couplings(Cs)):
-            kept, (m, xx, xy, yy) = _congruent(grams(), C)
-            half = ReferenceMap._of_grams(self.space, *kept)
-            band = half.band_order()
-            # Kxy + Kxy^T lacks what Kxy lacks and what its transpose does
-            residue = tuple(
-                up(r + _MAP_GAMMA * g) for r, g in (xx, (2 * xy[0], 2 * xy[1]), yy, m)
-            )
-            halves.append((half._in_order(band, residue, coupling), C[:, band.perm]))
+        for part in parts:
+            C = sp.hstack([bases[code] for code in part], format="csr")
+            (m, xx, xy_sym, k0), bounds = _congruent(grams(), C)
+            indptr, indices, values = _union((xx, xy_sym, k0))
+            band = _band_order(indptr, indices, m)
+            # in the order of PartMap.residue: K0, S, Kxx, M
+            residue = tuple(up(r + _MAP_GAMMA * g) for r, g in bounds[::-1])
+            part_map = _in_order(m, indptr, indices, values, band, residue)
+            halves.append((part_map, C[:, band.perm]))
         return replace(self, halves=tuple(halves), layout=tuple(parts))
 
-    def _couplings(self, Cs: list[sp.csr_matrix]) -> list[tuple[float, float, float, float]]:
-        """The :attr:`PartMap.coupling` of each part spanned by ``Cs``.
-
-        Each pair of parts (p, q) forms P = C_p^T K C_q and the magnitudes
-        B = |C_p^T| |K| |C_q| of its terms once: the row sums of |P| +
-        (gamma_k + _MAP_GAMMA) B count for part p and its column sums for
-        part q, with gamma_k the rounding of the products and _MAP_GAMMA
-        that of the whole space's map.  Kxx alone enters at kappa =
-        |bx^2 + by^2 - 1|, far below its own rounding, so it carries only
-        the products'.
-        """
-        if len(Cs) < 2:
-            return [(0.0, 0.0, 0.0, 0.0)] * len(Cs)
-        X, XYs, Z = (self._csr(v) for v in (self.xx, self.xy_sym, self.yy))
-        # Kxx + Kyy is summed once in floating point; the magnitudes |Kxx| +
-        # |Kyy| of its terms cover that rounding too
-        terms = [
-            (X, abs(X), 0.0),
-            (XYs, abs(XYs), _MAP_GAMMA),
-            (self._csr(self.xx + self.yy), abs(X) + abs(Z), _MAP_GAMMA),
-            (self.M, abs(self.M), _MAP_GAMMA),
-        ]
-        sums = [np.zeros((len(terms), C.shape[1])) for C in Cs]
-        for p in range(len(Cs)):
-            Ct = Cs[p].T.tocsr()
-            abs_Ct = abs(Ct)
-            for q in range(p + 1, len(Cs)):
-                C, abs_C = Cs[q], abs(Cs[q])
-                k = _max_col_nnz(Cs[p]) + _max_col_nnz(C) + 1
-                for g, (K, abs_K, rounding) in enumerate(terms):
-                    entry = abs(Ct @ K @ C) + (gamma(k) + rounding) * (abs_Ct @ abs_K @ abs_C)
-                    sums[p][g] += np.asarray(entry.sum(axis=1)).ravel()
-                    sums[q][g] += np.asarray(entry.sum(axis=0)).ravel()
-        grow = 1.0 + gamma(self.dim + 2)
-        return [tuple(up(float(row.max(initial=0.0)) * grow) for row in rows) for rows in sums]
-
-    def _in_order(self, band: BandOrder, residue, coupling) -> PartMap:
-        """The part map of this map with its unknowns in the order
-        ``band``, the band slots of its A and M patterns, and the given
-        bounds (:class:`PartMap`)."""
-        indptr, indices, take = _permuted(self.indptr, self.indices, band.perm)
-        m_indptr, m_indices, m_take = _permuted(self.M.indptr, self.M.indices, band.perm)
-        # shared by the matrices of every mapped half
-        for index in (indptr, indices, m_indptr, m_indices):
-            index.flags.writeable = False
-        M = sp.csr_matrix((self.M.data[m_take], m_indices, m_indptr), self.M.shape)
-        slots = (
-            _band_slots(indptr, indices, band.width),
-            _band_slots(m_indptr, m_indices, band.width),
-        )
-        return PartMap(
-            M, indptr, indices, self.xx[take], self.xy_sym[take], self.yy[take], band, slots,
-            residue, coupling,
-        )
-
-    def band_order(self) -> BandOrder:
-        """The band order (:meth:`BandOrder.of`) of the pattern of A and M,
-        which holds the pattern of the operators mapped to any triangle."""
-        n = self.dim
-        union = sp.csr_matrix((np.ones(self.indices.size), self.indices, self.indptr), (n, n))
-        return BandOrder.of((union + abs(self.M)).tocsr())
-
     def mapped(self, triangle: TriangleShape) -> DiscreteOperators:
-        """The operators A and M on ``triangle``, by the reference-map
-        identities of the module docstring, with the parts this map
-        carries (:meth:`parts`).  The grams, which only a point's
-        derivative functional reads, are left out: :meth:`grams` maps them.
+        """The pencil of ``triangle`` on T_ref (module docstring), on the
+        reference space: A = K0 - c S + kappa Kxx, kappa's float 0 on the
+        unit circle, and M the reference M itself, with the parts this map
+        carries (:meth:`parts`).
 
         Every matrix a map returns is stored on the index arrays of the
         reference pattern it is mapped from, which it shares with the map
         and never writes (:func:`on_pattern`): only a matrix with an entry
         that vanishes on ``triangle`` gets arrays of its own
-        (:meth:`_csr`).  So a point allocates its values alone.
-
-        The returned space holds the mesh of ``triangle``: the reference
-        mesh with its triangle swapped.
+        (:meth:`_csr`).  So a point allocates A's values alone.
         """
-        bx, by = triangle.bx, triangle.by
+        shear = triangle.shear
         return DiscreteOperators(
-            self._space_on(triangle),
-            A=self._csr(self._stiffness(bx, by)),
-            M=_scaled(self.M, by),
+            self.space,
+            A=self._csr(self._stiffness(shear.c, shear.kappa.mid)),
+            M=self.M,
             halves=self.parts(triangle),
         )
 
     def parts(self, triangle: TriangleShape) -> tuple[Half, ...]:
         """Each part this map carries, mapped to ``triangle`` as the whole
-        space is (A on its map's whole pattern), with the band width and
-        slots of its map.
+        space is (A on its part map's whole pattern, M the part's reference
+        M), with the band width, slots and residue of its map.
 
-        A map with a part that leaves out a parity needs a T(theta), apex
-        on the unit circle: only there does the mirror map the triangle
-        onto itself, so that the pencil splits into its halves.  A map
-        with the invariant part needs T(pi/3), apex (1/2, sqrt(3)/2), the
-        one triangle the rotation maps onto itself.
+        A map with a part that leaves out a parity needs a triangle on the
+        unit circle, kappa = 0 exactly: only there is the pencil K0 - c S,
+        which the mirror maps onto itself.  A map with the invariant part
+        needs T(pi/3), the one triangle the rotation maps onto itself.
         """
-        bx, by = triangle.bx, triangle.by
+        shear = triangle.shear
         split = any(C.shape[1] < self.dim for _, C in self.halves)
-        if split and abs(bx * bx + by * by - 1.0) > 1e-12:
-            raise ValueError(f"apex ({bx}, {by}) is off the unit circle; the mirror needs T(theta)")
-        if any(INVARIANT in part for part in self.layout) and abs(bx - 0.5) > 1e-12:
-            raise ValueError(f"apex ({bx}, {by}) is not equilateral; the rotation needs T(pi/3)")
+        apex = f"apex ({triangle.bx}, {triangle.by})"
+        if split and not shear.kappa.lo == shear.kappa.hi == 0.0:
+            raise ValueError(f"{apex} is off the unit circle; the mirror needs T(theta)")
+        if any(INVARIANT in part for part in self.layout) and abs(shear.c - 0.5) > 1e-12:
+            raise ValueError(f"{apex} is not equilateral; the rotation needs T(pi/3)")
+        kappa = shear.kappa.mid
         return tuple(
             Half(
-                on_pattern(ref._pattern, ref._stiffness(bx, by)),
-                _scaled(ref.M, by), C, ref.band.width, ref.slots, *ref.bounds(bx, by),
+                on_pattern(ref._pattern, ref._stiffness(shear.c, kappa)),
+                ref.M, C, ref.band.width, ref.slots, ref.bounds(shear),
             )
             for ref, C in self.halves
         )
 
-    def grams(self, triangle: TriangleShape) -> DiscreteOperators:
-        """The whole operators on ``triangle`` with their grams Kxx, Kxy
-        and Kyy, by the identities of the module docstring, as
-        :func:`assemble` would store them, and no part: one pass over the
-        map, in which A is the sum of the values of Kxx and Kyy, gives
-        all five, on the map's patterns as :meth:`mapped` stores A and M.
-        """
-        bx, by = triangle.bx, triangle.by
-        # one operator at a time, Kxy = Kxy_ref - bx Kxx_ref in place, and
-        # each value array released once used, so that few are alive at
-        # once: at CG 192 edge-mean, where one holds 2.4 MB, mapping all
-        # five together took a point's memory peak above the solve's
-        kxy = bx * self.xx
-        Kxy = self._csr(np.subtract(self.xy, kxy, out=kxy))
-        del kxy
-        kxx = by * self.xx
-        Kxx = self._csr(kxx)
-        kyy = self._kyy(bx, by)
-        Kyy = self._csr(kyy)
-        stiff = kyy + kxx
-        del kxx, kyy
-        A = self._csr(stiff)
-        del stiff
-        return DiscreteOperators(
-            self._space_on(triangle), A=A, M=_scaled(self.M, by), Kxx=Kxx, Kxy=Kxy, Kyy=Kyy
-        )
-
-    def _space_on(self, triangle: TriangleShape) -> FemSpace:
-        """The space of this map on the mesh of ``triangle``."""
-        return replace(self.space, mesh=replace(self.space.mesh, triangle=triangle))
+    def stiffness_grams(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """K0, S and Kxx as matrices on the union pattern, sharing the
+        map's arrays: the reference grams whose forms certify a conforming
+        vector (:func:`eigsolve.rayleigh_bound`)."""
+        return tuple(on_pattern(self._pattern, v) for v in (self.k0, self.xy_sym, self.xx))
 
     def _csr(self, vals: np.ndarray) -> sp.csr_matrix:
         """The matrix with ``vals`` on the union pattern, exact zeros dropped
         as the sparse algebra drops them: it shares the pattern's index
         arrays unless it has such a zero."""
         return _kept(on_pattern(self._pattern, vals), vals != 0.0)
+
+
+def _union(grams) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The union (indptr, indices) of the patterns of ``grams``, each in
+    canonical CSR form, with the values of each gram on it, 0 where the
+    gram has no entry.  The index arrays are read-only: every matrix
+    mapped on the union shares them."""
+    # gram g marks its entries with bit g, so that the entries of the
+    # union that carry bit g are those of gram g, both in canonical order
+    union = sum(
+        sp.csr_matrix((np.full(K.nnz, 2.0**g), K.indices, K.indptr), K.shape)
+        for g, K in enumerate(grams)
+    )
+    carries = union.data.astype(np.int64)
+    values = []
+    for g, K in enumerate(grams):
+        vals = np.zeros(union.nnz)
+        vals[(carries & (1 << g)) != 0] = K.data
+        values.append(vals)
+    for index in (union.indptr, union.indices):
+        index.flags.writeable = False
+    return union.indptr, union.indices, values
+
+
+def _band_order(indptr: np.ndarray, indices: np.ndarray, M: sp.csr_matrix) -> BandOrder:
+    """The band order (:meth:`BandOrder.of`) of the union pattern
+    (``indptr``, ``indices``) and that of M, which hold the pattern of the
+    pencil of any triangle."""
+    n = indptr.size - 1
+    union = sp.csr_matrix((np.ones(indices.size), indices, indptr), (n, n))
+    return BandOrder.of((union + abs(M)).tocsr())
+
+
+def _in_order(M, indptr, indices, values, band: BandOrder, residue) -> PartMap:
+    """The part map of M and the values (Kxx, S, K0) on the pattern
+    (``indptr``, ``indices``) with its unknowns in the order ``band``, the
+    band slots of its A and M patterns, and ``residue``
+    (:class:`PartMap`)."""
+    p_indptr, p_indices, take = _permuted(indptr, indices, band.perm)
+    m_indptr, m_indices, m_take = _permuted(M.indptr, M.indices, band.perm)
+    # shared by the matrices of every mapped half
+    for index in (p_indptr, p_indices, m_indptr, m_indices):
+        index.flags.writeable = False
+    M = sp.csr_matrix((M.data[m_take], m_indices, m_indptr), M.shape)
+    slots = (
+        _band_slots(p_indptr, p_indices, band.width),
+        _band_slots(m_indptr, m_indices, band.width),
+    )
+    xx, xy_sym, k0 = (v[take] for v in values)
+    return PartMap(M, p_indptr, p_indices, xx, xy_sym, k0, band, slots, residue)
 
 
 def on_pattern(K: sp.csr_matrix, values: np.ndarray) -> sp.csr_matrix:
@@ -925,11 +846,6 @@ def on_pattern(K: sp.csr_matrix, values: np.ndarray) -> sp.csr_matrix:
     out = copy.copy(K)
     out.data = values
     return out
-
-
-def _scaled(K: sp.csr_matrix, c: float) -> sp.csr_matrix:
-    """c K, as the sparse algebra forms it, on the index arrays of K."""
-    return on_pattern(K, K.data * c)
 
 
 def _kept(K: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:

@@ -18,16 +18,37 @@ from .rounding import Interval, dn, up
 
 
 @dataclass(frozen=True)
+class Shear:
+    """The triangle of apex (c, s) as its pencil on T_ref sees it (:mod:`fem`):
+    the float c, and enclosures of kappa = c^2 + s^2 - 1 and s2 = s^2."""
+
+    c: float
+    kappa: Interval
+    s2: Interval
+
+    def mesh_size(self, n: int) -> float:
+        """A certified upper bound on the longest edge of the n-fold
+        uniform mesh: the sides have squared lengths 1, c^2 + s^2 = 1 +
+        kappa and (1 - c)^2 + s^2 = 2 - 2c + kappa."""
+        c = Interval(self.c)
+        longest = max(1.0, (1.0 + self.kappa).hi, (2.0 - 2.0 * c + self.kappa).hi)
+        return up(up(math.sqrt(longest)) / n)
+
+
+@dataclass(frozen=True)
 class TriangleShape:
     """A triangle O, A = (1,0), B, parametrized by the angle at O when isoceles.
 
-    Instances from :func:`triangle_from_angle` keep B on the unit circle;
-    :func:`triangle_from_vertex` admits any apex strictly above the base.
+    Instances from :func:`triangle_from_angle` stand for T_c, apex (c,
+    sqrt(1 - c^2)) on the unit circle (``on_circle``), whose height ``by``
+    holds to rounding; :func:`triangle_from_vertex` admits any apex above
+    the base.  The certified solves read a triangle through :attr:`shear`.
     """
 
     theta: float
     bx: float
     by: float
+    on_circle: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.theta < math.pi):
@@ -49,12 +70,24 @@ class TriangleShape:
     def area(self) -> float:
         return 0.5 * self.by
 
+    @property
+    def shear(self) -> Shear:
+        """c = bx, and on the unit circle kappa = 0 and s^2 = 1 - c^2,
+        elsewhere s^2 = by^2 and kappa = c^2 + s^2 - 1."""
+        c = Interval(self.bx)
+        if self.on_circle:
+            return Shear(self.bx, Interval(0.0), 1.0 - c * c)
+        s2 = Interval(self.by) * Interval(self.by)
+        return Shear(self.bx, c * c + s2 - 1.0, s2)
+
 
 def triangle_from_angle(theta: float) -> TriangleShape:
-    """Member T(theta) of the isoceles-leg family: B = (cos theta, sin theta)."""
+    """Member T_c of the isoceles-leg family, c = fl(cos theta): apex (c,
+    sqrt(1 - c^2)) on the unit circle, at angle arccos c, within rounding
+    of theta."""
     if not (0.0 < theta < math.pi):
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    return TriangleShape(theta, math.cos(theta), math.sin(theta))
+    return TriangleShape(theta, math.cos(theta), math.sin(theta), on_circle=True)
 
 
 def triangle_from_vertex(bx: float, by: float) -> TriangleShape:

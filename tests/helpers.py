@@ -112,7 +112,8 @@ def _check_gram(X: float, C: float, Y: float, which: str) -> None:
 
 
 def gram_triple(ops, u: np.ndarray) -> tuple[float, float, float]:
-    """(||u_x||^2, (u_x, u_y), ||u_y||^2) for reduced coefficients u."""
+    """(||u_x||^2, (u_x, u_y), ||u_y||^2) for reduced coefficients u, from
+    operators that carry their grams (:func:`assemble_on_angle`)."""
     return (
         float(u @ (ops.Kxx @ u)),
         float(u @ (ops.Kxy @ u)),
@@ -236,11 +237,22 @@ def whole_map(n: int, family: str, bc: str) -> ReferenceMap:
 
 @lru_cache(maxsize=128)
 def operators(theta: float, n: int, family: str, bc: str):
-    """The operators of T(theta), with their grams, solved in their whole
-    part: the banded path every proof solve takes."""
-    ref, tri = whole_map(n, family, bc), triangle_from_angle(theta)
-    grams = ref.grams(tri)
-    return replace(ref.mapped(tri), Kxx=grams.Kxx, Kxy=grams.Kxy, Kyy=grams.Kyy)
+    """The pencil of T_c, c = fl(cos theta), on T_ref: A = K0 - c S and the
+    reference M, whose eigenvalues are mu = lambda s^2 (:func:`s2`),
+    solved in its whole part: the banded path every proof solve takes."""
+    return whole_map(n, family, bc).mapped(triangle_from_angle(theta))
+
+
+def s2(theta: float) -> float:
+    """s^2 = 1 - c^2 of T_c, c = fl(cos theta), in floating point: the
+    factor mu = lambda s^2 of its pencil, to rounding."""
+    c = math.cos(theta)
+    return 1.0 - c * c
+
+
+def in_lambda(enc: EigenEnclosure, theta: float) -> EigenEnclosure:
+    """A pencil enclosure of T_c as certify converts it to lambda."""
+    return certify._in_lambda(enc, triangle_from_angle(theta).shear.s2)
 
 
 def assemble_on_angle(theta: float, n: int, family: str, bc: str):
@@ -281,10 +293,11 @@ def two_half_solve(ops, count: int = 2):
 
 # The certification with each bound forming its own products: copied
 # magnitudes, the quadratic forms and the residual bound each multiplying
-# by A, M, |A| and |M| again, the conforming side certified on the mapped
-# whole operators and its grams taken from ReferenceMap.grams after that.
-# An oracle for the one product pass of eigsolve, whose every certified
-# bit must match it.
+# by A, M, |A| and |M| again, the conforming side certified from the forms
+# of copies of the reference grams, each with its own magnitude, and every
+# conversion between the pencil of T_c and lambda written out.  An oracle
+# for the one product pass of eigsolve and the conversions of certify,
+# whose every certified bit must match it.
 
 
 def _magnitude_copy(K: sp.csr_matrix) -> sp.csr_matrix:
@@ -354,23 +367,52 @@ def solve_by_bound(ops, count: int = 2) -> list[EigenEnclosure]:
     return encs
 
 
-def _certified_solve_by_bound(tri, bc, cg_n, cr_n, cr_parts=None, cg_parts=None):
-    """certify.certified_solve with each bound forming its own products:
-    the brackets, the conforming vector and its Rayleigh quotient and mass."""
-    ops_cr = certify._reference(cr_n, "cr", bc, cr_parts).mapped(tri)
+def reference_forms_by_themselves(ref, shear, u):
+    """R(u), the mass form and the gram forms of u on the triangle of
+    ``shear``, from the forms of u with copies of the reference K0, S,
+    Kxx and M of ``ref``, each with its own magnitude: u is normalised in
+    M, and s A = K0 - c S + kappa Kxx, M = s M_ref, Kxx = s Kxx_ref, Kxy =
+    Kxy_ref - c Kxx_ref and Kyy = A - Kxx give the rest."""
+    u = eigsolve._normalize(ref.M, u)
+    n = ref.dim
+    copies = (
+        sp.csr_matrix((v.copy(), ref.indices.copy(), ref.indptr.copy()), (n, n))
+        for v in (ref.k0, ref.xy_sym, ref.xx)
+    )
+    k, b, x = (quad_form_by_itself(K, u) for K in copies)
+    m = quad_form_by_itself(ref.M, u)
+    c, s2 = Interval(shear.c), shear.s2
+    s = s2.sqrt()
+    stiff = k - c * b + shear.kappa * x
+    return stiff / (s2 * m), s * m, (s * x, 0.5 * b - c * x, (stiff - s2 * x) / s)
+
+
+def _certified_solve_by_bound(tri, bc, cg_n, cr_n, cr_parts=None, cg_parts=None, reference=None):
+    """certify.certified_solve with each bound forming its own products
+    and every conversion between mu and lambda written out: the brackets,
+    and the conforming Rayleigh quotient, mass form and gram forms."""
+    reference = reference or certify._reference
+    shear = tri.shear
+    ops_cr = reference(cr_n, "cr", bc, cr_parts).mapped(tri)
     enc = solve_by_bound(ops_cr, 2)
     enc = [eigsolve.verify_enclosure(enc[0], (enc[1],)), enc[1]]
-    h_cr = ops_cr.space.mesh.h
-    ops_cg = certify._reference(cg_n, "cg", bc, cg_parts).mapped(tri)
-    half = ops_cg.halves[0]
-    _, vecs = eigsolve._lowest_modes(
-        half, 1, sigma=corrected_lower(enc[0], h_cr), ncv=eigsolve.GROUND_NCV
-    )
-    u = eigsolve._normalize(ops_cg.M, half.C @ vecs[:, 0])
-    magnitudes = _magnitude_copy(ops_cg.A), _magnitude_copy(ops_cg.M)
-    rho, mass = _rayleigh_by_itself(ops_cg, u, magnitudes)
+    enc = [
+        replace(
+            e, lower=(Interval(e.lower) / shear.s2).lo, upper=(Interval(e.upper) / shear.s2).hi,
+            rho=e.rho / shear.s2, residual_bound=up(e.residual_bound / shear.s2.lo),
+        )
+        for e in enc
+    ]
+    # sides 1, 1 + kappa and 2 - 2c + kappa squared
+    longest = max(1.0, (1.0 + shear.kappa).hi, (2.0 - 2.0 * Interval(shear.c) + shear.kappa).hi)
+    h_cr = up(up(math.sqrt(longest)) / cr_n)
+    ref_cg = reference(cg_n, "cg", bc, cg_parts)
+    half = ref_cg.parts(tri)[0]
+    sigma = (Interval(corrected_lower(enc[0], h_cr)) * shear.s2).lo
+    _, vecs = eigsolve._lowest_modes(half, 1, sigma=sigma, ncv=eigsolve.GROUND_NCV)
+    rho, mass, grams = reference_forms_by_themselves(ref_cg, shear, half.C @ vecs[:, 0])
     lam1, lam2 = bracket(enc, rho, h_cr)
-    return lam1, lam2, u, mass
+    return lam1, lam2, mass, grams
 
 
 def point_by_bound(problem: str, theta: float, cg_n: int, cr_n: int) -> PointData:
@@ -385,9 +427,9 @@ def point_by_bound(problem: str, theta: float, cg_n: int, cr_n: int) -> PointDat
     else:
         cr_parts, cg_parts = None, ((INVARIANT,),) if theta == EQ else None
     with certify.single_blas_thread():
-        lam1, lam2, u, mm = _certified_solve_by_bound(tri, bc, cg_n, cr_n, cr_parts, cg_parts)
-        grams = certify._reference(cg_n, "cg", bc, cg_parts).grams(tri)
-        xx, xy, yy = (quad_form_by_itself(K, u) for K in (grams.Kxx, grams.Kxy, grams.Kyy))
+        lam1, lam2, mm, (xx, xy, yy) = _certified_solve_by_bound(
+            tri, bc, cg_n, cr_n, cr_parts, cg_parts
+        )
     return PointData(
         theta, cg_n, cr_n, lam1, lam2,
         (xx.lo, xx.hi), (xy.lo, xy.hi), (yy.lo, yy.hi), (mm.lo, mm.hi),
@@ -397,27 +439,36 @@ def point_by_bound(problem: str, theta: float, cg_n: int, cr_n: int) -> PointDat
 def edge_mean_lambda1_by_bound(tri, cg_n: int, cr_n: int):
     """certify.edge_mean_lambda1 with each bound forming its own products."""
     with certify.single_blas_thread():
-        return _certified_solve_by_bound(tri, "edge-mean", cg_n, cr_n, ((0, 1),), ((0, 1),))[0]
+        return _certified_solve_by_bound(
+            tri, "edge-mean", cg_n, cr_n, ((0, 1),), ((0, 1),), reference=certify._built
+        )[0]
 
 
 @lru_cache(maxsize=128)
 def lowest_two(theta: float, n: int, family: str, bc: str):
-    return tuple(solve_lowest(operators(theta, n, family, bc), 2))
+    """The two lowest certified enclosures of T_c in lambda, solved in the
+    whole part of its pencil (:func:`operators`)."""
+    return tuple(in_lambda(e, theta) for e in solve_lowest(operators(theta, n, family, bc), 2))
 
 
-def ground_rayleigh(ops, below: float) -> RayleighBound:
-    """The certified Rayleigh bound on lambda_1 of the ground mode of the
-    first part of ``ops``, shifted to ``below``, as a point certifies its
-    conforming side; operators with no parts raise ValueError."""
-    if not ops.halves:
-        raise ValueError("the operators carry no part to solve in")
-    return eigsolve.rayleigh_bound(ops, eigsolve.ground_mode(ops.halves[0], below))
+def ground_rayleigh(ref, theta: float, below: float, first=None) -> RayleighBound:
+    """The certified Rayleigh bound on lambda_1 of T_c, c = fl(cos theta),
+    of the ground mode of the first part ``ref`` maps it to, or of the
+    part ``first``, shifted to ``below`` (in the pencil's mu), as a point
+    certifies its conforming side; a map with no parts raises
+    ValueError."""
+    tri = triangle_from_angle(theta)
+    if first is None:
+        if not ref.halves:
+            raise ValueError("the map carries no part to solve in")
+        first = ref.parts(tri)[0]
+    return eigsolve.rayleigh_bound(ref, tri.shear, eigsolve.ground_mode(first, below))
 
 
 @lru_cache(maxsize=128)
 def ground_rho(theta: float, n: int, family: str, bc: str):
     """Certified Rayleigh quotient of the computed ground mode, unshifted."""
-    return ground_rayleigh(operators(theta, n, family, bc), 0.0).rho
+    return ground_rayleigh(whole_map(n, family, bc), theta, 0.0).rho
 
 
 needs_two_cores = pytest.mark.skipif(

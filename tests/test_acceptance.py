@@ -17,7 +17,14 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
-from helpers import gram_triple, lowest_two, map_derivative_gram, operators, shear
+from helpers import (
+    assemble_on_angle,
+    gram_triple,
+    lowest_two,
+    map_derivative_gram,
+    operators,
+    shear,
+)
 
 from tricert.bounds import F_of, err_bound, eta
 from tricert.certify import compute_point, paper_config
@@ -165,7 +172,7 @@ def test_criterion_6_property_bullets():
     # stiffness splits into the two partial-derivative grams
     rng = np.random.default_rng(7)
     for theta, family, bc in ((0.7, "cg", "dirichlet"), (1.0, "cr", "edge-mean")):
-        ops = operators(theta, 7, family, bc)
+        ops = assemble_on_angle(theta, 7, family, bc)
         gap = (ops.A - (ops.Kxx + ops.Kyy)).toarray()
         assert np.max(np.abs(gap)) <= 1e-13 * np.max(np.abs(ops.A.toarray()))
 
@@ -174,7 +181,7 @@ def test_criterion_6_property_bullets():
         alpha, beta = shear(src, dst)
         u = rng.standard_normal(ops.A.shape[0])
         x, c, y = gram_triple(ops, u)
-        ops2 = operators(dst, 7, family, bc)
+        ops2 = assemble_on_angle(dst, 7, family, bc)
         xt, ct, yt = gram_triple(ops2, u)
         mx, mc, my = map_derivative_gram((x, c, y), alpha, beta)
         scale = abs(x) + abs(y)
@@ -190,9 +197,10 @@ def test_criterion_6_property_bullets():
             for s in (-1, 1)
         }
         fd = (lam[1] - lam[-1]) / dt
-        ops = operators(theta, n, "cg", bc)
-        (enc,) = solve_lowest(ops, 1)
+        (enc,) = solve_lowest(operators(theta, n, "cg", bc), 1)
         u = enc.vector
+        # the grams of T(theta) itself, assembled there
+        ops = assemble_on_angle(theta, n, "cg", bc)
         f = F_of(gram_triple(ops, u), theta, mass=float(u @ (ops.M @ u)))
         assert abs(fd - f) <= 1e-2 * abs(f)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assemble_on_angle,
     EQ,
     LAM1_EQ_DIRICHLET,
     LAM1_RIGHT_ISO_DIRICHLET,
@@ -261,9 +262,10 @@ class TestDerivativeConsistency:
         }
         fd = (lam[1] - lam[-1]) / dt
 
-        ops = operators(theta, n, "cg", bc)
-        (enc,) = solve_lowest(ops, 1)
+        (enc,) = solve_lowest(operators(theta, n, "cg", bc), 1)
         u = enc.vector
+        # the grams of T(theta) itself, assembled there
+        ops = assemble_on_angle(theta, n, "cg", bc)
         f = F_of(gram_triple(ops, u), theta, mass=float(u @ (ops.M @ u)))
         assert abs(fd - f) <= 1e-2 * abs(f)
 

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,8 +334,9 @@ class TestPointData:
     def test_each_magnitude_is_formed_once_per_point(self, monkeypatch):
         # the CR solve forms |A| and |M| once for the Rayleigh quotients and
         # residual bounds of both its modes (eight bounds), and the CG side
-        # forms |A|, |M|, |Kxx|, |Kxy| and |Kyy| once each; the certified
-        # numbers are those of forming each for every bound
+        # forms the magnitudes of the reference K0, S, Kxx and M once each,
+        # for their four forms; the certified numbers are those of forming
+        # each for every bound
         formed = []
         real_abs = eigsolve._abs
 
@@ -354,7 +356,7 @@ class TestPointData:
         once = compute_point("dirichlet", 0.9, cg_n=28, cr_n=16)
         cr_dim = certify._reference_operators(16, "cr", "dirichlet").dim
         cg_dim = certify._reference_operators(28, "cg", "dirichlet").dim
-        assert formed == [cr_dim] * 2 + [cg_dim] * 5
+        assert formed == [cr_dim] * 2 + [cg_dim] * 4
         assert once == per_bound
 
     @pytest.mark.parametrize(
@@ -367,8 +369,10 @@ class TestPointData:
     ):
         # one pass of A u, M u, |A| |u| and |M| |u| per vector feeds both
         # its Rayleigh interval and its residual bound, and the conforming
-        # grams come from the map that gives A: every certified number must
-        # be the one that bounds forming their own products give (helpers)
+        # side reads the forms of the reference grams: every certified
+        # number must be the one that bounds forming their own products,
+        # and the conversions between the pencil and lambda written out,
+        # give (helpers)
         got = compute_point(problem, theta, cg_n, cr_n)
         assert repr(got) == repr(point_by_bound(problem, theta, cg_n, cr_n))
 
@@ -596,6 +600,53 @@ class TestPointData:
             "point solve failed at theta=0.4: problem must be one of "
             "('dirichlet', 'cr-constant'), got 'neumann'"
         }
+
+
+# The widths of the conforming R(u) interval at the parent of the pencil
+# of T_c on T_ref, which certified R(u) on operators mapped to the float
+# apex (cos theta, sin theta), rounded down to two digits: at the recorded
+# angles nearest to _REGRESSION_ANGLES at CG 96 / CR 64, and at the corner
+# meshes (last).  R(u) now also bounds the rounding of the map, 1.8 to 4
+# times as wide.
+_REGRESSION_ANGLES = (0.0209, 0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97, 1.03, 1.0467)
+_PARENT_R_WIDTHS = {
+    "dirichlet": (
+        1.7e-4, 4.2e-5, 6.7e-6, 1.7e-6, 6.4e-7, 3.5e-7, 2.4e-7, 1.8e-7, 1.6e-7, 1.5e-7,
+        1.4e-7, 1.4e-7, 1.2e-5,
+    ),
+    "cr-constant": (
+        6.1e-4, 1.5e-4, 2.4e-5, 6.2e-6, 2.1e-6, 1.1e-6, 6.8e-7, 4.7e-7, 3.7e-7, 3.3e-7,
+        3.1e-7, 3.0e-7, 4.7e-6,
+    ),
+}
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+
+
+def _intersects(a, b) -> bool:
+    return a[0] <= b[1] and b[0] <= a[1]
+
+
+class TestRecordedBrackets:
+    @pytest.mark.parametrize("problem", ["dirichlet", "cr-constant"])
+    def test_brackets_meet_the_recorded_ones(self, problem):
+        # the brackets recorded for the benchmark by the program before the
+        # pencil of T_c (bench/reference.json, read only) enclose the same
+        # eigenvalues, of triangles that agree to rounding, so every new
+        # bracket meets its recorded one; and the lambda_1 upper end, the
+        # conforming R(u), moves by less than 3 times its width at the
+        # parent
+        ref = json.loads(REFERENCE.read_text())
+        rows = {row[0]: row[1:] for row in ref["sweep"][problem]}
+        picks = sorted({min(rows, key=lambda t: abs(t - x)) for x in _REGRESSION_ANGLES})
+        corner = ref["corner"][problem]
+        cases = [(t, ref["cg_n"], ref["cr_n"], rows[t][:2], rows[t][2:]) for t in picks]
+        cases.append((EQ, corner["cg_n"], corner["cr_n"], corner["lam1"], corner["lam2"]))
+        assert len(cases) == len(_PARENT_R_WIDTHS[problem]) == 13
+        for (theta, cg_n, cr_n, lam1, lam2), width in zip(cases, _PARENT_R_WIDTHS[problem]):
+            pd = compute_point(problem, theta, cg_n, cr_n)
+            assert _intersects((pd.lam1.lower, pd.lam1.upper), lam1), theta
+            assert _intersects((pd.lam2.lower, pd.lam2.upper), lam2), theta
+            assert abs(pd.lam1.upper - lam1[1]) < 3.0 * width, theta
 
 
 class TestBlasThreads:

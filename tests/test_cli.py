@@ -10,6 +10,7 @@ import json
 import math
 import re
 import sys
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -320,23 +321,33 @@ def test_constants_numerical_failure_exits_one(capsys, monkeypatch):
     assert "numerical abort" in err and "configuration error" not in err
 
 
-def test_constants_builds_each_space_once_per_process(capsys, monkeypatch):
-    # constants maps the proof's cached reference spaces, with the whole
-    # space as their one part, so a second run on the same meshes builds
-    # neither the CR nor the CG space again
-    built = []
-    real_subdivide = certify.uniform_subdivide
+def test_constants_builds_its_spaces_outside_the_cache(capsys, monkeypatch):
+    # constants solves once per process, so it builds both spaces for its
+    # run alone, through certify's names, where a tracer sees the builds,
+    # and keeps neither: the CR map is released before the CG map is built,
+    # and the proof's cache gains no entry
+    built, maps = [], []
+    real_subdivide, real_built = certify.uniform_subdivide, certify._built
 
     def counting(tri, n):
         built.append(n)
         return real_subdivide(tri, n)
 
+    def tracked(n, family, *args):
+        # every map built before this one is released by now
+        assert all(ref() is None for ref in maps), (n, family)
+        out = real_built(n, family, *args)
+        maps.append(weakref.ref(out))
+        return out
+
     monkeypatch.setattr(certify, "uniform_subdivide", counting)
+    monkeypatch.setattr(certify, "_built", tracked)
     certify._reference_operators.cache_clear()
     for _ in range(2):
         code, _, _ = run_cli(capsys, "constants", "--theta", "1.0", "--cg-n", "8", "--cr-n", "4")
         assert code == 0
-    assert sorted(built) == [4, 8]
+    assert built == [4, 8, 4, 8]
+    assert certify._reference_operators.cache_info().currsize == 0
 
 
 # prove -----------------------------------------------------------------------

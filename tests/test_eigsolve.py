@@ -7,8 +7,10 @@ agreement of the Lanczos modes with the dense oracle, the solves split
 into mirror-parity halves, the floor that certifies a CR antisymmetric
 half unsolved, and the gap refinement.  Every solve runs in the parts
 the operators carry: helpers.operators maps each space with the whole
-space as its one part.  Dense LAPACK serves only requests for as many
-modes as a part has unknowns; every other part runs Lanczos.
+space as its one part, to the pencil of T_c on T_ref, whose eigenvalues
+are mu = lambda s^2; helpers.in_lambda and helpers.s2 convert.  Dense
+LAPACK serves only requests for as many modes as a part has unknowns;
+every other part runs Lanczos.
 """
 
 import math
@@ -25,15 +27,19 @@ from helpers import (
     EQ,
     assemble_on_angle,
     ground_rayleigh,
+    in_lambda,
     operators,
+    s2,
     superlu_eigenvalues,
     two_half_solve,
+    whole_map,
 )
 from tricert.certify import _reference_operators, compute_point
 from tricert import eigsolve
 from tricert.bounds import corrected_lower
 from tricert.fem import INVARIANT
 from tricert.geometry import triangle_from_angle
+from tricert.rounding import Interval
 from tricert.eigsolve import (
     EigensolveError,
     _band_pack,
@@ -58,6 +64,7 @@ def dense_eigs(ops, k=4):
 def test_hand_oracle_single_dof():
     ops = operators(EQ, 3, "cg", "dirichlet")
     (enc,) = solve_lowest(ops, 1)
+    enc = in_lambda(enc, EQ)
     assert 72.0 in enc
     assert enc.width < 1e-9
     assert math.isclose(enc.rayleigh, 72.0, rel_tol=1e-13)
@@ -157,10 +164,11 @@ def test_lanczos_solves_every_part_larger_than_its_request(monkeypatch, family, 
     # unknowns than modes asked for: the smallest spaces, solved whole or
     # in their mirror halves, still go to Lanczos and hold the dense oracle
     if layout == "whole":
-        ops = operators(0.9, n, family, bc)
+        ref = whole_map(n, family, bc)
     else:
-        ops = mapped_with_halves(0.9, n, family, bc)
-        assert len(ops.halves) == 2
+        ref = _reference_operators(n, family, bc).with_halves(((0,), (1,)))
+    ops = ref.mapped(triangle_from_angle(0.9))
+    assert len(ops.halves) == (1 if layout == "whole" else 2)
     lam1, lam2 = dense_eigs(ops, 2)
 
     def no_dense(*args, **kwargs):
@@ -169,7 +177,7 @@ def test_lanczos_solves_every_part_larger_than_its_request(monkeypatch, family, 
     monkeypatch.setattr("tricert.eigsolve.scipy.linalg.eigh", no_dense)
     e1, e2 = solve_lowest(ops, 2)
     assert lam1 in e1 and lam2 in e2
-    assert lam1 <= ground_rayleigh(ops, 0.0).rho.hi
+    assert lam1 / s2(0.9) <= ground_rayleigh(ref, 0.9, 0.0).rho.hi
 
 
 def test_singular_banded_factor_is_diagnosed():
@@ -193,23 +201,23 @@ def test_every_backend_failure_is_diagnosed(monkeypatch, method):
     # is a part no larger than any request, which only dense LAPACK
     # serves, and CG 12 edge-mean goes to Lanczos
     if method == "dense":
-        ops, count = operators(EQ, 3, "cg", "dirichlet"), 1
+        theta, n, bc, count = EQ, 3, "dirichlet", 1
 
         def failing_eigh(*args, **kwargs):
             raise np.linalg.LinAlgError("leading minor not positive definite")
 
         monkeypatch.setattr(eigsolve.scipy.linalg, "eigh", failing_eigh)
     else:
-        ops, count = operators(0.9, 12, "cg", "edge-mean"), 2
+        theta, n, bc, count = 0.9, 12, "edge-mean", 2
 
         def failing_eigsh(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackError(-9999)
 
         monkeypatch.setattr(eigsolve.spla, "eigsh", failing_eigsh)
     with pytest.raises(EigensolveError):
-        solve_lowest(ops, count)
+        solve_lowest(operators(theta, n, "cg", bc), count)
     with pytest.raises(EigensolveError):
-        ground_rayleigh(ops, 0.0)
+        ground_rayleigh(whole_map(n, "cg", bc), theta, 0.0)
 
 
 def test_determinism():
@@ -332,12 +340,15 @@ def test_first_enclosure_upper_is_rayleigh_bound():
     bcs,
 )
 def test_ground_rayleigh_bounds_lambda1_from_above(theta, n, family, bc):
+    # R(u) and the mass form are certified on T_c from the forms of the
+    # reference grams: lambda_1 of the pencil over s^2, and s u^T M_ref u
     ops = operators(theta, n, family, bc)
-    lam1 = dense_eigs(ops, 1)[0]
-    g = ground_rayleigh(ops, 0.0)
+    lam1 = dense_eigs(ops, 1)[0] / s2(theta)
+    g = ground_rayleigh(whole_map(n, family, bc), theta, 0.0)
     assert lam1 <= g.rho.hi <= lam1 * (1.0 + 1e-10)
     assert g.rho.width <= 1e-10 * lam1
-    assert g.mass_form.lo <= float(g.vector @ (ops.M @ g.vector)) <= g.mass_form.hi
+    mass = math.sqrt(s2(theta)) * float(g.vector @ (ops.M @ g.vector))
+    assert g.mass_form.lo <= mass <= g.mass_form.hi
 
 
 @pytest.mark.parametrize("method", ["dense", "sparse"])
@@ -345,10 +356,8 @@ def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
     # one mode, no guard, and neither a residual bound nor a gap
     # refinement; the one-unknown CG 3 Dirichlet part goes to dense LAPACK,
     # which returns its whole spectrum, CG 12 edge-mean to Lanczos
-    if method == "dense":
-        ops = operators(EQ, 3, "cg", "dirichlet")
-    else:
-        ops = operators(0.9, 12, "cg", "edge-mean")
+    theta, n, bc = (EQ, 3, "dirichlet") if method == "dense" else (0.9, 12, "edge-mean")
+    ops = operators(theta, n, "cg", bc)
     lam1 = dense_eigs(ops, 1)[0]
     requested = []
     real_eigh, real_eigsh = eigsolve.scipy.linalg.eigh, eigsolve.spla.eigsh
@@ -376,12 +385,12 @@ def test_ground_rayleigh_computes_one_mode_and_no_residual(monkeypatch, method):
     monkeypatch.setattr(eigsolve, "residual_bound", forbidden)
     monkeypatch.setattr(eigsolve, "verify_enclosure", forbidden)
     below = 0.9 * lam1
-    g = ground_rayleigh(ops, below)
+    g = ground_rayleigh(whole_map(n, "cg", bc), theta, below)
     if method == "dense":
         assert requested == [("dense", {})]
     else:  # A - below M is factorised, and Lanczos runs on its operator
         assert requested == [("factor", below), ("sparse", 1, eigsolve.GROUND_NCV)]
-    assert lam1 <= g.rho.hi
+    assert lam1 / s2(theta) <= g.rho.hi
 
 
 def _count_operator_applications(monkeypatch) -> list:
@@ -453,14 +462,15 @@ def test_shifted_ground_solve_agrees_in_few_factor_solves(monkeypatch, bc, theta
     # shift: on the thin edge-mean triangle (theta = 0.1) its terms cancel,
     # and two unshifted solves that differ only in ncv already give rho.hi
     # 2e-12 apart, against a certified width of 1e-6
-    cr = operators(theta, 64, "cr", bc)
-    e1, e2 = solve_lowest(cr, 2)
-    below = corrected_lower(verify_enclosure(e1, (e2,)), cr.space.mesh.h)
-    ops = operators(theta, 96, "cg", bc)
-    plain = ground_rayleigh(ops, 0.0)
+    shear = triangle_from_angle(theta).shear
+    e1, e2 = solve_lowest(operators(theta, 64, "cr", bc), 2)
+    lower = corrected_lower(in_lambda(verify_enclosure(e1, (e2,)), theta), shear.mesh_size(64))
+    below = (Interval(lower) * shear.s2).lo
+    ref = whole_map(96, "cg", bc)
+    plain = ground_rayleigh(ref, theta, 0.0)
     solves = _count_operator_applications(monkeypatch)
-    shifted = ground_rayleigh(ops, below)
-    assert below < plain.rho.lo
+    shifted = ground_rayleigh(ref, theta, below)
+    assert lower < plain.rho.lo
     assert math.isclose(shifted.rho.hi, plain.rho.hi, rel_tol=1e-11)
     assert 0 < len(solves) <= 10
 
@@ -479,13 +489,11 @@ def test_shift_above_lambda1_never_lowers_the_bound(where, bc, part):
     # not lower the Rayleigh bound.  A - sigma M is then indefinite on the
     # whole part and on the symmetric half, both of which hold the ground
     # mode, so the banded Cholesky factorisation of either always fails
-    ops = operators(0.9, 32, "cg", bc)
-    lam1, lam2, lam3 = dense_eigs(ops, 3)
+    lam1, lam2, lam3 = dense_eigs(operators(0.9, 32, "cg", bc), 3)
     sigma = 0.5 * (lam1 + lam2) if where == "between-1-2" else 0.5 * (lam2 + lam3)
-    if part == "half":
-        ops = _reference_operators(32, "cg", bc).mapped(triangle_from_angle(0.9))
+    ref = _reference_operators(32, "cg", bc) if part == "half" else whole_map(32, "cg", bc)
     with pytest.raises(EigensolveError, match="factorisation"):
-        ground_rayleigh(ops, sigma)
+        ground_rayleigh(ref, 0.9, sigma)
 
 
 @pytest.mark.parametrize(
@@ -566,9 +574,12 @@ def test_residual_floor_does_not_need_a_tighter_tolerance(monkeypatch, bc):
 # mirror-parity halves -------------------------------------------------------
 
 
+def map_with_halves(n, family, bc, parts=((0,), (1,))):
+    return _reference_operators(n, family, bc).with_halves(parts)
+
+
 def mapped_with_halves(theta, n, family, bc, parts=((0,), (1,))):
-    ref = _reference_operators(n, family, bc).with_halves(parts)
-    return ref.mapped(triangle_from_angle(theta))
+    return map_with_halves(n, family, bc, parts).mapped(triangle_from_angle(theta))
 
 
 def _record_backend_dims(monkeypatch) -> list:
@@ -609,15 +620,16 @@ def test_split_enclosures_contain_dense_oracle(theta, n, family, bc):
 def test_split_ground_rayleigh_uses_one_half(monkeypatch, bc, theta):
     # the conforming solve runs in the half of the ground mode alone; the
     # other half only raises the Rayleigh bound, never below lambda_1
-    ops = mapped_with_halves(theta, 24, "cg", bc)
+    ref = map_with_halves(24, "cg", bc)
+    ops = ref.mapped(triangle_from_angle(theta))
     lam1 = dense_eigs(ops, 1)[0]
-    whole = ground_rayleigh(operators(theta, 24, "cg", bc), 0.9 * lam1)
+    whole = ground_rayleigh(whole_map(24, "cg", bc), theta, 0.9 * lam1)
     dims = _record_backend_dims(monkeypatch)
-    ground = ground_rayleigh(ops, 0.9 * lam1)  # the first half, the symmetric one
-    other = ground_rayleigh(replace(ops, halves=ops.halves[1:]), 0.9 * lam1)
+    ground = ground_rayleigh(ref, theta, 0.9 * lam1)  # the first half, the symmetric one
+    other = ground_rayleigh(ref, theta, 0.9 * lam1, first=ops.halves[1])
     assert dims == [ops.halves[0].dim, ops.halves[1].dim]
     assert math.isclose(ground.rho.hi, whole.rho.hi, rel_tol=1e-10)
-    assert lam1 <= ground.rho.hi < other.rho.lo
+    assert lam1 / s2(theta) <= ground.rho.hi < other.rho.lo
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
@@ -628,13 +640,16 @@ def test_invariant_ground_rayleigh_agrees_with_the_symmetric_half(bc, n):
     # and certified on the same whole operators, it gives the half's
     # Rayleigh bound to rounding, just above the dense lambda_1
     tri = triangle_from_angle(EQ)
-    half = _reference_operators(n, "cg", bc).mapped(tri)
-    part = _reference_operators(n, "cg", bc, ((INVARIANT,),)).mapped(tri)
-    assert part.halves[0].dim < half.halves[0].dim
-    lam1 = dense_eigs(part, 1)[0]
-    got, want = (ground_rayleigh(ops, 0.9 * lam1).rho.hi for ops in (part, half))
+    half = _reference_operators(n, "cg", bc)
+    part = _reference_operators(n, "cg", bc, ((INVARIANT,),))
+    assert part.parts(tri)[0].dim < half.parts(tri)[0].dim
+    lam1 = dense_eigs(part.mapped(tri), 1)[0]
+    got, want = (ground_rayleigh(ref, EQ, 0.9 * lam1).rho.hi for ref in (part, half))
     assert math.isclose(got, want, rel_tol=1e-12)
-    assert lam1 <= got <= lam1 * (1.0 + 1e-10)
+    # R(u) now counts the rounding of the map to T_c as well, which on CG
+    # 32 edge-mean puts its upper end 1.4e-10 above lambda_1
+    lam1 /= s2(EQ)
+    assert lam1 <= got <= lam1 * (1.0 + 3e-10)
 
 
 def test_split_solve_runs_lanczos_in_the_symmetric_half_only(monkeypatch):
@@ -649,10 +664,11 @@ def test_split_solve_runs_lanczos_in_the_symmetric_half_only(monkeypatch):
     assert len(ops.halves) == 2
     v0 = np.random.default_rng(2).standard_normal(ops.dim)
     oracle = np.sort(scipy.sparse.linalg.eigsh(ops.A, k=4, M=ops.M, sigma=0.0, v0=v0)[0])
+    oracle /= s2(1.0)
     assert 128.0 < oracle[2] < 129.0 < 215.0 < oracle[3] < 216.0
     solves = _count_operator_applications(monkeypatch)
     factorised = _count_factorisations(monkeypatch)
-    e1, e2 = solve_lowest(ops, 2)
+    e1, e2 = (in_lambda(e, 1.0) for e in solve_lowest(ops, 2))
     assert oracle[0] in e1 and oracle[1] in e2
     assert e2.upper < oracle[2]
     assert set(solves) == {0} and len(solves) <= 25
@@ -739,7 +755,7 @@ def test_operators_without_spanning_parts_are_refused(monkeypatch, bc, theta):
         with pytest.raises(ValueError, match="do not span"):
             solve_lowest(ops, 2)
     with pytest.raises(ValueError, match="no part"):
-        ground_rayleigh(assembled, 0.0)
+        ground_rayleigh(replace(whole_map(24, "cg", bc), halves=(), layout=()), theta, 0.0)
     assert dims == []
 
 
@@ -783,8 +799,9 @@ def test_banded_solves_contain_the_dense_oracle(theta, family, n, bc):
             assert math.isclose(enc.rayleigh, ref.rayleigh, rel_tol=1e-10)
     else:
         below = 0.99 * vals[0]
-        banded, reference = ground_rayleigh(proof, below), ground_rayleigh(whole, below)
-        assert vals[0] <= banded.rho.hi
+        banded = ground_rayleigh(_reference_operators(n, family, bc), theta, below)
+        reference = ground_rayleigh(whole_map(n, family, bc), theta, below)
+        assert vals[0] / s2(theta) <= banded.rho.hi
         assert math.isclose(banded.rho.hi, reference.rho.hi, rel_tol=1e-10)
 
 
@@ -812,7 +829,8 @@ def test_wide_banded_solves_agree_with_superlu(theta, family, n, bc, widths):
             assert math.isclose(enc.rayleigh, lam, rel_tol=1e-10)
     else:
         (lam1,) = superlu_eigenvalues(proof, 1)
-        rho = ground_rayleigh(proof, 0.99 * lam1).rho
+        rho = ground_rayleigh(_reference_operators(n, family, bc), theta, 0.99 * lam1).rho
+        lam1 /= s2(theta)
         assert rho.lo <= lam1 <= rho.hi
         assert math.isclose(rho.mid, lam1, rel_tol=1e-10)
 

@@ -9,11 +9,13 @@ equilateral meshes, worked out by hand from the hat-function gradients:
 
 Everything else is structural: operator identities, constraint
 satisfaction after prolongation, affine equivariance of the gram triple,
-agreement of the reference-mapped operators with direct assembly, and
-the split of each space into its two mirror-parity halves.
+agreement of the pencil mapped from the reference operators with direct
+assembly, and the split of each space into its two mirror-parity halves,
+which the stored float pencil obeys exactly.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,10 +26,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     EQ,
+    assemble_on_angle,
     eliminate_by_loops,
     gram_triple,
     map_derivative_gram,
     operators,
+    s2,
     shear,
     side_differences_by_loops,
 )
@@ -42,7 +46,7 @@ from tricert.fem import (
     mirror,
     parity_bases,
 )
-from tricert.geometry import triangle_from_angle, triangle_from_vertex
+from tricert.geometry import TriangleShape, triangle_from_angle, triangle_from_vertex
 from tricert.mesh import uniform_subdivide
 
 families = st.sampled_from(["cg", "cr"])
@@ -58,23 +62,28 @@ def space(theta=EQ, n=4, family="cg", bc="dirichlet"):
 
 
 def test_single_interior_node_eigenvalue():
-    # n=3 equilateral: K_ii = 2 sqrt(3), M_ii = sqrt(3)/36, ratio 72
+    # n=3 equilateral: K_ii = 2 sqrt(3), M_ii = sqrt(3)/36, ratio 72; the
+    # pencil on T_ref holds s K_ii = 3 and M_ii / s = 1/18, s = sqrt(3)/2
     ops = operators(EQ, 3, "cg", "dirichlet")
     assert ops.dim == 1
     k = ops.A.toarray()[0, 0]
     m = ops.M.toarray()[0, 0]
-    assert math.isclose(k, 2.0 * math.sqrt(3.0), rel_tol=1e-13)
-    assert math.isclose(m, math.sqrt(3.0) / 36.0, rel_tol=1e-13)
-    assert math.isclose(k / m, 72.0, rel_tol=1e-13)
+    assert math.isclose(k, 3.0, rel_tol=1e-13)
+    assert math.isclose(m, 1.0 / 18.0, rel_tol=1e-13)
+    assert math.isclose(k / m / s2(EQ), 72.0, rel_tol=1e-13)
+    direct = assemble_on_angle(EQ, 3, "cg", "dirichlet")
+    assert math.isclose(direct.A.toarray()[0, 0], 2.0 * math.sqrt(3.0), rel_tol=1e-13)
+    assert math.isclose(direct.M.toarray()[0, 0], math.sqrt(3.0) / 36.0, rel_tol=1e-13)
 
 
 def test_central_triangle_nonconforming_spectrum():
     # n=2 equilateral: dofs are the three central edges;
-    # K = (1/sqrt 3) [[8,-2,-2],...], M = sqrt(3)/24 I -> spectrum (32, 80, 80)
+    # K = (1/sqrt 3) [[8,-2,-2],...], M = sqrt(3)/24 I -> spectrum (32, 80, 80),
+    # which the pencil holds times s^2 = 3/4
     ops = operators(EQ, 2, "cr", "dirichlet")
     assert ops.dim == 3
     vals = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray(), eigvals_only=True)
-    assert np.allclose(vals, [32.0, 80.0, 80.0], rtol=1e-12)
+    assert np.allclose(vals / s2(EQ), [32.0, 80.0, 80.0], rtol=1e-12)
 
 
 # structural identities ------------------------------------------------------
@@ -82,7 +91,7 @@ def test_central_triangle_nonconforming_spectrum():
 
 @given(space_angles, st.integers(min_value=3, max_value=8), families, bcs)
 def test_stiffness_splits_into_partials(theta, n, family, bc):
-    ops = operators(theta, n, family, bc)
+    ops = assemble_on_angle(theta, n, family, bc)
     s = ops.A - ops.Kxx - ops.Kyy
     denom = np.abs(ops.A.toarray()).max()
     assert np.abs(s.toarray()).max() <= 1e-13 * denom
@@ -90,28 +99,30 @@ def test_stiffness_splits_into_partials(theta, n, family, bc):
 
 @given(space_angles, st.integers(min_value=3, max_value=8), families, bcs)
 def test_matrices_symmetric_and_definite(theta, n, family, bc):
-    ops = operators(theta, n, family, bc)
-    for mat in (ops.A, ops.M, ops.Kxx, ops.Kyy):
+    # the pencil on T_ref and the operators assembled on T(theta) alike
+    ops, direct = operators(theta, n, family, bc), assemble_on_angle(theta, n, family, bc)
+    for mat in (ops.A, ops.M, direct.A, direct.M, direct.Kxx, direct.Kyy):
         d = mat - mat.T
         assert np.abs(d.toarray()).max() <= 1e-13 * (np.abs(mat.toarray()).max() + 1.0)
-    mvals = np.linalg.eigvalsh(ops.M.toarray())
-    avals = np.linalg.eigvalsh(ops.A.toarray())
-    assert mvals.min() > 0.0
-    assert avals.min() > -1e-12 * avals.max()
-    # zero-trace and edge-mean spaces exclude constants
-    assert avals.min() > 0.0
+    for K in (ops, direct):
+        mvals = np.linalg.eigvalsh(K.M.toarray())
+        avals = np.linalg.eigvalsh(K.A.toarray())
+        assert mvals.min() > 0.0
+        assert avals.min() > -1e-12 * avals.max()
+        # zero-trace and edge-mean spaces exclude constants
+        assert avals.min() > 0.0
 
 
 def test_cross_gram_vanishes_by_symmetry():
     # the single interior hat on the n=3 equilateral mesh is even in x
     # about the axis through its node, so int dx(phi) dy(phi) = 0
-    ops = operators(EQ, 3, "cg", "dirichlet")
+    ops = assemble_on_angle(EQ, 3, "cg", "dirichlet")
     assert abs(ops.Kxy.toarray()[0, 0]) < 1e-14
 
 
 @given(space_angles, st.integers(min_value=3, max_value=7), families, bcs)
 def test_gram_triple_sums_to_energy(theta, n, family, bc):
-    ops = operators(theta, n, family, bc)
+    ops = assemble_on_angle(theta, n, family, bc)
     rng = np.random.default_rng(7)
     u = rng.standard_normal(ops.dim)
     x, _, y = gram_triple(ops, u)
@@ -123,12 +134,13 @@ def test_gram_triple_sums_to_energy(theta, n, family, bc):
 def test_mass_lower_bound_is_a_lower_bound(theta, n, family, bc):
     if family == "cg" and bc == "dirichlet" and n < 3:
         return
-    ops = operators(theta, n, family, bc)
-    mu = ops.mass_min_eig_lower()
-    true_min = float(np.linalg.eigvalsh(ops.M.toarray())[0])
-    # eigvalsh itself carries ~1e-15 relative noise, so only demand the
-    # bound up to that; the exact-arithmetic inequality is what matters
-    assert 0.0 < mu <= true_min * (1.0 + 1e-12)
+    # the pencil's M is the reference one, whose bound is fixed per mesh
+    for ops in (operators(theta, n, family, bc), assemble_on_angle(theta, n, family, bc)):
+        mu = ops.mass_min_eig_lower()
+        true_min = float(np.linalg.eigvalsh(ops.M.toarray())[0])
+        # eigvalsh itself carries ~1e-15 relative noise, so only demand the
+        # bound up to that; the exact-arithmetic inequality is what matters
+        assert 0.0 < mu <= true_min * (1.0 + 1e-12)
 
 
 # constraint handling --------------------------------------------------------
@@ -201,8 +213,8 @@ def test_gram_triple_affine_equivariance(theta, theta_t, family, bc):
     represents corresponding functions on both meshes.
     """
     n = 6
-    src = operators(theta, n, family, bc)
-    dst = operators(theta_t, n, family, bc)
+    src = assemble_on_angle(theta, n, family, bc)
+    dst = assemble_on_angle(theta_t, n, family, bc)
     rng = np.random.default_rng(11)
     u = rng.standard_normal(src.dim)
 
@@ -228,26 +240,21 @@ def test_gram_triple_affine_equivariance(theta, theta_t, family, bc):
     [("cg", "dirichlet"), ("cg", "edge-mean"), ("cr", "dirichlet"), ("cr", "edge-mean")],
 )
 def test_mapped_reference_operators_match_direct_assembly(tri, family, bc):
+    # the pencil (K0 - c S + kappa Kxx, M_ref) on T_ref is s A and M / s of
+    # the operators assembled on the triangle, s its height: on T(theta)
+    # to rounding, as T_c and T(theta) agree to rounding
     n = 9
     direct = assemble(build_space(uniform_subdivide(tri, n), family, bc))
     ref = assemble(build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), n), family, bc))
-    mapping = ReferenceMap.of(ref)
-    mapped = mapping.mapped(tri)
+    mapped = ReferenceMap.of(ref).mapped(tri)
     assert (mapped.Kxx, mapped.Kxy, mapped.Kyy) == (None, None, None)
-    grams = mapping.grams(tri)
-    got = dict(Kxx=grams.Kxx, Kxy=grams.Kxy, Kyy=grams.Kyy, A=mapped.A, M=mapped.M)
-
-    for name in ("A", "M", "Kxx", "Kyy"):
-        want = getattr(direct, name).toarray()
-        assert np.abs(got[name].toarray() - want).max() <= 1e-13 * np.abs(want).max(), name
-    u = np.random.default_rng(5).standard_normal(direct.dim)
-    scale = float(np.abs(u) @ (abs(direct.Kxy) @ np.abs(u)))
-    assert abs(u @ (got["Kxy"] @ u) - u @ (direct.Kxy @ u)) <= 1e-13 * scale
-
-    assert mapped.space.mesh.triangle == tri
-    assert mapped.space.mesh.h == direct.space.mesh.h
-    assert np.array_equal(mapped.space.mesh.nodes, direct.space.mesh.nodes)
-    assert mapped.mass_min_eig_lower() == direct.mass_min_eig_lower()
+    s = tri.by
+    for got, want in ((mapped.A, s * direct.A), (mapped.M, direct.M / s)):
+        want = want.toarray()
+        assert np.abs(got.toarray() - want).max() <= 1e-13 * np.abs(want).max()
+    # the pencil lives on the reference space, and its M is the reference M
+    assert mapped.space is ref.space and mapped.M is ref.M
+    assert mapped.mass_min_eig_lower() == ref.mass_min_eig_lower()
 
 
 @pytest.mark.parametrize(
@@ -255,29 +262,24 @@ def test_mapped_reference_operators_match_direct_assembly(tri, family, bc):
     [("cg", "dirichlet"), ("cg", "edge-mean"), ("cr", "dirichlet"), ("cr", "edge-mean")],
 )
 def test_mapped_operators_equal_the_sparse_algebra_bit_for_bit(family, bc):
-    # mapped evaluates the identities entrywise on a pattern fixed per
-    # reference space; their sparse-matrix form is the reference, and
-    # every stored index and value must be the same
+    # mapped evaluates the pencil entrywise on a pattern fixed per
+    # reference space; its sparse-matrix form is the reference, and every
+    # stored index and value must be the same
     ref = assemble(build_space(uniform_subdivide(triangle_from_vertex(0.0, 1.0), 12), family, bc))
-    Kxx, Kxy, Kyy = ref.Kxx, ref.Kxy, ref.Kyy
+    K0, S = ref.Kxx + ref.Kyy, ref.Kxy + ref.Kxy.T
     mapping = ReferenceMap.of(ref)
     tris = [triangle_from_angle(t) for t in (0.05, 0.5, 1.0, EQ, math.pi / 2, 2.0)]
     for tri in tris + [triangle_from_vertex(0.0, 1.0), triangle_from_vertex(-0.4, 0.5)]:
-        bx, by = tri.bx, tri.by
-        kxx = by * Kxx
-        kyy = ((bx * bx) * Kxx - bx * (Kxy + Kxy.T) + Kyy) / by
-        want = {
-            "A": (kxx + kyy).tocsr(), "M": by * ref.M, "Kxx": kxx,
-            "Kxy": (Kxy - bx * Kxx).tocsr(), "Kyy": kyy.tocsr(),
-        }
-        mapped, grams = mapping.mapped(tri), mapping.grams(tri)
-        got = dict(Kxx=grams.Kxx, Kxy=grams.Kxy, Kyy=grams.Kyy, A=mapped.A, M=mapped.M)
-        for name, w in want.items():
-            # the one pass of grams gives the A and M of mapped as well
-            for g in (got[name], getattr(grams, name)):
-                assert np.array_equal(g.indptr, w.indptr), name
-                assert np.array_equal(g.indices, w.indices), name
-                assert g.data.tobytes() == w.data.tobytes(), name
+        shear = tri.shear
+        want = (K0 - shear.c * S).tocsr()
+        if tri.on_circle:
+            assert shear.kappa.lo == shear.kappa.hi == 0.0
+        else:
+            want = (want + shear.kappa.mid * ref.Kxx).tocsr()
+        got = mapping.mapped(tri).A
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 @settings(max_examples=10)
@@ -294,7 +296,7 @@ def test_assembly_stores_no_zero_entries(theta, n, family, bc):
 
 def test_mapping_needs_reference_operators():
     with pytest.raises(ValueError, match="reference triangle"):
-        ReferenceMap.of(operators(EQ, 4, "cg", "dirichlet"))
+        ReferenceMap.of(assemble_on_angle(EQ, 4, "cg", "dirichlet"))
 
 
 # mirror-parity halves --------------------------------------------------------
@@ -506,19 +508,19 @@ def test_half_spectra_unite_to_the_whole_spectrum(family, bc, n, tri):
     # on T(theta) the two halves, and on a triangle with no mirror the
     # whole part, spanned by both parity bases: either way the parts'
     # spectra unite to that of the space assembled on the triangle itself
-    on_circle = math.isclose(math.hypot(tri.bx, tri.by), 1.0)
-    parts = ((0,), (1,)) if on_circle else ((0, 1),)
-    halves = reference_map(n, family, bc).with_halves(parts).mapped(tri).halves
+    parts = ((0,), (1,)) if tri.on_circle else ((0, 1),)
+    ops = reference_map(n, family, bc).with_halves(parts).mapped(tri)
     whole = assemble(build_space(uniform_subdivide(tri, n), family, bc))
-    want = scipy.linalg.eigh(whole.A.toarray(), whole.M.toarray(), eigvals_only=True)
+    # the pencil's eigenvalues are those of the triangle times s^2
+    want = tri.by**2 * scipy.linalg.eigh(whole.A.toarray(), whole.M.toarray(), eigvals_only=True)
     got = np.sort(np.concatenate([
-        scipy.linalg.eigh(h.A.toarray(), h.M.toarray(), eigvals_only=True) for h in halves
+        scipy.linalg.eigh(h.A.toarray(), h.M.toarray(), eigvals_only=True) for h in ops.halves
     ]))
     assert np.all(np.abs(got - want) <= 1e-10 * want)
-    for h in halves:
+    for h in ops.halves:
         # each part is the congruence of the whole pencil by its basis
         for name in ("A", "M"):
-            full = getattr(whole, name)
+            full = getattr(ops, name)
             direct = (h.C.T @ full @ h.C).toarray()
             assert np.abs(getattr(h, name).toarray() - direct).max() <= 1e-13 * abs(full).max()
 
@@ -535,6 +537,102 @@ def test_halves_need_the_apex_on_the_unit_circle():
     assert whole.dim == whole.C.shape[1] == ops.dim
 
 
+def rational_coupling(plus, X, minus) -> int:
+    """The number of nonzero entries of plus^T X minus, each entry of the
+    product summed in exact rational arithmetic from the stored floats."""
+    X, minus, plus_t = X.tocoo(), minus.tocsr(), plus.T.tocsr()
+    rows = [{} for _ in range(X.shape[0])]  # X minus, row by row
+    for i, j, v in zip(X.row, X.col, X.data):
+        row = rows[i]
+        for b in range(minus.indptr[j], minus.indptr[j + 1]):
+            col = minus.indices[b]
+            row[col] = row.get(col, 0) + Fraction(v) * Fraction(minus.data[b])
+    nonzero = 0
+    for a in range(plus_t.shape[0]):
+        out = {}
+        for t in range(plus_t.indptr[a], plus_t.indptr[a + 1]):
+            w = Fraction(plus_t.data[t])
+            for col, v in rows[plus_t.indices[t]].items():
+                out[col] = out.get(col, 0) + w * v
+        nonzero += sum(1 for v in out.values() if v != 0)
+    return nonzero
+
+
+@pytest.mark.parametrize(
+    "c", [0.1234567, math.cos(1.0), math.cos(EQ)], ids=["0.1234567", "cos(1)", "fl(cos(fl(pi/3)))"]
+)
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+def test_float_pencil_splits_exactly_into_its_halves(bc, n, c):
+    # on a triangle on the unit circle the stored pencil, A = fl(K0 -
+    # fl(c S)) and the reference M, couples the mirror halves by no entry
+    # in exact arithmetic, so eigsolve's floor test needs no coupling term.
+    # The operators mapped to the float apex (cos 0.3, sin 0.3) as that
+    # triangle's stiffness and mass, as points were solved before, coupled
+    # them by 119 entries on CR 8 Dirichlet and 183 on CR 8 edge-mean
+    tri = TriangleShape(math.acos(c), c, math.sqrt(1.0 - c * c), on_circle=True)
+    ops = reference_map(n, "cr", bc).with_halves(((0,), (1,))).mapped(tri)
+    plus, minus = (h.C for h in ops.halves)
+    for X in (ops.A, ops.M):
+        assert rational_coupling(plus, X, minus) == 0
+
+
+def power_of_two(v: np.ndarray) -> np.ndarray:
+    """Where the entries of v are plus or minus a power of two."""
+    return (v != 0.0) & (np.frexp(np.abs(v))[0] == 0.5)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
+def test_proof_pencils_split_exactly_for_every_c(bc, n):
+    # why the stored pencil of every CR space the proofs use splits
+    # exactly, whatever c (test_float_pencil_splits_exactly_into_its_halves
+    # checks the outcome on small spaces).  4 K0, 4 S and 48 n^2 M are
+    # integers, so C+^T K C- is formed exactly in floating point, and it
+    # vanishes for each.  The rounding of an entry of fl(K0 - fl(c S)) is
+    # a function of its pair (K0, S) alone: none where S = 0, or where K0
+    # = 0 and S is a power of two, and k (fl(1 - c) - (1 - c)) where K0 = S
+    # = k is a power of two.  So the coupling vanishes for every c if each
+    # other class of entries couples the halves by nothing, and the classes
+    # K0 = S = k, weighted by k, by nothing together
+    ref = _reference_operators(n, "cr", bc)
+    (_, plus), (_, minus) = ref.halves
+    k0, s = ref.k0, ref.xy_sym
+    for v in (4.0 * k0, 4.0 * s, 48.0 * n * n * ref.M.data):
+        assert np.array_equal(v, np.round(v))
+    for K in (ref._csr(k0), ref._csr(s), ref.M):
+        assert (plus.T @ K @ minus).count_nonzero() == 0
+    rows = np.repeat(np.arange(ref.dim), np.diff(ref.indptr))
+    pairs, classes = np.unique(np.stack([k0, s], axis=1), axis=0, return_inverse=True)
+    classes = classes.ravel()
+    exact = (s == 0.0) | ((k0 == 0.0) & power_of_two(s))
+    scaled = (k0 == s) & power_of_two(k0)
+    together = scipy.sparse.csr_matrix((plus.shape[1], minus.shape[1]))
+    for v, (k, _) in enumerate(pairs):
+        entries = classes == v
+        first = np.flatnonzero(entries)[0]
+        if exact[first]:
+            continue
+        L = scipy.sparse.csr_matrix(
+            (np.ones(entries.sum()), (rows[entries], ref.indices[entries])), (ref.dim, ref.dim)
+        )
+        B = plus.T @ L @ minus
+        if scaled[first]:
+            together = together + k * B
+        else:
+            assert B.count_nonzero() == 0, pairs[v]
+    assert together.count_nonzero() == 0
+    if bc == "dirichlet":
+        # the mirror permutes the unknowns, and the reference K0, S and M
+        # are invariant entry for entry
+        space = ref.space
+        position = np.full(space.full_dim, -1)
+        position[space.free] = np.arange(space.free.size)
+        q = position[mirror(space)[space.free]]
+        for K in (ref._csr(k0), ref._csr(s), ref.M):
+            assert (K[q][:, q] != K).nnz == 0
+
+
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.9, 1.0, EQ], ids=["0.05", "0.3", "0.9", "1.0", "fl(pi/3)"])
 @pytest.mark.parametrize("n", [12, 24])
 @pytest.mark.parametrize("bc", ["dirichlet", "edge-mean"])
@@ -545,7 +643,7 @@ def test_conforming_ground_mode_is_mirror_symmetric(bc, n, theta):
     # and the P1 stiffness an M-matrix (Ciarlet & Raviart 1973); by
     # Perron-Frobenius the ground mode is positive, so it is its own mirror
     # image.  For edge-mean this checks a measured fact.
-    ops = operators(theta, n, "cg", bc)
+    ops = assemble_on_angle(theta, n, "cg", bc)
     u = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray(), subset_by_index=[0, 0])[1][:, 0]
     if bc == "dirichlet":
         w = np.zeros(ops.space.full_dim)
