@@ -283,7 +283,9 @@ def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceM
     Each entry is the :class:`ReferenceMap` of one space with the parts
     it is solved in.  By default (``parts`` None) these are the
     mirror-parity halves of a proof space, whatever its size: both for a
-    CR space, the symmetric one for a CG space (:mod:`eigsolve`).  A
+    CR space, the symmetric one for a CG space (:mod:`eigsolve`); a CR
+    space whose halves with_halves cannot prove to split exactly, such as
+    edge-mean at a mesh size that is not a power of two, is solved whole.  A
     point at fl(pi/3) asks for the CG space with its part invariant under
     the equilateral triangle's symmetry group, ``((INVARIANT,),)``, and
     :func:`edge_mean_lambda1` for ``((0, 1),)``, the whole space as one
@@ -310,26 +312,10 @@ def _reference_operators(n: int, family: str, bc: str, parts=None) -> ReferenceM
     assembly are built through this module's names (:func:`_built`), so
     wrapping them here sees every build.
 
-    Every step of a build is array code.  A cold build in a fresh process
-    took, in ms, with mesh numbering, slave elimination, side differences
-    and band widths in Python loops -> in array code (median of 9
-    alternating processes on a shared 2-vCPU VM, whose speed drifts by up
-    to a third between runs):
-
-        space     Dirichlet       edge-mean
-        CG 32      20 ->  14       30 ->  21
-        CR 32      28 ->  22       48 ->  30
-        CG 64      39 ->  26       69 ->  40
-        CR 64      59 ->  32      143 ->  63
-        CG 96      64 ->  43      159 ->  77
-        CR 128    239 -> 151
-        CG 192                    587 -> 299
-        CG 288    622 -> 352
-
-    The corner CG spaces, asked for in the invariant layout alone, build
-    in 176 ms (CG 288 Dirichlet) and 159 ms (CG 192 edge-mean), against
-    201 and 198 ms with the symmetric half (median of 5 fresh processes
-    each, run together, apart from the table's).
+    Every step of a build is array code.  The corner CG spaces, asked for
+    in the invariant layout alone, build in 176 ms (CG 288 Dirichlet) and
+    159 ms (CG 192 edge-mean), against 201 and 198 ms with the symmetric
+    half (median of 5 fresh processes each, 2-vCPU VM).
 
     At jobs > 1, :func:`compute_points` builds every map its points ask
     for here, in the calling process, before it forks its pool, so that

@@ -77,15 +77,8 @@ standard mode, with no M-inner product: each step of its reverse
 communication is one application of the operator, two triangular band
 solves and one product with M, and one more triangular solve per mode
 recovers x = U^{-1} y.  Generalised shift-invert (ARPACK's mode 3)
-took about four steps per factor solve, three of them products with M,
-besides its own M-norms.  Against the mode-3 path this module ran
-before, on the same factors, in one process, alternating (one BLAS
-thread, theta = 0.9, median of 21): the three-mode runs of both CR 32
-halves take 0.59 to 0.60 times as long, of the CR 64 halves 0.84 to
-0.85 times, and of the CR 128 halves 0.96 times; whole point solves
-take 0.64 to 0.67 times as long at CG/CR 32, 0.83 to 0.86 times at CG
-96 / CR 64, and 0.98 to 1.01 times at the corner meshes (fl(pi/3)),
-where the triangular solves of the factor dominate either way.
+takes about four steps per factor solve, three of them products with M,
+besides its own M-norms.
 
 The rounding term sets delta.  Each Lanczos run stops at ARPACK's
 relative tolerance LANCZOS_TOL = 1e-12, not at machine precision, and
@@ -160,12 +153,13 @@ only on a triangle on the unit circle, as the two mirror halves, where
 the stored pencil A = fl(K0 - fl(c S)) is formed entry by entry from the
 reference K0 and S.  The mirror maps those and M onto themselves, so it
 maps A onto itself whatever c, and C_1^T A C_2 and C_1^T M C_2 vanish
-exactly on the stored floats, not only to rounding (on edge-mean spaces
-also because the entries K0 = S are powers of two, which c scales
-alike; the tests check both in rational arithmetic on every proof CR
-space).  So C^T (A - l M) C is block diagonal, with blocks H_i = C_i^T
-(A - l M) C_i, and no coupling term enters Sylvester's law or Weyl's
-inequality: if H_i is positive definite for every i > 1, the pencil has
+exactly on the stored floats, not only to rounding.  That rests on the
+stored floats, not on the mirror alone: fem.ReferenceMap.with_halves
+proves it once per space, for every c, and carries a space whose halves
+it cannot prove split, as edge-mean at a mesh size that is not a power
+of two, as one whole part.  So C^T (A - l M) C is block diagonal, with
+blocks H_i = C_i^T (A - l M) C_i, and no coupling term enters
+Sylvester's law or Weyl's inequality: if H_i is positive definite for every i > 1, the pencil has
 no more eigenvalues below l than H_1 has negative ones.  By the first
 part's order, the trusted step, those are at most count - 1: the first
 part has no more than count - 1 eigenvalues below the count-th
@@ -680,20 +674,37 @@ def ground_mode(half: Half, below: float) -> np.ndarray:
 def rayleigh_bound(ref: ReferenceMap, shear: Shear, u: np.ndarray) -> RayleighBound:
     """The certified Rayleigh quotient R(u) >= lambda_1 of u, normalised
     in the reference M, on the triangle of ``shear``, with its mass and
-    gram forms there: the forms k, b, x and m of u with the reference K0,
-    S, Kxx and M of ``ref`` (:func:`quad_form_interval`), combined by the
-    identities of :mod:`fem` in interval arithmetic into R(u) = (k - c b +
-    kappa x) / (s^2 m), the mass s m and the grams s x (Kxx), b / 2 - c x
-    (Kxy) and (k - c b + (kappa - s^2) x) / s (Kyy).  So the bound counts
-    the rounding of the map, which no point forms."""
+    gram forms there, from the products of u with the reference K0, S,
+    Kxx and M of ``ref``, combined by the identities of :mod:`fem` in
+    interval arithmetic: R(u) = (a + kappa x) / (s^2 m), the mass s m and
+    the grams s x (Kxx), b / 2 - c x (Kxy) and (a + (kappa - s^2) x) / s
+    (Kyy), where b, x and m are the forms of u with S, Kxx and M
+    (:func:`quad_form_interval`) and a = u^T (K0 - c S) u.
+
+    a is the form of the float y = K0 u - c S u, each entry off by at most
+    gamma(rows + 3) times its terms (|K0| + |c| |S|) |u|: products of at
+    most ``rows`` terms, c, the difference, and the sums K0 = Kxx + Kyy
+    and S = Kxy + Kxy^T the map stores.  Near a mode y = mu M u is far
+    smaller than its terms, and the dot product's rounding, gamma(n + 2)
+    |u|^T |y|, is taken of y alone: 17 to 3,100 times narrower than a
+    difference of forms of K0 and S (CG 96 at theta = 0.0209, corners).
+    The reference Kxx, Kxy, Kyy and M are trusted as assembled."""
     u = _normalize(ref.M, u)
-    k, b, x = (quad_form_interval(K, u) for K in ref.stiffness_grams())
+    abs_u = np.abs(u)
+    stiffness = ref.stiffness_grams()
+    rows = _max_row_nnz(stiffness[0])  # all three share the union pattern
+    (K0u, K0_terms), (Su, S_terms), (xu, x_terms) = ((K @ u, _abs(K) @ abs_u) for K in stiffness)
+    b, x = (_form(u, abs_u, Ku, terms, rows) for Ku, terms in ((Su, S_terms), (xu, x_terms)))
     m = quad_form_interval(ref.M, u)
     if m.lo <= 0.0:
         raise EigensolveError("mass quadratic form not certifiably positive")
+    y = K0u - shear.c * Su
+    terms = up(float(abs_u @ K0_terms) + abs(shear.c) * float(abs_u @ S_terms), 4)
+    err = up(_gamma(u.size + 2) * up(float(abs_u @ np.abs(y)), 4) + _gamma(rows + 3) * terms, 2)
+    val = float(u @ y)
     c, s2 = Interval(shear.c), shear.s2
     s = s2.sqrt()
-    stiff = k - c * b + shear.kappa * x
+    stiff = Interval(dn(val - err, 4), up(val + err, 4)) + shear.kappa * x
     grams = (s * x, 0.5 * b - c * x, (stiff - s2 * x) / s)
     return RayleighBound(stiff / (s2 * m), s * m, u, grams)
 

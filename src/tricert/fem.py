@@ -48,7 +48,9 @@ and Y, so it maps Kxx_ref and Kyy_ref onto each other and keeps K0, S
 and M_ref: it is the reflection of every isosceles T_c and maps its
 pencil onto itself.  Each space is the direct sum of its
 mirror-symmetric and antisymmetric halves (:func:`parity_bases`), and
-that pencil splits with it, exactly on its floats (:mod:`eigsolve`).
+that pencil splits with it, exactly on its floats wherever
+:func:`_splits_exactly` proves it, as on every proof space
+(:mod:`eigsolve`).
 :meth:`ReferenceMap.with_halves` keeps the reference grams of parts of
 the space, each spanned by the bases of one or both parities: a half
 serves a triangle on the unit circle, and the whole space, spanned by
@@ -78,6 +80,7 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -699,11 +702,25 @@ class ReferenceMap(_PencilValues):
         The parity bases are bases of the lattice's spaces, which need no
         mirror, so the whole part serves any triangle; a half serves only
         a triangle on the unit circle, where the pencil splits, and the
-        invariant part only T(pi/3) (:meth:`parts`).  The map keeps
-        ``parts`` as its layout.
+        invariant part only T(pi/3) (:meth:`parts`).
+
+        Parts certified against one another (:mod:`eigsolve`) need every
+        such stored pencil to split exactly between them, which
+        :func:`_splits_exactly` proves here; where it cannot, as on CR 6
+        edge-mean, whose stored stiffness couples the halves at every c,
+        the map carries the whole space instead.  Its layout is the parts
+        it carries.
         """
         codes = sorted({code for part in parts for code in part})
         bases = dict(zip(codes, _symmetry_bases(self.space, codes)))
+        spans = [sp.hstack([bases[code] for code in part], format="csr") for part in parts]
+        if not all(
+            _splits_exactly(self.indptr, self.indices, self.k0, self.xy_sym, P, Q)
+            and _splits_exactly(self.M.indptr, self.M.indices, self.M.data, np.zeros(self.M.nnz), P, Q)
+            for i, P in enumerate(spans)
+            for Q in spans[i + 1:]
+        ):
+            return self.with_halves(((0, 1),))
 
         def grams():
             # one whole-space gram at a time, so that a build's memory peak
@@ -714,8 +731,7 @@ class ReferenceMap(_PencilValues):
                 yield self._csr(v)
 
         halves = []
-        for part in parts:
-            C = sp.hstack([bases[code] for code in part], format="csr")
+        for C in spans:
             (m, xx, xy_sym, k0), bounds = _congruent(grams(), C)
             indptr, indices, values = _union((xx, xy_sym, k0))
             band = _band_order(indptr, indices, m)
@@ -902,6 +918,55 @@ def _congruent(
         magnitude = _norm_sum(terms)
         bounds.append((up(_norm_sum(_kept(H, ~keep)) + gamma(k) * magnitude), magnitude))
     return congruent, bounds
+
+
+def _splits_exactly(indptr, indices, k0, s, P, Q) -> bool:
+    """Whether P^T X Q vanishes exactly on the stored floats for X =
+    fl(k0 - fl(c s)) on (``indptr``, ``indices``) and every float c: the
+    stiffness of T_c (:meth:`ReferenceMap.mapped`), or with s = 0 a
+    fixed matrix.  Entries of one pair (k0, s), class v with 0/1 matrix
+    L_v, round alike: x_v = k0 - c s where s = 0, or k0 = 0 and s is a
+    power of two; x_v = k0 fl(1 - c) where k0 = s is one.  So it holds if
+    every other class has P^T L_v Q = 0 and the first kind's P^T L_v Q
+    sum to zero weighted by k0 and by s, the second's by k0.  The bases'
+    entries are small dyadics (:func:`_orbit_basis`), so each P^T L_v Q
+    is exact in floating point; the weighted sums are rational.  Takes 2
+    ms on CR 32, 6 to 12 ms on CR 64 (2-vCPU VM)."""
+    keys, classes = np.unique(k0 + 1j * s, return_inverse=True)  # exact pairs
+    classes = classes.ravel()
+    # each entry (i, j) of class v times row j of Q lands in column
+    # v * width + b of Y, so that block v of P^T Y is P^T L_v Q
+    width = Q.shape[1]
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    counts = np.diff(Q.indptr)[indices]
+    at = np.repeat(Q.indptr[indices] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    Y = sp.csr_matrix(
+        (Q.data[at], (np.repeat(rows, counts), np.repeat(classes, counts) * width + Q.indices[at])),
+        shape=(indptr.size - 1, keys.size * width),
+    )
+    B = (P.T.tocsr() @ Y).tocoo()
+    coupled = B.data != 0.0
+    v, b = np.divmod(B.col[coupled], width)
+    kv, sv = keys.real[v], keys.imag[v]
+    exact = (sv == 0.0) | ((kv == 0.0) & _power_of_two(sv))
+    scaled = (kv == sv) & _power_of_two(kv)
+    if not (exact | scaled).all():
+        return False
+    sums = {}
+    for row, col, k, t, w, first_kind in zip(B.row[coupled], b, kv, sv, B.data[coupled], exact):
+        acc = sums.setdefault((row, col), [Fraction(0)] * 3)
+        w = Fraction(w)
+        if first_kind:
+            acc[0] += Fraction(k) * w
+            acc[1] += Fraction(t) * w
+        else:
+            acc[2] += Fraction(k) * w
+    return not any(any(acc) for acc in sums.values())
+
+
+def _power_of_two(v: np.ndarray) -> np.ndarray:
+    """Where the entries of v are plus or minus a power of two."""
+    return (v != 0.0) & (np.frexp(np.abs(v))[0] == 0.5)
 
 
 def _max_col_nnz(C: sp.csr_matrix) -> int:

@@ -369,21 +369,34 @@ def solve_by_bound(ops, count: int = 2) -> list[EigenEnclosure]:
 
 def reference_forms_by_themselves(ref, shear, u):
     """R(u), the mass form and the gram forms of u on the triangle of
-    ``shear``, from the forms of u with copies of the reference K0, S,
-    Kxx and M of ``ref``, each with its own magnitude: u is normalised in
-    M, and s A = K0 - c S + kappa Kxx, M = s M_ref, Kxx = s Kxx_ref, Kxy =
-    Kxy_ref - c Kxx_ref and Kyy = A - Kxx give the rest."""
+    ``shear``, from copies of the reference K0, S, Kxx and M of ``ref``,
+    each with its own magnitude: u is normalised in M; the form of y = K0
+    u - c S u is widened by gamma(n + 2) |u|^T |y| for its dot product and
+    gamma(rows + 3) |u|^T (|K0| + |c| |S|) |u| for y; and s A = K0 - c S +
+    kappa Kxx, M = s M_ref, Kxx = s Kxx_ref, Kxy = Kxy_ref - c Kxx_ref and
+    Kyy = A - Kxx give the rest."""
     u = eigsolve._normalize(ref.M, u)
     n = ref.dim
-    copies = (
+    K0, S, Kxx = (
         sp.csr_matrix((v.copy(), ref.indices.copy(), ref.indptr.copy()), (n, n))
         for v in (ref.k0, ref.xy_sym, ref.xx)
     )
-    k, b, x = (quad_form_by_itself(K, u) for K in copies)
+    b, x = (quad_form_by_itself(K, u) for K in (S, Kxx))
     m = quad_form_by_itself(ref.M, u)
+    y = K0 @ u - shear.c * (S @ u)
+    abs_u = np.abs(u)
+    k_terms = float(abs_u @ (_magnitude_copy(K0) @ abs_u))
+    s_terms = float(abs_u @ (_magnitude_copy(S) @ abs_u))
+    rows = int(np.max(np.diff(K0.indptr)))
+    err = up(
+        gamma(n + 2) * up(float(abs_u @ np.abs(y)), 4)
+        + gamma(rows + 3) * up(k_terms + abs(shear.c) * s_terms, 4),
+        2,
+    )
+    val = float(u @ y)
     c, s2 = Interval(shear.c), shear.s2
     s = s2.sqrt()
-    stiff = k - c * b + shear.kappa * x
+    stiff = Interval(dn(val - err, 4), up(val + err, 4)) + shear.kappa * x
     return stiff / (s2 * m), s * m, (s * x, 0.5 * b - c * x, (stiff - s2 * x) / s)
 
 

@@ -145,6 +145,16 @@ def test_count_validation():
             assert lam in enc
 
 
+# The spaces below whose stored pencil with_halves cannot prove to split
+# exactly between the mirror halves (fem._splits_exactly), so that it
+# carries them whole: on CG 6 and 7 Dirichlet the stored M or A couples
+# the halves at every c, and on every CG edge-mean space both do; CR 5 to
+# 7 edge-mean are not proven
+UNSPLIT = {("cg", "dirichlet", 6), ("cg", "dirichlet", 7)} | {
+    (family, "edge-mean", n) for family, ns in (("cg", range(4, 9)), ("cr", (5, 6, 7))) for n in ns
+}
+
+
 @pytest.mark.parametrize(
     "family, bc, n",
     [
@@ -168,7 +178,8 @@ def test_lanczos_solves_every_part_larger_than_its_request(monkeypatch, family, 
     else:
         ref = _reference_operators(n, family, bc).with_halves(((0,), (1,)))
     ops = ref.mapped(triangle_from_angle(0.9))
-    assert len(ops.halves) == (1 if layout == "whole" else 2)
+    split = layout == "halves" and (family, bc, n) not in UNSPLIT
+    assert len(ops.halves) == (2 if split else 1)
     lam1, lam2 = dense_eigs(ops, 2)
 
     def no_dense(*args, **kwargs):
@@ -619,15 +630,18 @@ def test_split_enclosures_contain_dense_oracle(theta, n, family, bc):
 @pytest.mark.parametrize("theta", [0.3, EQ], ids=["0.3", "fl(pi/3)"])
 def test_split_ground_rayleigh_uses_one_half(monkeypatch, bc, theta):
     # the conforming solve runs in the half of the ground mode alone; the
-    # other half only raises the Rayleigh bound, never below lambda_1
-    ref = map_with_halves(24, "cg", bc)
-    ops = ref.mapped(triangle_from_angle(theta))
-    lam1 = dense_eigs(ops, 1)[0]
+    # other half only raises the Rayleigh bound, never below lambda_1.
+    # Each half is a map's one part: the stored CG 24 pencils do not split
+    # exactly, which a Rayleigh bound needs no more than the solver does
+    ref = map_with_halves(24, "cg", bc, ((0,),))
+    symmetric = ref.parts(triangle_from_angle(theta))[0]
+    antisymmetric = map_with_halves(24, "cg", bc, ((1,),)).parts(triangle_from_angle(theta))[0]
+    lam1 = dense_eigs(ref.mapped(triangle_from_angle(theta)), 1)[0]
     whole = ground_rayleigh(whole_map(24, "cg", bc), theta, 0.9 * lam1)
     dims = _record_backend_dims(monkeypatch)
-    ground = ground_rayleigh(ref, theta, 0.9 * lam1)  # the first half, the symmetric one
-    other = ground_rayleigh(ref, theta, 0.9 * lam1, first=ops.halves[1])
-    assert dims == [ops.halves[0].dim, ops.halves[1].dim]
+    ground = ground_rayleigh(ref, theta, 0.9 * lam1)
+    other = ground_rayleigh(ref, theta, 0.9 * lam1, first=antisymmetric)
+    assert dims == [symmetric.dim, antisymmetric.dim]
     assert math.isclose(ground.rho.hi, whole.rho.hi, rel_tol=1e-10)
     assert lam1 / s2(theta) <= ground.rho.hi < other.rho.lo
 
@@ -646,10 +660,8 @@ def test_invariant_ground_rayleigh_agrees_with_the_symmetric_half(bc, n):
     lam1 = dense_eigs(part.mapped(tri), 1)[0]
     got, want = (ground_rayleigh(ref, EQ, 0.9 * lam1).rho.hi for ref in (part, half))
     assert math.isclose(got, want, rel_tol=1e-12)
-    # R(u) now counts the rounding of the map to T_c as well, which on CG
-    # 32 edge-mean puts its upper end 1.4e-10 above lambda_1
     lam1 /= s2(EQ)
-    assert lam1 <= got <= lam1 * (1.0 + 3e-10)
+    assert lam1 <= got <= lam1 * (1.0 + 1e-10)
 
 
 def test_split_solve_runs_lanczos_in_the_symmetric_half_only(monkeypatch):
@@ -809,10 +821,11 @@ def test_banded_solves_contain_the_dense_oracle(theta, family, n, bc):
     "family, n, bc, widths",
     [
         ("cr", 72, "dirichlet", (71, 70)),
-        ("cr", 68, "edge-mean", (68, 68)),
+        # whole: its halves are not proven to split (fem._splits_exactly)
+        ("cr", 68, "edge-mean", (118,)),
         ("cg", 112, "edge-mean", (67,)),
     ],
-    ids=["cr72-halves", "cr68-edge-mean-halves", "cg112-edge-mean-half"],
+    ids=["cr72-halves", "cr68-edge-mean-whole", "cg112-edge-mean-half"],
 )
 @pytest.mark.parametrize("theta", [0.3, EQ], ids=["0.3", "fl(pi/3)"])
 def test_wide_banded_solves_agree_with_superlu(theta, family, n, bc, widths):

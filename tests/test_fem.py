@@ -46,6 +46,7 @@ from tricert.fem import (
     mirror,
     parity_bases,
 )
+from tricert.eigsolve import rayleigh_bound
 from tricert.geometry import TriangleShape, triangle_from_angle, triangle_from_vertex
 from tricert.mesh import uniform_subdivide
 
@@ -255,6 +256,41 @@ def test_mapped_reference_operators_match_direct_assembly(tri, family, bc):
     # the pencil lives on the reference space, and its M is the reference M
     assert mapped.space is ref.space and mapped.M is ref.M
     assert mapped.mass_min_eig_lower() == ref.mass_min_eig_lower()
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [triangle_from_angle(t) for t in (0.05, 0.3, 0.9, EQ, 2.0)] + [triangle_from_vertex(0.3, 0.8)],
+    ids=["theta=0.05", "theta=0.3", "theta=0.9", "theta=fl(pi/3)", "theta=2.0", "apex=(0.3,0.8)"],
+)
+@pytest.mark.parametrize("n", [6, 9])
+@pytest.mark.parametrize(
+    "family, bc",
+    [("cg", "dirichlet"), ("cg", "edge-mean"), ("cr", "dirichlet"), ("cr", "edge-mean")],
+)
+def test_reference_forms_hold_the_forms_of_direct_assembly(tri, n, family, bc):
+    # rayleigh_bound certifies the Rayleigh quotient, mass form and gram
+    # forms of a triangle from the forms of its vector with the reference
+    # K0, S, Kxx and M, by the identities s Kxx_ref, Kxy_ref - c Kxx_ref
+    # and (s A - s^2 Kxx_ref) / s.  Each must hold the form of the same
+    # vector with the operators assembled on the triangle itself, to the
+    # rounding of that assembly; a random vector gives Kxy a form of its
+    # own size, so a wrong sign or factor of c shows
+    ref = reference_map(n, family, bc)
+    direct = assemble(build_space(uniform_subdivide(tri, n), family, bc))
+    u = np.random.default_rng(n).standard_normal(ref.dim)
+    bound = rayleigh_bound(ref, tri.shear, u)
+    v = bound.vector
+    xx, xy, yy = gram_triple(direct, v)
+    mass = float(v @ (direct.M @ v))
+    scale = xx + yy
+    tol = 1e-12 * scale
+    for got, want in zip(bound.grams, (xx, xy, yy)):
+        assert got.lo - tol <= want <= got.hi + tol
+        assert got.width <= 1e-12 * scale
+    assert bound.mass_form.lo - 1e-12 * mass <= mass <= bound.mass_form.hi + 1e-12 * mass
+    rho = float(v @ (direct.A @ v)) / mass
+    assert bound.rho.lo - 1e-12 * rho <= rho <= bound.rho.hi + 1e-12 * rho
 
 
 @pytest.mark.parametrize(
@@ -537,6 +573,11 @@ def test_halves_need_the_apex_on_the_unit_circle():
     assert whole.dim == whole.C.shape[1] == ops.dim
 
 
+def circle_triangle(c):
+    """T_c, apex (c, sqrt(1 - c^2)) on the unit circle."""
+    return TriangleShape(math.acos(c), c, math.sqrt(1.0 - c * c), on_circle=True)
+
+
 def rational_coupling(plus, X, minus) -> int:
     """The number of nonzero entries of plus^T X minus, each entry of the
     product summed in exact rational arithmetic from the stored floats."""
@@ -570,11 +611,41 @@ def test_float_pencil_splits_exactly_into_its_halves(bc, n, c):
     # The operators mapped to the float apex (cos 0.3, sin 0.3) as that
     # triangle's stiffness and mass, as points were solved before, coupled
     # them by 119 entries on CR 8 Dirichlet and 183 on CR 8 edge-mean
-    tri = TriangleShape(math.acos(c), c, math.sqrt(1.0 - c * c), on_circle=True)
-    ops = reference_map(n, "cr", bc).with_halves(((0,), (1,))).mapped(tri)
-    plus, minus = (h.C for h in ops.halves)
+    ref = reference_map(n, "cr", bc)
+    ops = ref.mapped(circle_triangle(c))
+    plus, minus = parity_bases(ref.space)
     for X in (ops.A, ops.M):
         assert rational_coupling(plus, X, minus) == 0
+
+
+def test_halves_are_kept_only_where_the_float_pencil_splits_exactly():
+    # with_halves proves once per space that the stored pencil of every c
+    # splits exactly between the halves (fem._splits_exactly), and
+    # otherwise carries the whole space as its one part.  On CR 6
+    # edge-mean the stored stiffness couples the halves by one entry at
+    # every c, so a floor test in the halves would rest on a false premise
+    cs = (0.1234567, math.cos(1.0), math.cos(EQ))
+    ref = reference_map(6, "cr", "edge-mean")
+    plus, minus = parity_bases(ref.space)
+    for c in cs:
+        assert rational_coupling(plus, ref.mapped(circle_triangle(c)).A, minus) == 1
+    assert ref.with_halves(((0,), (1,))).layout == ((0, 1),)
+    # CR 24 edge-mean: h = 1/24 is not a float, the entries that meet in
+    # the coupling are rounded apart, and the split is not proven
+    assert reference_map(24, "cr", "edge-mean").with_halves(((0,), (1,))).layout == ((0, 1),)
+    # CR 24 Dirichlet: the stored K0, S and M are mirror-invariant entry for
+    # entry, so the halves are kept, and they split exactly
+    ref = reference_map(24, "cr", "dirichlet").with_halves(((0,), (1,)))
+    assert ref.layout == ((0,), (1,))
+    for c in cs:
+        ops = ref.mapped(circle_triangle(c))
+        plus, minus = (h.C for h in ops.halves)
+        for X in (ops.A, ops.M):
+            assert rational_coupling(plus, X, minus) == 0
+    # a single part needs no split: the invariant part is kept as asked
+    assert reference_map(12, "cg", "edge-mean").with_halves(((fem.INVARIANT,),)).layout == (
+        (fem.INVARIANT,),
+    )
 
 
 def power_of_two(v: np.ndarray) -> np.ndarray:
@@ -596,6 +667,8 @@ def test_proof_pencils_split_exactly_for_every_c(bc, n):
     # other class of entries couples the halves by nothing, and the classes
     # K0 = S = k, weighted by k, by nothing together
     ref = _reference_operators(n, "cr", bc)
+    # with_halves found the same at run time, and kept both halves
+    assert ref.layout == ((0,), (1,))
     (_, plus), (_, minus) = ref.halves
     k0, s = ref.k0, ref.xy_sym
     for v in (4.0 * k0, 4.0 * s, 48.0 * n * n * ref.M.data):
