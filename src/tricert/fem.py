@@ -652,10 +652,10 @@ class ReferenceMap(_PencilValues):
     value arrays on the union of the sparsity patterns of Kxx, Kxy, Kxy^T
     and Kyy (``indptr``, ``indices``, canonical CSR order), 0 where a
     matrix has no entry: with M they are all a triangle's pencil reads,
-    and no matrix of them is kept.  ``halves`` holds a
-    (:class:`PartMap`, basis) pair for each part the map carries, and
-    ``layout`` the part codes of each (:meth:`with_halves`).
-    """
+    and no matrix of them is kept.  The sums S and K0 are rounded once and
+    trusted like the assembled grams on the CR side (rayleigh_bound counts
+    them).  ``halves`` holds a (:class:`PartMap`, basis) pair for each
+    part, and ``layout`` its part codes (:meth:`with_halves`)."""
 
     space: FemSpace
     M: sp.csr_matrix
